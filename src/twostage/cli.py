@@ -319,6 +319,15 @@ def load_report_json(path) -> list:
 # ---------------------------------------------------------------------------
 # config files and argument parsing
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+
+
 _LIST_FIELDS = {
     "ells": int, "ks": int, "epsilons": float, "machines": int,
     "algorithms": str, "formats": str,
@@ -327,7 +336,7 @@ _SCALAR_FIELDS = {
     "objective": str, "dataset": str, "class_count": int, "n": int, "m": int,
     "alpha": float, "seed": int, "radius": float, "cap": int,
     "oracle_budget": int, "output": str,
-    "timing": lambda s: s.lower() in ("1", "true", "yes"),
+    "timing": _parse_bool,
 }
 
 
@@ -343,13 +352,16 @@ def parse_config_file(path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: line {ln}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _LIST_FIELDS:
-                conv = _LIST_FIELDS[key]
-                values[key] = tuple(conv(p.strip()) for p in val.split(","))
-            elif key in _SCALAR_FIELDS:
-                values[key] = _SCALAR_FIELDS[key](val)
-            else:
-                raise ConfigError(f"{path}: line {ln}: unknown key {key!r}")
+            try:
+                if key in _LIST_FIELDS:
+                    conv = _LIST_FIELDS[key]
+                    values[key] = tuple(conv(p.strip()) for p in val.split(","))
+                elif key in _SCALAR_FIELDS:
+                    values[key] = _SCALAR_FIELDS[key](val)
+                else:
+                    raise ConfigError(f"unknown key {key!r}")
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {ln}: {exc}") from exc
     return ExperimentConfig(**values)
 
 

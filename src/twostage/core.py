@@ -12,16 +12,27 @@ candidate element ``x`` against a partial solution ``A``:
   at budget).
 
 All of them live here so the algorithm modules stay small.
+
+The eval contract: every counted evaluation is exactly one call to
+``ObjectiveFamily.value``, looked up on the class at call time, and each call
+adds one to ``F.evals``.  Nothing is memoised, neither on the family nor in
+the primitives, so a code path performs the same evals every time it runs
+and eval counts stay the paper's cost measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Iterable, Optional, Sequence
 
 
 class InvariantViolation(AssertionError):
     """An instrumented run observed a state that should be impossible."""
+
+
+class NonFiniteValueError(ValueError):
+    """An objective function returned NaN or an infinity."""
 
 
 @dataclass(frozen=True)
@@ -60,24 +71,27 @@ class ObjectiveFamily:
         self._functions = list(functions)
         self.evals = 0
         self._offsets = [0.0] * len(self._functions)
-        self._offsets = [self._raw(i, ()) for i in range(len(self._functions))]
+        self._offsets = [self.value(i, ()) for i in range(len(self._functions))]
 
     @property
     def m(self) -> int:
         return len(self._functions)
 
-    def _raw(self, i: int, ids: tuple) -> float:
-        self.evals += 1
-        return float(self._functions[i](ids))
-
     def value(self, i: int, ids: Iterable[int]) -> float:
         """Normalized value of f_i on the given element set (one counted eval)."""
-        if not 0 <= i < self.m:
-            raise ValueError(f"function index {i} out of range [0, {self.m})")
+        functions = self._functions
+        if not 0 <= i < len(functions):
+            raise ValueError(
+                f"function index {i} out of range [0, {len(functions)})")
         key = tuple(sorted(ids))
         if key and not (0 <= key[0] and key[-1] < self.ground.n):
             raise ValueError("element id out of range")
-        return self._raw(i, key) - self._offsets[i]
+        self.evals += 1
+        v = float(functions[i](key)) - self._offsets[i]
+        if not isfinite(v):
+            raise NonFiniteValueError(
+                f"function {i} evaluated to {v} on the set {key}")
+        return v
 
     def singleton_average(self, u: int) -> float:
         """(1/m) sum_i f_i({u}); the quantity the streaming threshold tracker maximizes."""
@@ -130,9 +144,49 @@ def solution_from_sets(F: ObjectiveFamily, summary, per_function,
     return sol
 
 
-def _check_element(F: ObjectiveFamily, x: int):
+_NO_MOVE = SwapOutcome(None, 0.0)
+
+
+def _sorted_ids(A: Iterable[int]) -> tuple:
+    """The distinct ids of A as a sorted tuple; a set is sorted without a copy."""
+    if not isinstance(A, (set, frozenset)):
+        A = set(A)
+    return tuple(sorted(A))
+
+
+def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
+           base: float | None) -> tuple:
+    """Raw gain of x against the sorted tuple ``key``: ``(replaced, gain)``.
+
+    Below budget (``len(key) < k``) this is the insertion gain, exactly 0.0
+    with no eval when x is already in ``key``.  At budget it is the best
+    single swap of x for some y in ``key``; the gain may be negative and
+    ties go to the lowest y.  ``base`` is a cached f_i(key); when None it
+    is evaluated once the move is known to be valid.
+    """
     if not 0 <= x < F.ground.n:
         raise ValueError(f"element {x} out of range [0, {F.ground.n})")
+    if len(key) < k:
+        if x in key:
+            return None, 0.0
+        if base is None:
+            base = F.value(i, key)
+        return None, F.value(i, key + (x,)) - base
+    if not key:
+        raise ValueError("rep requires a non-empty set; use the insertion path")
+    if x in key:
+        raise ValueError("candidate already in the set")
+    if base is None:
+        base = F.value(i, key)
+    value = F.value
+    best_y = None
+    best_gain = 0.0
+    for j, y in enumerate(key):
+        gain = value(i, key[:j] + key[j + 1:] + (x,)) - base
+        if best_y is None or gain > best_gain:
+            best_gain = gain
+            best_y = y
+    return best_y, best_gain
 
 
 def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -141,13 +195,9 @@ def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
 
     ``base`` lets callers reuse a cached f_i(A) instead of re-evaluating.
     """
-    _check_element(F, x)
-    A = set(A)
-    if x in A:
-        return 0.0
-    if base is None:
-        base = F.value(i, A)
-    return F.value(i, A | {x}) - base
+    key = _sorted_ids(A)
+    # a budget above |A| always takes the insertion path
+    return _probe(F, i, x, key, len(key) + 1, base)[1]
 
 
 def rep(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -156,22 +206,8 @@ def rep(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
 
     The gain may be negative.  Ties break toward the lowest replaced id.
     """
-    _check_element(F, x)
-    A = set(A)
-    if not A:
-        raise ValueError("rep requires a non-empty set; use the insertion path")
-    if x in A:
-        raise ValueError("candidate already in the set")
-    if base is None:
-        base = F.value(i, A)
-    best_y = None
-    best_gain = None
-    for y in sorted(A):
-        gain = F.value(i, (A - {y}) | {x}) - base
-        if best_gain is None or gain > best_gain:
-            best_gain = gain
-            best_y = y
-    return SwapOutcome(best_y, best_gain)
+    # budget 0 always takes the swap path
+    return SwapOutcome(*_probe(F, i, x, _sorted_ids(A), 0, base))
 
 
 def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -185,21 +221,16 @@ def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    A = set(A)
-    if len(A) > k:
+    key = _sorted_ids(A)
+    if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     if base is None:
-        base = F.value(i, A)
+        base = F.value(i, key)
     threshold = (alpha / k) * base
-    if len(A) < k:
-        g = marginal(F, i, x, A, base=base)
-        if g >= threshold:
-            return SwapOutcome(None, g)
-        return SwapOutcome(None, 0.0)
-    out = rep(F, i, x, A, base=base)
-    if out.gain >= threshold and out.gain > 0:
-        return out
-    return SwapOutcome(None, 0.0)
+    replaced, gain = _probe(F, i, x, key, k, base)
+    if gain >= threshold and (replaced is None or gain > 0):
+        return SwapOutcome(replaced, gain)
+    return _NO_MOVE
 
 
 def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -210,17 +241,15 @@ def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     at 0.  A zero-gain swap is reported with ``replaced`` unset so callers
     treat it as a no-op.
     """
-    A = set(A)
-    if len(A) > k:
+    key = _sorted_ids(A)
+    if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     if base is None:
-        base = F.value(i, A)
-    if len(A) < k:
-        return SwapOutcome(None, marginal(F, i, x, A, base=base))
-    out = rep(F, i, x, A, base=base)
-    if out.gain > 0:
-        return out
-    return SwapOutcome(None, 0.0)
+        base = F.value(i, key)
+    replaced, gain = _probe(F, i, x, key, k, base)
+    if replaced is None or gain > 0:
+        return SwapOutcome(replaced, gain)
+    return _NO_MOVE
 
 
 def evaluate_solution(F: ObjectiveFamily, sol: TwoStageSolution) -> float:

@@ -44,7 +44,7 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
                 continue
             outs = [lambda_gain(F, i, x, T[i], k, base=base[i])
                     for i in range(m)]
-            total = sum(o.gain for o in outs)
+            total = sum([o.gain for o in outs])
             if total > best_total:  # strict: ties keep the lowest id
                 best_total = total
                 best_x = x

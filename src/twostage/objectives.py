@@ -64,8 +64,9 @@ def facility_family(points: Sequence[Point],
                     regions: Sequence[Region]) -> ObjectiveFamily:
     """Build one facility-location function per region over the given points.
 
-    Convenience scores between every region member and every ground element
-    are precomputed, so a set evaluation is a tiny max-then-sum.
+    Convenience scores between every ground element and every region member
+    are precomputed, one row per element, so a set evaluation gathers the
+    set's rows and takes a tiny max-then-sum.
     """
     ground = GroundSet(len(points), tuple(points))
     coords = np.asarray(points, dtype=float)
@@ -73,7 +74,7 @@ def facility_family(points: Sequence[Point],
     with np.errstate(under="ignore"):
         for region in regions:
             rc = np.asarray(region.members, dtype=float)
-            d = np.abs(rc[:, None, :] - coords[None, :, :]).sum(axis=2)
+            d = np.abs(coords[:, None, :] - rc[None, :, :]).sum(axis=2)
             z = np.exp(-200.0 * d)
             matrices.append(2.0 * z / (1.0 + z))
 
@@ -81,7 +82,10 @@ def facility_family(points: Sequence[Point],
         def f(ids: tuple) -> float:
             if not ids:
                 return 0.0
-            return float(mat[:, list(ids)].max(axis=1).sum())
+            # a row gather and ufunc reductions: the same numbers as
+            # mat.T[:, list(ids)].max(axis=1).sum(), with less overhead
+            return float(np.add.reduce(
+                np.maximum.reduce(mat.take(ids, axis=0), axis=0)))
         return f
 
     return ObjectiveFamily(ground, [make(mat) for mat in matrices])
@@ -123,17 +127,24 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
             raise ValueError(f"class {i} has no members; cannot build its function")
         members = vectors[omega]
         anchor = np.linalg.norm(members, axis=1)
-        # distances from class members to every ground element
-        dmat = np.linalg.norm(members[:, None, :] - vectors[None, :, :], axis=2)
+        # distances from every ground element (rows) to the class members
+        dmat = np.linalg.norm(vectors[:, None, :] - members[None, :, :], axis=2)
         in_class = set(int(e) for e in omega)
 
         def make(anchor, dmat, in_class):
+            # a row gather and the ufunc reductions that ndarray.min and
+            # ndarray.mean run, minus their Python wrappers: bit-identical
+            # to np.minimum(anchor, dmat.T[:, chosen].min(axis=1)).mean()
+            anchor_mean = anchor.mean()
+            rows = len(anchor)
+
             def f(ids: tuple) -> float:
                 chosen = [e for e in ids if e in in_class]
                 if not chosen:
                     return 0.0
-                best = np.minimum(anchor, dmat[:, chosen].min(axis=1))
-                return float(anchor.mean() - best.mean())
+                best = np.minimum(
+                    anchor, np.minimum.reduce(dmat.take(chosen, axis=0), axis=0))
+                return float(anchor_mean - np.add.reduce(best) / rows)
             return f
 
         functions.append(make(anchor, dmat, in_class))
@@ -148,10 +159,11 @@ class CoverageSpec:
     universe: int
 
     def value(self, ids: tuple) -> float:
+        masks = self.masks
         acc = 0
         for e in ids:
-            acc |= self.masks[e]
-        return float(bin(acc).count("1"))
+            acc |= masks[e]
+        return float(acc.bit_count())
 
 
 SYNTHETIC_KINDS = ("modular", "coverage", "facility")
@@ -179,10 +191,12 @@ def make_synthetic(kind: str, n: int, m: int, seed: int) -> ObjectiveFamily:
     if kind == "coverage":
         universe = max(16, 2 * n)
         specs = []
+        pad = -universe % 8  # packbits pads each row with zero bits to whole bytes
         for _ in range(m):
             hits = rng.random(size=(n, universe)) < 0.3
-            masks = tuple(int("".join("1" if b else "0" for b in row), 2) if row.any() else 0
-                          for row in hits)
+            # bit j of a row, counted from the left, is the mask's bit universe-1-j
+            masks = tuple(int.from_bytes(row.tobytes(), "big") >> pad
+                          for row in np.packbits(hits, axis=1))
             specs.append(CoverageSpec(masks, universe))
         ground = GroundSet(n, specs)
         return ObjectiveFamily(ground, [spec.value for spec in specs])

@@ -55,11 +55,10 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     if u in state.S or len(state.S) >= state.ell:
         return False
     m = F.m
-    gains: list[SwapOutcome] = [
-        nabla(F, i, u, state.T[i], state.alpha, state.k, base=state.base[i])
-        for i in range(m)
-    ]
-    avg = sum(g.gain for g in gains) / m
+    T, base, alpha, k = state.T, state.base, state.alpha, state.k
+    gains: list[SwapOutcome] = [nabla(F, i, u, T[i], alpha, k, base=base[i])
+                                for i in range(m)]
+    avg = sum([g.gain for g in gains]) / m
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
             f"average gain {avg} exceeds the running singleton maximum {delta}")
@@ -71,9 +70,9 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     for i, g in enumerate(gains):
         if g.gain > 0:
             if g.replaced is not None:
-                state.T[i].discard(g.replaced)
-            state.T[i].add(u)
-            state.base[i] = F.value(i, state.T[i])
+                T[i].discard(g.replaced)
+            T[i].add(u)
+            base[i] = F.value(i, T[i])
             if state.trace is not None:
                 state.trace[i].add(u)
     if state.trace is not None:

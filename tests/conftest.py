@@ -22,3 +22,18 @@ def worked_instance():
     is S={0, 2}, T1={0}, T2={2}, value 3.
     """
     return modular_family((3.0, 2.0, 1.0), (1.0, 2.0, 3.0))
+
+
+def poisoned_family(bad, n=6, poison=3):
+    """Two functions on n elements; function 1 evaluates to ``bad`` on every
+    set that contains ``poison`` and is modular elsewhere."""
+    def clean(ids):
+        return float(sum(1.0 + e for e in ids))
+
+    def poisoned(ids):
+        return bad if poison in ids else float(len(ids))
+
+    return ObjectiveFamily(GroundSet(n), [clean, poisoned])
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]

@@ -224,6 +224,20 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
 
+    def test_misspelt_boolean_names_its_line(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n = 12\ntiming = flase\n")
+        with pytest.raises(ConfigError, match="line 2.*'flase'"):
+            parse_config_file(cfg)
+
+    @pytest.mark.parametrize("word, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("False", False), ("nO", False)])
+    def test_boolean_spellings(self, tmp_path, word, expected):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"timing = {word}\n")
+        assert parse_config_file(cfg).timing is expected
+
 
 class TestMain:
     def test_run_round_trip(self, tmp_path):

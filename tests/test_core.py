@@ -1,11 +1,11 @@
 import pytest
 
-from twostage.core import (GroundSet, InvariantViolation, ObjectiveFamily,
-                           empty_solution, evaluate_solution, lambda_gain,
+from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
+                           ObjectiveFamily, empty_solution, evaluate_solution, lambda_gain,
                            marginal, nabla, rep, solution_from_sets)
 from twostage.objectives import make_synthetic
 
-from conftest import modular_family
+from conftest import NON_FINITE, modular_family, poisoned_family
 
 
 class TestGroundSet:
@@ -34,6 +34,19 @@ class TestObjectiveFamily:
             F.value(5, (0,))
         with pytest.raises(ValueError):
             F.value(0, (9,))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_value_names_function_and_set(self, bad):
+        F = poisoned_family(bad)
+        assert F.value(1, [4, 1]) == 2.0
+        with pytest.raises(NonFiniteValueError,
+                           match=r"function 1 .* \(1, 3\)"):
+            F.value(1, [3, 1])
+        assert isinstance(NonFiniteValueError(), ValueError)
+
+    def test_non_finite_empty_set_value_rejected_at_construction(self):
+        with pytest.raises(NonFiniteValueError):
+            ObjectiveFamily(GroundSet(2), [lambda ids: float("nan")])
 
     def test_eval_counter_is_deterministic(self):
         def run():

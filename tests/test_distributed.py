@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from twostage.core import evaluate_solution
+from twostage.core import NonFiniteValueError, evaluate_solution
 from twostage.distributed import (distributed_fast, partition,
                                   pseudo_streaming, recommend_machine_count,
                                   replacement_distributed)
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
 from twostage.streaming import run_streaming
+
+from conftest import NON_FINITE, poisoned_family
 
 
 class TestPartition:
@@ -146,3 +148,9 @@ def test_expected_guarantees_on_a_small_mean():
     vals_f = [distributed_fast(F, 3, 1.0, 3, 2, seed=s).value for s in range(5)]
     assert np.mean(vals_d) >= 0.216 * opt - 1e-9
     assert np.mean(vals_f) >= 0.107 * opt - 1e-9
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_objective_raises(bad):
+    with pytest.raises(NonFiniteValueError, match="function 1"):
+        distributed_fast(poisoned_family(bad), 2, 0.5, ell=3, k=2, seed=0)

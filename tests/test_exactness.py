@@ -1,0 +1,272 @@
+"""The fast kernels and gain primitives against the expressions they replaced.
+
+The reference implementations below are the library's earlier, plainer
+code.  The current code must agree with them bit for bit (``==``, not
+``approx``) and, for the gain primitives, spend exactly the same evals; two
+golden runs pin whole-solver outputs and eval counts.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twostage.core import (InvariantViolation, SwapOutcome, lambda_gain,
+                           marginal, nabla, rep)
+from twostage.greedy import replacement_greedy
+from twostage.objectives import (Point, Region, exemplar_family,
+                                 facility_family, make_synthetic)
+from twostage.streaming import ThresholdManager
+
+# ---------------------------------------------------------------------------
+# reference kernels
+
+
+def ref_facility_functions(points, regions):
+    coords = np.asarray(points, dtype=float)
+    functions = []
+    with np.errstate(under="ignore"):
+        for region in regions:
+            rc = np.asarray(region.members, dtype=float)
+            d = np.abs(rc[:, None, :] - coords[None, :, :]).sum(axis=2)
+            z = np.exp(-200.0 * d)
+            mat = 2.0 * z / (1.0 + z)
+
+            def f(ids, mat=mat):
+                if not ids:
+                    return 0.0
+                return float(mat[:, list(ids)].max(axis=1).sum())
+            functions.append(f)
+    return functions
+
+
+def ref_exemplar_functions(vectors, class_count):
+    functions = []
+    for i in range(class_count):
+        omega = np.flatnonzero(vectors[:, i] > 0)
+        members = vectors[omega]
+        anchor = np.linalg.norm(members, axis=1)
+        dmat = np.linalg.norm(members[:, None, :] - vectors[None, :, :], axis=2)
+        in_class = set(int(e) for e in omega)
+
+        def f(ids, anchor=anchor, dmat=dmat, in_class=in_class):
+            chosen = [e for e in ids if e in in_class]
+            if not chosen:
+                return 0.0
+            best = np.minimum(anchor, dmat[:, chosen].min(axis=1))
+            return float(anchor.mean() - best.mean())
+        functions.append(f)
+    return functions
+
+
+def ref_coverage_value(masks, ids):
+    acc = 0
+    for e in ids:
+        acc |= masks[e]
+    return float(bin(acc).count("1"))
+
+
+def ref_coverage_masks(n, m, seed):
+    """The per-bit string construction of make_synthetic's coverage masks."""
+    rng = np.random.default_rng(seed)
+    universe = max(16, 2 * n)
+    out = []
+    for _ in range(m):
+        hits = rng.random(size=(n, universe)) < 0.3
+        out.append(tuple(
+            int("".join("1" if b else "0" for b in row), 2) if row.any() else 0
+            for row in hits))
+    return out
+
+
+def id_sets(n):
+    return st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_facility_kernel_is_bit_identical(seed, data):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    points = [Point(float(x), float(y)) for x, y in rng.uniform(0, 0.03, (n, 2))]
+    regions = [Region(tuple(points[int(e)] for e in
+                            rng.choice(n, size=min(n, 6), replace=False)))
+               for _ in range(3)]
+    F = facility_family(points, regions)
+    refs = ref_facility_functions(points, regions)
+    ids = tuple(sorted(data.draw(id_sets(n))))
+    for i, ref in enumerate(refs):
+        assert F.value(i, ids) == ref(ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_exemplar_kernel_is_bit_identical(seed, data):
+    rng = np.random.default_rng(seed)
+    n, classes = int(rng.integers(1, 30)), 4
+    vectors = rng.integers(0, 3, (n, classes)).astype(float)
+    vectors[0] = 1.0  # every class has a member
+    F = exemplar_family(vectors, classes)
+    refs = ref_exemplar_functions(vectors, classes)
+    ids = tuple(sorted(data.draw(id_sets(n))))
+    for i, ref in enumerate(refs):
+        assert F.value(i, ids) == ref(ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_coverage_kernel_is_bit_identical(seed, data):
+    n = data.draw(st.integers(1, 40))
+    F = make_synthetic("coverage", n, 2, seed)
+    ids = tuple(sorted(data.draw(id_sets(n))))
+    for i, spec in enumerate(F.ground.payload):
+        assert F.value(i, ids) == ref_coverage_value(spec.masks, ids)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 11, 13, 300])
+def test_coverage_masks_match_string_construction(n):
+    F = make_synthetic("coverage", n, 3, seed=n)
+    assert [spec.masks for spec in F.ground.payload] == \
+        ref_coverage_masks(n, 3, seed=n)
+
+
+# ---------------------------------------------------------------------------
+# reference gain primitives
+
+
+def ref_check_element(F, x):
+    if not 0 <= x < F.ground.n:
+        raise ValueError(f"element {x} out of range [0, {F.ground.n})")
+
+
+def ref_marginal(F, i, x, A, base=None):
+    ref_check_element(F, x)
+    A = set(A)
+    if x in A:
+        return 0.0
+    if base is None:
+        base = F.value(i, A)
+    return F.value(i, A | {x}) - base
+
+
+def ref_rep(F, i, x, A, base=None):
+    ref_check_element(F, x)
+    A = set(A)
+    if not A:
+        raise ValueError("rep requires a non-empty set; use the insertion path")
+    if x in A:
+        raise ValueError("candidate already in the set")
+    if base is None:
+        base = F.value(i, A)
+    best_y = None
+    best_gain = None
+    for y in sorted(A):
+        gain = F.value(i, (A - {y}) | {x}) - base
+        if best_gain is None or gain > best_gain:
+            best_gain = gain
+            best_y = y
+    return SwapOutcome(best_y, best_gain)
+
+
+def ref_nabla(F, i, x, A, alpha, k, base=None):
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    A = set(A)
+    if len(A) > k:
+        raise InvariantViolation("per-function solution larger than its budget")
+    if base is None:
+        base = F.value(i, A)
+    threshold = (alpha / k) * base
+    if len(A) < k:
+        g = ref_marginal(F, i, x, A, base=base)
+        if g >= threshold:
+            return SwapOutcome(None, g)
+        return SwapOutcome(None, 0.0)
+    out = ref_rep(F, i, x, A, base=base)
+    if out.gain >= threshold and out.gain > 0:
+        return out
+    return SwapOutcome(None, 0.0)
+
+
+def ref_lambda_gain(F, i, x, A, k, base=None):
+    A = set(A)
+    if len(A) > k:
+        raise InvariantViolation("per-function solution larger than its budget")
+    if base is None:
+        base = F.value(i, A)
+    if len(A) < k:
+        return SwapOutcome(None, ref_marginal(F, i, x, A, base=base))
+    out = ref_rep(F, i, x, A, base=base)
+    if out.gain > 0:
+        return out
+    return SwapOutcome(None, 0.0)
+
+
+def outcome(F, fn, *args, **kwargs):
+    """(result or exception type, evals spent) of one primitive call."""
+    before = F.evals
+    try:
+        result = fn(F, *args, **kwargs)
+    except (ValueError, InvariantViolation) as exc:
+        result = type(exc)
+    return result, F.evals - before
+
+
+PRIMITIVES = {
+    "marginal": (marginal, ref_marginal, lambda alpha, k: {}),
+    "rep": (rep, ref_rep, lambda alpha, k: {}),
+    "nabla": (nabla, ref_nabla, lambda alpha, k: {"alpha": alpha, "k": k}),
+    "lambda_gain": (lambda_gain, ref_lambda_gain, lambda alpha, k: {"k": k}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PRIMITIVES)),
+       kind=st.sampled_from(["modular", "coverage", "facility"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_gain_primitives_match_reference(name, kind, seed, data):
+    n = 8
+    F = make_synthetic(kind, n, 2, seed)
+    new, ref, extra = PRIMITIVES[name]
+    k = data.draw(st.integers(1, 4))
+    A = set(data.draw(st.lists(st.integers(0, n - 1), max_size=k,
+                               unique=True)))
+    x = data.draw(st.integers(0, n - 1))
+    i = data.draw(st.integers(0, F.m - 1))
+    alpha = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    kwargs = extra(alpha, k)
+    if data.draw(st.booleans()):
+        kwargs["base"] = F.value(i, A)
+    got = outcome(F, new, i, x, A, **kwargs)
+    want = outcome(F, ref, i, x, A, **kwargs)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# golden whole-solver runs, numbers taken from the reference implementation
+
+
+def test_golden_threshold_manager_run():
+    F = make_synthetic("coverage", 60, 4, seed=7)
+    order = list(range(60))
+    np.random.default_rng(3).shuffle(order)
+    before = F.evals
+    mgr = ThresholdManager(F, 0.2, 8, 3).run(order)
+    sol = mgr.best_solution()
+    assert F.evals - before == 10268
+    assert sol.value == 84.75
+    assert sorted(sol.summary) == [0, 1, 22, 38, 39, 58]
+    assert [sorted(t) for t in sol.per_function] == \
+        [[0, 22, 39], [0, 1, 22], [0, 22, 38], [0, 22, 58]]
+    assert (mgr.peak_stored, mgr.max_instances) == (93, 22)
+
+
+def test_golden_replacement_greedy_run():
+    F = make_synthetic("facility", 40, 5, seed=11)
+    before = F.evals
+    sol = replacement_greedy(F, range(40), 8, 3)
+    assert F.evals - before == 3241
+    assert sol.value == 5.6308436754490625
+    assert sorted(sol.summary) == [4, 5, 7, 29, 31, 33, 35, 37]
+    assert [sorted(t) for t in sol.per_function] == \
+        [[33, 35, 37], [5, 29, 31], [4, 29, 31], [4, 7, 31], [4, 33, 35]]

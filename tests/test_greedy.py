@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from twostage.core import NonFiniteValueError
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
 
-from conftest import modular_family
+from conftest import NON_FINITE, modular_family, poisoned_family
 
 GREEDY_RATIO = 0.5 * (1.0 - np.exp(-2.0))  # about 0.4323
 
@@ -65,3 +66,9 @@ def test_guarantee_on_random_instances(kind):
         sol = replacement_greedy(F, range(10), 3, 2)
         assert sol.value >= GREEDY_RATIO * opt - 1e-9
         assert sol.value <= opt + 1e-9
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_objective_raises(bad):
+    with pytest.raises(NonFiniteValueError, match="function 1"):
+        replacement_greedy(poisoned_family(bad), range(6), ell=3, k=2)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from twostage.core import evaluate_solution
+from twostage.core import NonFiniteValueError, evaluate_solution
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (StreamState, ThresholdManager, exchange,
                                 run_know_opt, run_streaming)
 
-from conftest import modular_family
+from conftest import NON_FINITE, modular_family, poisoned_family
 
 
 def fresh_state(F, ell, k, tau, alpha=1.0):
@@ -151,3 +151,9 @@ class TestRunStreaming:
             order = list(range(10))
             np.random.default_rng(seed).shuffle(order)
             run_streaming(order, F, epsilon=1.0, ell=3, k=2, instrument=True)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_objective_raises(bad):
+    with pytest.raises(NonFiniteValueError, match="function 1"):
+        run_streaming(range(6), poisoned_family(bad), 0.5, ell=3, k=2)
