@@ -9,29 +9,28 @@ with a brute-force oracle for desk-scale verification.
 from .core import (GroundSet, InvariantViolation, ObjectiveFamily,
                    SwapOutcome, TwoStageSolution, evaluate_solution,
                    lambda_gain, marginal, nabla, rep)
-from .distributed import (PartitionPlan, WorkerOutput, distributed_fast,
-                          partition, pseudo_streaming,
-                          recommend_machine_count, replacement_distributed)
+from .distributed import (PartitionPlan, distributed_fast, partition,
+                          pseudo_streaming, recommend_machine_count,
+                          replacement_distributed)
 from .greedy import replacement_greedy
 from .objectives import (CoverageSpec, Point, Region, exemplar_family,
                          exemplar_value, facility_convenience, facility_family,
                          facility_value, make_synthetic)
-from .oracle import OracleBudgetError, OracleResult, brute_force_opt
-from .streaming import (StreamState, ThresholdInstance, ThresholdManager,
-                        exchange, run_know_opt, run_streaming,
-                        update_thresholds)
+from .oracle import OracleBudgetError, brute_force_opt
+from .streaming import (StreamState, ThresholdManager, exchange,
+                        run_know_opt, run_streaming)
 
 __all__ = [
     "GroundSet", "InvariantViolation", "ObjectiveFamily", "SwapOutcome",
     "TwoStageSolution", "evaluate_solution", "lambda_gain", "marginal",
     "nabla", "rep",
-    "PartitionPlan", "WorkerOutput", "distributed_fast", "partition",
+    "PartitionPlan", "distributed_fast", "partition",
     "pseudo_streaming", "recommend_machine_count", "replacement_distributed",
     "replacement_greedy",
     "CoverageSpec", "Point", "Region", "exemplar_family", "exemplar_value",
     "facility_convenience", "facility_family", "facility_value",
     "make_synthetic",
-    "OracleBudgetError", "OracleResult", "brute_force_opt",
-    "StreamState", "ThresholdInstance", "ThresholdManager", "exchange",
-    "run_know_opt", "run_streaming", "update_thresholds",
+    "OracleBudgetError", "brute_force_opt",
+    "StreamState", "ThresholdManager", "exchange",
+    "run_know_opt", "run_streaming",
 ]

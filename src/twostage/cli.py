@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle as oracle_mod
-from .core import GroundSet, ObjectiveFamily, empty_solution
+from .core import GroundSet, ObjectiveFamily
 from .distributed import distributed_fast, replacement_distributed
 from .greedy import replacement_greedy
 from .objectives import (Point, Region, exemplar_family, facility_family,
@@ -248,13 +248,8 @@ def _run_algorithm(name: str, F: ObjectiveFamily, ell: int, k: int,
         work = oracle_mod.estimate_work(F.ground.n, ell, k, F.m)
         if work > oracle_budget:
             return None, 0, True
-        res = oracle_mod.brute_force_opt(F, ids, ell, k,
-                                         max_evaluations=oracle_budget)
-        sol = empty_solution(F.m, ell, k)
-        sol.summary = frozenset(res.summary)
-        sol.per_function = tuple(frozenset(t) for t in res.per_function)
-        sol.value = res.value
-        return sol, 0, False
+        return oracle_mod.brute_force_opt(
+            F, ids, ell, k, max_evaluations=oracle_budget), 0, False
     raise ConfigError(f"unknown algorithm {name!r}")
 
 

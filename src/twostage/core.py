@@ -129,6 +129,14 @@ class TwoStageSolution:
                 raise ValueError("per-function solution not contained in summary")
 
 
+def check_budgets(ell: int, k: int):
+    """Raise ValueError unless 1 <= k <= ell."""
+    if ell < 1 or k < 1:
+        raise ValueError(f"budgets must be at least 1, got ell={ell}, k={k}")
+    if k > ell:
+        raise ValueError(f"per-function budget k={k} cannot exceed ell={ell}")
+
+
 def empty_solution(m: int, ell: int, k: int) -> TwoStageSolution:
     return TwoStageSolution(frozenset(), tuple(frozenset() for _ in range(m)),
                             0.0, ell, k)

@@ -1,20 +1,19 @@
 """Simulated multi-machine solvers.
 
-Workers run in-process over disjoint random partitions, but everything
-crossing the worker boundary goes through a serializable WorkerOutput, so a
-networked backend could replace the loop without touching algorithm code.
-Both algorithms finish with a greedy merge over the collected summaries and
-return the better of (best worker solution, merged solution).
+Both algorithms follow the partition-and-merge template of GreeDi: split the
+elements at random over M machines, solve each machine in-process, run a
+greedy merge over the union of the worker summaries, and return the better
+of (best worker solution, merged solution).  Only the worker differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import (ObjectiveFamily, TwoStageSolution, empty_solution)
+from .core import ObjectiveFamily, TwoStageSolution, empty_solution
 from .greedy import replacement_greedy
 from .streaming import ThresholdManager
 
@@ -27,28 +26,12 @@ class PartitionPlan:
     seed: int
     assignment: tuple  # machine index per element id
 
-    def machine_elements(self, l: int) -> list[int]:
-        return [e for e, a in enumerate(self.assignment) if a == l]
-
-
-@dataclass(frozen=True)
-class WorkerOutput:
-    """What one machine ships back to the coordinator."""
-
-    machine: int
-    solutions: tuple  # tuple of (tau, TwoStageSolution); tau None for greedy workers
-
-    def to_jsonable(self) -> dict:
-        return {
-            "machine": self.machine,
-            "solutions": [
-                {"tau": tau,
-                 "summary": sorted(sol.summary),
-                 "per_function": [sorted(t) for t in sol.per_function],
-                 "value": sol.value, "ell": sol.ell, "k": sol.k}
-                for tau, sol in self.solutions
-            ],
-        }
+    def parts(self, ids: Iterable[int]) -> list[list[int]]:
+        """The ids bucketed by machine in one pass; each bucket keeps input order."""
+        buckets = [[] for _ in range(self.M)]
+        for e in ids:
+            buckets[self.assignment[e]].append(e)
+        return buckets
 
 
 def partition(ground_n: int, M: int, seed: int) -> PartitionPlan:
@@ -70,41 +53,50 @@ def _better(a: TwoStageSolution, b: TwoStageSolution) -> TwoStageSolution:
     return b if b.value > a.value else a
 
 
+def _partition_and_merge(
+        F: ObjectiveFamily, M: int, ell: int, k: int, seed: int,
+        elements: Iterable[int] | None,
+        worker: Callable[[list[int]], Iterable[TwoStageSolution]]
+) -> TwoStageSolution:
+    """Run ``worker`` on each non-empty machine, then greedy-merge the summaries.
+
+    ``worker(part)`` gets one machine's ids in ascending order and returns
+    that machine's solutions.
+    """
+    ids = sorted(set(elements)) if elements is not None else F.ground.elements()
+    best = empty_solution(F.m, ell, k)
+    candidates: set[int] = set()
+    for part in partition(F.ground.n, M, seed).parts(ids):
+        if not part:
+            continue
+        for sol in worker(part):
+            candidates.update(sol.summary)
+            best = _better(best, sol)
+    if not candidates:
+        return best
+    return _better(best, replacement_greedy(F, sorted(candidates), ell, k))
+
+
 def replacement_distributed(F: ObjectiveFamily, M: int, ell: int, k: int,
                             seed: int,
                             elements: Iterable[int] | None = None
                             ) -> TwoStageSolution:
     """Greedy workers over a random split, then a greedy merge of their summaries."""
-    ids = sorted(set(elements)) if elements is not None else list(F.ground.elements())
-    plan = partition(F.ground.n, M, seed)
-    best_worker = empty_solution(F.m, ell, k)
-    worker_summaries: set[int] = set()
-    for l in range(M):
-        part = [e for e in ids if plan.assignment[e] == l]
-        if not part:
-            continue
-        sol = replacement_greedy(F, part, ell, k)
-        worker_summaries.update(sol.summary)
-        best_worker = _better(best_worker, sol)
-    if not worker_summaries:
-        return best_worker
-    merged = replacement_greedy(F, sorted(worker_summaries), ell, k)
-    return _better(best_worker, merged)
+    return _partition_and_merge(
+        F, M, ell, k, seed, elements,
+        lambda part: [replacement_greedy(F, part, ell, k)])
 
 
 def pseudo_streaming(part: Iterable[int], F: ObjectiveFamily, epsilon: float,
                      ell: int, k: int, alpha: float = 1.0,
-                     beta: float | None = None,
-                     machine: int = 0) -> WorkerOutput:
-    """Streaming over a canonically sorted order, returning every surviving instance.
+                     beta: float | None = None) -> tuple:
+    """Streaming over a canonically sorted order: every surviving (tau, solution).
 
     Sorting by element id makes the output a function of the input *set*,
     which the merge-consistency argument of the fast algorithm needs.
     """
-    ordered = sorted(set(part))
     mgr = ThresholdManager(F, epsilon, ell, k, alpha=alpha, beta=beta)
-    mgr.run(ordered)
-    return WorkerOutput(machine, tuple(mgr.all_solutions()))
+    return tuple(mgr.run(sorted(set(part))).all_solutions())
 
 
 def distributed_fast(F: ObjectiveFamily, M: int, epsilon: float, ell: int,
@@ -113,23 +105,10 @@ def distributed_fast(F: ObjectiveFamily, M: int, epsilon: float, ell: int,
                      elements: Iterable[int] | None = None
                      ) -> TwoStageSolution:
     """Pseudo-streaming workers, then a greedy merge over all kept summaries."""
-    ids = sorted(set(elements)) if elements is not None else list(F.ground.elements())
-    plan = partition(F.ground.n, M, seed)
-    best_instance = empty_solution(F.m, ell, k)
-    merged_candidates: set[int] = set()
-    for l in range(M):
-        part = [e for e in ids if plan.assignment[e] == l]
-        if not part:
-            continue
-        out = pseudo_streaming(part, F, epsilon, ell, k,
-                               alpha=alpha, beta=beta, machine=l)
-        for _, sol in out.solutions:
-            merged_candidates.update(sol.summary)
-            best_instance = _better(best_instance, sol)
-    if not merged_candidates:
-        return best_instance
-    merged = replacement_greedy(F, sorted(merged_candidates), ell, k)
-    return _better(best_instance, merged)
+    return _partition_and_merge(
+        F, M, ell, k, seed, elements,
+        lambda part: [sol for _, sol in pseudo_streaming(
+            part, F, epsilon, ell, k, alpha=alpha, beta=beta)])
 
 
 def recommend_machine_count(n: int, ell: int, variant: str) -> int:

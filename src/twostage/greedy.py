@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import (ObjectiveFamily, TwoStageSolution, lambda_gain,
-                   solution_from_sets)
+from .core import (ObjectiveFamily, TwoStageSolution, check_budgets,
+                   lambda_gain, solution_from_sets)
 
 
 def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
@@ -25,10 +25,7 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     cands = sorted(set(candidates))
     if not cands:
         raise ValueError("candidate set must be non-empty")
-    if ell < 1 or k < 1:
-        raise ValueError("budgets must be at least 1")
-    if k > ell:
-        raise ValueError("per-function budget k cannot exceed ell")
+    check_budgets(ell, k)
 
     m = F.m
     S: set[int] = set()

@@ -8,25 +8,17 @@ approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .core import ObjectiveFamily
+from .core import ObjectiveFamily, TwoStageSolution
 
 DEFAULT_BUDGET = 10 ** 8
 
 
 class OracleBudgetError(RuntimeError):
     """The requested instance needs more evaluations than the oracle allows."""
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    summary: tuple
-    per_function: tuple  # tuple of tuples, one per function
 
 
 def estimate_work(n: int, ell: int, k: int, m: int) -> int:
@@ -41,11 +33,13 @@ def estimate_work(n: int, ell: int, k: int, m: int) -> int:
 
 def brute_force_opt(F: ObjectiveFamily, elements: Iterable[int] | None,
                     ell: int, k: int,
-                    max_evaluations: int = DEFAULT_BUDGET) -> OracleResult:
+                    max_evaluations: int = DEFAULT_BUDGET) -> TwoStageSolution:
     """Exact optimum over all feasible (summary, per-function) choices.
 
     Ties go to the first maximizer in the enumeration order (summaries by
-    size then lexicographically), so results are deterministic.
+    size then lexicographically), so results are deterministic.  The
+    solution is built from the enumeration's own values; evaluating it again
+    would add evals beyond ``estimate_work``.
     """
     if ell < 1 or k < 1:
         raise ValueError("budgets must be at least 1")
@@ -58,9 +52,7 @@ def brute_force_opt(F: ObjectiveFamily, elements: Iterable[int] | None,
             f"{max_evaluations}; refusing rather than approximating")
 
     m = F.m
-    best_value = float("-inf")
-    best_summary = ()
-    best_per_function = tuple(() for _ in range(m))
+    best = None
     for s in range(ell + 1):
         for summary in combinations(ids, s):
             total = 0.0
@@ -77,8 +69,8 @@ def brute_force_opt(F: ObjectiveFamily, elements: Iterable[int] | None,
                 total += fbest
                 chosen.append(tbest)
             value = total / m
-            if value > best_value:
-                best_value = value
-                best_summary = summary
-                best_per_function = tuple(chosen)
-    return OracleResult(best_value, best_summary, best_per_function)
+            if best is None or value > best.value:
+                best = TwoStageSolution(
+                    frozenset(summary), tuple(frozenset(t) for t in chosen),
+                    value, ell, k)
+    return best

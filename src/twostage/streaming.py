@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (InvariantViolation, ObjectiveFamily, SwapOutcome,
-                   TwoStageSolution, empty_solution, nabla,
+                   TwoStageSolution, check_budgets, empty_solution, nabla,
                    solution_from_sets)
 
 TOL = 1e-9
@@ -104,21 +104,12 @@ def run_know_opt(stream: Iterable[int], F: ObjectiveFamily, opt: float,
     """
     if opt <= 0:
         raise ValueError("opt must be positive")
+    check_budgets(ell, k)
     state = StreamState.fresh(F.m, ell, k, alpha, opt / (beta * ell),
                               instrument=instrument)
     for u in stream:
         exchange(F, u, state)
     return solution_from_sets(F, state.S, state.T, ell, k)
-
-
-@dataclass
-class ThresholdInstance:
-    l: int
-    state: StreamState
-
-    @property
-    def tau(self) -> float:
-        return self.state.tau
 
 
 class ThresholdManager:
@@ -135,8 +126,7 @@ class ThresholdManager:
                  instrument: bool = False):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if ell < 1 or k < 1 or k > ell:
-            raise ValueError("bad budgets")
+        check_budgets(ell, k)
         self.F = F
         self.epsilon = epsilon
         self.ell = ell
@@ -145,7 +135,7 @@ class ThresholdManager:
         self.beta = beta if beta is not None else (6.0 + epsilon) / (1.0 + epsilon)
         self.instrument = instrument
         self.delta = 0.0
-        self.instances: dict[int, ThresholdInstance] = {}
+        self.instances: dict[int, StreamState] = {}  # exponent -> state
         self.peak_stored = 0
         self.max_instances = 0
 
@@ -181,10 +171,9 @@ class ThresholdManager:
         grid = 1.0 + self.epsilon
         for l in active:
             if l not in self.instances:
-                self.instances[l] = ThresholdInstance(
-                    l, StreamState.fresh(self.F.m, self.ell, self.k,
-                                         self.alpha, grid ** l,
-                                         instrument=self.instrument))
+                self.instances[l] = StreamState.fresh(
+                    self.F.m, self.ell, self.k, self.alpha, grid ** l,
+                    instrument=self.instrument)
         if self.instrument and len(self.instances) > self.instance_bound():
             raise InvariantViolation(
                 f"{len(self.instances)} live instances exceed the bound "
@@ -193,11 +182,11 @@ class ThresholdManager:
     def process(self, u: int):
         self.update_thresholds(u)
         for l in sorted(self.instances):
-            exchange(self.F, u, self.instances[l].state, delta=self.delta)
+            exchange(self.F, u, self.instances[l], delta=self.delta)
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(
             self.peak_stored,
-            sum(len(inst.state.S) for inst in self.instances.values()))
+            sum(len(state.S) for state in self.instances.values()))
 
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
         for u in stream:
@@ -205,27 +194,18 @@ class ThresholdManager:
         return self
 
     def best_solution(self) -> TwoStageSolution:
-        best = None
-        for l in sorted(self.instances):  # ties go to the lowest exponent
-            inst = self.instances[l]
-            if best is None or inst.state.total() > best.state.total():
-                best = inst
-        if best is None:
+        if not self.instances:
             return empty_solution(self.F.m, self.ell, self.k)
-        return solution_from_sets(self.F, best.state.S, best.state.T,
-                                  self.ell, self.k)
+        # max keeps the first maximum, so ties go to the lowest exponent
+        best = max((self.instances[l] for l in sorted(self.instances)),
+                   key=StreamState.total)
+        return solution_from_sets(self.F, best.S, best.T, self.ell, self.k)
 
     def all_solutions(self) -> list[tuple[float, TwoStageSolution]]:
         """Every surviving (threshold, solution) pair, ordered by exponent."""
-        return [(self.instances[l].tau,
-                 solution_from_sets(self.F, self.instances[l].state.S,
-                                    self.instances[l].state.T,
-                                    self.ell, self.k))
-                for l in sorted(self.instances)]
-
-
-def update_thresholds(mgr: ThresholdManager, u: int):
-    mgr.update_thresholds(u)
+        return [(state.tau,
+                 solution_from_sets(self.F, state.S, state.T, self.ell, self.k))
+                for _, state in sorted(self.instances.items())]
 
 
 def run_streaming(stream: Iterable[int], F: ObjectiveFamily, epsilon: float,

@@ -4,7 +4,10 @@
 traced run replaces each ``(owner, attr)`` in ``TRACED`` through
 ``owner.__dict__`` and checks that every counted eval is one traced
 ``ObjectiveFamily.value`` call; a renamed binding or an eval that bypasses
-``value`` would fail the benchmark, so it fails here first.
+``value`` would fail the benchmark, so it fails here first.  Its split of a
+distributed run into workers and merge also needs both solvers to call
+``replacement_greedy`` and ``pseudo_streaming`` through the module globals
+of ``twostage.distributed``.
 """
 
 import importlib.util
@@ -13,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twostage import distributed
 from twostage.objectives import make_synthetic
 from twostage.streaming import ThresholdManager
 
@@ -46,3 +50,31 @@ def test_traced_value_calls_equal_evals(tracer):
     evals = F.evals - before
     assert evals > 0
     assert tracer.Spans(tr, [1.0]).value_calls_per_solve() == [evals]
+
+
+@pytest.mark.parametrize("solver", ["distributed", "fast"])
+def test_solvers_call_workers_and_merge_through_module_globals(monkeypatch,
+                                                              solver):
+    n, M, seed = 24, 40, 7
+    busy = sum(1 for part in distributed.partition(n, M, seed).parts(range(n))
+               if part)
+    assert 1 < busy < M
+    calls = {"greedy": 0, "stream": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(distributed, "replacement_greedy",
+                        counting("greedy", distributed.replacement_greedy))
+    monkeypatch.setattr(distributed, "pseudo_streaming",
+                        counting("stream", distributed.pseudo_streaming))
+    F = make_synthetic("coverage", n, 3, seed=2)
+    if solver == "distributed":
+        distributed.replacement_distributed(F, M, 4, 2, seed)
+        assert calls == {"greedy": busy + 1, "stream": 0}
+    else:
+        distributed.distributed_fast(F, M, 0.5, 4, 2, seed)
+        assert calls == {"greedy": 1, "stream": busy}

@@ -2,7 +2,7 @@
 
 The reference implementations below are the library's earlier, plainer
 code.  The current code must agree with them bit for bit (``==``, not
-``approx``) and, for the gain primitives, spend exactly the same evals; two
+``approx``) and, for the gain primitives, spend exactly the same evals;
 golden runs pin whole-solver outputs and eval counts.
 """
 
@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage.core import (InvariantViolation, SwapOutcome, lambda_gain,
-                           marginal, nabla, rep)
+from twostage.core import (InvariantViolation, SwapOutcome, TwoStageSolution,
+                           evaluate_solution, lambda_gain, marginal, nabla,
+                           rep)
+from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
 from twostage.objectives import (Point, Region, exemplar_family,
                                  facility_family, make_synthetic)
+from twostage.oracle import brute_force_opt
 from twostage.streaming import ThresholdManager
 
 # ---------------------------------------------------------------------------
@@ -270,3 +273,65 @@ def test_golden_replacement_greedy_run():
     assert sorted(sol.summary) == [4, 5, 7, 29, 31, 33, 35, 37]
     assert [sorted(t) for t in sol.per_function] == \
         [[33, 35, 37], [5, 29, 31], [4, 29, 31], [4, 7, 31], [4, 33, 35]]
+
+
+# (kind, family seed, M, solver, elements) -> (evals, value, summary, sets).
+# M=40 is more machines than the 24 elements, so most machines are empty.
+# Elements 23, 1, 5, ... are an unsorted odd subset with one duplicate.
+ODD = (23, 1, 5, 3, 9, 7, 5, 11, 13, 15, 17, 19, 21)
+GOLDEN_DISTRIBUTED = [
+    ("coverage", 2, 1, "distributed", None, 460, 33.0, [6, 14, 21, 22],
+     [[14, 22], [6, 21], [14, 22]]),
+    ("coverage", 2, 1, "fast", None, 1261, 29.333333333333332, [1, 4, 14],
+     [[1, 14], [1, 14], [4, 14]]),
+    ("coverage", 2, 3, "distributed", None, 544, 32.333333333333336,
+     [2, 13, 14, 16], [[2, 14], [2, 16], [13, 16]]),
+    ("coverage", 2, 3, "fast", None, 1404, 32.666666666666664,
+     [1, 2, 14, 16], [[2, 14], [1, 16], [14, 16]]),
+    ("coverage", 2, 40, "distributed", None, 611, 33.0, [6, 14, 21, 22],
+     [[14, 22], [6, 21], [14, 22]]),
+    ("coverage", 2, 40, "fast", None, 2042, 33.0, [6, 14, 21, 22],
+     [[14, 22], [6, 21], [14, 22]]),
+    ("coverage", 2, 3, "distributed", ODD, 295, 29.333333333333332,
+     [1, 15, 19, 21], [[1, 15], [1, 21], [19, 21]]),
+    ("coverage", 2, 3, "fast", ODD, 751, 29.0, [1, 5, 15, 21],
+     [[1, 5], [1, 21], [15, 21]]),
+    ("facility", 4, 1, "distributed", None, 462, 3.987782903537749,
+     [5, 6, 19, 20], [[6, 19], [5, 20], [6, 19]]),
+    ("facility", 4, 1, "fast", None, 748, 3.971489703937267, [0, 6, 12, 22],
+     [[6, 22], [0, 12], [6, 22]]),
+    ("facility", 4, 3, "distributed", None, 563, 3.987782903537749,
+     [5, 6, 19, 20], [[6, 19], [5, 20], [6, 19]]),
+    ("facility", 4, 3, "fast", None, 1394, 4.047937405836056, [5, 6, 10, 19],
+     [[6, 19], [5, 10], [6, 19]]),
+    ("facility", 4, 40, "distributed", None, 631, 3.987782903537749,
+     [5, 6, 19, 20], [[6, 19], [5, 20], [6, 19]]),
+    ("facility", 4, 40, "fast", None, 2048, 3.987782903537749, [5, 6, 19, 20],
+     [[6, 19], [5, 20], [6, 19]]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,fseed,M,solver,elements,evals,value,summary,sets",
+    GOLDEN_DISTRIBUTED)
+def test_golden_distributed_runs(kind, fseed, M, solver, elements, evals,
+                                 value, summary, sets):
+    F = make_synthetic(kind, 24, 3, seed=fseed)
+    before = F.evals
+    if solver == "distributed":
+        sol = replacement_distributed(F, M, 4, 2, seed=7, elements=elements)
+    else:
+        sol = distributed_fast(F, M, 0.5, 4, 2, seed=7, elements=elements)
+    assert F.evals - before == evals
+    assert sol.value == value
+    assert sorted(sol.summary) == summary
+    assert [sorted(t) for t in sol.per_function] == sets
+
+
+def test_brute_force_opt_returns_a_checked_solution():
+    F = make_synthetic("coverage", 7, 2, seed=1)
+    sol = brute_force_opt(F, None, 3, 2)
+    assert isinstance(sol, TwoStageSolution)
+    sol.check()
+    assert (sol.ell, sol.k) == (3, 2)
+    assert sol.value == evaluate_solution(F, sol)

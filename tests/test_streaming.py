@@ -58,6 +58,12 @@ class TestKnowOpt:
         with pytest.raises(ValueError):
             run_know_opt([0], worked_instance, opt=0.0, ell=2, k=1)
 
+    @pytest.mark.parametrize("ell,k", [(2, 0), (0, 1), (2, 3)])
+    def test_rejects_bad_budgets(self, ell, k):
+        F = make_synthetic("modular", 5, 2, seed=0)
+        with pytest.raises(ValueError, match="budget"):
+            run_know_opt(range(5), F, opt=1.0, ell=ell, k=k)
+
     def test_guarantee_on_random_instances(self):
         for seed in range(10):
             F = make_synthetic("coverage", 10, 3, seed=seed)
