@@ -33,6 +33,9 @@ from .objectives import (Point, Region, exemplar_family, facility_family,
 from .streaming import ThresholdManager
 
 ALGORITHMS = ("greedy", "streaming", "distributed", "fast", "oracle")
+# The sweep axes each algorithm reads besides (ell, k); the others it ignores.
+AXES_READ = {"greedy": (), "streaming": ("epsilon",), "distributed": ("M",),
+             "fast": ("epsilon", "M"), "oracle": ()}
 CSV_COLUMNS = ("algorithm", "ell", "k", "epsilon", "M", "seed", "value",
                "seconds", "evals", "peak_stored")
 
@@ -255,29 +258,43 @@ def _run_algorithm(name: str, F: ObjectiveFamily, ell: int, k: int,
 
 def run_experiment(config: ExperimentConfig,
                    family: ObjectiveFamily | None = None) -> list:
-    """Execute the config's sweep; ``family`` overrides dataset construction."""
+    """Execute the config's sweep; ``family`` overrides dataset construction.
+
+    Each algorithm runs once per distinct ``(ell, k)`` and value of the axes
+    it reads (``AXES_READ``); the sweep points that differ only in axes it
+    ignores get a copy of that run's row.
+    """
     config.validate()
     F = family if family is not None else _build_family(config)
     rows = []
+    runs = {}  # (algorithm, ell, k, values of the axes it reads) -> row
     for ell, k, epsilon, M in product(config.ells, config.ks,
                                       config.epsilons, config.machines):
         if k > ell:
             continue
+        point = {"epsilon": epsilon, "M": M}
         for name in config.algorithms:
+            key = (name, ell, k, *(point[a] for a in AXES_READ[name]))
+            if key in runs:
+                rows.append(replace(runs[key], epsilon=epsilon, M=M))
+                continue
             evals_before = F.evals
             start = time.perf_counter()
             sol, peak, skipped = _run_algorithm(
                 name, F, ell, k, epsilon, M, config.seed, config.oracle_budget)
             seconds = time.perf_counter() - start if config.timing else 0.0
             if skipped:
-                rows.append(ReportRow(name, ell, k, epsilon, M, config.seed,
-                                      0.0, 0.0, 0, 0, skipped=True))
-                continue
-            rows.append(ReportRow(
-                name, ell, k, epsilon, M, config.seed, sol.value, seconds,
-                F.evals - evals_before, peak,
-                summary=tuple(sorted(sol.summary)),
-                per_function=tuple(tuple(sorted(t)) for t in sol.per_function)))
+                row = ReportRow(name, ell, k, epsilon, M, config.seed,
+                                0.0, 0.0, 0, 0, skipped=True)
+            else:
+                row = ReportRow(
+                    name, ell, k, epsilon, M, config.seed, sol.value, seconds,
+                    F.evals - evals_before, peak,
+                    summary=tuple(sorted(sol.summary)),
+                    per_function=tuple(tuple(sorted(t))
+                                       for t in sol.per_function))
+            runs[key] = row
+            rows.append(row)
     rows.sort(key=lambda r: (r.algorithm, r.ell, r.k, r.epsilon, r.M))
     return rows
 

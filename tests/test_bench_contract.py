@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twostage import distributed
+from twostage import distributed, greedy
 from twostage.objectives import make_synthetic
 from twostage.streaming import ThresholdManager
 
@@ -43,13 +43,22 @@ def test_traced_value_calls_equal_evals(tracer):
     F = make_synthetic("coverage", 30, 3, seed=5)
     order = list(range(30))
     np.random.default_rng(5).shuffle(order)
+    solves = [
+        lambda: ThresholdManager(F, 0.5, 5, 2).run(order).best_solution(),
+        lambda: greedy.replacement_greedy(F, range(30), 5, 2),
+        lambda: distributed.distributed_fast(F, 3, 0.5, 5, 2, seed=5),
+    ]
     tr = tracer.Tracer()
-    before = F.evals
-    with tr.installed(), tr.span("solve"):
-        ThresholdManager(F, 0.5, 5, 2).run(order).best_solution()
-    evals = F.evals - before
-    assert evals > 0
-    assert tracer.Spans(tr, [1.0]).value_calls_per_solve() == [evals]
+    evals = []
+    with tr.installed():
+        for solve in solves:
+            before = F.evals
+            with tr.span("solve"):
+                solve()
+            evals.append(F.evals - before)
+    assert all(e > 0 for e in evals)
+    spans = tracer.Spans(tr, [1.0] * len(solves))
+    assert spans.value_calls_per_solve() == evals
 
 
 @pytest.mark.parametrize("solver", ["distributed", "fast"])

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from twostage import cli
 from twostage.cli import (ConfigError, ExperimentConfig, build_regions,
                           emit_report, load_points_csv, load_features_csv,
                           load_report_json, main, parse_config_file,
                           run_experiment)
 from twostage.core import evaluate_solution, solution_from_sets
+from twostage.greedy import replacement_greedy
 from twostage.objectives import Point
 
 from conftest import modular_family
@@ -141,6 +143,24 @@ class TestRunExperiment:
         by_name = {r.algorithm: r for r in rows}
         assert by_name["oracle"].skipped
         assert not by_name["greedy"].skipped
+
+    def test_algorithms_run_once_per_axes_they_read(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return replacement_greedy(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "replacement_greedy", counting)
+        config = ExperimentConfig(objective="coverage", n=12, m=3, seed=1,
+                                  ells=(3,), ks=(2,), epsilons=(0.5, 1.0),
+                                  machines=(1, 4), algorithms=("greedy",))
+        rows = run_experiment(config)
+        assert len(calls) == 1
+        assert [(r.epsilon, r.M) for r in rows] == \
+            [(0.5, 1), (0.5, 4), (1.0, 1), (1.0, 4)]
+        assert len({r.evals for r in rows}) == 1 and rows[0].evals > 0
+        assert len({(r.value, r.summary, r.per_function) for r in rows}) == 1
 
     def test_row_values_reproducible_from_sets(self):
         config = ExperimentConfig(objective="coverage", n=12, m=3, seed=1,

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage.core import (InvariantViolation, SwapOutcome, TwoStageSolution,
-                           evaluate_solution, lambda_gain, marginal, nabla,
-                           rep)
+                           check_budgets, evaluate_solution, lambda_gain,
+                           marginal, nabla, rep, solution_from_sets)
 from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
 from twostage.objectives import (Point, Region, exemplar_family,
                                  facility_family, make_synthetic)
 from twostage.oracle import brute_force_opt
-from twostage.streaming import ThresholdManager
+from twostage.streaming import (TOL, StreamState, ThresholdManager,
+                                _check_trace_bound, exchange)
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -242,6 +243,125 @@ def test_gain_primitives_match_reference(name, kind, seed, data):
         kwargs["base"] = F.value(i, A)
     got = outcome(F, new, i, x, A, **kwargs)
     want = outcome(F, ref, i, x, A, **kwargs)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# reference drivers: per-function sets probed through the public primitives
+
+
+def ref_exchange(F, u, state, delta=None):
+    """The exchange rule with set-valued ``state.T``, one ``nabla`` per function."""
+    if u in state.S or len(state.S) >= state.ell:
+        return False
+    m = F.m
+    T, base, alpha, k = state.T, state.base, state.alpha, state.k
+    gains = [nabla(F, i, u, T[i], alpha, k, base=base[i]) for i in range(m)]
+    avg = sum([g.gain for g in gains]) / m
+    if delta is not None and avg > delta + TOL:
+        raise InvariantViolation(
+            f"average gain {avg} exceeds the running singleton maximum {delta}")
+    if avg < state.tau:
+        return False
+
+    before = state.total()
+    state.S.add(u)
+    for i, g in enumerate(gains):
+        if g.gain > 0:
+            if g.replaced is not None:
+                T[i].discard(g.replaced)
+            T[i].add(u)
+            base[i] = F.value(i, T[i])
+            if state.trace is not None:
+                state.trace[i].add(u)
+    if state.trace is not None:
+        _check_trace_bound(F, state)
+        if state.total() - before < state.tau - TOL:
+            raise InvariantViolation(
+                "accepted element increased the objective by less than tau")
+    return True
+
+
+def ref_replacement_greedy(F, candidates, ell, k):
+    """Replacement greedy with set-valued T_i, one ``lambda_gain`` per function."""
+    cands = sorted(set(candidates))
+    if not cands:
+        raise ValueError("candidate set must be non-empty")
+    check_budgets(ell, k)
+    m = F.m
+    S = set()
+    T = [set() for _ in range(m)]
+    base = [0.0] * m
+    for _ in range(ell):
+        best_total = 0.0
+        best_x = None
+        best_outs = None
+        for x in cands:
+            if x in S:
+                continue
+            outs = [lambda_gain(F, i, x, T[i], k, base=base[i])
+                    for i in range(m)]
+            total = sum([o.gain for o in outs])
+            if total > best_total:
+                best_total = total
+                best_x = x
+                best_outs = outs
+        if best_x is None:
+            break
+        S.add(best_x)
+        for i, out in enumerate(best_outs):
+            if out.gain > 0:
+                if out.replaced is not None:
+                    T[i].discard(out.replaced)
+                T[i].add(best_x)
+                base[i] = F.value(i, T[i])
+    return solution_from_sets(F, S, T, ell, k)
+
+
+def state_view(state):
+    return (state.S, [tuple(sorted(t)) for t in state.T], state.base,
+            state.trace)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["modular", "coverage", "facility"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_exchange_matches_reference_driver(kind, seed, data):
+    n = 8
+    F = make_synthetic(kind, n, data.draw(st.integers(1, 3)), seed)
+    k = data.draw(st.integers(1, 3))
+    ell = data.draw(st.integers(k, k + 3))
+    alpha = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    instrument = data.draw(st.booleans())
+    top = max(F.singleton_average(u) for u in range(n))
+    tau = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0])) * top
+    delta = data.draw(st.sampled_from([None, top, 0.3 * top]))
+    stream = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
+    new = StreamState.fresh(F.m, ell, k, alpha, tau, instrument=instrument)
+    ref = StreamState.fresh(F.m, ell, k, alpha, tau, instrument=instrument)
+    ref.T = [set() for _ in range(F.m)]
+    for u in stream:
+        got = outcome(F, exchange, u, new, delta)
+        want = outcome(F, ref_exchange, u, ref, delta)
+        assert got == want
+        assert state_view(new) == state_view(ref)
+        assert all(t == tuple(sorted(t)) for t in new.T)
+        if got[0] is InvariantViolation:
+            break
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["modular", "coverage", "facility"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_replacement_greedy_matches_reference_driver(kind, seed, data):
+    n = 8
+    F = make_synthetic(kind, n, data.draw(st.integers(1, 3)), seed)
+    k = data.draw(st.integers(1, 3))
+    ell = data.draw(st.integers(k, k + 3))
+    cands = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=12))
+    got = outcome(F, replacement_greedy, cands, ell, k)
+    want = outcome(F, ref_replacement_greedy, cands, ell, k)
     assert got == want
 
 

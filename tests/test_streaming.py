@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twostage.core import NonFiniteValueError, evaluate_solution
+from twostage.distributed import pseudo_streaming
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (StreamState, ThresholdManager, exchange,
@@ -20,11 +21,11 @@ class TestExchange:
         state = fresh_state(F, ell=2, k=1, tau=0.25)
 
         assert exchange(F, 0, state)  # singleton gains (3, 1), avg 2
-        assert state.T == [{0}, {0}]
+        assert state.T == [(0,), (0,)]
 
         assert exchange(F, 1, state)  # gains (0, 1), avg 0.5
         assert state.S == {0, 1}
-        assert state.T == [{0}, {1}]
+        assert state.T == [(0,), (1,)]
 
         assert not exchange(F, 2, state)  # summary is full
         assert state.S == {0, 1}
@@ -33,7 +34,7 @@ class TestExchange:
         F = worked_instance
         state = fresh_state(F, ell=2, k=1, tau=100.0)
         assert not exchange(F, 0, state)
-        assert state.S == set() and state.T == [set(), set()]
+        assert state.S == set() and state.T == [(), ()]
 
     def test_duplicate_arrival_is_rejected(self, worked_instance):
         F = worked_instance
@@ -70,6 +71,33 @@ class TestKnowOpt:
             opt = brute_force_opt(F, None, 3, 2).value
             sol = run_know_opt(range(10), F, opt=opt, ell=3, k=2)
             assert sol.value >= opt / 6.0 - 1e-9
+
+
+ALPHA_ENTRY_POINTS = {
+    "manager": lambda F, stream, alpha: ThresholdManager(
+        F, 0.5, 3, 2, alpha=alpha).run(stream),
+    "know_opt": lambda F, stream, alpha: run_know_opt(
+        stream, F, opt=1.0, ell=3, k=2, alpha=alpha),
+    "pseudo": lambda F, stream, alpha: pseudo_streaming(
+        stream, F, 0.5, 3, 2, alpha=alpha),
+}
+
+
+class TestAlpha:
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("stream", [(), (0, 1, 2, 3)])
+    def test_nonpositive_alpha_fails_before_any_eval(self, entry, alpha,
+                                                     stream):
+        F = make_synthetic("coverage", 6, 2, seed=0)
+        before = F.evals
+        with pytest.raises(ValueError, match="alpha"):
+            ALPHA_ENTRY_POINTS[entry](F, list(stream), alpha)
+        assert F.evals == before
+
+    def test_fresh_state_rejects_nonpositive_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            StreamState.fresh(2, 3, 2, 0.0, 1.0)
 
 
 class TestThresholdManager:
