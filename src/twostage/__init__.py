@@ -17,8 +17,8 @@ from .objectives import (CoverageSpec, Point, Region, exemplar_family,
                          exemplar_value, facility_convenience, facility_family,
                          facility_value, make_synthetic)
 from .oracle import OracleBudgetError, brute_force_opt
-from .streaming import (StreamState, ThresholdManager, exchange,
-                        run_know_opt, run_streaming)
+from .streaming import (InstanceBudgetError, StreamState, ThresholdManager,
+                        exchange, run_know_opt, run_streaming)
 
 __all__ = [
     "GroundSet", "InvariantViolation", "ObjectiveFamily", "SwapOutcome",
@@ -31,6 +31,6 @@ __all__ = [
     "facility_convenience", "facility_family", "facility_value",
     "make_synthetic",
     "OracleBudgetError", "brute_force_opt",
-    "StreamState", "ThresholdManager", "exchange",
+    "InstanceBudgetError", "StreamState", "ThresholdManager", "exchange",
     "run_know_opt", "run_streaming",
 ]

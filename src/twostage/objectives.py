@@ -113,42 +113,65 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     """One exemplar-clustering function per class with a nonempty member set.
 
-    The function for class i only "sees" selected elements that themselves
-    belong to class i; everything else is screened out before the distance
-    minimum, which keeps the function normalized and total.
+    Element e belongs to class i when ``vectors[e, i] > 0``.  The function
+    for class i only "sees" selected elements that themselves belong to
+    class i; everything else is screened out before the distance minimum,
+    which keeps the function normalized and total.
+
+    Each class keeps one table row per member: the member's distances to
+    every class member, already clipped at those members' distances to the
+    zero anchor.  Memory is therefore the sum over classes of |omega_i|^2
+    floats.  Because ``min`` is exact, clipping once at build time gives
+    the same numbers as clipping on every evaluation.
+
+    Raises ``ValueError`` before any distance is computed when ``vectors``
+    is not 2-D, ``class_count`` is outside [1, columns], a feature is not
+    finite, or a class has no members.
     """
     vectors = np.asarray(vectors, dtype=float)
-    n = vectors.shape[0]
-    ground = GroundSet(n, vectors)
-    functions = []
-    for i in range(class_count):
-        omega = np.flatnonzero(vectors[:, i] > 0)
+    if vectors.ndim != 2:
+        raise ValueError("vectors must be a 2-D (elements x classes) array, "
+                         f"got {vectors.ndim}-D")
+    n, columns = vectors.shape
+    if not 1 <= class_count <= columns:
+        raise ValueError(f"class_count must be in [1, {columns}], "
+                         f"got {class_count}")
+    if not np.isfinite(vectors).all():
+        raise ValueError("feature vectors must be finite")
+    omegas = [np.flatnonzero(vectors[:, i] > 0) for i in range(class_count)]
+    for i, omega in enumerate(omegas):
         if omega.size == 0:
             raise ValueError(f"class {i} has no members; cannot build its function")
+    ground = GroundSet(n, vectors)
+
+    def make(omega):
         members = vectors[omega]
         anchor = np.linalg.norm(members, axis=1)
-        # distances from every ground element (rows) to the class members
-        dmat = np.linalg.norm(vectors[:, None, :] - members[None, :, :], axis=2)
-        in_class = set(int(e) for e in omega)
+        # row r: distances from member omega[r], as an exemplar, to every
+        # member, clipped at each member's distance to the zero anchor
+        table = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
+        np.minimum(table, anchor, out=table)
+        row_of = dict(zip(omega.tolist(), table))
+        anchor_mean = anchor.mean()
+        width = len(anchor)
 
-        def make(anchor, dmat, in_class):
-            # a row gather and the ufunc reductions that ndarray.min and
-            # ndarray.mean run, minus their Python wrappers: bit-identical
-            # to np.minimum(anchor, dmat.T[:, chosen].min(axis=1)).mean()
-            anchor_mean = anchor.mean()
-            rows = len(anchor)
+        def f(ids: tuple) -> float:
+            # a pairwise np.minimum chain over the chosen rows, then the
+            # ufunc sum that ndarray.mean runs: bit-identical to
+            # np.minimum(anchor, dist[chosen].min(axis=0)).mean() on the
+            # unclipped distances.  A single chosen row is read in place,
+            # never written.
+            best = None
+            for e in ids:
+                row = row_of.get(e)
+                if row is not None:
+                    best = row if best is None else np.minimum(best, row)
+            if best is None:
+                return 0.0
+            return float(anchor_mean - np.add.reduce(best) / width)
+        return f
 
-            def f(ids: tuple) -> float:
-                chosen = [e for e in ids if e in in_class]
-                if not chosen:
-                    return 0.0
-                best = np.minimum(
-                    anchor, np.minimum.reduce(dmat.take(chosen, axis=0), axis=0))
-                return float(anchor_mean - np.add.reduce(best) / rows)
-            return f
-
-        functions.append(make(anchor, dmat, in_class))
-    return ObjectiveFamily(ground, functions)
+    return ObjectiveFamily(ground, [make(omega) for omega in omegas])
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,16 @@ from .core import nabla  # noqa: F401
 
 TOL = 1e-9
 
+# Largest instance_bound() * m * ell a ThresholdManager accepts: the grid's
+# live instances could store that many per-function entries.  The tests,
+# the README sweeps and the benchmark need a few thousand at most;
+# epsilon=1e-6 with ell=25 asks for over 10^8 even at m=1.
+MAX_INSTANCE_SLOTS = 10 ** 7
+
+
+class InstanceBudgetError(ValueError):
+    """The threshold grid would exceed MAX_INSTANCE_SLOTS; raised before any eval."""
+
 
 def _check_alpha(alpha: float):
     """Raise ValueError unless alpha > 0 (the exchange threshold's factor)."""
@@ -145,6 +155,9 @@ class ThresholdManager:
     instances whose thresholds sit in the active geometric window, and
     lazily creates newly valid instances empty; elements seen before an
     instance existed could never have been accepted by it.
+
+    Raises ``InstanceBudgetError`` on construction when instance_bound() *
+    F.m * ell exceeds ``MAX_INSTANCE_SLOTS``.
     """
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
@@ -160,6 +173,13 @@ class ThresholdManager:
         self.k = k
         self.alpha = alpha
         self.beta = beta if beta is not None else (6.0 + epsilon) / (1.0 + epsilon)
+        bound = self.instance_bound()
+        slots = bound * F.m * ell
+        if slots > MAX_INSTANCE_SLOTS:
+            raise InstanceBudgetError(
+                f"epsilon={epsilon} allows {bound} threshold "
+                f"instances; times m={F.m} and ell={ell} that is {slots} "
+                f"slots, above the limit of {MAX_INSTANCE_SLOTS}")
         self.instrument = instrument
         self.delta = 0.0
         self.instances: dict[int, StreamState] = {}  # exponent -> state

@@ -117,6 +117,41 @@ def test_exemplar_kernel_is_bit_identical(seed, data):
         assert F.value(i, ids) == ref(ids)
 
 
+def float_features(n, classes, seed):
+    """Real-valued features in [0, 2); each entry is zero with probability 0.4."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.uniform(0.0, 2.0, (n, classes))
+    vectors[rng.random((n, classes)) < 0.4] = 0.0
+    vectors[0] = 1.0  # every class has a member
+    return vectors
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from([12, 60, 170]),
+       data=st.data())
+def test_exemplar_kernel_is_bit_identical_on_real_features(seed, n, data):
+    # class 0 holds every element, so it is wider than 8 (one unrolled block
+    # of add.reduce) and, at n=170, wider than 128 (one pairwise block);
+    # a quarter of the rows are copies of others, so distance minima tie
+    rng = np.random.default_rng(seed)
+    classes = 3
+    vectors = float_features(n, classes, seed)
+    vectors[:, 0] = rng.uniform(0.05, 3.0, n)
+    copies = rng.integers(0, n, n // 4)
+    vectors[rng.integers(0, n, n // 4)] = vectors[copies]
+    assert (vectors[:, 0] > 0).sum() == n
+    F = exemplar_family(vectors, classes)
+    refs = ref_exemplar_functions(vectors, classes)
+    for _ in range(4):
+        ids = tuple(sorted(data.draw(
+            st.lists(st.integers(0, n - 1), max_size=6, unique=True))))
+        for i, ref in enumerate(refs):
+            assert F.value(i, ids) == ref(ids)
+    everything = tuple(range(n))
+    for i, ref in enumerate(refs):
+        assert F.value(i, everything) == ref(everything)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), data=st.data())
 def test_coverage_kernel_is_bit_identical(seed, data):
@@ -393,6 +428,33 @@ def test_golden_replacement_greedy_run():
     assert sorted(sol.summary) == [4, 5, 7, 29, 31, 33, 35, 37]
     assert [sorted(t) for t in sol.per_function] == \
         [[33, 35, 37], [5, 29, 31], [4, 29, 31], [4, 7, 31], [4, 33, 35]]
+
+
+# exemplar clustering on 48 real-valued feature vectors in 6 classes;
+# solver -> (evals, value, summary, sets), taken with the earlier kernel that
+# kept a distance row for every ground element and clipped on every eval
+GOLDEN_EXEMPLAR = [
+    ("greedy", 4483, 0.9426028895105514, [0, 17, 23, 26, 28, 32, 40, 41],
+     [[28, 32, 41], [26, 28, 32], [17, 28, 40], [23, 28, 32], [32, 40, 41],
+      [0, 23, 40]]),
+    ("fast", 5475, 0.941892408668516, [0, 6, 7, 14, 17, 21, 32, 34],
+     [[0, 6, 21], [0, 7, 32], [7, 14, 17], [6, 7, 17], [0, 6, 32],
+      [0, 14, 34]]),
+]
+
+
+@pytest.mark.parametrize("solver,evals,value,summary,sets", GOLDEN_EXEMPLAR)
+def test_golden_exemplar_runs(solver, evals, value, summary, sets):
+    F = exemplar_family(float_features(48, 6, seed=5), 6)
+    before = F.evals
+    if solver == "greedy":
+        sol = replacement_greedy(F, range(48), 8, 3)
+    else:
+        sol = distributed_fast(F, 3, 0.5, 8, 3, seed=7)
+    assert F.evals - before == evals
+    assert sol.value == value
+    assert sorted(sol.summary) == summary
+    assert [sorted(t) for t in sol.per_function] == sets
 
 
 # (kind, family seed, M, solver, elements) -> (evals, value, summary, sets).

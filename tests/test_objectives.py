@@ -104,6 +104,24 @@ class TestExemplarFamily:
         with pytest.raises(ValueError):
             exemplar_family(vectors, 2)
 
+    @pytest.mark.parametrize("vectors,class_count,match", [
+        (np.ones(4), 1, "2-D"),
+        (np.ones((2, 2, 2)), 1, "2-D"),
+        (np.ones((3, 2)), 0, "class_count"),
+        (np.ones((3, 2)), 3, "class_count"),
+        (np.array([[1.0, np.nan], [1.0, 1.0]]), 2, "finite"),
+        (np.array([[1.0, np.inf], [1.0, 1.0]]), 2, "finite"),
+        (np.array([[-np.inf, 1.0], [1.0, 1.0]]), 2, "finite"),
+        (np.array([[1.0, 0.0], [2.0, 0.0]]), 2, "no members"),
+    ])
+    def test_rejects_malformed_input_before_any_distance(
+            self, monkeypatch, vectors, class_count, match):
+        def no_distances(*args, **kwargs):
+            raise AssertionError("a distance was computed")
+        monkeypatch.setattr(np.linalg, "norm", no_distances)
+        with pytest.raises(ValueError, match=match):
+            exemplar_family(vectors, class_count)
+
     def test_full_selection_attains_anchor_loss(self):
         rng = np.random.default_rng(2)
         vectors = rng.integers(1, 4, (5, 3)).astype(float)

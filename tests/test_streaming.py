@@ -5,7 +5,8 @@ from twostage.core import NonFiniteValueError, evaluate_solution
 from twostage.distributed import pseudo_streaming
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
-from twostage.streaming import (StreamState, ThresholdManager, exchange,
+from twostage.streaming import (MAX_INSTANCE_SLOTS, InstanceBudgetError,
+                                StreamState, ThresholdManager, exchange,
                                 run_know_opt, run_streaming)
 
 from conftest import NON_FINITE, modular_family, poisoned_family
@@ -146,6 +147,26 @@ class TestThresholdManager:
             replay = StreamState.fresh(F.m, 3, 2, 1.0, tau)
             for u in range(t):
                 assert not exchange(F, u, replay)
+
+
+class TestAdmission:
+    def test_refuses_a_huge_grid_before_any_eval(self):
+        # 5,010,639 instances; only the constructor runs, never the stream
+        F = make_synthetic("modular", 5, 1, seed=0)
+        before = F.evals
+        with pytest.raises(InstanceBudgetError, match="5010639") as exc:
+            ThresholdManager(F, epsilon=1e-6, ell=25, k=3)
+        assert isinstance(exc.value, ValueError)
+        assert F.evals == before
+
+    def test_limit_is_on_instances_times_functions_times_ell(self):
+        per_function = 5015 * 25  # instance_bound() at epsilon=1e-3, ell=25
+        m = MAX_INSTANCE_SLOTS // per_function
+        F = make_synthetic("modular", 2, m, seed=0)
+        assert ThresholdManager(F, 1e-3, 25, 3).instance_bound() == 5015
+        with pytest.raises(InstanceBudgetError):
+            ThresholdManager(make_synthetic("modular", 2, m + 1, seed=0),
+                             1e-3, 25, 3)
 
 
 class TestRunStreaming:
