@@ -177,7 +177,7 @@ def load_features_csv(path, class_count: int):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     vectors = np.array(rows, dtype=float)
-    omegas = [[e for e in range(len(rows)) if vectors[e, i] > 0]
+    omegas = [np.flatnonzero(vectors[:, i] > 0).tolist()
               for i in range(class_count)]
     return GroundSet(len(rows), vectors), omegas
 
@@ -452,7 +452,7 @@ def _cmd_gen_synthetic(args) -> int:
         for i in range(args.class_count):
             if not counts[:, i].any():
                 counts[int(rng.integers(args.n)), i] = 1
-        lines = [",".join(str(v) for v in row) for row in counts]
+        lines = [",".join(map(str, row)) for row in counts.tolist()]
     else:
         raise ConfigError(f"unknown kind {args.kind!r}")
     out.write_text("\n".join(lines) + "\n")

@@ -110,6 +110,61 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
     return float(anchor.mean() - best.mean())
 
 
+# Upper bound, in floats, on the (rows, |U|, columns) difference block that
+# the shared distance pass of ``_exemplar_tables`` holds at once.
+_DIST_BLOCK_FLOATS = 1 << 18
+
+
+def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
+    """Per class i: (member ids, clipped distance table, anchor distances).
+
+    Element e belongs to class i when ``vectors[e, i] > 0``.  Row r of class
+    i's table holds the distances from member ``omega[r]``, as an exemplar,
+    to every member, clipped at each member's distance to the zero anchor.
+
+    All classes cut their tables from one distance matrix over the elements
+    U that belong to at least one class.  It is computed in blocks of rows,
+    so the difference temporary stays under ``_DIST_BLOCK_FLOATS`` floats
+    (or one row, if a row is larger).  Every entry is the same last-axis
+    ``np.linalg.norm`` reduction a per-class pass runs, so the tables are
+    bit-identical to it.  ``vectors`` is a float array; input errors raise
+    as ``exemplar_family`` says.
+    """
+    if vectors.ndim != 2:
+        raise ValueError("vectors must be a 2-D (elements x classes) array, "
+                         f"got {vectors.ndim}-D")
+    columns = vectors.shape[1]
+    if not 1 <= class_count <= columns:
+        raise ValueError(f"class_count must be in [1, {columns}], "
+                         f"got {class_count}")
+    if not np.isfinite(vectors).all():
+        raise ValueError("feature vectors must be finite")
+    member = vectors[:, :class_count] > 0
+    omegas = [np.flatnonzero(member[:, i]) for i in range(class_count)]
+    for i, omega in enumerate(omegas):
+        if omega.size == 0:
+            raise ValueError(f"class {i} has no members; cannot build its function")
+
+    used = np.flatnonzero(member.any(axis=1))
+    points = vectors[used]
+    anchors = np.linalg.norm(points, axis=1)
+    dist = np.empty((len(used), len(used)))
+    step = max(1, _DIST_BLOCK_FLOATS // (len(used) * columns))
+    for start in range(0, len(used), step):
+        block = points[start:start + step]
+        dist[start:start + step] = np.linalg.norm(
+            block[:, None, :] - points[None, :, :], axis=2)
+
+    tables = []
+    for omega in omegas:
+        idx = np.searchsorted(used, omega)
+        table = dist[np.ix_(idx, idx)]  # a copy: dist is freed on return
+        anchor = anchors[idx]
+        np.minimum(table, anchor, out=table)
+        tables.append((omega, table, anchor))
+    return tables
+
+
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     """One exemplar-clustering function per class with a nonempty member set.
 
@@ -124,33 +179,20 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     floats.  Because ``min`` is exact, clipping once at build time gives
     the same numbers as clipping on every evaluation.
 
+    The tables are cut from one blocked distance pass over the elements U
+    that belong to some class, shared by all classes, so the build computes
+    |U|^2 distances of ``columns`` terms each, not the sum over classes of
+    |omega_i|^2; the tables and their memory are the same as a per-class
+    pass would give.
+
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
     finite, or a class has no members.
     """
     vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2:
-        raise ValueError("vectors must be a 2-D (elements x classes) array, "
-                         f"got {vectors.ndim}-D")
-    n, columns = vectors.shape
-    if not 1 <= class_count <= columns:
-        raise ValueError(f"class_count must be in [1, {columns}], "
-                         f"got {class_count}")
-    if not np.isfinite(vectors).all():
-        raise ValueError("feature vectors must be finite")
-    omegas = [np.flatnonzero(vectors[:, i] > 0) for i in range(class_count)]
-    for i, omega in enumerate(omegas):
-        if omega.size == 0:
-            raise ValueError(f"class {i} has no members; cannot build its function")
-    ground = GroundSet(n, vectors)
+    tables = _exemplar_tables(vectors, class_count)
 
-    def make(omega):
-        members = vectors[omega]
-        anchor = np.linalg.norm(members, axis=1)
-        # row r: distances from member omega[r], as an exemplar, to every
-        # member, clipped at each member's distance to the zero anchor
-        table = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
-        np.minimum(table, anchor, out=table)
+    def make(omega, table, anchor):
         row_of = dict(zip(omega.tolist(), table))
         anchor_mean = anchor.mean()
         width = len(anchor)
@@ -171,7 +213,8 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
             return float(anchor_mean - np.add.reduce(best) / width)
         return f
 
-    return ObjectiveFamily(ground, [make(omega) for omega in omegas])
+    return ObjectiveFamily(GroundSet(len(vectors), vectors),
+                           [make(*t) for t in tables])
 
 
 @dataclass(frozen=True)

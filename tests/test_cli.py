@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -60,6 +61,17 @@ class TestLoadFeatures:
         ground, omegas = load_features_csv(p, 3)
         assert ground.n == 2
         assert all(0 not in omega for omega in omegas)
+
+    def test_members_follow_the_positive_count_rule(self, tmp_path):
+        # an all-zero row (0 and 4), a row in three classes, one in all four
+        rows = [[0, 0, 0, 0], [2, 0, 1, 3], [0, 1, 0, 0], [1, 1, 1, 1],
+                [0, 0, 0, 0]]
+        p = tmp_path / "feat.csv"
+        p.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        _, omegas = load_features_csv(p, 4)
+        assert omegas == [[e for e, r in enumerate(rows) if r[i] > 0]
+                          for i in range(4)]
+        assert all(type(e) is int for omega in omegas for e in omega)
 
     def test_shape(self, tmp_path):
         p = tmp_path / "feat.csv"
@@ -285,6 +297,24 @@ class TestMain:
                      "--output", str(out)]) == 0
         rows = load_report_json(f"{out}.json")
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("n,classes,seed,sha256", [
+        (160, 20, 7,
+         "4c4cb255f3e5223aeb25ca37a89b96df867b023dae000f99decd8dd176a15ed1"),
+        # two of the 20 columns draw no member and get one assigned
+        (3, 20, 3,
+         "97c0e1f71144a6010997b287fb597c3c955b2cec07e2a0944cdf627261a3eb2f"),
+    ])
+    def test_gen_synthetic_features_file_is_pinned(self, tmp_path, n, classes,
+                                                   seed, sha256):
+        out = tmp_path / "feat.csv"
+        assert main(["gen-synthetic", "--kind", "features", "--n", str(n),
+                     "--class-count", str(classes), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        ground, omegas = load_features_csv(out, classes)
+        assert ground.n == n
+        assert all(omegas)
 
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle", "--objective", "modular", "--n", "6",

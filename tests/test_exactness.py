@@ -16,7 +16,8 @@ from twostage.core import (InvariantViolation, SwapOutcome, TwoStageSolution,
                            marginal, nabla, rep, solution_from_sets)
 from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
-from twostage.objectives import (Point, Region, exemplar_family,
+from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
+                                 _exemplar_tables, exemplar_family,
                                  facility_family, make_synthetic)
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
@@ -61,6 +62,19 @@ def ref_exemplar_functions(vectors, class_count):
             return float(anchor.mean() - best.mean())
         functions.append(f)
     return functions
+
+
+def ref_exemplar_tables(vectors, class_count):
+    """The per-class build of exemplar_family's clipped distance tables."""
+    out = []
+    for i in range(class_count):
+        omega = np.flatnonzero(vectors[:, i] > 0)
+        members = vectors[omega]
+        anchor = np.linalg.norm(members, axis=1)
+        table = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
+        np.minimum(table, anchor, out=table)
+        out.append((omega, table, anchor))
+    return out
 
 
 def ref_coverage_value(masks, ids):
@@ -150,6 +164,49 @@ def test_exemplar_kernel_is_bit_identical_on_real_features(seed, n, data):
     everything = tuple(range(n))
     for i, ref in enumerate(refs):
         assert F.value(i, everything) == ref(everything)
+
+
+def table_features(rng, n, columns, class_count, integral):
+    """Counts or real features at a random scale, with duplicated rows and,
+    for n > 1, trailing rows that belong to no class."""
+    scale = 10.0 ** int(rng.integers(-3, 4))
+    if integral:
+        vectors = rng.integers(0, 3, (n, columns)).astype(float) * scale
+    else:
+        vectors = rng.uniform(0.0, 2.0, (n, columns)) * scale
+        vectors[rng.random((n, columns)) < 0.4] = 0.0
+    vectors[rng.integers(0, n, n // 4)] = vectors[rng.integers(0, n, n // 4)]
+    outside = n // 20 + 1 if n > 1 else 0
+    vectors[n - outside:, :class_count] = 0.0
+    for i in range(class_count):
+        if not (vectors[:, i] > 0).any():
+            vectors[rng.integers(n - outside), i] = scale
+    return vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), integral=st.booleans(),
+       shape=st.sampled_from([(1, 1, 1), (2, 3, 1), (9, 4, 2), (30, 5, 5),
+                              (60, 8, 3), (200, 20, 20)]))
+def test_exemplar_tables_match_per_class_build(seed, integral, shape):
+    # shape is (n, columns, class_count); at n=200 the shared distance pass
+    # runs in at least three row blocks
+    n, columns, class_count = shape
+    vectors = table_features(np.random.default_rng(seed), n, columns,
+                             class_count, integral)
+    used = int((vectors[:, :class_count] > 0).any(axis=1).sum())
+    assert used < n or n == 1
+    if n == 200:
+        rows = _DIST_BLOCK_FLOATS // (used * columns)
+        assert -(-used // rows) >= 3
+    got = _exemplar_tables(vectors, class_count)
+    want = ref_exemplar_tables(vectors, class_count)
+    assert len(got) == len(want) == class_count
+    for (omega, table, anchor), (r_omega, r_table, r_anchor) in zip(got, want):
+        assert np.array_equal(omega, r_omega)
+        assert np.array_equal(table, r_table)
+        assert np.array_equal(anchor, r_anchor)
+        assert anchor.mean() == r_anchor.mean()
 
 
 @settings(max_examples=60, deadline=None)

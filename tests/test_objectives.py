@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage.objectives import (Point, Region, exemplar_family,
+from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
+                                 exemplar_family,
                                  exemplar_value, facility_convenience,
                                  facility_family, facility_value,
                                  make_synthetic)
@@ -121,6 +123,26 @@ class TestExemplarFamily:
         monkeypatch.setattr(np.linalg, "norm", no_distances)
         with pytest.raises(ValueError, match=match):
             exemplar_family(vectors, class_count)
+
+    def test_build_memory_is_tables_plus_one_matrix_and_blocks(self):
+        # each of the 600 elements is in about 13 of the 20 classes; a
+        # per-class (|omega|, |omega|, columns) difference would hold about
+        # 25 MiB on its own
+        vectors = np.random.default_rng(0).integers(0, 3, (600, 20))
+        member = vectors > 0
+        tables = sum(int(w) ** 2 for w in member.sum(axis=0)) * 8
+        used = int(member.any(axis=1).sum())
+        bound = tables + used ** 2 * 8 + 4 * _DIST_BLOCK_FLOATS * 8
+        vectors = vectors.astype(float)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            F = exemplar_family(vectors, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert F.m == 20
+        assert peak - start <= bound
 
     def test_full_selection_attains_anchor_loss(self):
         rng = np.random.default_rng(2)
