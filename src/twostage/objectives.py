@@ -110,9 +110,28 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
     return float(anchor.mean() - best.mean())
 
 
-# Upper bound, in floats, on the (rows, |U|, columns) difference block that
-# the shared distance pass of ``_exemplar_tables`` holds at once.
+# Upper bound, in floats, on the (rows, width, columns) difference block that
+# a distance pass of ``_exemplar_tables`` holds at once.
 _DIST_BLOCK_FLOATS = 1 << 18
+
+
+def _fill_distances(points: np.ndarray, groups: list, tables: list) -> None:
+    """Write the distances among ``points[idx]`` into ``table`` for each
+    (idx, table) of ``groups`` and ``tables``; every idx is sorted.
+
+    The distances from a block of rows to all of ``points`` are computed at
+    once, with the difference temporary under ``_DIST_BLOCK_FLOATS`` floats
+    (or one row, if a row is larger), and scattered into the tables before
+    the next block, so no matrix over all of ``points`` is kept.
+    """
+    width, columns = points.shape
+    step = max(1, _DIST_BLOCK_FLOATS // (width * columns))
+    for start in range(0, width, step):
+        block = np.linalg.norm(
+            points[start:start + step, None, :] - points[None, :, :], axis=2)
+        for idx, table in zip(groups, tables):
+            lo, hi = np.searchsorted(idx, (start, start + step))
+            table[lo:hi] = block[np.ix_(idx[lo:hi] - start, idx)]
 
 
 def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
@@ -122,13 +141,14 @@ def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
     i's table holds the distances from member ``omega[r]``, as an exemplar,
     to every member, clipped at each member's distance to the zero anchor.
 
-    All classes cut their tables from one distance matrix over the elements
-    U that belong to at least one class.  It is computed in blocks of rows,
-    so the difference temporary stays under ``_DIST_BLOCK_FLOATS`` floats
-    (or one row, if a row is larger).  Every entry is the same last-axis
-    ``np.linalg.norm`` reduction a per-class pass runs, so the tables are
-    bit-identical to it.  ``vectors`` is a float array; input errors raise
-    as ``exemplar_family`` says.
+    When the classes overlap enough that |U|^2 <= sum_i |omega_i|^2, with U
+    the elements in at least one class, one distance pass over U fills every
+    class's table; otherwise each class gets a pass over its own members.
+    Either way the build computes the smaller of the two counts of distances
+    and holds the tables plus one block.  Every entry is the same last-axis
+    ``np.linalg.norm`` reduction, so the tables do not depend on the pass
+    or the blocking.  ``vectors`` is a float array; input errors raise as
+    ``exemplar_family`` says.
     """
     if vectors.ndim != 2:
         raise ValueError("vectors must be a 2-D (elements x classes) array, "
@@ -146,23 +166,22 @@ def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
             raise ValueError(f"class {i} has no members; cannot build its function")
 
     used = np.flatnonzero(member.any(axis=1))
-    points = vectors[used]
-    anchors = np.linalg.norm(points, axis=1)
-    dist = np.empty((len(used), len(used)))
-    step = max(1, _DIST_BLOCK_FLOATS // (len(used) * columns))
-    for start in range(0, len(used), step):
-        block = points[start:start + step]
-        dist[start:start + step] = np.linalg.norm(
-            block[:, None, :] - points[None, :, :], axis=2)
+    tables = [np.empty((omega.size, omega.size)) for omega in omegas]
+    if used.size ** 2 <= sum(omega.size ** 2 for omega in omegas):
+        _fill_distances(vectors[used],
+                        [np.searchsorted(used, omega) for omega in omegas],
+                        tables)
+    else:
+        for omega, table in zip(omegas, tables):
+            _fill_distances(vectors[omega], [np.arange(omega.size)], [table])
 
-    tables = []
-    for omega in omegas:
-        idx = np.searchsorted(used, omega)
-        table = dist[np.ix_(idx, idx)]  # a copy: dist is freed on return
-        anchor = anchors[idx]
+    anchors = np.linalg.norm(vectors, axis=1)
+    out = []
+    for omega, table in zip(omegas, tables):
+        anchor = anchors[omega]
         np.minimum(table, anchor, out=table)
-        tables.append((omega, table, anchor))
-    return tables
+        out.append((omega, table, anchor))
+    return out
 
 
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
@@ -179,11 +198,11 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     floats.  Because ``min`` is exact, clipping once at build time gives
     the same numbers as clipping on every evaluation.
 
-    The tables are cut from one blocked distance pass over the elements U
-    that belong to some class, shared by all classes, so the build computes
-    |U|^2 distances of ``columns`` terms each, not the sum over classes of
-    |omega_i|^2; the tables and their memory are the same as a per-class
-    pass would give.
+    The build computes min(|U|^2, sum_i |omega_i|^2) distances of
+    ``columns`` terms each, where U is the elements in at least one class:
+    one blocked pass over U shared by all classes when they overlap that
+    much, else one blocked pass per class.  Besides the tables it holds one
+    block of bounded size, and the tables are the same either way.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not

@@ -166,15 +166,19 @@ def test_exemplar_kernel_is_bit_identical_on_real_features(seed, n, data):
         assert F.value(i, everything) == ref(everything)
 
 
-def table_features(rng, n, columns, class_count, integral):
+def table_features(rng, n, columns, class_count, integral, one_label):
     """Counts or real features at a random scale, with duplicated rows and,
-    for n > 1, trailing rows that belong to no class."""
+    for n > 1, trailing rows that belong to no class.  With ``one_label``
+    each row is in at most one class, so classes barely overlap."""
     scale = 10.0 ** int(rng.integers(-3, 4))
     if integral:
         vectors = rng.integers(0, 3, (n, columns)).astype(float) * scale
     else:
         vectors = rng.uniform(0.0, 2.0, (n, columns)) * scale
         vectors[rng.random((n, columns)) < 0.4] = 0.0
+    if one_label:
+        keep = rng.integers(0, class_count, n)
+        vectors[:, :class_count][np.arange(class_count) != keep[:, None]] = 0.0
     vectors[rng.integers(0, n, n // 4)] = vectors[rng.integers(0, n, n // 4)]
     outside = n // 20 + 1 if n > 1 else 0
     vectors[n - outside:, :class_count] = 0.0
@@ -186,19 +190,30 @@ def table_features(rng, n, columns, class_count, integral):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), integral=st.booleans(),
-       shape=st.sampled_from([(1, 1, 1), (2, 3, 1), (9, 4, 2), (30, 5, 5),
-                              (60, 8, 3), (200, 20, 20)]))
+       shape=st.sampled_from([(1, 1, 1, False), (2, 3, 1, False),
+                              (9, 4, 2, False), (30, 5, 5, True),
+                              (60, 8, 3, False), (60, 8, 8, True),
+                              (200, 20, 20, False), (800, 20, 2, True)]))
 def test_exemplar_tables_match_per_class_build(seed, integral, shape):
-    # shape is (n, columns, class_count); at n=200 the shared distance pass
-    # runs in at least three row blocks
-    n, columns, class_count = shape
+    # shape is (n, columns, class_count, one label per row).  At n=200 the
+    # classes overlap and one pass over all used elements runs in at least
+    # three row blocks; at n=800 they do not, and each class's own pass
+    # runs in at least three
+    n, columns, class_count, one_label = shape
     vectors = table_features(np.random.default_rng(seed), n, columns,
-                             class_count, integral)
-    used = int((vectors[:, :class_count] > 0).any(axis=1).sum())
+                             class_count, integral, one_label)
+    member = vectors[:, :class_count] > 0
+    used = int(member.any(axis=1).sum())
+    widths = member.sum(axis=0)
     assert used < n or n == 1
+    shared = used ** 2 <= int((widths ** 2).sum())
     if n == 200:
-        rows = _DIST_BLOCK_FLOATS // (used * columns)
-        assert -(-used // rows) >= 3
+        assert shared
+        assert -(-used // (_DIST_BLOCK_FLOATS // (used * columns))) >= 3
+    if n == 800:
+        assert not shared
+        w = int(widths.max())
+        assert -(-w // (_DIST_BLOCK_FLOATS // (w * columns))) >= 3
     got = _exemplar_tables(vectors, class_count)
     want = ref_exemplar_tables(vectors, class_count)
     assert len(got) == len(want) == class_count

@@ -124,16 +124,25 @@ class TestExemplarFamily:
         with pytest.raises(ValueError, match=match):
             exemplar_family(vectors, class_count)
 
-    def test_build_memory_is_tables_plus_one_matrix_and_blocks(self):
-        # each of the 600 elements is in about 13 of the 20 classes; a
-        # per-class (|omega|, |omega|, columns) difference would hold about
-        # 25 MiB on its own
-        vectors = np.random.default_rng(0).integers(0, 3, (600, 20))
-        member = vectors > 0
-        tables = sum(int(w) ** 2 for w in member.sum(axis=0)) * 8
-        used = int(member.any(axis=1).sum())
-        bound = tables + used ** 2 * 8 + 4 * _DIST_BLOCK_FLOATS * 8
-        vectors = vectors.astype(float)
+    @staticmethod
+    def build_input(overlap):
+        """20 classes of count features; with ``overlap`` each of 600
+        elements is in about 13 classes, else each of 2000 is in one."""
+        rng = np.random.default_rng(0)
+        if overlap:
+            return rng.integers(0, 3, (600, 20)).astype(float)
+        vectors = np.zeros((2000, 20))
+        vectors[np.arange(2000), rng.integers(0, 20, 2000)] = 1.0
+        return vectors
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_build_memory_is_tables_plus_blocks(self, overlap):
+        # with overlap a per-class (|omega|, |omega|, columns) difference
+        # would hold about 25 MiB on its own; without, a |U| x |U| matrix
+        # would hold about 31 MiB
+        vectors = self.build_input(overlap)
+        tables = sum(int(w) ** 2 for w in (vectors > 0).sum(axis=0)) * 8
+        bound = tables + 4 * _DIST_BLOCK_FLOATS * 8
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -143,6 +152,27 @@ class TestExemplarFamily:
             tracemalloc.stop()
         assert F.m == 20
         assert peak - start <= bound
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_build_work_is_the_smaller_pass(self, overlap, monkeypatch):
+        # distance terms: |U|^2 * columns for one pass over the used
+        # elements, sum_i |omega_i|^2 * columns for one pass per class
+        vectors = self.build_input(overlap)
+        member = vectors > 0
+        shared = int(member.any(axis=1).sum()) ** 2
+        per_class = sum(int(w) ** 2 for w in member.sum(axis=0))
+        terms = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, *args, **kwargs):
+            if np.ndim(x) == 3:
+                terms.append(np.size(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        exemplar_family(vectors, 20)
+        assert (shared < per_class) == overlap
+        assert sum(terms) == min(shared, per_class) * 20
 
     def test_full_selection_attains_anchor_loss(self):
         rng = np.random.default_rng(2)
