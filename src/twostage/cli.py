@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +38,8 @@ AXES_READ = {"greedy": (), "streaming": ("epsilon",), "distributed": ("M",),
              "fast": ("epsilon", "M"), "oracle": ()}
 CSV_COLUMNS = ("algorithm", "ell", "k", "epsilon", "M", "seed", "value",
                "seconds", "evals", "peak_stored")
+# A skipped run writes these columns empty.
+_RESULT_COLUMNS = frozenset(CSV_COLUMNS[CSV_COLUMNS.index("value"):])
 
 
 class ConfigError(ValueError):
@@ -69,12 +71,14 @@ class ExperimentConfig:
         for name in ("ells", "ks", "epsilons", "machines", "algorithms"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep axis {name!r} is empty")
-        for v in (*self.ells, *self.ks, *self.machines):
+        for v in (*self.ells, *self.ks, *self.machines, self.oracle_budget):
             if v < 1:
-                raise ConfigError("budgets and machine counts must be >= 1")
+                raise ConfigError("ell, k, M and oracle_budget must be >= 1")
         for e in self.epsilons:
-            if e <= 0:
+            if not e > 0:
                 raise ConfigError("epsilon must be positive")
+        if not self.alpha > 0:
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
@@ -102,52 +106,54 @@ class ReportRow:
     skipped: bool = False
 
     def to_jsonable(self) -> dict:
-        return {
-            "algorithm": self.algorithm, "ell": self.ell, "k": self.k,
-            "epsilon": self.epsilon, "M": self.M, "seed": self.seed,
-            "value": self.value, "seconds": self.seconds,
-            "evals": self.evals, "peak_stored": self.peak_stored,
-            "summary": list(self.summary),
-            "per_function": [list(t) for t in self.per_function],
-            "skipped": self.skipped,
-        }
+        """The fields in declaration order, which is the JSON key order."""
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "ReportRow":
-        return cls(obj["algorithm"], obj["ell"], obj["k"], obj["epsilon"],
-                   obj["M"], obj["seed"], obj["value"], obj["seconds"],
-                   obj["evals"], obj["peak_stored"],
-                   tuple(obj["summary"]),
-                   tuple(tuple(t) for t in obj["per_function"]),
-                   obj["skipped"])
+        return cls(**{f.name: _tuples(obj[f.name]) for f in fields(cls)})
+
+
+def _tuples(value):
+    """``value`` with its JSON arrays, nested ones too, turned into tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 # ---------------------------------------------------------------------------
 # ingestion
 
-def load_points_csv(path) -> GroundSet:
-    """Read lat,lon rows into a point ground set; ids follow row order."""
-    points = []
+def _csv_lines(path, columns: int, header: str | None = None) -> list:
+    """(line number, fields) of each data line of ``path``, skipping blank
+    lines and a first line that reads ``header`` once lowercased and unspaced.
+    Raises ValueError naming a line of another width, or on no data line."""
+    lines = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if ln == 1 and line.lower().replace(" ", "") == "lat,lon":
+            if not line or ln == 1 and line.lower().replace(" ", "") == header:
                 continue
             parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {ln}: expected two columns")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {ln}: cannot parse {line!r} "
-                                 "as two floats") from None
-            if not (np.isfinite(x) and np.isfinite(y)):
-                raise ValueError(f"{path}: line {ln}: non-finite coordinate")
-            points.append(Point(x, y))
-    if not points:
+            if len(parts) != columns:
+                raise ValueError(f"{path}: line {ln}: expected {columns} "
+                                 f"columns, got {len(parts)}")
+            lines.append((ln, parts))
+    if not lines:
         raise ValueError(f"{path}: no data rows")
+    return lines
+
+
+def load_points_csv(path) -> GroundSet:
+    """Read lat,lon rows into a point ground set; ids follow row order."""
+    points = []
+    for ln, parts in _csv_lines(path, 2, header="lat,lon"):
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {ln}: cannot parse "
+                             f"{','.join(parts)!r} as two floats") from None
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ValueError(f"{path}: line {ln}: non-finite coordinate")
+        points.append(Point(x, y))
     return GroundSet(len(points), tuple(points))
 
 
@@ -158,24 +164,14 @@ def load_features_csv(path, class_count: int):
     count at position i.
     """
     rows = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != class_count:
-                raise ValueError(f"{path}: line {ln}: expected {class_count} "
-                                 f"columns, got {len(parts)}")
-            try:
-                vec = [int(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}: line {ln}: non-integer entry") from None
-            if any(v < 0 for v in vec):
-                raise ValueError(f"{path}: line {ln}: negative count")
-            rows.append(vec)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    for ln, parts in _csv_lines(path, class_count):
+        try:
+            vec = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}: line {ln}: non-integer entry") from None
+        if any(v < 0 for v in vec):
+            raise ValueError(f"{path}: line {ln}: negative count")
+        rows.append(vec)
     vectors = np.array(rows, dtype=float)
     omegas = [np.flatnonzero(vectors[:, i] > 0).tolist()
               for i in range(class_count)]
@@ -231,28 +227,28 @@ def _build_family(config: ExperimentConfig) -> ObjectiveFamily:
 
 
 def _run_algorithm(name: str, F: ObjectiveFamily, ell: int, k: int,
-                   epsilon: float, M: int, seed: int,
-                   oracle_budget: int):
+                   epsilon: float, M: int, config: ExperimentConfig):
     """Returns (solution-or-None, peak_stored, skipped)."""
     ids = list(F.ground.elements())
     if name == "greedy":
         return replacement_greedy(F, ids, ell, k), 0, False
     if name == "streaming":
-        mgr = ThresholdManager(F, epsilon, ell, k)
+        mgr = ThresholdManager(F, epsilon, ell, k, alpha=config.alpha)
         order = list(ids)
-        np.random.default_rng(seed).shuffle(order)
+        np.random.default_rng(config.seed).shuffle(order)
         mgr.run(order)
         return mgr.best_solution(), mgr.peak_stored, False
     if name == "distributed":
-        return replacement_distributed(F, M, ell, k, seed), 0, False
+        return replacement_distributed(F, M, ell, k, config.seed), 0, False
     if name == "fast":
-        return distributed_fast(F, M, epsilon, ell, k, seed), 0, False
+        return distributed_fast(F, M, epsilon, ell, k, config.seed,
+                                alpha=config.alpha), 0, False
     if name == "oracle":
         work = oracle_mod.estimate_work(F.ground.n, ell, k, F.m)
-        if work > oracle_budget:
+        if work > config.oracle_budget:
             return None, 0, True
         return oracle_mod.brute_force_opt(
-            F, ids, ell, k, max_evaluations=oracle_budget), 0, False
+            F, ids, ell, k, max_evaluations=config.oracle_budget), 0, False
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -280,8 +276,8 @@ def run_experiment(config: ExperimentConfig,
                 continue
             evals_before = F.evals
             start = time.perf_counter()
-            sol, peak, skipped = _run_algorithm(
-                name, F, ell, k, epsilon, M, config.seed, config.oracle_budget)
+            sol, peak, skipped = _run_algorithm(name, F, ell, k, epsilon, M,
+                                                config)
             seconds = time.perf_counter() - start if config.timing else 0.0
             if skipped:
                 row = ReportRow(name, ell, k, epsilon, M, config.seed,
@@ -302,19 +298,13 @@ def run_experiment(config: ExperimentConfig,
 def emit_report(rows: Sequence[ReportRow], path, fmt: str):
     if not rows:
         raise ValueError("no rows to report")
-    path = Path(path)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in rows:
-                if r.skipped:
-                    writer.writerow([r.algorithm, r.ell, r.k, r.epsilon, r.M,
-                                     r.seed, "", "", "", ""])
-                else:
-                    writer.writerow([r.algorithm, r.ell, r.k, r.epsilon, r.M,
-                                     r.seed, repr(r.value), repr(r.seconds),
-                                     r.evals, r.peak_stored])
+                writer.writerow(["" if r.skipped and c in _RESULT_COLUMNS
+                                 else getattr(r, c) for c in CSV_COLUMNS])
     elif fmt == "json":
         with open(path, "w") as fh:
             json.dump([r.to_jsonable() for r in rows], fh, indent=2)
@@ -340,21 +330,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
 
 
-_LIST_FIELDS = {
-    "ells": int, "ks": int, "epsilons": float, "machines": int,
-    "algorithms": str, "formats": str,
-}
-_SCALAR_FIELDS = {
-    "objective": str, "dataset": str, "class_count": int, "n": int, "m": int,
-    "alpha": float, "seed": int, "radius": float, "cap": int,
-    "oracle_budget": int, "output": str,
-    "timing": _parse_bool,
-}
+def _field_parser(default):
+    """The parser of a config field's value, read off the field's default; a
+    tuple default makes a comma-separated list of its first element's type."""
+    if isinstance(default, tuple):
+        parse = _field_parser(default[0])
+
+        def parse_list(text: str) -> tuple:
+            return tuple(parse(p.strip()) for p in text.split(","))
+        parse_list.__name__ = f"{parse.__name__} list"  # argparse reports it
+        return parse_list
+    if isinstance(default, bool):
+        return _parse_bool
+    return str if default is None else type(default)
+
+
+_PARSERS = {f.name: _field_parser(f.default) for f in fields(ExperimentConfig)}
+# Flags are --field-name, --no-field-name for booleans, or these singulars.
+_FLAGS = {"ells": "--ell", "ks": "--k", "epsilons": "--epsilon",
+          "formats": "--format"}
 
 
 def parse_config_file(path) -> ExperimentConfig:
     """Flat ``key = value`` lines; list fields take comma-separated values."""
-    values = {}
+    values, line_of = {}, {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -364,14 +363,14 @@ def parse_config_file(path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: line {ln}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
+            if key not in _PARSERS:
+                raise ConfigError(f"{path}: line {ln}: unknown key {key!r}")
+            if key in line_of:
+                raise ConfigError(f"{path}: line {ln}: key {key!r} is already "
+                                  f"set on line {line_of[key]}")
+            line_of[key] = ln
             try:
-                if key in _LIST_FIELDS:
-                    conv = _LIST_FIELDS[key]
-                    values[key] = tuple(conv(p.strip()) for p in val.split(","))
-                elif key in _SCALAR_FIELDS:
-                    values[key] = _SCALAR_FIELDS[key](val)
-                else:
-                    raise ConfigError(f"unknown key {key!r}")
+                values[key] = _PARSERS[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {ln}: {exc}") from exc
     return ExperimentConfig(**values)
@@ -379,41 +378,18 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def _apply_overrides(config: ExperimentConfig,
                      args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            updates[f.name] = val
-    if getattr(args, "no_timing", False):
-        updates["timing"] = False
-    return replace(config, **updates)
+    return replace(config, **{name: getattr(args, name) for name in _PARSERS
+                              if getattr(args, name) is not None})
 
 
 def _add_override_flags(p: argparse.ArgumentParser):
-    p.add_argument("--objective")
-    p.add_argument("--dataset")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--class-count", dest="class_count", type=int)
-    p.add_argument("--oracle-budget", dest="oracle_budget", type=int)
-    p.add_argument("--output")
-    p.add_argument("--ell", dest="ells",
-                   type=lambda s: tuple(int(x) for x in s.split(",")))
-    p.add_argument("--k", dest="ks",
-                   type=lambda s: tuple(int(x) for x in s.split(",")))
-    p.add_argument("--epsilon", dest="epsilons",
-                   type=lambda s: tuple(float(x) for x in s.split(",")))
-    p.add_argument("--machines", dest="machines",
-                   type=lambda s: tuple(int(x) for x in s.split(",")))
-    p.add_argument("--algorithms",
-                   type=lambda s: tuple(s.split(",")))
-    p.add_argument("--format", dest="formats",
-                   type=lambda s: tuple(s.split(",")))
-    p.add_argument("--no-timing", action="store_true")
+    for name, parse in _PARSERS.items():
+        flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+        if parse is _parse_bool:
+            p.add_argument("--no-" + flag[2:], dest=name,
+                           action="store_const", const=False)
+        else:
+            p.add_argument(flag, dest=name, type=parse)
 
 
 def _cmd_run(args) -> int:
@@ -489,8 +465,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError,
-            oracle_mod.OracleBudgetError) as exc:
+    except (ValueError, OSError, oracle_mod.OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

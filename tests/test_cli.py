@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from twostage.cli import (ConfigError, ExperimentConfig, build_regions,
                           load_report_json, main, parse_config_file,
                           run_experiment)
 from twostage.core import evaluate_solution, solution_from_sets
+from twostage.distributed import distributed_fast
 from twostage.greedy import replacement_greedy
-from twostage.objectives import Point
+from twostage.objectives import Point, make_synthetic
+from twostage.streaming import ThresholdManager
 
 from conftest import modular_family
 
@@ -93,6 +96,29 @@ class TestLoadFeatures:
             load_features_csv(p, 3)
 
 
+@pytest.mark.parametrize("load, good, bad", [
+    (load_points_csv, "1.0,2.0", "1.0,2.0,3.0"),
+    (lambda path: load_features_csv(path, 3)[0], "1,0,2", "1,0"),
+], ids=["points", "features"])
+def test_loaders_skip_blank_lines_and_name_bad_ones(tmp_path, load, good, bad):
+    p = tmp_path / "data.csv"
+    p.write_text(f"\n{good}\n  \n{good}\n\n")
+    assert load(p).n == 2
+    p.write_text(f"{good}\n\n{bad}\n")
+    with pytest.raises(ValueError, match="line 3: expected"):
+        load(p)
+    p.write_text("\n \n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load(p)
+
+
+def test_points_header_only_has_no_data_rows(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_text("Lat, Lon\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_points_csv(p)
+
+
 class TestBuildRegions:
     def _ground(self, coords):
         from twostage.core import GroundSet
@@ -147,6 +173,10 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(ells=()))
 
+    def test_nan_epsilon_fails_before_work(self):
+        with pytest.raises(ConfigError, match="epsilon"):
+            run_experiment(ExperimentConfig(epsilons=(0.5, float("nan"))))
+
     def test_infeasible_oracle_is_skipped_not_fatal(self):
         config = ExperimentConfig(objective="modular", n=20, m=2,
                                   ells=(5,), ks=(2,), oracle_budget=10,
@@ -173,6 +203,38 @@ class TestRunExperiment:
             [(0.5, 1), (0.5, 4), (1.0, 1), (1.0, 4)]
         assert len({r.evals for r in rows}) == 1 and rows[0].evals > 0
         assert len({(r.value, r.summary, r.per_function) for r in rows}) == 1
+
+    @pytest.mark.parametrize("algorithm", ["streaming", "fast"])
+    def test_alpha_reaches_the_solver(self, algorithm):
+        # at alpha=50 both solvers keep less than at the default alpha=1
+        config = ExperimentConfig(objective="coverage", n=30, m=3, seed=0,
+                                  ells=(4,), ks=(2,), epsilons=(0.5,),
+                                  machines=(2,), alpha=50.0,
+                                  algorithms=(algorithm,))
+        [row] = run_experiment(config)
+        F = make_synthetic("coverage", 30, 3, 0)
+        before = F.evals
+        if algorithm == "streaming":
+            mgr = ThresholdManager(F, 0.5, 4, 2, alpha=50.0)
+            order = list(range(30))
+            np.random.default_rng(0).shuffle(order)
+            mgr.run(order)
+            sol = mgr.best_solution()
+        else:
+            sol = distributed_fast(F, 2, 0.5, 4, 2, 0, alpha=50.0)
+        assert (row.value, row.evals) == (sol.value, F.evals - before)
+        assert row.summary == tuple(sorted(sol.summary))
+        assert row.value != run_experiment(replace(config, alpha=1.0))[0].value
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_bad_alpha_fails_before_any_family_is_built(self, monkeypatch,
+                                                         alpha):
+        def build(config):
+            raise AssertionError("built a family")
+
+        monkeypatch.setattr(cli, "_build_family", build)
+        with pytest.raises(ConfigError, match="alpha"):
+            run_experiment(ExperimentConfig(alpha=alpha))
 
     def test_row_values_reproducible_from_sets(self):
         config = ExperimentConfig(objective="coverage", n=12, m=3, seed=1,
@@ -270,6 +332,66 @@ class TestConfigFile:
         cfg.write_text(f"timing = {word}\n")
         assert parse_config_file(cfg).timing is expected
 
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n = 12\nm = 3\n\nn = 14\n")
+        with pytest.raises(ConfigError, match="line 4: key 'n'.*line 1"):
+            parse_config_file(cfg)
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_oracle_budget_below_one_is_an_error(self, tmp_path, capsys,
+                                                 budget):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "report"
+        cfg.write_text(f"algorithms = oracle\noracle_budget = {budget}\n"
+                       f"output = {out}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "oracle_budget" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report.*"))
+
+
+# Each config field's file value, its flag and the value both must give.
+SPELLINGS = {
+    "objective": ("--objective", "coverage", "coverage"),
+    "dataset": ("--dataset", "feat.csv", "feat.csv"),
+    "class_count": ("--class-count", "7", 7),
+    "n": ("--n", "12", 12),
+    "m": ("--m", "4", 4),
+    "ells": ("--ell", "2,5", (2, 5)),
+    "ks": ("--k", "1,3", (1, 3)),
+    "epsilons": ("--epsilon", "0.25,1", (0.25, 1.0)),
+    "machines": ("--machines", "1,4", (1, 4)),
+    "alpha": ("--alpha", "0.5", 0.5),
+    "seed": ("--seed", "9", 9),
+    "radius": ("--radius", "0.02", 0.02),
+    "cap": ("--cap", "3", 3),
+    "algorithms": ("--algorithms", "fast,oracle", ("fast", "oracle")),
+    "oracle_budget": ("--oracle-budget", "1000", 1000),
+    "output": ("--output", "out/sweep", "out/sweep"),
+    "formats": ("--format", "json", ("json",)),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)
+                                  if f.name != "timing"])
+def test_every_config_key_has_a_flag(tmp_path, name):
+    flag, text, value = SPELLINGS[name]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    args = cli.build_parser().parse_args(["run", flag, text])
+    expected = replace(ExperimentConfig(), **{name: value})
+    assert expected != ExperimentConfig()
+    assert parse_config_file(cfg) == expected
+    assert cli._apply_overrides(ExperimentConfig(), args) == expected
+
+
+def test_bad_flag_value_is_named_by_its_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--ell", "3,x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--ell" in err and "int list" in err and "<lambda>" not in err
+
 
 class TestMain:
     def test_run_round_trip(self, tmp_path):
@@ -315,6 +437,26 @@ class TestMain:
         ground, omegas = load_features_csv(out, classes)
         assert ground.n == n
         assert all(omegas)
+
+    @pytest.mark.parametrize("extra, csv_sha256, json_sha256", [
+        ([], "ce72c65ccebe76a405c5985f23755b692b6684a8c9dcdd1aea74764f932fe7cc",
+         "ff9cc5baa259f4ae60e1d05610d50c4d9d39cad920ce4d87703c86ecc0b2dada"),
+        # four oracle runs exceed this budget and are written as skipped rows
+        (["--oracle-budget", "20000"],
+         "e26063c36a26afb5a392f98a22c1defd981b45b1c5985f18c6167c99ffb210cb",
+         "d15e4a72b8e7d2b7ae1aa5cc717bf9bd2ebda1fb09962267d0e2dc9df8c72a48"),
+    ], ids=["all-run", "oracle-skips"])
+    def test_sweep_report_bytes_are_pinned(self, tmp_path, extra, csv_sha256,
+                                           json_sha256):
+        out = tmp_path / "report"
+        assert main(["run", "--objective", "coverage", "--n", "14",
+                     "--m", "3", "--ell", "3,4", "--k", "1,2",
+                     "--epsilon", "0.5,1.0", "--machines", "1,3",
+                     "--algorithms", "greedy,streaming,distributed,fast,oracle",
+                     "--no-timing", "--output", str(out), *extra]) == 0
+        for fmt, sha256 in (("csv", csv_sha256), ("json", json_sha256)):
+            blob = (tmp_path / f"report.{fmt}").read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == sha256
 
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle", "--objective", "modular", "--n", "6",
