@@ -42,6 +42,10 @@ CSV_COLUMNS = ("algorithm", "ell", "k", "epsilon", "M", "seed", "value",
 _RESULT_COLUMNS = frozenset(CSV_COLUMNS[CSV_COLUMNS.index("value"):])
 
 
+# Centers build_regions draws for one region before it gives up.
+REGION_RETRIES = 100
+
+
 class ConfigError(ValueError):
     pass
 
@@ -179,7 +183,7 @@ def load_features_csv(path, class_count: int):
 
 
 def build_regions(points: GroundSet, m: int, radius: float, cap: int,
-                  seed: int, max_retries: int = 100) -> list:
+                  seed: int) -> list:
     """m seeded demand regions, each up to ``cap`` points within ``radius`` of a
     uniformly drawn center."""
     if m < 1 or radius <= 0 or cap < 1:
@@ -190,7 +194,7 @@ def build_regions(points: GroundSet, m: int, radius: float, cap: int,
     rng = np.random.default_rng(seed)
     regions = []
     for _ in range(m):
-        for _attempt in range(max_retries):
+        for _attempt in range(REGION_RETRIES):
             center = Point(float(rng.uniform(min(xs), max(xs))),
                            float(rng.uniform(min(ys), max(ys))))
             near = [e for e, p in enumerate(pts)
@@ -199,12 +203,11 @@ def build_regions(points: GroundSet, m: int, radius: float, cap: int,
                 take = min(cap, len(near))
                 chosen = sorted(int(c) for c in
                                 rng.choice(len(near), size=take, replace=False))
-                regions.append(Region(tuple(pts[near[c]] for c in chosen),
-                                      center=center))
+                regions.append(Region(tuple(pts[near[c]] for c in chosen)))
                 break
         else:
             raise ValueError(
-                f"no points within radius {radius} of {max_retries} sampled "
+                f"no points within radius {radius} of {REGION_RETRIES} sampled "
                 "centers; try a larger radius")
     return regions
 
@@ -228,27 +231,24 @@ def _build_family(config: ExperimentConfig) -> ObjectiveFamily:
 
 def _run_algorithm(name: str, F: ObjectiveFamily, ell: int, k: int,
                    epsilon: float, M: int, config: ExperimentConfig):
-    """Returns (solution-or-None, peak_stored, skipped)."""
-    ids = list(F.ground.elements())
+    """Returns (solution, peak_stored); the oracle raises OracleBudgetError
+    when the instance is above ``config.oracle_budget``."""
     if name == "greedy":
-        return replacement_greedy(F, ids, ell, k), 0, False
+        return replacement_greedy(F, F.ground.elements(), ell, k), 0
     if name == "streaming":
         mgr = ThresholdManager(F, epsilon, ell, k, alpha=config.alpha)
-        order = list(ids)
+        order = list(F.ground.elements())
         np.random.default_rng(config.seed).shuffle(order)
         mgr.run(order)
-        return mgr.best_solution(), mgr.peak_stored, False
+        return mgr.best_solution(), mgr.peak_stored
     if name == "distributed":
-        return replacement_distributed(F, M, ell, k, config.seed), 0, False
+        return replacement_distributed(F, M, ell, k, config.seed), 0
     if name == "fast":
         return distributed_fast(F, M, epsilon, ell, k, config.seed,
-                                alpha=config.alpha), 0, False
+                                alpha=config.alpha), 0
     if name == "oracle":
-        work = oracle_mod.estimate_work(F.ground.n, ell, k, F.m)
-        if work > config.oracle_budget:
-            return None, 0, True
         return oracle_mod.brute_force_opt(
-            F, ids, ell, k, max_evaluations=config.oracle_budget), 0, False
+            F, ell, k, max_evaluations=config.oracle_budget), 0
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
@@ -276,13 +276,13 @@ def run_experiment(config: ExperimentConfig,
                 continue
             evals_before = F.evals
             start = time.perf_counter()
-            sol, peak, skipped = _run_algorithm(name, F, ell, k, epsilon, M,
-                                                config)
-            seconds = time.perf_counter() - start if config.timing else 0.0
-            if skipped:
+            try:
+                sol, peak = _run_algorithm(name, F, ell, k, epsilon, M, config)
+            except oracle_mod.OracleBudgetError:
                 row = ReportRow(name, ell, k, epsilon, M, config.seed,
                                 0.0, 0.0, 0, 0, skipped=True)
             else:
+                seconds = time.perf_counter() - start if config.timing else 0.0
                 row = ReportRow(
                     name, ell, k, epsilon, M, config.seed, sol.value, seconds,
                     F.evals - evals_before, peak,
@@ -405,9 +405,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _apply_overrides(ExperimentConfig(), args)
+    config.validate()
     F = _build_family(config)
     ell, k = config.ells[0], config.ks[0]
-    res = oracle_mod.brute_force_opt(F, None, ell, k,
+    res = oracle_mod.brute_force_opt(F, ell, k,
                                      max_evaluations=config.oracle_budget)
     print(f"opt_value={res.value!r}")
     print(f"summary={sorted(res.summary)}")

@@ -23,7 +23,6 @@ class PartitionPlan:
     """Seeded uniform assignment of every element to one machine."""
 
     M: int
-    seed: int
     assignment: tuple  # machine index per element id
 
     def parts(self, ids: Iterable[int]) -> list[list[int]]:
@@ -44,8 +43,7 @@ def partition(ground_n: int, M: int, seed: int) -> PartitionPlan:
         raise ValueError("need at least one machine")
     stream = np.random.SeedSequence(seed).spawn(1)[0]
     rng = np.random.default_rng(stream)
-    return PartitionPlan(M, seed,
-                         tuple(int(a) for a in rng.integers(0, M, ground_n)))
+    return PartitionPlan(M, tuple(int(a) for a in rng.integers(0, M, ground_n)))
 
 
 def _better(a: TwoStageSolution, b: TwoStageSolution) -> TwoStageSolution:
@@ -55,7 +53,6 @@ def _better(a: TwoStageSolution, b: TwoStageSolution) -> TwoStageSolution:
 
 def _partition_and_merge(
         F: ObjectiveFamily, M: int, ell: int, k: int, seed: int,
-        elements: Iterable[int] | None,
         worker: Callable[[list[int]], Iterable[TwoStageSolution]]
 ) -> TwoStageSolution:
     """Run ``worker`` on each non-empty machine, then greedy-merge the summaries.
@@ -63,10 +60,9 @@ def _partition_and_merge(
     ``worker(part)`` gets one machine's ids in ascending order and returns
     that machine's solutions.
     """
-    ids = sorted(set(elements)) if elements is not None else F.ground.elements()
     best = empty_solution(F.m, ell, k)
     candidates: set[int] = set()
-    for part in partition(F.ground.n, M, seed).parts(ids):
+    for part in partition(F.ground.n, M, seed).parts(F.ground.elements()):
         if not part:
             continue
         for sol in worker(part):
@@ -78,37 +74,32 @@ def _partition_and_merge(
 
 
 def replacement_distributed(F: ObjectiveFamily, M: int, ell: int, k: int,
-                            seed: int,
-                            elements: Iterable[int] | None = None
-                            ) -> TwoStageSolution:
+                            seed: int) -> TwoStageSolution:
     """Greedy workers over a random split, then a greedy merge of their summaries."""
     return _partition_and_merge(
-        F, M, ell, k, seed, elements,
+        F, M, ell, k, seed,
         lambda part: [replacement_greedy(F, part, ell, k)])
 
 
 def pseudo_streaming(part: Iterable[int], F: ObjectiveFamily, epsilon: float,
-                     ell: int, k: int, alpha: float = 1.0,
-                     beta: float | None = None) -> tuple:
+                     ell: int, k: int, alpha: float = 1.0) -> tuple:
     """Streaming over a canonically sorted order: every surviving (tau, solution).
 
     Sorting by element id makes the output a function of the input *set*,
     which the merge-consistency argument of the fast algorithm needs.
     """
-    mgr = ThresholdManager(F, epsilon, ell, k, alpha=alpha, beta=beta)
+    mgr = ThresholdManager(F, epsilon, ell, k, alpha=alpha)
     return tuple(mgr.run(sorted(set(part))).all_solutions())
 
 
 def distributed_fast(F: ObjectiveFamily, M: int, epsilon: float, ell: int,
-                     k: int, seed: int, alpha: float = 1.0,
-                     beta: float | None = None,
-                     elements: Iterable[int] | None = None
+                     k: int, seed: int, alpha: float = 1.0
                      ) -> TwoStageSolution:
     """Pseudo-streaming workers, then a greedy merge over all kept summaries."""
     return _partition_and_merge(
-        F, M, ell, k, seed, elements,
+        F, M, ell, k, seed,
         lambda part: [sol for _, sol in pseudo_streaming(
-            part, F, epsilon, ell, k, alpha=alpha, beta=beta)])
+            part, F, epsilon, ell, k, alpha=alpha)])
 
 
 def recommend_machine_count(n: int, ell: int, variant: str) -> int:

@@ -30,7 +30,6 @@ class Region:
     """A demand region: the (subsampled) customer points one function cares about."""
 
     members: tuple  # tuple of Point
-    center: Point | None = None
 
     def __post_init__(self):
         if not self.members:

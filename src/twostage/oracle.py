@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
 
 from .core import ObjectiveFamily, TwoStageSolution
 
@@ -31,8 +30,7 @@ def estimate_work(n: int, ell: int, k: int, m: int) -> int:
     return total
 
 
-def brute_force_opt(F: ObjectiveFamily, elements: Iterable[int] | None,
-                    ell: int, k: int,
+def brute_force_opt(F: ObjectiveFamily, ell: int, k: int,
                     max_evaluations: int = DEFAULT_BUDGET) -> TwoStageSolution:
     """Exact optimum over all feasible (summary, per-function) choices.
 
@@ -43,9 +41,7 @@ def brute_force_opt(F: ObjectiveFamily, elements: Iterable[int] | None,
     """
     if ell < 1 or k < 1:
         raise ValueError("budgets must be at least 1")
-    ids: Sequence[int] = (sorted(set(elements)) if elements is not None
-                          else list(F.ground.elements()))
-    work = estimate_work(len(ids), ell, k, F.m)
+    work = estimate_work(F.ground.n, ell, k, F.m)
     if work > max_evaluations:
         raise OracleBudgetError(
             f"instance needs ~{work} evaluations, above the budget of "
@@ -54,7 +50,7 @@ def brute_force_opt(F: ObjectiveFamily, elements: Iterable[int] | None,
     m = F.m
     best = None
     for s in range(ell + 1):
-        for summary in combinations(ids, s):
+        for summary in combinations(F.ground.elements(), s):
             total = 0.0
             chosen = []
             for i in range(m):

@@ -22,6 +22,10 @@ from .core import nabla  # noqa: F401
 
 TOL = 1e-9
 
+# The paper's beta: run_know_opt's threshold is opt/(BETA*ell), and the
+# guessing grid's lowest threshold is delta/((BETA+eps)*ell).
+BETA = 6.0
+
 # Largest instance_bound() * m * ell a ThresholdManager accepts: the grid's
 # live instances could store that many per-function entries.  The tests,
 # the README sweeps and the benchmark need a few thousand at most;
@@ -131,17 +135,17 @@ def _check_trace_bound(F: ObjectiveFamily, state: StreamState):
 
 
 def run_know_opt(stream: Iterable[int], F: ObjectiveFamily, opt: float,
-                 ell: int, k: int, alpha: float = 1.0, beta: float = 6.0,
+                 ell: int, k: int, alpha: float = 1.0,
                  instrument: bool = False) -> TwoStageSolution:
-    """Single pass with the fixed threshold opt/(beta*ell).
+    """Single pass with the fixed threshold opt/(BETA*ell).
 
-    With the defaults and an ``opt`` that lower-bounds the true optimum,
-    the result is worth at least opt/6.
+    With alpha=1 and an ``opt`` that lower-bounds the true optimum, the
+    result is worth at least opt/6.  ``opt`` must be positive and finite.
     """
-    if opt <= 0:
-        raise ValueError("opt must be positive")
+    if not 0 < opt < math.inf:
+        raise ValueError(f"opt must be positive and finite, got {opt}")
     check_budgets(ell, k)
-    state = StreamState.fresh(F.m, ell, k, alpha, opt / (beta * ell),
+    state = StreamState.fresh(F.m, ell, k, alpha, opt / (BETA * ell),
                               instrument=instrument)
     for u in stream:
         exchange(F, u, state)
@@ -161,10 +165,9 @@ class ThresholdManager:
     """
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
-                 alpha: float = 1.0, beta: float | None = None,
-                 instrument: bool = False):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+                 alpha: float = 1.0, instrument: bool = False):
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
         check_budgets(ell, k)
         _check_alpha(alpha)
         self.F = F
@@ -172,7 +175,7 @@ class ThresholdManager:
         self.ell = ell
         self.k = k
         self.alpha = alpha
-        self.beta = beta if beta is not None else (6.0 + epsilon) / (1.0 + epsilon)
+        self.beta = (BETA + epsilon) / (1.0 + epsilon)
         bound = self.instance_bound()
         slots = bound * F.m * ell
         if slots > MAX_INSTANCE_SLOTS:
@@ -257,9 +260,8 @@ class ThresholdManager:
 
 def run_streaming(stream: Iterable[int], F: ObjectiveFamily, epsilon: float,
                   ell: int, k: int, alpha: float = 1.0,
-                  beta: float | None = None,
                   instrument: bool = False) -> TwoStageSolution:
     """Full single-pass run with threshold guessing; returns the best instance."""
-    mgr = ThresholdManager(F, epsilon, ell, k, alpha=alpha, beta=beta,
+    mgr = ThresholdManager(F, epsilon, ell, k, alpha=alpha,
                            instrument=instrument)
     return mgr.run(stream).best_solution()

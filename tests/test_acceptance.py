@@ -42,7 +42,7 @@ def suite():
     instances = []
     for idx in range(102):
         F = make_synthetic(KINDS[idx % 3], N, M_FUNCS, seed=1000 + idx)
-        opt = brute_force_opt(F, None, ELL, K).value
+        opt = brute_force_opt(F, ELL, K).value
         assert opt > 0
         instances.append((idx, F, opt))
     return instances
@@ -65,8 +65,7 @@ def test_criterion_2_streaming_guarantees(suite):
         order = _stream_order(N, idx)
         sol = run_streaming(order, F, epsilon=1.0, ell=ELL, k=K)
         assert sol.value >= opt / 7.0 - SLACK, f"instance {idx} (guessing)"
-        known = run_know_opt(order, F, opt=opt, ell=ELL, k=K,
-                             alpha=1.0, beta=6.0)
+        known = run_know_opt(order, F, opt=opt, ell=ELL, k=K, alpha=1.0)
         assert known.value >= opt / 6.0 - SLACK, f"instance {idx} (known opt)"
     _report(2, f"({len(suite)} instances, bounds OPT/7 and OPT/6)")
 

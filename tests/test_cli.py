@@ -147,8 +147,7 @@ class TestBuildRegions:
     def test_exhausted_retries(self):
         ground = self._ground([(0.0, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError, match="radius"):
-            build_regions(ground, 1, radius=1e-9, cap=3, seed=0,
-                          max_retries=20)
+            build_regions(ground, 1, radius=1e-9, cap=3, seed=0)
 
 
 class TestRunExperiment:
@@ -462,6 +461,12 @@ class TestMain:
         assert main(["oracle", "--objective", "modular", "--n", "6",
                      "--m", "2", "--ell", "2", "--k", "1"]) == 0
         assert "opt_value=" in capsys.readouterr().out
+
+    def test_oracle_validates_its_config(self, capsys):
+        assert main(["oracle", "--objective", "exemplar-csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dataset" in err
+        assert "Traceback" not in err
 
     def test_errors_exit_nonzero(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.cfg")]) == 1

@@ -138,7 +138,7 @@ def test_expected_guarantees_on_a_small_mean():
     # acceptance runs the full 30-seed sweep; this is a cheap sanity check
     F = make_synthetic("coverage", 10, 3, seed=0)
     from twostage.oracle import brute_force_opt
-    opt = brute_force_opt(F, None, 3, 2).value
+    opt = brute_force_opt(F, 3, 2).value
     vals_d = [replacement_distributed(F, 3, 3, 2, seed=s).value for s in range(5)]
     vals_f = [distributed_fast(F, 3, 1.0, 3, 2, seed=s).value for s in range(5)]
     assert np.mean(vals_d) >= 0.216 * opt - 1e-9

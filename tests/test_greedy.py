@@ -62,7 +62,7 @@ def test_value_non_decreasing_in_summary_budget():
 def test_guarantee_on_random_instances(kind):
     for seed in range(10):
         F = make_synthetic(kind, 10, 3, seed=seed)
-        opt = brute_force_opt(F, None, 3, 2).value
+        opt = brute_force_opt(F, 3, 2).value
         sol = replacement_greedy(F, range(10), 3, 2)
         assert sol.value >= GREEDY_RATIO * opt - 1e-9
         assert sol.value <= opt + 1e-9

@@ -1,8 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twostage import cli, distributed, oracle, streaming
 from twostage.core import NonFiniteValueError, evaluate_solution
-from twostage.distributed import pseudo_streaming
+from twostage.distributed import distributed_fast, pseudo_streaming
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (MAX_INSTANCE_SLOTS, InstanceBudgetError,
@@ -60,6 +65,15 @@ class TestKnowOpt:
         with pytest.raises(ValueError):
             run_know_opt([0], worked_instance, opt=0.0, ell=2, k=1)
 
+    @pytest.mark.parametrize("opt", [float("nan"), float("inf")])
+    def test_rejects_non_finite_opt_before_any_eval(self, opt):
+        # a NaN threshold would accept every element, an infinite one none
+        F = make_synthetic("modular", 6, 2, seed=0)
+        before = F.evals
+        with pytest.raises(ValueError, match="opt"):
+            run_know_opt(range(6), F, opt=opt, ell=3, k=2)
+        assert F.evals == before
+
     @pytest.mark.parametrize("ell,k", [(2, 0), (0, 1), (2, 3)])
     def test_rejects_bad_budgets(self, ell, k):
         F = make_synthetic("modular", 5, 2, seed=0)
@@ -69,7 +83,7 @@ class TestKnowOpt:
     def test_guarantee_on_random_instances(self):
         for seed in range(10):
             F = make_synthetic("coverage", 10, 3, seed=seed)
-            opt = brute_force_opt(F, None, 3, 2).value
+            opt = brute_force_opt(F, 3, 2).value
             sol = run_know_opt(range(10), F, opt=opt, ell=3, k=2)
             assert sol.value >= opt / 6.0 - 1e-9
 
@@ -101,19 +115,67 @@ class TestAlpha:
             StreamState.fresh(2, 3, 2, 0.0, 1.0)
 
 
+EPSILON_ENTRY_POINTS = {
+    "manager": lambda F, epsilon: ThresholdManager(F, epsilon, 3, 2).run(
+        range(F.ground.n)),
+    "run_streaming": lambda F, epsilon: run_streaming(
+        range(F.ground.n), F, epsilon, 3, 2),
+    "fast": lambda F, epsilon: distributed_fast(F, 2, epsilon, 3, 2, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EPSILON_ENTRY_POINTS))
+@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0])
+def test_bad_epsilon_fails_before_any_eval(entry, epsilon):
+    F = make_synthetic("modular", 6, 2, seed=0)
+    before = F.evals
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        EPSILON_ENTRY_POINTS[entry](F, epsilon)
+    assert F.evals == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(epsilon=st.floats(min_value=1e-3, max_value=10.0),
+       ell=st.integers(min_value=1, max_value=50),
+       weight=st.floats(min_value=1e-6, max_value=1e6))
+def test_fixed_beta_always_leaves_a_live_instance(epsilon, ell, weight):
+    # epsilon starts at 1e-3 because smaller grids hit MAX_INSTANCE_SLOTS at
+    # ell=50 (TestAdmission covers that refusal)
+    mgr = ThresholdManager(modular_family((0.0, weight)), epsilon, ell, 1)
+    assert mgr.instance_bound() >= 2
+    mgr.update_thresholds(0)  # singleton average 0: nothing to guess from yet
+    assert mgr.instances == {}
+    mgr.update_thresholds(1)
+    assert 1 <= len(mgr.instances) <= mgr.instance_bound()
+
+
+# The solver parameters that had one value in every caller are constants now.
+FIXED_OPTIONS = {"beta", "elements", "max_retries"}
+SOLVERS = [streaming.ThresholdManager, streaming.run_streaming,
+           streaming.run_know_opt, distributed.pseudo_streaming,
+           distributed.distributed_fast, distributed.replacement_distributed,
+           oracle.brute_force_opt, cli.build_regions]
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=lambda s: s.__name__)
+def test_solver_signatures(solver):
+    assert not FIXED_OPTIONS & set(inspect.signature(solver).parameters)
+
+
 class TestThresholdManager:
     def test_active_grid_example(self):
-        # delta lands at exactly 3 -> powers of two in [3/24, 3]
+        # delta lands at exactly 3; beta = (6+1)/(1+1) = 7/2 at epsilon=1,
+        # so the window is [3/(2*7/2*2), 3] = [3/14, 3] -> powers of two
         F = modular_family((3.0, 0.0))
-        mgr = ThresholdManager(F, epsilon=1.0, ell=2, k=1, beta=6.0)
+        mgr = ThresholdManager(F, epsilon=1.0, ell=2, k=1)
         mgr.update_thresholds(0)
         assert mgr.delta == 3.0
         taus = sorted(inst.tau for inst in mgr.instances.values())
-        assert taus == [0.125, 0.25, 0.5, 1.0, 2.0]
+        assert taus == [0.25, 0.5, 1.0, 2.0]
 
     def test_unchanged_delta_keeps_instances(self):
         F = modular_family((3.0, 1.0))
-        mgr = ThresholdManager(F, epsilon=1.0, ell=2, k=1, beta=6.0)
+        mgr = ThresholdManager(F, epsilon=1.0, ell=2, k=1)
         mgr.update_thresholds(0)
         before = {l: id(inst) for l, inst in mgr.instances.items()}
         mgr.update_thresholds(1)  # smaller singleton, delta unchanged
@@ -173,7 +235,7 @@ class TestRunStreaming:
     def test_guarantee_on_random_instances(self):
         for seed in range(10):
             F = make_synthetic("modular", 10, 3, seed=seed)
-            opt = brute_force_opt(F, None, 3, 2).value
+            opt = brute_force_opt(F, 3, 2).value
             sol = run_streaming(range(10), F, epsilon=1.0, ell=3, k=2)
             assert sol.value >= opt / 7.0 - 1e-9
             assert sol.value <= opt + 1e-9
