@@ -406,6 +406,11 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _apply_overrides(ExperimentConfig(), args)
     config.validate()
+    if len(config.ells) > 1 or len(config.ks) > 1:
+        raise ConfigError(
+            "oracle solves one (ell, k), got ell="
+            f"{','.join(map(str, config.ells))} and k="
+            f"{','.join(map(str, config.ks))}")
     F = _build_family(config)
     ell, k = config.ells[0], config.ks[0]
     res = oracle_mod.brute_force_opt(F, ell, k,

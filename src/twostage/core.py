@@ -19,13 +19,16 @@ per-function tuples they hold and apply the threshold or clamp inline.
 
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
-adds one to ``F.evals``.  Nothing is memoised, neither on the family nor in
-the primitives, so a code path performs the same evals every time it runs
-and eval counts stay the paper's cost measure.
+adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
+measure: a code path performs the same evals every time it runs.  Only
+repeats within one streaming element are served from a memo rather than the
+objective (``ThresholdManager.process`` opens ``_memo_scope`` around each
+element); they are still counted, and nothing else is memoised.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Iterable, Optional, Sequence
@@ -64,7 +67,8 @@ class ObjectiveFamily:
     Functions are normalized at construction so that every member evaluates
     to exactly 0 on the empty set.  Every set evaluation increments ``evals``;
     the complexity regression tests depend on that count being deterministic
-    for a fixed code path.
+    for a fixed code path.  ``_memo`` is None, or one dict per function from
+    sorted key to value while a ``_memo_scope`` is open.
     """
 
     def __init__(self, ground: GroundSet,
@@ -76,6 +80,7 @@ class ObjectiveFamily:
         self._m = len(self._functions)
         self._n = ground.n
         self.evals = 0
+        self._memo = None
         self._offsets = [0.0] * self._m
         self._offsets = [self.value(i, ()) for i in range(self._m)]
 
@@ -84,18 +89,45 @@ class ObjectiveFamily:
         return self._m
 
     def value(self, i: int, ids: Iterable[int]) -> float:
-        """Normalized value of f_i on the given element set (one counted eval)."""
+        """Normalized value of f_i on the given element set (one counted eval).
+
+        The checks and the count come first, so a repeat is checked and
+        counted like any eval.  While a memo scope is open, a set already
+        evaluated in it returns the stored value without calling f_i; a
+        non-finite value raises and is never stored.
+        """
         if not 0 <= i < self._m:
             raise ValueError(f"function index {i} out of range [0, {self._m})")
         key = tuple(sorted(ids))
         if key and not (0 <= key[0] and key[-1] < self._n):
             raise ValueError("element id out of range")
         self.evals += 1
+        memo = self._memo
+        if memo is not None:
+            v = memo[i].get(key)
+            if v is not None:
+                return v
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
             raise NonFiniteValueError(
                 f"function {i} evaluated to {v} on the set {key}")
+        if memo is not None:
+            memo[i][key] = v
         return v
+
+    @contextmanager
+    def _memo_scope(self):
+        """Serve repeated evals from a fresh memo until the block exits.
+
+        The memo the block replaces, if any, is restored on exit, also when
+        the block raises.
+        """
+        outer = self._memo
+        self._memo = [{} for _ in range(self._m)]
+        try:
+            yield
+        finally:
+            self._memo = outer
 
     def singleton_average(self, u: int) -> float:
         """(1/m) sum_i f_i({u}); the quantity the streaming threshold tracker maximizes."""

@@ -32,9 +32,17 @@ BETA = 6.0
 # epsilon=1e-6 with ell=25 asks for over 10^8 even at m=1.
 MAX_INSTANCE_SLOTS = 10 ** 7
 
+# Largest instance_bound() a ThresholdManager accepts, whatever m and ell
+# are: an empty StreamState costs about 580 bytes, so this many cost about
+# 58 MB.  It also bounds one element's eval memo, which holds the m
+# singletons plus at most m * (k + 2) sets per live instance.  The tests
+# need 5,708 at most.
+MAX_INSTANCES = 10 ** 5
+
 
 class InstanceBudgetError(ValueError):
-    """The threshold grid would exceed MAX_INSTANCE_SLOTS; raised before any eval."""
+    """The threshold grid would exceed MAX_INSTANCE_SLOTS or MAX_INSTANCES;
+    raised before any eval."""
 
 
 def _check_alpha(alpha: float):
@@ -160,8 +168,15 @@ class ThresholdManager:
     lazily creates newly valid instances empty; elements seen before an
     instance existed could never have been accepted by it.
 
+    Each element is processed inside one ``F._memo_scope()``: the live
+    instances often hold the same per-function sets, so an (i, set) that
+    one of them already evaluated for this element is served from the memo.
+    Every such eval is still one counted ``F.value`` call, and the outputs
+    and eval counts are those of a run without the memo.
+
     Raises ``InstanceBudgetError`` on construction when instance_bound() *
-    F.m * ell exceeds ``MAX_INSTANCE_SLOTS``.
+    F.m * ell exceeds ``MAX_INSTANCE_SLOTS`` or instance_bound() exceeds
+    ``MAX_INSTANCES``.
     """
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
@@ -183,6 +198,10 @@ class ThresholdManager:
                 f"epsilon={epsilon} allows {bound} threshold "
                 f"instances; times m={F.m} and ell={ell} that is {slots} "
                 f"slots, above the limit of {MAX_INSTANCE_SLOTS}")
+        if bound > MAX_INSTANCES:
+            raise InstanceBudgetError(
+                f"epsilon={epsilon} allows {bound} threshold instances, "
+                f"above the limit of {MAX_INSTANCES}")
         self.instrument = instrument
         self.delta = 0.0
         self.instances: dict[int, StreamState] = {}  # exponent -> state
@@ -230,9 +249,10 @@ class ThresholdManager:
                 f"{self.instance_bound()}")
 
     def process(self, u: int):
-        self.update_thresholds(u)
-        for l in sorted(self.instances):
-            exchange(self.F, u, self.instances[l], delta=self.delta)
+        with self.F._memo_scope():
+            self.update_thresholds(u)
+            for l in sorted(self.instances):
+                exchange(self.F, u, self.instances[l], delta=self.delta)
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(
             self.peak_stored,

@@ -36,4 +36,19 @@ def poisoned_family(bad, n=6, poison=3):
     return ObjectiveFamily(GroundSet(n), [clean, poisoned])
 
 
+def kernel_counted(F):
+    """A copy of F whose objective calls are counted: (family, [calls])."""
+    calls = [0]
+
+    def counted(f):
+        def g(key):
+            calls[0] += 1
+            return f(key)
+        return g
+
+    copy = ObjectiveFamily(F.ground, [counted(f) for f in F._functions])
+    calls[0] = 0
+    return copy, calls
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]

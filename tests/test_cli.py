@@ -462,6 +462,26 @@ class TestMain:
                      "--m", "2", "--ell", "2", "--k", "1"]) == 0
         assert "opt_value=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ell,k", [("3,2", "2,1"), ("3", "2,1"),
+                                        ("3,2", "1")])
+    def test_oracle_refuses_a_sweep(self, capsys, monkeypatch, ell, k):
+        def unbuilt(config):
+            raise AssertionError("family built for a refused sweep")
+        monkeypatch.setattr(cli, "_build_family", unbuilt)
+        assert main(["oracle", "--objective", "modular", "--n", "6",
+                     "--m", "2", "--ell", ell, "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: oracle solves one (ell, k), "
+                                f"got ell={ell} and k={k}\n")
+
+    def test_oracle_prints_one_optimum(self, capsys):
+        assert main(["oracle", "--objective", "modular", "--n", "6",
+                     "--m", "2", "--ell", "3", "--k", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "opt_value=1.7384758971936471\nsummary=[3, 4, 5]\n"
+            "T[0]=[4, 5]\nT[1]=[3, 4]\n")
+
     def test_oracle_validates_its_config(self, capsys):
         assert main(["oracle", "--objective", "exemplar-csv"]) == 1
         err = capsys.readouterr().err

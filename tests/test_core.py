@@ -5,7 +5,8 @@ from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
                            marginal, nabla, rep, solution_from_sets)
 from twostage.objectives import make_synthetic
 
-from conftest import NON_FINITE, modular_family, poisoned_family
+from conftest import (NON_FINITE, kernel_counted, modular_family,
+                      poisoned_family)
 
 
 class TestGroundSet:
@@ -57,6 +58,69 @@ class TestObjectiveFamily:
             return F.evals - before
 
         assert run() == run()
+
+
+@pytest.fixture
+def counted():
+    """One modular function with weights 1..4 and its kernel-call count."""
+    return kernel_counted(modular_family((1.0, 2.0, 3.0, 4.0)))
+
+
+class TestEvalMemo:
+    def test_no_memo_outside_a_scope(self, counted):
+        F, calls = counted
+        before = F.evals
+        for _ in range(3):
+            assert F.value(0, (2, 1)) == 5.0
+        assert (calls[0], F.evals - before) == (3, 3)
+        assert F._memo is None
+
+    def test_repeats_in_a_scope_are_counted_but_not_recomputed(self, counted):
+        F, calls = counted
+        before = F.evals
+        with F._memo_scope():
+            assert F.value(0, (2, 1)) == 5.0
+            assert F.value(0, [1, 2]) == 5.0
+            assert F.value(0, (3,)) == 4.0
+        assert (calls[0], F.evals - before) == (2, 3)
+        assert F._memo is None
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_value_raises_on_every_repeat(self, bad):
+        F = poisoned_family(bad)
+        before = F.evals
+        with F._memo_scope():
+            for _ in range(2):
+                with pytest.raises(NonFiniteValueError, match="function 1"):
+                    F.value(1, (3,))
+            assert (3,) not in F._memo[1]
+        assert F.evals - before == 2
+
+    def test_out_of_range_ids_raise_in_a_scope(self, counted):
+        F, calls = counted
+        with F._memo_scope():
+            F.value(0, (1,))
+            with pytest.raises(ValueError, match="function index"):
+                F.value(1, (1,))
+            with pytest.raises(ValueError, match="element id"):
+                F.value(0, (1, 4))
+            assert F._memo == [{(1,): 2.0}]
+        assert calls[0] == 1
+
+    def test_nested_scope_restores_the_outer_memo(self, counted):
+        F, calls = counted
+        with F._memo_scope():
+            F.value(0, (1,))
+            outer = F._memo
+            with F._memo_scope():
+                assert F._memo == [{}]
+                F.value(0, (1,))
+                F.value(0, (2,))
+            assert F._memo is outer
+            assert outer == [{(1,): 2.0}]
+            F.value(0, (1,))
+        assert calls[0] == 3
+        assert F._memo is None
 
 
 class TestMarginal:

@@ -23,6 +23,8 @@ from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
                                 _check_trace_bound, exchange)
 
+from conftest import kernel_counted
+
 # ---------------------------------------------------------------------------
 # reference kernels
 
@@ -470,6 +472,57 @@ def test_replacement_greedy_matches_reference_driver(kind, seed, data):
     got = outcome(F, replacement_greedy, cands, ell, k)
     want = outcome(F, ref_replacement_greedy, cands, ell, k)
     assert got == want
+
+
+class RefThresholdManager(ThresholdManager):
+    """The manager without the per-element memo: every eval calls f_i."""
+
+    def process(self, u):
+        self.update_thresholds(u)
+        for l in sorted(self.instances):
+            exchange(self.F, u, self.instances[l], delta=self.delta)
+        self.max_instances = max(self.max_instances, len(self.instances))
+        self.peak_stored = max(
+            self.peak_stored,
+            sum(len(state.S) for state in self.instances.values()))
+
+
+def stream_family(kind, n, m, seed):
+    if kind == "exemplar":
+        return exemplar_family(float_features(n, m, seed), m)
+    return make_synthetic(kind, n, m, seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["modular", "coverage", "facility", "exemplar"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_memoised_threshold_manager_matches_reference(kind, seed, data):
+    n = 10
+    m = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    ell = data.draw(st.integers(k, k + 3))
+    epsilon = data.draw(st.sampled_from([0.2, 1.0]))
+    alpha = data.draw(st.sampled_from([0.5, 1.0]))
+    instrument = data.draw(st.booleans())
+    stream = data.draw(st.lists(st.integers(0, n - 1), max_size=25))
+    F, calls = kernel_counted(stream_family(kind, n, m, seed))
+    G, ref_calls = kernel_counted(stream_family(kind, n, m, seed))
+    runs = []
+    for manager, fam in ((ThresholdManager, F), (RefThresholdManager, G)):
+        before = fam.evals
+        mgr = manager(fam, epsilon, ell, k, alpha=alpha,
+                      instrument=instrument).run(stream)
+        runs.append((
+            mgr.best_solution(), mgr.all_solutions(),
+            {l: (state.S, state.T, state.base, state.trace)
+             for l, state in mgr.instances.items()},
+            mgr.peak_stored, mgr.max_instances, fam.evals - before))
+    assert runs[0] == runs[1]
+    assert F._memo is None
+    # an element that creates an instance evaluates each (i, {u}) for the
+    # singleton average and again in the new instance's first exchange
+    assert calls[0] <= ref_calls[0]
+    assert (calls[0] < ref_calls[0]) == (mgr.max_instances >= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from twostage.core import NonFiniteValueError, evaluate_solution
 from twostage.distributed import distributed_fast, pseudo_streaming
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
-from twostage.streaming import (MAX_INSTANCE_SLOTS, InstanceBudgetError,
-                                StreamState, ThresholdManager, exchange,
-                                run_know_opt, run_streaming)
+from twostage.streaming import (MAX_INSTANCE_SLOTS, MAX_INSTANCES,
+                                InstanceBudgetError, StreamState,
+                                ThresholdManager, exchange, run_know_opt,
+                                run_streaming)
 
 from conftest import NON_FINITE, modular_family, poisoned_family
 
@@ -221,6 +222,16 @@ class TestAdmission:
         assert isinstance(exc.value, ValueError)
         assert F.evals == before
 
+    def test_refuses_a_huge_grid_at_one_function_and_budget(self):
+        # 8,958,800 instances but only that many slots at m = ell = 1:
+        # about 5 GB of empty states on the first positive element
+        F = make_synthetic("modular", 3, 1, seed=0)
+        before = F.evals
+        with pytest.raises(InstanceBudgetError, match="8958800") as exc:
+            ThresholdManager(F, 2e-7, 1, 1)
+        assert str(MAX_INSTANCES) in str(exc.value)
+        assert F.evals == before
+
     def test_limit_is_on_instances_times_functions_times_ell(self):
         per_function = 5015 * 25  # instance_bound() at epsilon=1e-3, ell=25
         m = MAX_INSTANCE_SLOTS // per_function
@@ -274,3 +285,35 @@ class TestRunStreaming:
 def test_non_finite_objective_raises(bad):
     with pytest.raises(NonFiniteValueError, match="function 1"):
         run_streaming(range(6), poisoned_family(bad), 0.5, ell=3, k=2)
+
+
+class TestEvalMemo:
+    def test_no_memo_is_left_open_after_a_run(self):
+        F = make_synthetic("coverage", 12, 3, seed=2)
+        mgr = ThresholdManager(F, 0.5, 3, 2).run(range(12))
+        assert len(mgr.instances) >= 2
+        assert F._memo is None
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_no_memo_is_left_open_after_an_element_raises(self, bad):
+        F = poisoned_family(bad)
+        mgr = ThresholdManager(F, 0.5, 3, 2).run([0, 1, 2])
+        assert mgr.instances
+        with pytest.raises(NonFiniteValueError, match="function 1"):
+            mgr.process(3)
+        assert F._memo is None
+
+    def test_memo_is_fresh_for_each_element(self):
+        seen = []
+        F = make_synthetic("modular", 4, 2, seed=0)
+        value = F.value
+
+        def spy(i, ids):
+            seen.append(F._memo)
+            return value(i, ids)
+        F.value = spy
+        mgr = ThresholdManager(F, 1.0, 2, 1)
+        mgr.process(0)
+        mgr.process(0)
+        assert None not in seen
+        assert len({id(memo) for memo in seen}) == 2
