@@ -20,14 +20,18 @@ per-function tuples they hold and apply the threshold or clamp inline.
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
 adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
-measure: a code path performs the same evals every time it runs.  Only
-repeats within one streaming element are served from a memo rather than the
-objective (``ThresholdManager.process`` opens ``_memo_scope`` around each
-element); they are still counted, and nothing else is memoised.
+measure: a code path performs the same evals every time it runs.  Two memos
+serve evals from values already computed rather than from the objective, and
+they are still counted one ``value`` call each: repeats within one streaming
+element (``ThresholdManager.process`` opens ``_memo_scope`` around each
+element), and the k swap sets of one at-budget greedy probe on a family with
+a swap kernel (``_swap_move`` fills them from one ``F._swaps`` call).
+Nothing else is memoised.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isfinite
@@ -68,7 +72,10 @@ class ObjectiveFamily:
     to exactly 0 on the empty set.  Every set evaluation increments ``evals``;
     the complexity regression tests depend on that count being deterministic
     for a fixed code path.  ``_memo`` is None, or one dict per function from
-    sorted key to value while a ``_memo_scope`` is open.
+    sorted key to value while a ``_memo_scope`` is open; ``_swap_move``
+    briefly installs its own, holding one probe's swap values, for function
+    i only.  ``_swaps`` is None, or the family's swap kernel (see
+    ``facility_family``) that ``_swap_move`` batches a probe's evals with.
     """
 
     def __init__(self, ground: GroundSet,
@@ -81,6 +88,7 @@ class ObjectiveFamily:
         self._n = ground.n
         self.evals = 0
         self._memo = None
+        self._swaps = None
         self._offsets = [0.0] * self._m
         self._offsets = [self.value(i, ()) for i in range(self._m)]
 
@@ -217,6 +225,35 @@ def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
             best_gain = gain
             best_y = y
     return best_y, best_gain
+
+
+def _swap_move(F: ObjectiveFamily, i: int, key: tuple, x: int,
+               base: float) -> tuple:
+    """``_move`` at budget, its k evals served from F's swap kernel.
+
+    Unchecked like ``_move``: ``key`` is sorted, non-empty, at budget and
+    without x.  ``F._swaps`` computes the k swap sets' raw values in one
+    call; a memo holding just those values, normalised and finite, is open
+    for function i while ``_move`` makes its k counted ``value`` calls, and
+    the previous memo is back when this returns or raises.  A non-finite
+    value is not stored, so its ``value`` call evaluates f_i and raises.
+    """
+    offset = F._offsets[i]
+    p = bisect_left(key, x)
+    joined = key[:p] + (x,) + key[p:]  # sorted; key[j] sits at j or j + 1
+    entries = {}
+    for j, raw in enumerate(F._swaps(i, key, x).tolist()):
+        v = raw - offset
+        if isfinite(v):
+            q = j if j < p else j + 1
+            entries[joined[:q] + joined[q + 1:]] = v
+    memo = [None] * F.m
+    memo[i] = entries
+    outer, F._memo = F._memo, memo
+    try:
+        return _move(F.value, i, key, x, len(key), base)
+    finally:
+        F._memo = outer
 
 
 def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import (ObjectiveFamily, TwoStageSolution, _move, check_budgets,
-                   solution_from_sets)
+from .core import (ObjectiveFamily, TwoStageSolution, _move, _swap_move,
+                   check_budgets, solution_from_sets)
 # replacement_greedy fuses lambda_gain's clamp into its own loop; the name
 # stays bound here because perfbench/tracer.py wraps greedy.lambda_gain, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
@@ -27,7 +27,10 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     such elements could never change any per-function solution.
 
     The per-function gain is ``lambda_gain``'s: the insertion gain below
-    budget, the best-swap gain clamped at 0 at budget.
+    budget, the best-swap gain clamped at 0 at budget.  On a family with
+    swap kernels, an at-budget probe gets its k swap values from one kernel
+    call (``_swap_move``); the values, the evals and the ``value`` calls
+    are the same as on the scalar path.
     """
     cands = sorted(set(candidates))
     if not cands:
@@ -39,6 +42,7 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
 
     m = F.m
     value = F.value
+    swaps = F._swaps
     S: set[int] = set()
     T = [()] * m      # sorted tuple per function
     base = [0.0] * m  # cached f_i(T_i)
@@ -50,7 +54,10 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
         for x in cands:
             if x in S:
                 continue
-            moves = [_move(value, i, T[i], x, k, base[i]) for i in range(m)]
+            moves = [_move(value, i, T[i], x, k, base[i])
+                     if swaps is None or len(T[i]) < k
+                     else _swap_move(F, i, T[i], x, base[i])
+                     for i in range(m)]
             total = sum([g if r is None or g > 0 else 0.0 for r, g in moves])
             if total > best_total:  # strict: ties keep the lowest id
                 best_total = total

@@ -66,13 +66,30 @@ def facility_family(points: Sequence[Point],
     Convenience scores between every ground element and every region member
     are precomputed, one row per element, so a set evaluation gathers the
     set's rows and takes a tiny max-then-sum.
+
+    The family also gets a swap kernel, kept in its private ``_swaps``:
+    ``_swaps(i, key, x)`` returns the k raw values f_i(key - key[j] + x),
+    j = 0..k-1, for a sorted ``key`` of k ids and a candidate x not in it,
+    in one numpy pass.  It keeps a one-entry cache per function: the
+    (k, width) rows of "max over key without key[j]", rebuilt when ``key``
+    differs from the last one seen for that function.  Each value is the
+    same column maxima reduced by the same last-axis ``np.add.reduce`` as
+    f_i, so it equals f_i on that set bit for bit.
+
+    Raises ``ValueError`` before any matrix is built when a point or a
+    region member has a non-finite coordinate.
     """
     ground = GroundSet(len(points), tuple(points))
     coords = np.asarray(points, dtype=float)
+    if not np.isfinite(coords).all():
+        raise ValueError("point coordinates must be finite")
+    members = [np.asarray(region.members, dtype=float) for region in regions]
+    for i, rc in enumerate(members):
+        if not np.isfinite(rc).all():
+            raise ValueError(f"region {i} has a non-finite member coordinate")
     matrices = []
     with np.errstate(under="ignore"):
-        for region in regions:
-            rc = np.asarray(region.members, dtype=float)
+        for rc in members:
             d = np.abs(coords[:, None, :] - rc[None, :, :]).sum(axis=2)
             z = np.exp(-200.0 * d)
             matrices.append(2.0 * z / (1.0 + z))
@@ -87,7 +104,25 @@ def facility_family(points: Sequence[Point],
                 np.maximum.reduce(mat.take(ids, axis=0), axis=0)))
         return f
 
-    return ObjectiveFamily(ground, [make(mat) for mat in matrices])
+    last_keys = [None] * len(matrices)
+    without = [None] * len(matrices)  # per function: rows for last_keys[i]
+
+    def swaps(i: int, key: tuple, x: int) -> np.ndarray:
+        mat = matrices[i]
+        if key != last_keys[i]:
+            k = len(key)
+            rows = mat.take(key, axis=0)
+            # row j: the max over every chosen row but the j-th; -inf, the
+            # identity of max, where no row is left (k == 1)
+            without[i] = np.maximum.reduce(
+                np.broadcast_to(rows, (k,) + rows.shape), axis=1,
+                where=~np.eye(k, dtype=bool)[:, :, None], initial=-np.inf)
+            last_keys[i] = key
+        return np.add.reduce(np.maximum(without[i], mat[x]), axis=1)
+
+    F = ObjectiveFamily(ground, [make(mat) for mat in matrices])
+    F._swaps = swaps
+    return F
 
 
 def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:

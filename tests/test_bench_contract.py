@@ -43,19 +43,25 @@ def test_traced_value_calls_equal_evals(tracer):
     F = make_synthetic("coverage", 30, 3, seed=5)
     order = list(range(30))
     np.random.default_rng(5).shuffle(order)
+    # facility families carry swap kernels: their at-budget greedy probes
+    # are batched, yet each eval must still be one traced value call
+    G = make_synthetic("facility", 30, 3, seed=5)
+    assert G._swaps is not None
     solves = [
-        lambda: ThresholdManager(F, 0.5, 5, 2).run(order).best_solution(),
-        lambda: greedy.replacement_greedy(F, range(30), 5, 2),
-        lambda: distributed.distributed_fast(F, 3, 0.5, 5, 2, seed=5),
+        (F, lambda: ThresholdManager(F, 0.5, 5, 2).run(order).best_solution()),
+        (F, lambda: greedy.replacement_greedy(F, range(30), 5, 2)),
+        (F, lambda: distributed.distributed_fast(F, 3, 0.5, 5, 2, seed=5)),
+        (G, lambda: greedy.replacement_greedy(G, range(30), 5, 2)),
+        (G, lambda: distributed.replacement_distributed(G, 3, 5, 2, seed=5)),
     ]
     tr = tracer.Tracer()
     evals = []
     with tr.installed():
-        for solve in solves:
-            before = F.evals
+        for fam, solve in solves:
+            before = fam.evals
             with tr.span("solve"):
                 solve()
-            evals.append(F.evals - before)
+            evals.append(fam.evals - before)
     assert all(e > 0 for e in evals)
     spans = tracer.Spans(tr, [1.0] * len(solves))
     assert spans.value_calls_per_solve() == evals

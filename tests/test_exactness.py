@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage.core import (InvariantViolation, SwapOutcome, TwoStageSolution,
-                           check_budgets, evaluate_solution, lambda_gain,
-                           marginal, nabla, rep, solution_from_sets)
+from twostage.core import (InvariantViolation, ObjectiveFamily, SwapOutcome,
+                           TwoStageSolution, check_budgets, evaluate_solution,
+                           lambda_gain, marginal, nabla, rep,
+                           solution_from_sets)
 from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
 from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
@@ -472,6 +473,63 @@ def test_replacement_greedy_matches_reference_driver(kind, seed, data):
     got = outcome(F, replacement_greedy, cands, ell, k)
     want = outcome(F, ref_replacement_greedy, cands, ell, k)
     assert got == want
+
+
+# region widths that take each branch of numpy's pairwise sum: the plain
+# loop below 8, the 8-way unrolled loop without and with a remainder, and the
+# recursive split above 128
+REGION_WIDTHS = [1, 8, 9, 17, 129, 200]
+
+
+def wide_facility(seed, n, m, data):
+    """A facility family whose regions are REGION_WIDTHS wide, not n-bounded."""
+    rng = np.random.default_rng(seed)
+    points = [Point(float(x), float(y)) for x, y in rng.uniform(0, 0.03, (n, 2))]
+    regions = [Region(tuple(Point(float(x), float(y)) for x, y in rng.uniform(
+        0, 0.03, (data.draw(st.sampled_from(REGION_WIDTHS)), 2))))
+        for _ in range(m)]
+    return facility_family(points, regions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_facility_swap_kernel_is_bit_identical(seed, data):
+    n = 12
+    F = wide_facility(seed, n, 2, data)
+    for _ in range(4):  # the cache is rebuilt whenever the key changes
+        i = data.draw(st.integers(0, 1))
+        key = tuple(sorted(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=4, unique=True))))
+        x = data.draw(st.integers(0, n - 1).filter(lambda e: e not in key))
+        got = F._swaps(i, key, x).tolist()
+        assert got == [F._functions[i](tuple(sorted(key[:j] + key[j + 1:]
+                                                    + (x,))))
+                       for j in range(len(key))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_swap_kernel_solvers_match_the_scalar_path(seed, data):
+    """Greedy, its merges and its workers on a family with swap kernels
+    equal the same objectives without them, evals included."""
+    n = data.draw(st.integers(4, 14))
+    F = wide_facility(seed, n, data.draw(st.integers(1, 3)), data)
+    G = ObjectiveFamily(F.ground, F._functions)
+    assert F._swaps is not None and G._swaps is None
+    k = data.draw(st.integers(1, 4))
+    ell = data.draw(st.integers(k, k + 3))
+    cands = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=2 * n))
+    M = data.draw(st.integers(1, 4))
+    solves = [
+        (replacement_greedy, (cands, ell, k)),
+        (replacement_distributed, (M, ell, k, seed)),
+        (distributed_fast, (M, 0.5, ell, k, seed)),
+    ]
+    for solver, args in solves:
+        # TwoStageSolution equality is summary, sets, value and budgets
+        assert outcome(F, solver, *args) == outcome(G, solver, *args)
+        assert F._memo is None
 
 
 class RefThresholdManager(ThresholdManager):

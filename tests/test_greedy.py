@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from twostage.core import NonFiniteValueError
+from twostage.core import NonFiniteValueError, ObjectiveFamily
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
 from twostage.oracle import brute_force_opt
 
-from conftest import NON_FINITE, modular_family, poisoned_family
+from conftest import (NON_FINITE, kernel_counted, modular_family,
+                      poisoned_family)
 
 GREEDY_RATIO = 0.5 * (1.0 - np.exp(-2.0))  # about 0.4323
 
@@ -72,3 +73,74 @@ def test_guarantee_on_random_instances(kind):
 def test_non_finite_objective_raises(bad):
     with pytest.raises(NonFiniteValueError, match="function 1"):
         replacement_greedy(poisoned_family(bad), range(6), ell=3, k=2)
+
+
+def scalar_swaps(F):
+    """A swap kernel for F computed set by set from its own objectives."""
+    def swaps(i, key, x):
+        return np.array([F._functions[i](tuple(sorted(key[:j] + key[j + 1:]
+                                                      + (x,))))
+                         for j in range(len(key))])
+    return swaps
+
+
+class TestSwapProbeMemo:
+    def test_at_budget_probes_are_served_by_the_kernel(self):
+        F = make_synthetic("facility", 12, 3, seed=2)
+        G, scalar_calls = kernel_counted(F)
+        K, calls = kernel_counted(F)
+        K._swaps = F._swaps
+        runs = [(replacement_greedy(fam, range(12), 4, 2), fam.evals)
+                for fam in (K, G)]
+        assert runs[0] == runs[1]
+        assert calls[0] < scalar_calls[0]
+        assert K._memo is None
+
+    def test_no_memo_is_left_open_after_the_kernel_raises(self):
+        F = make_synthetic("facility", 12, 3, seed=2)
+
+        def broken(i, key, x):
+            raise RuntimeError("swap kernel failed")
+        F._swaps = broken
+        with pytest.raises(RuntimeError, match="swap kernel failed"):
+            replacement_greedy(F, range(12), 4, 2)
+        assert F._memo is None
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_no_memo_is_left_open_after_a_probe_raises(self, bad):
+        # f_1 is modular but non-finite on sets holding both 1 and 3.  Greedy
+        # takes 0, then 1; only round 3's swap of 3 for 0 meets {1, 3}, so
+        # the kernel's value is not stored and value() raises mid-probe.
+        def f1(ids):
+            return bad if {1, 3} <= set(ids) else sum((10.0, 5.0, 0.0, 1.0)[e]
+                                                      for e in ids)
+        F = modular_family((10.0, 5.0, 0.0, 0.0))
+        F = ObjectiveFamily(F.ground, [F._functions[0], f1])
+        F._swaps = scalar_swaps(F)
+        with pytest.raises(NonFiniteValueError, match=r"function 1 .*\(1, 3\)"):
+            replacement_greedy(F, range(4), ell=3, k=2)
+        assert F._memo is None
+
+    def test_kernel_values_are_normalised_by_the_offsets(self):
+        # every shifted f_i is 7 on the empty set, so value() subtracts 7;
+        # served swap values must be shifted the same way
+        base = make_synthetic("coverage", 10, 3, seed=6)
+        shifted = [lambda ids, f=f: 7.0 + f(ids) for f in base._functions]
+        F = ObjectiveFamily(base.ground, shifted)
+        G = ObjectiveFamily(base.ground, shifted)
+        F._swaps = scalar_swaps(F)
+        assert F._offsets == [7.0] * 3
+        got = (replacement_greedy(F, range(10), 4, 2), F.evals)
+        assert got == (replacement_greedy(G, range(10), 4, 2), G.evals)
+
+    def test_non_finite_kernel_values_are_evaluated_again(self):
+        # a kernel value that is not finite is never served: value() calls
+        # f_i, so the run still equals the scalar one
+        F = make_synthetic("facility", 12, 3, seed=4)
+        G = ObjectiveFamily(F.ground, F._functions)
+        swaps = F._swaps
+        F._swaps = lambda i, key, x: swaps(i, key, x) * (np.nan if i == 2
+                                                          else 1.0)
+        got = (replacement_greedy(F, range(12), 4, 2), F.evals)
+        assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
+        assert F._memo is None

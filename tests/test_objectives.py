@@ -71,6 +71,37 @@ class TestFacilityValue:
         assert F.value(0, chosen) == pytest.approx(expected, abs=TOL)
 
 
+class TestFacilityFamily:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where,match", [
+        ("point", "point coordinates"), ("member", "region 1")])
+    def test_rejects_non_finite_coordinates_before_any_matrix(
+            self, monkeypatch, bad, where, match):
+        points = [Point(0.0, 0.0), Point(0.01, 0.0), Point(0.0, 0.01)]
+        regions = [Region((Point(0.0, 0.0),)),
+                   Region((Point(0.01, 0.01), Point(0.02, 0.0)))]
+        if where == "point":
+            points[2] = Point(0.0, bad)
+        else:
+            regions[1] = Region((Point(0.01, 0.01), Point(bad, 0.0)))
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a convenience matrix was built")
+        monkeypatch.setattr(np, "exp", no_matrix)
+        with pytest.raises(ValueError, match=match):
+            facility_family(points, regions)
+
+    def test_swap_kernel_gives_every_swap_value(self):
+        F = make_synthetic("facility", 8, 3, seed=1)
+        key, x = (1, 4, 6), 2
+        for i in range(F.m):
+            assert F._swaps(i, key, x).tolist() == [
+                F.value(i, s) for s in ((2, 4, 6), (1, 2, 6), (1, 2, 4))]
+
+    def test_plain_families_have_no_swap_kernel(self):
+        assert make_synthetic("coverage", 8, 3, seed=1)._swaps is None
+
+
 class TestExemplarValue:
     def test_empty_selection(self):
         members = np.array([[1.0, 2.0], [3.0, 0.0]])
