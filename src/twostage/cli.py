@@ -30,7 +30,7 @@ from .distributed import distributed_fast, replacement_distributed
 from .greedy import replacement_greedy
 from .objectives import (Point, Region, exemplar_family, facility_family,
                          make_synthetic)
-from .streaming import ThresholdManager
+from .streaming import ThresholdManager, _check_epsilon
 
 ALGORITHMS = ("greedy", "streaming", "distributed", "fast", "oracle")
 # The sweep axes each algorithm reads besides (ell, k); the others it ignores.
@@ -79,8 +79,10 @@ class ExperimentConfig:
             if v < 1:
                 raise ConfigError("ell, k, M and oracle_budget must be >= 1")
         for e in self.epsilons:
-            if not e > 0:
-                raise ConfigError("epsilon must be positive")
+            try:
+                _check_epsilon(e, max(self.ells))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         for a in self.algorithms:

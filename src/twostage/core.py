@@ -13,9 +13,10 @@ candidate element ``x`` against a partial solution ``A``:
 
 The four public primitives are the checked form: they take any iterable,
 validate the candidate and the set, and evaluate a missing base.  All of
-them run the same swap loop, ``_move``, which trusts its caller; the
-streaming and greedy drivers call ``_move`` directly on the sorted
-per-function tuples they hold and apply the threshold or clamp inline.
+them run the same swap loop, ``_move``, which trusts its caller.  The
+greedy and streaming drivers keep their solution in a ``_Sets``, whose
+``probe`` picks the kernel and counts a candidate's moves by the clamp or
+the threshold, and whose ``add`` applies them.
 
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
@@ -24,9 +25,9 @@ measure: a code path performs the same evals every time it runs.  Two memos
 serve evals from values already computed rather than from the objective, and
 they are still counted one ``value`` call each: repeats within one streaming
 element (``ThresholdManager.process`` opens ``_memo_scope`` around each
-element), and the k swap sets of one at-budget greedy probe on a family with
-a swap kernel (``_swap_move`` fills them from one ``F._swaps`` call).
-Nothing else is memoised.
+element), and, outside such a scope, the k swap sets of one at-budget move
+of ``_Sets.probe`` on a family with a swap kernel (``_swap_move`` fills them
+from one ``F._swaps`` call).  Nothing else is memoised.
 """
 
 from __future__ import annotations
@@ -196,27 +197,14 @@ def solution_from_sets(F: ObjectiveFamily, summary, per_function,
     return sol
 
 
-_NO_MOVE = SwapOutcome(None, 0.0)
-
-
-def _sorted_ids(A: Iterable[int]) -> tuple:
-    """The distinct ids of A as a sorted tuple; a set is sorted without a copy."""
-    if not isinstance(A, (set, frozenset)):
-        A = set(A)
-    return tuple(sorted(A))
-
-
 def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
-          k: int, base: float) -> tuple:
-    """Raw gain of x against the sorted tuple ``key``: ``(replaced, gain)``.
+          base: float) -> tuple:
+    """Best single swap of x for some y in the sorted tuple ``key``:
+    ``(y, gain)``; the gain may be negative and ties go to the lowest y.
 
-    Unchecked: ``value`` is the bound ``F.value``, ``key`` must not contain
-    x, and ``base`` is f_i(key).  Below budget (``len(key) < k``) this is the
-    insertion gain.  At budget it is the best single swap of x for some y in
-    ``key``; the gain may be negative and ties go to the lowest y.
+    Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
+    and must not contain x, and ``base`` is f_i(key).
     """
-    if len(key) < k:
-        return None, value(i, key + (x,)) - base
     best_y = None
     best_gain = 0.0
     for j, y in enumerate(key):
@@ -229,14 +217,13 @@ def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
 
 def _swap_move(F: ObjectiveFamily, i: int, key: tuple, x: int,
                base: float) -> tuple:
-    """``_move`` at budget, its k evals served from F's swap kernel.
+    """``_move``, its k = len(key) evals served from F's swap kernel.
 
-    Unchecked like ``_move``: ``key`` is sorted, non-empty, at budget and
-    without x.  ``F._swaps`` computes the k swap sets' raw values in one
-    call; a memo holding just those values, normalised and finite, is open
-    for function i while ``_move`` makes its k counted ``value`` calls, and
-    the previous memo is back when this returns or raises.  A non-finite
-    value is not stored, so its ``value`` call evaluates f_i and raises.
+    Unchecked like ``_move``.  One ``F._swaps`` call computes the k swap
+    sets' raw values; a memo of just those, normalised and finite, is open
+    for function i during ``_move``'s k counted ``value`` calls, and the
+    previous memo is back when this returns or raises.  A non-finite value
+    is not stored, so its ``value`` call evaluates f_i and raises.
     """
     offset = F._offsets[i]
     p = bisect_left(key, x)
@@ -251,17 +238,73 @@ def _swap_move(F: ObjectiveFamily, i: int, key: tuple, x: int,
     memo[i] = entries
     outer, F._memo = F._memo, memo
     try:
-        return _move(F.value, i, key, x, len(key), base)
+        return _move(F.value, i, key, x, base)
     finally:
         F._memo = outer
 
 
+class _Sets:
+    """A two-stage solution under construction: the summary ``S``, one
+    sorted tuple ``T[i]`` per function and its cached value ``base[i]``."""
+
+    def __init__(self, m: int):
+        self.S = set()
+        self.T = [()] * m
+        self.base = [0.0] * m
+
+    def probe(self, F: ObjectiveFamily, x: int, k: int,
+              step: float | None = None) -> tuple:
+        """The moves of x, not in S, as ``(replaced, gains)`` lists by function.
+
+        A gain counts as ``lambda_gain``'s if ``step`` is None, else as
+        ``nabla``'s with the bar ``step * base[i]``; one that does not count
+        is 0.0 with replaced None.  F's swap kernel serves at-budget moves
+        unless a memo scope is open, which serves them already."""
+        value = F.value
+        swaps = F._swaps is not None and F._memo is None
+        base = self.base
+        replaced = []
+        gains = []
+        for i, key in enumerate(self.T):
+            b = base[i]
+            if len(key) < k:
+                r, g = None, value(i, key + (x,)) - b
+            elif swaps:
+                r, g = _swap_move(F, i, key, x, b)
+            else:
+                r, g = _move(value, i, key, x, b)
+            if not ((r is None or g > 0) and (step is None or g >= step * b)):
+                r, g = None, 0.0
+            replaced.append(r)
+            gains.append(g)
+        return replaced, gains
+
+    def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list):
+        """Put x in S, and in each T[i] whose gain is positive, in place
+        of ``replaced[i]``; re-evaluate those ``base[i]``."""
+        self.S.add(x)
+        T = self.T
+        for i, gain in enumerate(gains):
+            if gain > 0:
+                T[i] = tuple(sorted([y for y in T[i] if y != replaced[i]]
+                                    + [x]))
+                self.base[i] = F.value(i, T[i])
+
+    def total(self) -> float:
+        return sum(self.base) / len(self.base)
+
+
+def _check_alpha(alpha: float):
+    """Raise ValueError unless alpha > 0 (the exchange threshold's factor)."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+
+
 def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
            base: float | None) -> tuple:
-    """``_move`` with its arguments checked and a missing base evaluated.
-
-    Below budget, exactly 0.0 with no eval when x is already in ``key``;
-    at budget, ``key`` must be non-empty and must not contain x.
+    """The raw move of x against ``key`` with its arguments checked and a
+    missing base evaluated: the insertion gain below budget ``k`` (exactly
+    0.0 with no eval when x is already in ``key``), else ``_move``.
     """
     if not 0 <= x < F.ground.n:
         raise ValueError(f"element {x} out of range [0, {F.ground.n})")
@@ -274,7 +317,9 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
         raise ValueError("candidate already in the set")
     if base is None:
         base = F.value(i, key)
-    return _move(F.value, i, key, x, k, base)
+    if len(key) < k:
+        return None, F.value(i, key + (x,)) - base
+    return _move(F.value, i, key, x, base)
 
 
 def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -283,7 +328,7 @@ def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
 
     ``base`` lets callers reuse a cached f_i(A) instead of re-evaluating.
     """
-    key = _sorted_ids(A)
+    key = tuple(sorted(set(A)))
     # a budget above |A| always takes the insertion path
     return _probe(F, i, x, key, len(key) + 1, base)[1]
 
@@ -295,7 +340,7 @@ def rep(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     The gain may be negative.  Ties break toward the lowest replaced id.
     """
     # budget 0 always takes the swap path
-    return SwapOutcome(*_probe(F, i, x, _sorted_ids(A), 0, base))
+    return SwapOutcome(*_probe(F, i, x, tuple(sorted(set(A))), 0, base))
 
 
 def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -307,18 +352,8 @@ def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     bar.  Anything below the bar contributes 0.  The returned gain is
     always >= 0; ``replaced`` is set only for an accepted swap.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    key = _sorted_ids(A)
-    if len(key) > k:
-        raise InvariantViolation("per-function solution larger than its budget")
-    if base is None:
-        base = F.value(i, key)
-    threshold = (alpha / k) * base
-    replaced, gain = _probe(F, i, x, key, k, base)
-    if gain >= threshold and (replaced is None or gain > 0):
-        return SwapOutcome(replaced, gain)
-    return _NO_MOVE
+    _check_alpha(alpha)
+    return _counted(F, i, x, A, k, base, alpha / k)
 
 
 def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -329,15 +364,21 @@ def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     at 0.  A zero-gain swap is reported with ``replaced`` unset so callers
     treat it as a no-op.
     """
-    key = _sorted_ids(A)
+    return _counted(F, i, x, A, k, base, None)
+
+
+def _counted(F: ObjectiveFamily, i: int, x: int, A: Iterable[int], k: int,
+             base: float | None, step: float | None) -> SwapOutcome:
+    """The move of x against A, counted by ``_Sets.probe``'s rule."""
+    key = tuple(sorted(set(A)))
     if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     if base is None:
         base = F.value(i, key)
     replaced, gain = _probe(F, i, x, key, k, base)
-    if replaced is None or gain > 0:
+    if (replaced is None or gain > 0) and (step is None or gain >= step * base):
         return SwapOutcome(replaced, gain)
-    return _NO_MOVE
+    return SwapOutcome(None, 0.0)
 
 
 def evaluate_solution(F: ObjectiveFamily, sol: TwoStageSolution) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .core import ObjectiveFamily, TwoStageSolution
+from .core import ObjectiveFamily, TwoStageSolution, check_budgets
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -39,8 +39,7 @@ def brute_force_opt(F: ObjectiveFamily, ell: int, k: int,
     solution is built from the enumeration's own values; evaluating it again
     would add evals beyond ``estimate_work``.
     """
-    if ell < 1 or k < 1:
-        raise ValueError("budgets must be at least 1")
+    check_budgets(ell, k)
     work = estimate_work(F.ground.n, ell, k, F.m)
     if work > max_evaluations:
         raise OracleBudgetError(

@@ -10,12 +10,12 @@ surviving runs always carries a near-correct threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (InvariantViolation, ObjectiveFamily, TwoStageSolution,
-                   _move, check_budgets, empty_solution, solution_from_sets)
-# exchange fuses nabla's threshold into its own loop; the name stays bound
+                   _check_alpha, _Sets, check_budgets, empty_solution,
+                   solution_from_sets)
+# exchange counts nabla's threshold in _Sets.probe; the name stays bound
 # here because perfbench/tracer.py wraps streaming.nabla, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
 from .core import nabla  # noqa: F401
@@ -45,35 +45,28 @@ class InstanceBudgetError(ValueError):
     raised before any eval."""
 
 
-def _check_alpha(alpha: float):
-    """Raise ValueError unless alpha > 0 (the exchange threshold's factor)."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+def _check_epsilon(epsilon: float, ell: int):
+    """Raise ValueError unless epsilon > 0, 1 + epsilon > 1, and the grid's
+    span (1 + epsilon) * beta * ell = (BETA + epsilon) * ell is finite."""
+    if not (epsilon > 0 and 1.0 + epsilon > 1.0
+            and math.isfinite((BETA + epsilon) * ell)):
+        raise ValueError(f"epsilon must be positive, with 1 + epsilon > 1 "
+                         f"and a finite grid at ell={ell}, got {epsilon}")
 
 
-@dataclass
-class StreamState:
-    """Mutable state of one exchange run (one threshold)."""
+class StreamState(_Sets):
+    """Mutable state of one exchange run (one threshold), empty at first;
+    ``trace`` holds the ever-in-T_i sets on instrumented runs, else None."""
 
-    ell: int
-    k: int
-    alpha: float
-    tau: float
-    S: set = field(default_factory=set)
-    T: list = field(default_factory=list)      # one sorted tuple per function
-    base: list = field(default_factory=list)   # cached f_i(T_i)
-    trace: list | None = None                  # ever-in-T_i sets, instrumented runs only
-
-    @classmethod
-    def fresh(cls, m: int, ell: int, k: int, alpha: float, tau: float,
-              instrument: bool = False) -> "StreamState":
+    def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
+                 instrument: bool = False):
         _check_alpha(alpha)
-        return cls(ell=ell, k=k, alpha=alpha, tau=tau,
-                   T=[()] * m, base=[0.0] * m,
-                   trace=[set() for _ in range(m)] if instrument else None)
-
-    def total(self) -> float:
-        return sum(self.base) / len(self.base)
+        super().__init__(m)
+        self.ell = ell
+        self.k = k
+        self.alpha = alpha
+        self.tau = tau
+        self.trace = [set() for _ in range(m)] if instrument else None
 
 
 def exchange(F: ObjectiveFamily, u: int, state: StreamState,
@@ -86,29 +79,15 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
 
     The per-function gain is ``nabla``'s: the raw move of u against T_i
     counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
-    is also positive; anything else contributes 0.
+    is also positive; anything else contributes 0.  The moves come from
+    ``_Sets.probe`` and are applied by ``_Sets.add``.
     """
-    S = state.S
-    if u in S or len(S) >= state.ell:
+    if u in state.S or len(state.S) >= state.ell:
         return False
     if not 0 <= u < F.ground.n:
         raise ValueError(f"element {u} out of range [0, {F.ground.n})")
-    m = F.m
-    T, base, k = state.T, state.base, state.k
-    step = state.alpha / k
-    value = F.value
-    moves = []
-    gains = []
-    for i in range(m):
-        b = base[i]
-        replaced, gain = _move(value, i, T[i], u, k, b)
-        if gain >= step * b and (replaced is None or gain > 0):
-            moves.append(replaced)
-            gains.append(gain)
-        else:
-            moves.append(None)
-            gains.append(0.0)
-    avg = sum(gains) / m
+    replaced, gains = state.probe(F, u, state.k, state.alpha / state.k)
+    avg = sum(gains) / F.m
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
             f"average gain {avg} exceeds the running singleton maximum {delta}")
@@ -116,14 +95,11 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
         return False
 
     before = state.total()
-    S.add(u)
-    for i, replaced in enumerate(moves):
-        if gains[i] > 0:
-            T[i] = tuple(sorted([y for y in T[i] if y != replaced] + [u]))
-            base[i] = value(i, T[i])
-            if state.trace is not None:
-                state.trace[i].add(u)
+    state.add(F, u, replaced, gains)
     if state.trace is not None:
+        for i, gain in enumerate(gains):
+            if gain > 0:
+                state.trace[i].add(u)
         _check_trace_bound(F, state)
         if state.total() - before < state.tau - TOL:
             raise InvariantViolation(
@@ -153,8 +129,8 @@ def run_know_opt(stream: Iterable[int], F: ObjectiveFamily, opt: float,
     if not 0 < opt < math.inf:
         raise ValueError(f"opt must be positive and finite, got {opt}")
     check_budgets(ell, k)
-    state = StreamState.fresh(F.m, ell, k, alpha, opt / (BETA * ell),
-                              instrument=instrument)
+    state = StreamState(F.m, ell, k, alpha, opt / (BETA * ell),
+                        instrument=instrument)
     for u in stream:
         exchange(F, u, state)
     return solution_from_sets(F, state.S, state.T, ell, k)
@@ -181,9 +157,8 @@ class ThresholdManager:
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
                  alpha: float = 1.0, instrument: bool = False):
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
         check_budgets(ell, k)
+        _check_epsilon(epsilon, ell)
         _check_alpha(alpha)
         self.F = F
         self.epsilon = epsilon
@@ -240,7 +215,7 @@ class ThresholdManager:
         grid = 1.0 + self.epsilon
         for l in active:
             if l not in self.instances:
-                self.instances[l] = StreamState.fresh(
+                self.instances[l] = StreamState(
                     self.F.m, self.ell, self.k, self.alpha, grid ** l,
                     instrument=self.instrument)
         if self.instrument and len(self.instances) > self.instance_bound():

@@ -176,6 +176,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="epsilon"):
             run_experiment(ExperimentConfig(epsilons=(0.5, float("nan"))))
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), 1e308])
+    def test_overflowing_epsilon_fails_before_any_family_is_built(
+            self, monkeypatch, epsilon):
+        def build(config):
+            raise AssertionError("built a family")
+
+        monkeypatch.setattr(cli, "_build_family", build)
+        with pytest.raises(ConfigError, match="epsilon"):
+            run_experiment(ExperimentConfig(epsilons=(0.5, epsilon)))
+
     def test_infeasible_oracle_is_skipped_not_fatal(self):
         config = ExperimentConfig(objective="modular", n=20, m=2,
                                   ells=(5,), ks=(2,), oracle_budget=10,
@@ -481,6 +491,23 @@ class TestMain:
         assert capsys.readouterr().out == (
             "opt_value=1.7384758971936471\nsummary=[3, 4, 5]\n"
             "T[0]=[4, 5]\nT[1]=[3, 4]\n")
+
+    def test_oracle_refuses_k_above_ell(self, capsys):
+        assert main(["oracle", "--objective", "modular", "--n", "5",
+                     "--m", "2", "--ell", "2", "--k", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: per-function budget k=3 cannot exceed ell=2\n")
+
+    @pytest.mark.parametrize("epsilon", ["inf", "1e308"])
+    def test_run_refuses_an_overflowing_epsilon(self, capsys, epsilon):
+        assert main(["run", "--objective", "modular", "--n", "5", "--m", "2",
+                     "--epsilon", epsilon, "--algorithms", "streaming"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon must be positive")
+        assert "Traceback" not in captured.err
 
     def test_oracle_validates_its_config(self, capsys):
         assert main(["oracle", "--objective", "exemplar-csv"]) == 1

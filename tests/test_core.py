@@ -205,6 +205,14 @@ class TestNabla:
             out = nabla(F, 0, x, {0, 1}, alpha=1.0, k=2)
             assert out.gain >= 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_nonpositive_alpha_fails_before_any_eval(self, alpha):
+        F = modular_family((1.0, 2.0))
+        before = F.evals
+        with pytest.raises(ValueError, match="alpha"):
+            nabla(F, 0, 1, [0], alpha, 2)
+        assert F.evals == before
+
 
 class TestLambdaGain:
     def test_insertion_below_budget(self):

@@ -22,7 +22,7 @@ from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
                                  facility_family, make_synthetic)
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
-                                _check_trace_bound, exchange)
+                                _check_trace_bound, exchange, run_know_opt)
 
 from conftest import kernel_counted
 
@@ -447,8 +447,8 @@ def test_exchange_matches_reference_driver(kind, seed, data):
     tau = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0])) * top
     delta = data.draw(st.sampled_from([None, top, 0.3 * top]))
     stream = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
-    new = StreamState.fresh(F.m, ell, k, alpha, tau, instrument=instrument)
-    ref = StreamState.fresh(F.m, ell, k, alpha, tau, instrument=instrument)
+    new = StreamState(F.m, ell, k, alpha, tau, instrument=instrument)
+    ref = StreamState(F.m, ell, k, alpha, tau, instrument=instrument)
     ref.T = [set() for _ in range(F.m)]
     for u in stream:
         got = outcome(F, exchange, u, new, delta)
@@ -510,8 +510,9 @@ def test_facility_swap_kernel_is_bit_identical(seed, data):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), data=st.data())
 def test_swap_kernel_solvers_match_the_scalar_path(seed, data):
-    """Greedy, its merges and its workers on a family with swap kernels
-    equal the same objectives without them, evals included."""
+    """Greedy, its merges and its workers, and both streaming solvers, on a
+    family with swap kernels equal the same objectives without them, evals
+    included."""
     n = data.draw(st.integers(4, 14))
     F = wide_facility(seed, n, data.draw(st.integers(1, 3)), data)
     G = ObjectiveFamily(F.ground, F._functions)
@@ -521,15 +522,47 @@ def test_swap_kernel_solvers_match_the_scalar_path(seed, data):
     cands = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                max_size=2 * n))
     M = data.draw(st.integers(1, 4))
+    opt = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    instrument = data.draw(st.booleans())
+
+    def know_opt(F):
+        return run_know_opt(cands, F, opt, ell, k, instrument=instrument)
+
+    def manager(F):
+        mgr = ThresholdManager(F, 0.5, ell, k, instrument=instrument)
+        mgr.run(cands)
+        return mgr.all_solutions(), mgr.peak_stored, mgr.max_instances
+
     solves = [
         (replacement_greedy, (cands, ell, k)),
         (replacement_distributed, (M, ell, k, seed)),
         (distributed_fast, (M, 0.5, ell, k, seed)),
+        (know_opt, ()),
+        (manager, ()),
     ]
     for solver, args in solves:
         # TwoStageSolution equality is summary, sets, value and budgets
         assert outcome(F, solver, *args) == outcome(G, solver, *args)
         assert F._memo is None
+
+
+def test_swap_kernel_serves_probes_outside_a_memo_scope_only():
+    """run_know_opt opens no memo scope, so its at-budget probes use the
+    kernel; ThresholdManager's per-element scope serves them instead."""
+    F = make_synthetic("facility", 30, 3, seed=2)
+    kernel = F._swaps
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    F._swaps = counted
+    sol = run_know_opt(range(30), F, 0.5, 6, 2)
+    assert calls and all(len(T) == 2 for T in sol.per_function)
+    calls.clear()
+    ThresholdManager(F, 0.5, 6, 2).run(range(30))
+    assert calls == []
 
 
 class RefThresholdManager(ThresholdManager):

@@ -38,6 +38,16 @@ def test_single_function_collapse():
     assert res.value == pytest.approx(best, abs=1e-9)
 
 
+@pytest.mark.parametrize("ell,k", [(2, 3), (0, 1), (2, 0)])
+def test_bad_budgets_raise_before_any_eval(ell, k):
+    # k > ell is refused like every other solver refuses it
+    F = make_synthetic("modular", 5, 2, seed=0)
+    before = F.evals
+    with pytest.raises(ValueError, match="budget"):
+        brute_force_opt(F, ell, k)
+    assert F.evals == before
+
+
 def test_budget_refusal_is_loud():
     F = make_synthetic("modular", 30, 2, seed=0)
     with pytest.raises(OracleBudgetError):

@@ -19,7 +19,7 @@ from conftest import NON_FINITE, modular_family, poisoned_family
 
 
 def fresh_state(F, ell, k, tau, alpha=1.0):
-    return StreamState.fresh(F.m, ell, k, alpha, tau)
+    return StreamState(F.m, ell, k, alpha, tau)
 
 
 class TestExchange:
@@ -112,8 +112,9 @@ class TestAlpha:
         assert F.evals == before
 
     def test_fresh_state_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            StreamState.fresh(2, 3, 2, 0.0, 1.0)
+        for alpha in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                StreamState(2, 3, 2, alpha, 1.0)
 
 
 EPSILON_ENTRY_POINTS = {
@@ -126,13 +127,25 @@ EPSILON_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(EPSILON_ENTRY_POINTS))
-@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0])
+# inf, and 1e308 at ell=3, overflow the grid's span (BETA + epsilon) * ell;
+# 1e-17 leaves 1 + epsilon == 1, a grid with no steps
+@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -1.0, float("inf"),
+                                     1e308, 1e-17])
 def test_bad_epsilon_fails_before_any_eval(entry, epsilon):
     F = make_synthetic("modular", 6, 2, seed=0)
     before = F.evals
     with pytest.raises(ValueError, match="epsilon must be positive"):
         EPSILON_ENTRY_POINTS[entry](F, epsilon)
     assert F.evals == before
+
+
+def test_largest_epsilon_with_a_finite_grid_span_runs():
+    # (BETA + 1e308) * ell is finite at ell=1 only
+    F = make_synthetic("modular", 6, 2, seed=0)
+    sol = ThresholdManager(F, 1e308, 1, 1).run(range(6)).best_solution()
+    assert len(sol.summary) == 1
+    with pytest.raises(ValueError, match="epsilon"):
+        ThresholdManager(F, 1e308, 2, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +220,7 @@ class TestThresholdManager:
             for l in set(mgr.instances) - before:
                 created_at[(l, id(mgr.instances[l]))] = (t, mgr.instances[l].tau)
         for (l, _), (t, tau) in created_at.items():
-            replay = StreamState.fresh(F.m, 3, 2, 1.0, tau)
+            replay = StreamState(F.m, 3, 2, 1.0, tau)
             for u in range(t):
                 assert not exchange(F, u, replay)
 
