@@ -9,9 +9,8 @@ with a brute-force oracle for desk-scale verification.
 from .core import (GroundSet, InvariantViolation, ObjectiveFamily,
                    SwapOutcome, TwoStageSolution, evaluate_solution,
                    lambda_gain, marginal, nabla, rep)
-from .distributed import (PartitionPlan, distributed_fast, partition,
-                          pseudo_streaming, recommend_machine_count,
-                          replacement_distributed)
+from .distributed import (distributed_fast, partition, pseudo_streaming,
+                          recommend_machine_count, replacement_distributed)
 from .greedy import replacement_greedy
 from .objectives import (CoverageSpec, Point, Region, exemplar_family,
                          exemplar_value, facility_convenience, facility_family,
@@ -24,8 +23,8 @@ __all__ = [
     "GroundSet", "InvariantViolation", "ObjectiveFamily", "SwapOutcome",
     "TwoStageSolution", "evaluate_solution", "lambda_gain", "marginal",
     "nabla", "rep",
-    "PartitionPlan", "distributed_fast", "partition",
-    "pseudo_streaming", "recommend_machine_count", "replacement_distributed",
+    "distributed_fast", "partition", "pseudo_streaming",
+    "recommend_machine_count", "replacement_distributed",
     "replacement_greedy",
     "CoverageSpec", "Point", "Region", "exemplar_family", "exemplar_value",
     "facility_convenience", "facility_family", "facility_value",

@@ -188,7 +188,7 @@ def build_regions(points: GroundSet, m: int, radius: float, cap: int,
                   seed: int) -> list:
     """m seeded demand regions, each up to ``cap`` points within ``radius`` of a
     uniformly drawn center."""
-    if m < 1 or radius <= 0 or cap < 1:
+    if m < 1 or not radius > 0 or cap < 1:
         raise ValueError("need m >= 1, radius > 0, cap >= 1")
     pts = points.payload
     xs = [p.x for p in pts]
@@ -425,20 +425,23 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if args.kind == "features" and args.class_count < 1:
+        raise ConfigError(
+            f"--class-count must be at least 1, got {args.class_count}")
     rng = np.random.default_rng(args.seed)
     out = Path(args.out)
     if args.kind == "points":
         coords = rng.uniform(0.0, 0.03, size=(args.n, 2))
         lines = ["lat,lon"] + [f"{float(x)!r},{float(y)!r}" for x, y in coords]
-    elif args.kind == "features":
+    else:
         counts = rng.integers(0, 3, size=(args.n, args.class_count))
         # guarantee every class has at least one member
         for i in range(args.class_count):
             if not counts[:, i].any():
                 counts[int(rng.integers(args.n)), i] = 1
         lines = [",".join(map(str, row)) for row in counts.tolist()]
-    else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0

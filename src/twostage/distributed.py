@@ -8,7 +8,6 @@ of (best worker solution, merged solution).  Only the worker differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -18,32 +17,21 @@ from .greedy import replacement_greedy
 from .streaming import ThresholdManager
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Seeded uniform assignment of every element to one machine."""
+def partition(ground_n: int, M: int, seed: int) -> list[list[int]]:
+    """The ids of each machine that draws any, in machine order, ascending.
 
-    M: int
-    assignment: tuple  # machine index per element id
-
-    def parts(self, ids: Iterable[int]) -> list[list[int]]:
-        """The ids bucketed by machine in one pass; each bucket keeps input order."""
-        buckets = [[] for _ in range(self.M)]
-        for e in ids:
-            buckets[self.assignment[e]].append(e)
-        return buckets
-
-
-def partition(ground_n: int, M: int, seed: int) -> PartitionPlan:
-    """Uniform independent machine assignment, reproducible from the seed.
-
-    The partition draws from its own derived RNG stream so later sources of
-    randomness can be added without disturbing existing assignments.
+    Every id draws its machine uniformly and independently from a stream
+    derived from the seed, so later sources of randomness can be added
+    without disturbing existing partitions.  Machines that draw nothing are
+    left out, so the cost depends on ``ground_n`` only, not on ``M``.
     """
     if M < 1:
         raise ValueError("need at least one machine")
     stream = np.random.SeedSequence(seed).spawn(1)[0]
-    rng = np.random.default_rng(stream)
-    return PartitionPlan(M, tuple(int(a) for a in rng.integers(0, M, ground_n)))
+    machine = np.random.default_rng(stream).integers(0, M, ground_n)
+    order = np.argsort(machine, kind="stable")
+    cuts = np.flatnonzero(np.diff(machine[order])) + 1
+    return [ids.tolist() for ids in np.split(order, cuts) if ids.size]
 
 
 def _better(a: TwoStageSolution, b: TwoStageSolution) -> TwoStageSolution:
@@ -55,16 +43,14 @@ def _partition_and_merge(
         F: ObjectiveFamily, M: int, ell: int, k: int, seed: int,
         worker: Callable[[list[int]], Iterable[TwoStageSolution]]
 ) -> TwoStageSolution:
-    """Run ``worker`` on each non-empty machine, then greedy-merge the summaries.
+    """Run ``worker`` on each machine's ids, then greedy-merge the summaries.
 
     ``worker(part)`` gets one machine's ids in ascending order and returns
     that machine's solutions.
     """
     best = empty_solution(F.m, ell, k)
     candidates: set[int] = set()
-    for part in partition(F.ground.n, M, seed).parts(F.ground.elements()):
-        if not part:
-            continue
+    for part in partition(F.ground.n, M, seed):
         for sol in worker(part):
             candidates.update(sol.summary)
             best = _better(best, sol)

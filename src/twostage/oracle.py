@@ -23,7 +23,7 @@ class OracleBudgetError(RuntimeError):
 def estimate_work(n: int, ell: int, k: int, m: int) -> int:
     """Number of set evaluations a full enumeration would perform."""
     total = 0
-    for s in range(ell + 1):
+    for s in range(min(ell, n) + 1):
         outer = comb(n, s)
         inner = m * sum(comb(s, t) for t in range(1, min(k, s) + 1))
         total += outer * inner
@@ -48,7 +48,7 @@ def brute_force_opt(F: ObjectiveFamily, ell: int, k: int,
 
     m = F.m
     best = None
-    for s in range(ell + 1):
+    for s in range(min(ell, F.ground.n) + 1):
         for summary in combinations(F.ground.elements(), s):
             total = 0.0
             chosen = []

@@ -192,16 +192,22 @@ class ThresholdManager:
         grid = 1.0 + self.epsilon
         lo = self.delta / (grid * self.beta * self.ell)
         log = math.log(grid)
-        l_lo = math.ceil(math.log(lo) / log)
-        while grid ** l_lo < lo:
-            l_lo += 1
-        while grid ** (l_lo - 1) >= lo:
-            l_lo -= 1
-        l_hi = math.floor(math.log(self.delta) / log)
-        while grid ** l_hi > self.delta:
-            l_hi -= 1
-        while grid ** (l_hi + 1) <= self.delta:
-            l_hi += 1
+        try:
+            l_lo = math.ceil(math.log(lo) / log)
+            while grid ** l_lo < lo:
+                l_lo += 1
+            while grid ** (l_lo - 1) >= lo:
+                l_lo -= 1
+            l_hi = math.floor(math.log(self.delta) / log)
+            while grid ** l_hi > self.delta:
+                l_hi -= 1
+            while grid ** (l_hi + 1) <= self.delta:
+                l_hi += 1
+        except (OverflowError, ValueError):
+            # a grid power overflows, or lo underflowed to 0 for math.log
+            raise ValueError(
+                f"epsilon={self.epsilon} puts the threshold grid around "
+                f"delta={self.delta} outside the float range") from None
         return range(l_lo, l_hi + 1)
 
     def update_thresholds(self, u: int):

@@ -149,6 +149,12 @@ class TestBuildRegions:
         with pytest.raises(ValueError, match="radius"):
             build_regions(ground, 1, radius=1e-9, cap=3, seed=0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_non_positive_radius_fails_before_any_draw(self, radius):
+        ground = self._ground([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match="radius > 0"):
+            build_regions(ground, 1, radius=radius, cap=3, seed=0)
+
 
 class TestRunExperiment:
     def test_greedy_matches_oracle_on_worked_instance(self, worked_instance):
@@ -447,6 +453,22 @@ class TestMain:
         assert ground.n == n
         assert all(omegas)
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--kind", "points", "--n", "0"], "--n"),
+        (["--kind", "points", "--n", "-3"], "--n"),
+        (["--kind", "features", "--n", "0"], "--n"),
+        (["--kind", "features", "--n", "4", "--class-count", "0"],
+         "--class-count"),
+    ])
+    def test_gen_synthetic_refuses_empty_data(self, tmp_path, capsys, flags,
+                                              named):
+        out = tmp_path / "data.csv"
+        assert main(["gen-synthetic", *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} must be at least 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, csv_sha256, json_sha256", [
         ([], "ce72c65ccebe76a405c5985f23755b692b6684a8c9dcdd1aea74764f932fe7cc",
          "ff9cc5baa259f4ae60e1d05610d50c4d9d39cad920ce4d87703c86ecc0b2dada"),
@@ -491,6 +513,13 @@ class TestMain:
         assert capsys.readouterr().out == (
             "opt_value=1.7384758971936471\nsummary=[3, 4, 5]\n"
             "T[0]=[4, 5]\nT[1]=[3, 4]\n")
+
+    def test_oracle_budgets_above_n(self, capsys):
+        assert main(["oracle", "--objective", "modular", "--n", "5",
+                     "--m", "2", "--ell", "2000", "--k", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("opt_value=")
+        assert "summary=[0, 1, 2, 3, 4]\n" in out
 
     def test_oracle_refuses_k_above_ell(self, capsys):
         assert main(["oracle", "--objective", "modular", "--n", "5",

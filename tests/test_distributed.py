@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage.core import NonFiniteValueError, evaluate_solution
 from twostage.distributed import (distributed_fast, partition,
@@ -14,8 +18,7 @@ from conftest import NON_FINITE, poisoned_family
 
 class TestPartition:
     def test_single_machine(self):
-        plan = partition(10, 1, seed=0)
-        assert plan.assignment == (0,) * 10
+        assert partition(10, 1, seed=0) == [list(range(10))]
 
     def test_deterministic(self):
         assert partition(100, 4, seed=9) == partition(100, 4, seed=9)
@@ -24,18 +27,44 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(10, 0, seed=0)
 
-    def test_parts_bucket_ids_by_assignment(self):
-        plan = partition(50, 4, seed=3)
-        ids = range(3, 50, 2)
-        assert plan.parts(ids) == \
-            [[e for e in ids if plan.assignment[e] == l] for l in range(4)]
-
     def test_binomial_concentration(self):
         n, M = 10000, 4
-        plan = partition(n, M, seed=5)
-        counts = np.bincount(plan.assignment, minlength=M)
+        counts = [len(part) for part in partition(n, M, seed=5)]
+        assert len(counts) == M
         sigma = (n * (1 / M) * (1 - 1 / M)) ** 0.5
         assert all(abs(c - n / M) <= 4 * sigma for c in counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 300), M=st.integers(1, 10 ** 9),
+       seed=st.integers(0, 2 ** 63))
+def test_partition_matches_per_element_draw(n, M, seed):
+    # one uniform machine draw per element from the seed's spawned stream;
+    # buckets of the machines that drew any id, in machine order
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    draw = np.random.default_rng(stream).integers(0, M, n)
+    buckets = {}
+    for e, machine in enumerate(draw.tolist()):
+        buckets.setdefault(machine, []).append(e)
+    assert partition(n, M, seed) == [buckets[l] for l in sorted(buckets)]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda F, M: replacement_distributed(F, M, 3, 2, seed=1),
+    lambda F, M: distributed_fast(F, M, 1.0, 3, 2, seed=1),
+], ids=["distributed", "fast"])
+def test_idle_machines_cost_no_memory(solve):
+    # only the machines that draw an element are materialised, so the peak
+    # does not grow with M
+    F = make_synthetic("modular", 20, 2, seed=0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        solve(F, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 ** 20
 
 
 class TestReplacementDistributed:
@@ -107,10 +136,9 @@ class TestDistributedFast:
     def test_merge_candidates_bounded(self):
         F = make_synthetic("coverage", 20, 3, seed=10)
         M, ell, k, eps = 3, 3, 2, 1.0
-        plan = partition(20, M, seed=4)
         total = 0
         bound_per_instance = None
-        for part in plan.parts(range(20)):
+        for part in partition(20, M, seed=4):
             for _, sol in pseudo_streaming(part, F, eps, ell, k):
                 total += len(sol.summary)
         from twostage.streaming import ThresholdManager

@@ -61,6 +61,15 @@ def test_estimate_work_is_exact():
     assert F.evals - before == estimate_work(7, 3, 2, 2)
 
 
+def test_budgets_above_n_stop_at_n():
+    # summary sizes past n enumerate nothing, so neither loop visits them
+    F = make_synthetic("modular", 5, 2, seed=0)
+    before = F.evals
+    res = brute_force_opt(F, 10 ** 6, 10 ** 6)
+    assert res.summary == frozenset(range(5))
+    assert F.evals - before == estimate_work(5, 10 ** 6, 10 ** 6, 2) == 422
+
+
 def test_monotone_in_budgets():
     F = make_synthetic("coverage", 8, 2, seed=5)
     v = {(ell, k): brute_force_opt(F, ell, k).value

@@ -148,6 +148,16 @@ def test_largest_epsilon_with_a_finite_grid_span_runs():
         ThresholdManager(F, 1e308, 2, 1)
 
 
+# the grid power above delta overflows, or the window's lower end
+# delta / ((1 + epsilon) * beta * ell) underflows to 0
+@pytest.mark.parametrize("weight,epsilon", [(1e250, 1e200), (1e-30, 1e300)])
+def test_grid_outside_the_float_range_is_a_value_error(weight, epsilon):
+    mgr = ThresholdManager(modular_family((weight, 0.0)), epsilon, 1, 1)
+    with pytest.raises(ValueError, match="epsilon") as err:
+        mgr.run(range(2))
+    assert "delta" in str(err.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(epsilon=st.floats(min_value=1e-3, max_value=10.0),
        ell=st.integers(min_value=1, max_value=50),
