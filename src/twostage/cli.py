@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle as oracle_mod
-from .core import GroundSet, ObjectiveFamily
+from .core import GroundSet, ObjectiveFamily, _check_alpha
 from .distributed import distributed_fast, replacement_distributed
 from .greedy import replacement_greedy
 from .objectives import (Point, Region, exemplar_family, facility_family,
@@ -78,13 +78,16 @@ class ExperimentConfig:
         for v in (*self.ells, *self.ks, *self.machines, self.oracle_budget):
             if v < 1:
                 raise ConfigError("ell, k, M and oracle_budget must be >= 1")
-        for e in self.epsilons:
-            try:
+        if min(self.ks) > max(self.ells):  # then no (ell, k) has k <= ell
+            raise ConfigError(
+                f"per-function budget k={','.join(map(str, self.ks))} "
+                f"cannot exceed ell={','.join(map(str, self.ells))}")
+        try:
+            for e in self.epsilons:
                 _check_epsilon(e, max(self.ells))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+            _check_alpha(self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")

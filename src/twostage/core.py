@@ -15,8 +15,8 @@ The four public primitives are the checked form: they take any iterable,
 validate the candidate and the set, and evaluate a missing base.  All of
 them run the same swap loop, ``_move``, which trusts its caller.  The
 greedy and streaming drivers keep their solution in a ``_Sets``, whose
-``probe`` picks the kernel and counts a candidate's moves by the clamp or
-the threshold, and whose ``add`` applies them.
+``probes`` picks the kernel, whose ``probe`` counts a candidate's moves by
+the clamp or the threshold, and whose ``add`` applies them.
 
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
@@ -25,9 +25,9 @@ measure: a code path performs the same evals every time it runs.  Two memos
 serve evals from values already computed rather than from the objective, and
 they are still counted one ``value`` call each: repeats within one streaming
 element (``ThresholdManager.process`` opens ``_memo_scope`` around each
-element), and, outside such a scope, the k swap sets of one at-budget move
-of ``_Sets.probe`` on a family with a swap kernel (``_swap_move`` fills them
-from one ``F._swaps`` call).  Nothing else is memoised.
+element), and, outside such a scope, each set of a probe that
+``_Sets.probes`` serves from a block kernel (the block memo).  Nothing
+else is memoised.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import isfinite
+from itertools import islice
+from math import inf, isfinite
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class InvariantViolation(AssertionError):
@@ -73,10 +76,9 @@ class ObjectiveFamily:
     to exactly 0 on the empty set.  Every set evaluation increments ``evals``;
     the complexity regression tests depend on that count being deterministic
     for a fixed code path.  ``_memo`` is None, or one dict per function from
-    sorted key to value while a ``_memo_scope`` is open; ``_swap_move``
-    briefly installs its own, holding one probe's swap values, for function
-    i only.  ``_swaps`` is None, or the family's swap kernel (see
-    ``facility_family``) that ``_swap_move`` batches a probe's evals with.
+    sorted key to value while a ``_memo_scope`` is open, or the block memo
+    of ``_Sets.probes``.  ``_block`` is None or the family's block kernel
+    (see ``objectives._bases``).
     """
 
     def __init__(self, ground: GroundSet,
@@ -89,7 +91,7 @@ class ObjectiveFamily:
         self._n = ground.n
         self.evals = 0
         self._memo = None
-        self._swaps = None
+        self._block = None
         self._offsets = [0.0] * self._m
         self._offsets = [self.value(i, ()) for i in range(self._m)]
 
@@ -198,49 +200,36 @@ def solution_from_sets(F: ObjectiveFamily, summary, per_function,
 
 
 def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
-          base: float) -> tuple:
+          base: float, raw: list | None = None, memo: list | None = None) -> tuple:
     """Best single swap of x for some y in the sorted tuple ``key``:
     ``(y, gain)``; the gain may be negative and ties go to the lowest y.
 
     Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
-    and must not contain x, and ``base`` is f_i(key).
+    and must not contain x, and ``base`` is f_i(key).  ``raw``, if given,
+    has the swap sets' values by j; the block memo ``memo`` serves each
+    call its set's value, unless that is not finite: f_i is evaluated.
     """
     best_y = None
     best_gain = 0.0
+    if raw is not None:
+        p = bisect_left(key, x)
+        joined = key[:p] + (x,) + key[p:]  # sorted; key[j] at j or j + 1
     for j, y in enumerate(key):
-        gain = value(i, key[:j] + key[j + 1:] + (x,)) - base
+        if raw is None:
+            ids = key[:j] + key[j + 1:] + (x,)
+        else:
+            q = j + (j >= p)
+            ids = joined[:q] + joined[q + 1:]
+            memo[i] = {ids: raw[j]} if isfinite(raw[j]) else {}
+        gain = value(i, ids) - base
         if best_y is None or gain > best_gain:
             best_gain = gain
             best_y = y
     return best_y, best_gain
 
 
-def _swap_move(F: ObjectiveFamily, i: int, key: tuple, x: int,
-               base: float) -> tuple:
-    """``_move``, its k = len(key) evals served from F's swap kernel.
-
-    Unchecked like ``_move``.  One ``F._swaps`` call computes the k swap
-    sets' raw values; a memo of just those, normalised and finite, is open
-    for function i during ``_move``'s k counted ``value`` calls, and the
-    previous memo is back when this returns or raises.  A non-finite value
-    is not stored, so its ``value`` call evaluates f_i and raises.
-    """
-    offset = F._offsets[i]
-    p = bisect_left(key, x)
-    joined = key[:p] + (x,) + key[p:]  # sorted; key[j] sits at j or j + 1
-    entries = {}
-    for j, raw in enumerate(F._swaps(i, key, x).tolist()):
-        v = raw - offset
-        if isfinite(v):
-            q = j if j < p else j + 1
-            entries[joined[:q] + joined[q + 1:]] = v
-    memo = [None] * F.m
-    memo[i] = entries
-    outer, F._memo = F._memo, memo
-    try:
-        return _move(F.value, i, key, x, base)
-    finally:
-        F._memo = outer
+# The values one block of ``_Sets.probes`` holds, k per function and candidate
+BLOCK_FLOATS = 1024
 
 
 class _Sets:
@@ -253,31 +242,60 @@ class _Sets:
         self.base = [0.0] * m
 
     def probe(self, F: ObjectiveFamily, x: int, k: int,
-              step: float | None = None) -> tuple:
+              step: float | None = None, raws: list | None = None) -> tuple:
         """The moves of x, not in S, as ``(replaced, gains)`` lists by function.
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
-        is 0.0 with replaced None.  F's swap kernel serves at-budget moves
-        unless a memo scope is open, which serves them already."""
+        is 0.0 with replaced None.  With F's block kernel and no memo scope
+        open, this is a block of one of ``probes``, which passes x's values.
+        """
+        if raws is None and F._block is not None and F._memo is None:
+            return next(self.probes(F, (x,), k, step))[1:]
         value = F.value
-        swaps = F._swaps is not None and F._memo is None
         base = self.base
         replaced = []
         gains = []
         for i, key in enumerate(self.T):
             b = base[i]
-            if len(key) < k:
-                r, g = None, value(i, key + (x,)) - b
-            elif swaps:
-                r, g = _swap_move(F, i, key, x, b)
+            if len(key) >= k:
+                r, g = _move(value, i, key, x, b, raws and raws[i], F._memo)
             else:
-                r, g = _move(value, i, key, x, b)
+                ids = key + (x,)
+                if raws:  # served like _move's swap sets
+                    ids = tuple(sorted(ids))
+                    F._memo[i] = {ids: raws[i][0]} if isfinite(raws[i][0]) else {}
+                r, g = None, value(i, ids) - b
             if not ((r is None or g > 0) and (step is None or g >= step * b)):
                 r, g = None, 0.0
             replaced.append(r)
             gains.append(g)
         return replaced, gains
+
+    def probes(self, F: ObjectiveFamily, xs: Iterable[int], k: int,
+               step: float | None = None):
+        """Yield ``(x, replaced, gains)``, the ``probe`` of each x of xs not
+        in S, in order; the caller changes nothing here until it is done.
+
+        With F's block kernel and no memo scope open, one ``F._block`` call
+        per function gives a block of candidates' values, and each probe
+        runs in a memo scope that ``_move`` fills: the block memo."""
+        xs = (x for x in xs if x not in self.S)
+        if F._block is None or F._memo is not None:
+            yield from ((x, *self.probe(F, x, k, step)) for x in xs)
+            return
+        while part := list(islice(xs, max(1, BLOCK_FLOATS // (F.m * k)))):
+            vals = None  # the last block's values go before the next's come
+            vals = np.zeros((len(part), F.m, k))
+            for i, key in enumerate(self.T):
+                swap = len(key) >= k
+                vals[:, i, :k if swap else 1] = F._block(
+                    i, key, part, swap).reshape(len(part), -1)
+            vals -= np.array(F._offsets)[:, None]
+            for b, x in enumerate(part):
+                with F._memo_scope():
+                    moves = self.probe(F, x, k, step, vals[b].tolist())
+                yield (x, *moves)
 
     def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list):
         """Put x in S, and in each T[i] whose gain is positive, in place
@@ -295,9 +313,9 @@ class _Sets:
 
 
 def _check_alpha(alpha: float):
-    """Raise ValueError unless alpha > 0 (the exchange threshold's factor)."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """Raise ValueError unless 0 < alpha < inf (the exchange bar's factor)."""
+    if not 0 < alpha < inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,

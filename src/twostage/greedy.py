@@ -28,7 +28,7 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
 
     The per-function gain is ``lambda_gain``'s: the insertion gain below
     budget, the best-swap gain clamped at 0 at budget.  Each candidate is
-    probed with ``_Sets.probe`` and the best one applied with ``_Sets.add``.
+    probed with ``_Sets.probes`` and the best one applied with ``_Sets.add``.
     """
     cands = sorted(set(candidates))
     if not cands:
@@ -39,14 +39,10 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
             raise ValueError(f"element {x} out of range [0, {F.ground.n})")
 
     sets = _Sets(F.m)
-    S = sets.S
     for _ in range(ell):
         best_total = 0.0
         best = None  # (x, replaced, gains) of the best candidate so far
-        for x in cands:
-            if x in S:
-                continue
-            replaced, gains = sets.probe(F, x, k)
+        for x, replaced, gains in sets.probes(F, cands, k):
             total = sum(gains)
             if total > best_total:  # strict: ties keep the lowest id
                 best_total = total
@@ -55,4 +51,4 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
             break
         sets.add(F, *best)
 
-    return solution_from_sets(F, S, sets.T, ell, k)
+    return solution_from_sets(F, sets.S, sets.T, ell, k)

@@ -59,6 +59,18 @@ def facility_value(region: Region, candidates: Iterable[Point]) -> float:
                for a in region.members)
 
 
+def _bases(key: tuple, swap: bool) -> list:
+    """The sets a probe against the sorted ``key`` adds its candidate to:
+    ``key`` itself, or, to ``swap``, ``key`` without ``key[j]`` for each j.
+
+    A block kernel ``F._block(i, key, xs, swap)`` gives the raw value of f_i
+    on each of them plus x, for each x of ``xs`` (none in ``key``): shape
+    (len(xs),), or (len(xs), len(key)) to swap.  It reduces each base's rows
+    once and combines the result with every candidate's row at once.
+    """
+    return [key[:j] + key[j + 1:] for j in range(len(key))] if swap else [key]
+
+
 def facility_family(points: Sequence[Point],
                     regions: Sequence[Region]) -> ObjectiveFamily:
     """Build one facility-location function per region over the given points.
@@ -67,14 +79,9 @@ def facility_family(points: Sequence[Point],
     are precomputed, one row per element, so a set evaluation gathers the
     set's rows and takes a tiny max-then-sum.
 
-    The family also gets a swap kernel, kept in its private ``_swaps``:
-    ``_swaps(i, key, x)`` returns the k raw values f_i(key - key[j] + x),
-    j = 0..k-1, for a sorted ``key`` of k ids and a candidate x not in it,
-    in one numpy pass.  It keeps a one-entry cache per function: the
-    (k, width) rows of "max over key without key[j]", rebuilt when ``key``
-    differs from the last one seen for that function.  Each value is the
-    same column maxima reduced by the same last-axis ``np.add.reduce`` as
-    f_i, so it equals f_i on that set bit for bit.
+    The family's block kernel ``_block`` (see ``_bases``) takes the column
+    maxima of every probed set and reduces them by the same last-axis
+    ``np.add.reduce`` as f_i, so each value equals f_i's bit for bit.
 
     Raises ``ValueError`` before any matrix is built when a point or a
     region member has a non-finite coordinate.
@@ -104,24 +111,17 @@ def facility_family(points: Sequence[Point],
                 np.maximum.reduce(mat.take(ids, axis=0), axis=0)))
         return f
 
-    last_keys = [None] * len(matrices)
-    without = [None] * len(matrices)  # per function: rows for last_keys[i]
-
-    def swaps(i: int, key: tuple, x: int) -> np.ndarray:
+    def block(i: int, key: tuple, xs: list, swap: bool) -> np.ndarray:
         mat = matrices[i]
-        if key != last_keys[i]:
-            k = len(key)
-            rows = mat.take(key, axis=0)
-            # row j: the max over every chosen row but the j-th; -inf, the
-            # identity of max, where no row is left (k == 1)
-            without[i] = np.maximum.reduce(
-                np.broadcast_to(rows, (k,) + rows.shape), axis=1,
-                where=~np.eye(k, dtype=bool)[:, :, None], initial=-np.inf)
-            last_keys[i] = key
-        return np.add.reduce(np.maximum(without[i], mat[x]), axis=1)
+        # -inf, the identity of max, for an empty base
+        kept = np.maximum.reduce(mat.take(_bases(key, swap), axis=0), axis=1,
+                                 initial=-np.inf)
+        cand = mat.take(xs, axis=0)  # one kept row at a time, for memory
+        out = np.array([np.add.reduce(np.maximum(row, cand), axis=1) for row in kept]).T
+        return out if swap else out[:, 0]
 
     F = ObjectiveFamily(ground, [make(mat) for mat in matrices])
-    F._swaps = swaps
+    F._block = block
     return F
 
 
@@ -232,24 +232,23 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     floats.  Because ``min`` is exact, clipping once at build time gives
     the same numbers as clipping on every evaluation.
 
-    The build computes min(|U|^2, sum_i |omega_i|^2) distances of
-    ``columns`` terms each, where U is the elements in at least one class:
-    one blocked pass over U shared by all classes when they overlap that
-    much, else one blocked pass per class.  Besides the tables it holds one
-    block of bounded size, and the tables are the same either way.
+    ``_exemplar_tables`` builds the tables, holding one block of bounded
+    size besides them.
+
+    The block kernel ``_block`` (see ``_bases``) takes the same minima over
+    the same rows, with +inf for a chosen id outside the class, and keeps
+    the last key's rows per class for the next block.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
     finite, or a class has no members.
     """
     vectors = np.asarray(vectors, dtype=float)
-    tables = _exemplar_tables(vectors, class_count)
+    classes = [(dict(zip(omega.tolist(), table)), anchor.mean(), len(anchor))
+               for omega, table, anchor in _exemplar_tables(vectors,
+                                                            class_count)]
 
-    def make(omega, table, anchor):
-        row_of = dict(zip(omega.tolist(), table))
-        anchor_mean = anchor.mean()
-        width = len(anchor)
-
+    def make(row_of, anchor_mean, width):
         def f(ids: tuple) -> float:
             # a pairwise np.minimum chain over the chosen rows, then the
             # ufunc sum that ndarray.mean runs: bit-identical to
@@ -266,8 +265,31 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
             return float(anchor_mean - np.add.reduce(best) / width)
         return f
 
-    return ObjectiveFamily(GroundSet(len(vectors), vectors),
-                           [make(*t) for t in tables])
+    last = {}  # per class: (key, swap), kept rows, values for x outside
+
+    def block(i: int, key: tuple, xs: list, swap: bool) -> np.ndarray:
+        row_of, anchor_mean, width = classes[i]
+        if last.get(i, (None,))[0] != (key, swap):
+            gone, bases = np.full(width, np.inf), _bases(key, swap)
+            kept = np.minimum.reduce(np.array(
+                [[row_of.get(y, gone) for y in base] for base in bases]).reshape(
+                    len(bases), -1, width), axis=1, initial=np.inf)
+            # f_i is exactly 0.0 on a set with no class member
+            empty = [not any(y in row_of for y in base) for base in bases]
+            last[i] = (key, swap), kept, np.where(
+                empty, 0.0, anchor_mean - np.add.reduce(kept, axis=1) / width)
+        _, kept, outside = last[i]
+        out = np.repeat(outside[None], len(xs), axis=0)
+        hit = [b for b, x in enumerate(xs) if x in row_of]
+        if hit:
+            best = np.minimum(kept, np.array([row_of[xs[b]] for b in hit])[:, None])
+            out[hit] = anchor_mean - np.add.reduce(best, axis=2) / width
+        return out if swap else out[:, 0]
+
+    F = ObjectiveFamily(GroundSet(len(vectors), vectors),
+                        [make(*c) for c in classes])
+    F._block = block
+    return F
 
 
 @dataclass(frozen=True)

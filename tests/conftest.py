@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twostage.core import GroundSet, ObjectiveFamily
@@ -52,3 +53,12 @@ def kernel_counted(F):
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def float_features(n, classes, seed):
+    """Real-valued features in [0, 2); each entry is zero with probability 0.4."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.uniform(0.0, 2.0, (n, classes))
+    vectors[rng.random((n, classes)) < 0.4] = 0.0
+    vectors[0] = 1.0  # every class has a member
+    return vectors

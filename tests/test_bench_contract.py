@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from twostage import distributed, greedy
-from twostage.objectives import make_synthetic
+from twostage.objectives import exemplar_family, make_synthetic
 from twostage.streaming import ThresholdManager
+
+from conftest import float_features
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,16 +45,19 @@ def test_traced_value_calls_equal_evals(tracer):
     F = make_synthetic("coverage", 30, 3, seed=5)
     order = list(range(30))
     np.random.default_rng(5).shuffle(order)
-    # facility families carry swap kernels: their at-budget greedy probes
-    # are batched, yet each eval must still be one traced value call
+    # facility and exemplar families carry block kernels: their greedy
+    # probes are batched, yet each eval must still be one traced value call
     G = make_synthetic("facility", 30, 3, seed=5)
-    assert G._swaps is not None
+    E = exemplar_family(float_features(30, 4, 5), 4)
+    assert G._block is not None and E._block is not None
     solves = [
         (F, lambda: ThresholdManager(F, 0.5, 5, 2).run(order).best_solution()),
         (F, lambda: greedy.replacement_greedy(F, range(30), 5, 2)),
         (F, lambda: distributed.distributed_fast(F, 3, 0.5, 5, 2, seed=5)),
         (G, lambda: greedy.replacement_greedy(G, range(30), 5, 2)),
         (G, lambda: distributed.replacement_distributed(G, 3, 5, 2, seed=5)),
+        (E, lambda: greedy.replacement_greedy(E, range(30), 5, 2)),
+        (E, lambda: distributed.distributed_fast(E, 3, 0.5, 5, 2, seed=5)),
     ]
     tr = tracer.Tracer()
     evals = []

@@ -251,6 +251,34 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="alpha"):
             run_experiment(ExperimentConfig(alpha=alpha))
 
+    def test_infinite_alpha_fails_before_any_family_is_built(
+            self, monkeypatch):
+        def build(config):
+            raise AssertionError("built a family")
+
+        monkeypatch.setattr(cli, "_build_family", build)
+        with pytest.raises(ConfigError, match="alpha must be positive and "
+                                             "finite, got inf"):
+            run_experiment(ExperimentConfig(alpha=float("inf")))
+
+    @pytest.mark.parametrize("ells, ks", [((2,), (3,)), ((2, 3), (4, 5)),
+                                          ((1, 2), (3,))])
+    def test_sweep_without_a_feasible_budget_fails_before_any_family_is_built(
+            self, monkeypatch, ells, ks):
+        def build(config):
+            raise AssertionError("built a family")
+
+        monkeypatch.setattr(cli, "_build_family", build)
+        message = (f"per-function budget k={','.join(map(str, ks))} "
+                   f"cannot exceed ell={','.join(map(str, ells))}")
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig(ells=ells, ks=ks))
+
+    def test_sweep_with_one_feasible_budget_runs_it_alone(self):
+        config = ExperimentConfig(objective="modular", n=10, m=2, ells=(2, 3),
+                                  ks=(3,), algorithms=("greedy",))
+        assert [(r.ell, r.k) for r in run_experiment(config)] == [(3, 3)]
+
     def test_row_values_reproducible_from_sets(self):
         config = ExperimentConfig(objective="coverage", n=12, m=3, seed=1,
                                   ells=(3,), ks=(2,), machines=(2,),
@@ -537,6 +565,28 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: epsilon must be positive")
         assert "Traceback" not in captured.err
+
+    def test_run_refuses_an_infinite_alpha(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(["run", "--objective", "modular", "--n", "10", "--m", "2",
+                     "--alpha", "inf", "--algorithms", "streaming",
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: alpha must be positive and finite, "
+                                "got inf\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_refuses_k_above_every_ell(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(["run", "--objective", "modular", "--n", "10", "--m", "2",
+                     "--ell", "2", "--k", "3", "--algorithms", "greedy",
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: per-function budget k=3 cannot exceed ell=2\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_oracle_validates_its_config(self, capsys):
         assert main(["oracle", "--objective", "exemplar-csv"]) == 1

@@ -213,6 +213,13 @@ class TestNabla:
             nabla(F, 0, 1, [0], alpha, 2)
         assert F.evals == before
 
+    def test_infinite_alpha_fails_before_any_eval(self):
+        F = modular_family((1.0, 2.0))
+        before = F.evals
+        with pytest.raises(ValueError, match="finite"):
+            nabla(F, 0, 1, [0], float("inf"), 2)
+        assert F.evals == before
+
 
 class TestLambdaGain:
     def test_insertion_below_budget(self):

@@ -24,7 +24,7 @@ from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
                                 _check_trace_bound, exchange, run_know_opt)
 
-from conftest import kernel_counted
+from conftest import float_features, kernel_counted
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -132,15 +132,6 @@ def test_exemplar_kernel_is_bit_identical(seed, data):
     ids = tuple(sorted(data.draw(id_sets(n))))
     for i, ref in enumerate(refs):
         assert F.value(i, ids) == ref(ids)
-
-
-def float_features(n, classes, seed):
-    """Real-valued features in [0, 2); each entry is zero with probability 0.4."""
-    rng = np.random.default_rng(seed)
-    vectors = rng.uniform(0.0, 2.0, (n, classes))
-    vectors[rng.random((n, classes)) < 0.4] = 0.0
-    vectors[0] = 1.0  # every class has a member
-    return vectors
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,32 +482,66 @@ def wide_facility(seed, n, m, data):
     return facility_family(points, regions)
 
 
+def wide_exemplar(seed, n, m, data):
+    """An exemplar family whose classes are REGION_WIDTHS wide, over n
+    elements with one more feature than classes."""
+    rng = np.random.default_rng(seed)
+    vectors = np.zeros((n, m + 1))
+    vectors[:, m] = rng.uniform(-1.0, 1.0, n)
+    for c in range(m):
+        width = data.draw(st.sampled_from(REGION_WIDTHS))
+        members = rng.choice(n, size=width, replace=False)
+        vectors[members, c] = rng.uniform(0.05, 2.0, width)
+    return exemplar_family(vectors, m)
+
+
+def assert_block_is_exact(F, n, data):
+    """F._block equals f_i set by set, ``==``, for drawn keys and blocks of
+    candidates: insertions for every key, swaps for non-empty ones."""
+    for _ in range(4):  # the exemplar kernel keeps each class's last key
+        i = data.draw(st.integers(0, F.m - 1))
+        key = tuple(sorted(data.draw(st.lists(
+            st.integers(0, n - 1), max_size=4, unique=True))))
+        xs = data.draw(st.lists(st.integers(0, n - 1).filter(
+            lambda e: e not in key), min_size=1, max_size=40))
+        f = F._functions[i]
+        assert F._block(i, key, xs, False).tolist() == [
+            f(tuple(sorted(key + (x,)))) for x in xs]
+        if key:
+            assert F._block(i, key, xs, True).tolist() == [
+                [f(tuple(sorted(key[:j] + key[j + 1:] + (x,))))
+                 for j in range(len(key))] for x in xs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), data=st.data())
 def test_facility_swap_kernel_is_bit_identical(seed, data):
-    n = 12
-    F = wide_facility(seed, n, 2, data)
-    for _ in range(4):  # the cache is rebuilt whenever the key changes
-        i = data.draw(st.integers(0, 1))
-        key = tuple(sorted(data.draw(st.lists(
-            st.integers(0, n - 1), min_size=1, max_size=4, unique=True))))
-        x = data.draw(st.integers(0, n - 1).filter(lambda e: e not in key))
-        got = F._swaps(i, key, x).tolist()
-        assert got == [F._functions[i](tuple(sorted(key[:j] + key[j + 1:]
-                                                    + (x,))))
-                       for j in range(len(key))]
+    n = 40
+    assert_block_is_exact(wide_facility(seed, n, 2, data), n, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_exemplar_block_kernel_is_bit_identical(seed, data):
+    # n = 210 leaves a class of 200 members room for non-members; keys and
+    # candidates outside narrow classes are the usual draw there
+    n = 210
+    assert_block_is_exact(wide_exemplar(seed, n, 2, data), n, data)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), data=st.data())
-def test_swap_kernel_solvers_match_the_scalar_path(seed, data):
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["facility", "exemplar"]), data=st.data())
+def test_swap_kernel_solvers_match_the_scalar_path(seed, kind, data):
     """Greedy, its merges and its workers, and both streaming solvers, on a
-    family with swap kernels equal the same objectives without them, evals
+    family with a block kernel equal the same objectives without it, evals
     included."""
     n = data.draw(st.integers(4, 14))
-    F = wide_facility(seed, n, data.draw(st.integers(1, 3)), data)
+    m = data.draw(st.integers(1, 3))
+    F = (wide_facility(seed, n, m, data) if kind == "facility"
+         else exemplar_family(float_features(n, m, seed), m))
     G = ObjectiveFamily(F.ground, F._functions)
-    assert F._swaps is not None and G._swaps is None
+    assert F._block is not None and G._block is None
     k = data.draw(st.integers(1, 4))
     ell = data.draw(st.integers(k, k + 3))
     cands = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -547,19 +572,22 @@ def test_swap_kernel_solvers_match_the_scalar_path(seed, data):
 
 
 def test_swap_kernel_serves_probes_outside_a_memo_scope_only():
-    """run_know_opt opens no memo scope, so its at-budget probes use the
-    kernel; ThresholdManager's per-element scope serves them instead."""
+    """run_know_opt opens no memo scope, so its probes are blocks of one
+    from the kernel; ThresholdManager's per-element scope serves them
+    instead."""
     F = make_synthetic("facility", 30, 3, seed=2)
-    kernel = F._swaps
+    kernel = F._block
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(i, key, xs, swap):
+        calls.append((i, key, list(xs), swap))
+        return kernel(i, key, xs, swap)
 
-    F._swaps = counted
+    F._block = counted
     sol = run_know_opt(range(30), F, 0.5, 6, 2)
     assert calls and all(len(T) == 2 for T in sol.per_function)
+    assert all(len(xs) == 1 for _, _, xs, _ in calls)
+    assert any(swap for *_, swap in calls)
     calls.clear()
     ThresholdManager(F, 0.5, 6, 2).run(range(30))
     assert calls == []

@@ -3,11 +3,11 @@ import pytest
 
 from twostage.core import NonFiniteValueError, ObjectiveFamily
 from twostage.greedy import replacement_greedy
-from twostage.objectives import make_synthetic
+from twostage.objectives import exemplar_family, make_synthetic
 from twostage.oracle import brute_force_opt
 
-from conftest import (NON_FINITE, kernel_counted, modular_family,
-                      poisoned_family)
+from conftest import (NON_FINITE, float_features, kernel_counted,
+                      modular_family, poisoned_family)
 
 GREEDY_RATIO = 0.5 * (1.0 - np.exp(-2.0))  # about 0.4323
 
@@ -75,34 +75,37 @@ def test_non_finite_objective_raises(bad):
         replacement_greedy(poisoned_family(bad), range(6), ell=3, k=2)
 
 
-def scalar_swaps(F):
-    """A swap kernel for F computed set by set from its own objectives."""
-    def swaps(i, key, x):
-        return np.array([F._functions[i](tuple(sorted(key[:j] + key[j + 1:]
-                                                      + (x,))))
-                         for j in range(len(key))])
-    return swaps
+def scalar_block(F):
+    """A block kernel for F computed set by set from its own objectives."""
+    def block(i, key, xs, swap):
+        f = F._functions[i]
+        if not swap:
+            return np.array([f(tuple(sorted(key + (x,)))) for x in xs])
+        return np.array([[f(tuple(sorted(key[:j] + key[j + 1:] + (x,))))
+                          for j in range(len(key))] for x in xs])
+    return block
 
 
 class TestSwapProbeMemo:
     def test_at_budget_probes_are_served_by_the_kernel(self):
-        F = make_synthetic("facility", 12, 3, seed=2)
-        G, scalar_calls = kernel_counted(F)
-        K, calls = kernel_counted(F)
-        K._swaps = F._swaps
-        runs = [(replacement_greedy(fam, range(12), 4, 2), fam.evals)
-                for fam in (K, G)]
-        assert runs[0] == runs[1]
-        assert calls[0] < scalar_calls[0]
-        assert K._memo is None
+        for F in (make_synthetic("facility", 12, 3, seed=2),
+                  exemplar_family(float_features(12, 3, 2), 3)):
+            G, scalar_calls = kernel_counted(F)
+            K, calls = kernel_counted(F)
+            K._block = F._block
+            runs = [(replacement_greedy(fam, range(12), 4, 2), fam.evals)
+                    for fam in (K, G)]
+            assert runs[0] == runs[1]
+            assert calls[0] < scalar_calls[0]
+            assert K._memo is None
 
     def test_no_memo_is_left_open_after_the_kernel_raises(self):
         F = make_synthetic("facility", 12, 3, seed=2)
 
-        def broken(i, key, x):
-            raise RuntimeError("swap kernel failed")
-        F._swaps = broken
-        with pytest.raises(RuntimeError, match="swap kernel failed"):
+        def broken(i, key, xs, swap):
+            raise RuntimeError("block kernel failed")
+        F._block = broken
+        with pytest.raises(RuntimeError, match="block kernel failed"):
             replacement_greedy(F, range(12), 4, 2)
         assert F._memo is None
 
@@ -116,7 +119,7 @@ class TestSwapProbeMemo:
                                                       for e in ids)
         F = modular_family((10.0, 5.0, 0.0, 0.0))
         F = ObjectiveFamily(F.ground, [F._functions[0], f1])
-        F._swaps = scalar_swaps(F)
+        F._block = scalar_block(F)
         with pytest.raises(NonFiniteValueError, match=r"function 1 .*\(1, 3\)"):
             replacement_greedy(F, range(4), ell=3, k=2)
         assert F._memo is None
@@ -128,7 +131,7 @@ class TestSwapProbeMemo:
         shifted = [lambda ids, f=f: 7.0 + f(ids) for f in base._functions]
         F = ObjectiveFamily(base.ground, shifted)
         G = ObjectiveFamily(base.ground, shifted)
-        F._swaps = scalar_swaps(F)
+        F._block = scalar_block(F)
         assert F._offsets == [7.0] * 3
         got = (replacement_greedy(F, range(10), 4, 2), F.evals)
         assert got == (replacement_greedy(G, range(10), 4, 2), G.evals)
@@ -138,9 +141,9 @@ class TestSwapProbeMemo:
         # f_i, so the run still equals the scalar one
         F = make_synthetic("facility", 12, 3, seed=4)
         G = ObjectiveFamily(F.ground, F._functions)
-        swaps = F._swaps
-        F._swaps = lambda i, key, x: swaps(i, key, x) * (np.nan if i == 2
-                                                          else 1.0)
+        block = F._block
+        F._block = lambda i, key, xs, swap: block(i, key, xs, swap) * (
+            np.nan if i == 2 else 1.0)
         got = (replacement_greedy(F, range(12), 4, 2), F.evals)
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
         assert F._memo is None

@@ -111,6 +111,18 @@ class TestAlpha:
             ALPHA_ENTRY_POINTS[entry](F, list(stream), alpha)
         assert F.evals == before
 
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    def test_infinite_alpha_fails_before_any_eval(self, entry):
+        # the bar alpha/k * f_i(T_i) is inf * 0.0 = NaN on empty sets, which
+        # used to reject every element: 816 evals for an empty summary
+        F = make_synthetic("coverage", 30, 3, seed=0)
+        with pytest.raises(ValueError, match="alpha must be positive and "
+                                             "finite"):
+            ALPHA_ENTRY_POINTS[entry](F, list(range(30)), float("inf"))
+        assert F.evals == 3  # the offsets only
+        with pytest.raises(ValueError, match="alpha"):
+            StreamState(2, 3, 2, float("inf"), 1.0)
+
     def test_fresh_state_rejects_nonpositive_alpha(self):
         for alpha in (0.0, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
