@@ -30,7 +30,7 @@ from .distributed import distributed_fast, replacement_distributed
 from .greedy import replacement_greedy
 from .objectives import (Point, Region, exemplar_family, facility_family,
                          make_synthetic)
-from .streaming import ThresholdManager, _check_epsilon
+from .streaming import ThresholdManager, _check_epsilon, _check_grid
 
 ALGORITHMS = ("greedy", "streaming", "distributed", "fast", "oracle")
 # The sweep axes each algorithm reads besides (ell, k); the others it ignores.
@@ -86,6 +86,13 @@ class ExperimentConfig:
             for e in self.epsilons:
                 _check_epsilon(e, max(self.ells))
             _check_alpha(self.alpha)
+            if {"streaming", "fast"} & set(self.algorithms):
+                # the largest ell that some k fits has the largest grid
+                ell = max(e for e in self.ells if e >= min(self.ks))
+                m = (self.class_count if self.objective == "exemplar-csv"
+                     else self.m)
+                for e in self.epsilons:
+                    _check_grid(e, m, ell)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for a in self.algorithms:

@@ -23,11 +23,17 @@ The eval contract: every counted evaluation is exactly one call to
 adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
 measure: a code path performs the same evals every time it runs.  Two memos
 serve evals from values already computed rather than from the objective, and
-they are still counted one ``value`` call each: repeats within one streaming
-element (``ThresholdManager.process`` opens ``_memo_scope`` around each
-element), and, outside such a scope, each set of a probe that
-``_Sets.probes`` serves from a block kernel (the block memo).  Nothing
-else is memoised.
+they are still counted one ``value`` call each:
+
+* repeats within one streaming element.  ``ThresholdManager.process`` opens
+  ``_memo_scope`` around each element and probes it once per group of
+  threshold instances holding the same sets; each other member of a group
+  replays the leader's probe, one ``value`` call per set it evaluated
+  (``_Sets.probe_sets``), and the memo serves every replayed call.
+* outside such a scope, each set of a probe that ``_Sets.probes`` serves
+  from a block kernel (the block memo).
+
+Nothing else is memoised.
 """
 
 from __future__ import annotations
@@ -271,6 +277,19 @@ class _Sets:
             replaced.append(r)
             gains.append(g)
         return replaced, gains
+
+    def probe_sets(self, x: int, k: int) -> list:
+        """The ``(i, ids)`` of each ``F.value`` call that ``probe`` makes
+        for x, not in S, outside the block kernel: one insertion set per
+        function below budget k, one swap set per member at it."""
+        sets = []
+        for i, key in enumerate(self.T):
+            if len(key) >= k:
+                sets.extend((i, key[:j] + key[j + 1:] + (x,))
+                            for j in range(len(key)))
+            else:
+                sets.append((i, key + (x,)))
+        return sets
 
     def probes(self, F: ObjectiveFamily, xs: Iterable[int], k: int,
                step: float | None = None):

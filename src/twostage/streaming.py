@@ -33,10 +33,11 @@ BETA = 6.0
 MAX_INSTANCE_SLOTS = 10 ** 7
 
 # Largest instance_bound() a ThresholdManager accepts, whatever m and ell
-# are: an empty StreamState costs about 580 bytes, so this many cost about
-# 58 MB.  It also bounds one element's eval memo, which holds the m
-# singletons plus at most m * (k + 2) sets per live instance.  The tests
-# need 5,708 at most.
+# are: an empty StreamState costs about 530 bytes plus 16 per function (590
+# at m=5, group token included), so this many cost about 59 MB at m=5.  It
+# also bounds one element's eval memo, which holds the m singletons plus at
+# most m * (k + 2) sets per live instance, and its groups, each of which
+# lists at most m * k probe sets.  The tests need 5,708 at most.
 MAX_INSTANCES = 10 ** 5
 
 
@@ -54,9 +55,36 @@ def _check_epsilon(epsilon: float, ell: int):
                          f"and a finite grid at ell={ell}, got {epsilon}")
 
 
+def _instance_bound(epsilon: float, ell: int) -> int:
+    """How many thresholds the grid at (epsilon, ell) can hold at once."""
+    grid = 1.0 + epsilon
+    beta = (BETA + epsilon) / grid
+    return math.ceil(math.log(grid * beta * ell, grid)) + 1
+
+
+def _check_grid(epsilon: float, m: int, ell: int):
+    """Raise InstanceBudgetError when the grid at (epsilon, ell) over m
+    functions exceeds MAX_INSTANCE_SLOTS or MAX_INSTANCES."""
+    bound = _instance_bound(epsilon, ell)
+    slots = bound * m * ell
+    if slots > MAX_INSTANCE_SLOTS:
+        raise InstanceBudgetError(
+            f"epsilon={epsilon} allows {bound} threshold "
+            f"instances; times m={m} and ell={ell} that is {slots} "
+            f"slots, above the limit of {MAX_INSTANCE_SLOTS}")
+    if bound > MAX_INSTANCES:
+        raise InstanceBudgetError(
+            f"epsilon={epsilon} allows {bound} threshold instances, "
+            f"above the limit of {MAX_INSTANCES}")
+
+
 class StreamState(_Sets):
     """Mutable state of one exchange run (one threshold), empty at first;
-    ``trace`` holds the ever-in-T_i sets on instrumented runs, else None."""
+    ``trace`` holds the ever-in-T_i sets on instrumented runs, else None.
+
+    ``group`` is a token: two states with the same token hold equal ``S``,
+    ``T`` and ``base``.  Empty states share the token None, and each
+    accepted element gives a state a new one (see ``exchange``)."""
 
     def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
                  instrument: bool = False):
@@ -67,10 +95,32 @@ class StreamState(_Sets):
         self.alpha = alpha
         self.tau = tau
         self.trace = [set() for _ in range(m)] if instrument else None
+        self.group = None
+
+
+class _Group:
+    """The moves of one element against the states of one group token: the
+    group's first state to see the element (its leader) probes, and every
+    later one (a follower) reuses the moves."""
+
+    def __init__(self, replaced: list, gains: list):
+        self.replaced = replaced
+        self.gains = gains
+        self.sets = None  # the leader's probe sets, listed for a follower
+        self.token = object()  # the new token of the states that accept
+
+    def replay(self, F: ObjectiveFamily, u: int, state: StreamState):
+        """Make the leader's counted evals again for a follower; the
+        element's memo scope serves each of them without calling f_i."""
+        if self.sets is None:
+            self.sets = state.probe_sets(u, state.k)
+        value = F.value
+        for i, ids in self.sets:
+            value(i, ids)
 
 
 def exchange(F: ObjectiveFamily, u: int, state: StreamState,
-             delta: float | None = None) -> bool:
+             delta: float | None = None, groups: dict | None = None) -> bool:
     """Process one arriving element against one threshold's state.
 
     Accepts u when the average thresholded gain reaches tau, then applies
@@ -81,12 +131,27 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
     is also positive; anything else contributes 0.  The moves come from
     ``_Sets.probe`` and are applied by ``_Sets.add``.
+
+    ``groups``, if given, maps the group tokens already seen for u to their
+    ``_Group``: a state whose token is there reuses its moves and replays
+    its evals instead of probing; inside u's memo scope no replayed eval
+    calls f_i.
     """
     if u in state.S or len(state.S) >= state.ell:
         return False
     if not 0 <= u < F.ground.n:
         raise ValueError(f"element {u} out of range [0, {F.ground.n})")
-    replaced, gains = state.probe(F, u, state.k, state.alpha / state.k)
+    if groups is None:
+        replaced, gains = state.probe(F, u, state.k, state.alpha / state.k)
+        token = object()
+    else:
+        group = groups.get(state.group)
+        if group is None:
+            group = groups[state.group] = _Group(
+                *state.probe(F, u, state.k, state.alpha / state.k))
+        else:
+            group.replay(F, u, state)
+        replaced, gains, token = group.replaced, group.gains, group.token
     avg = sum(gains) / F.m
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
@@ -96,6 +161,7 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
 
     before = state.total()
     state.add(F, u, replaced, gains)
+    state.group = token
     if state.trace is not None:
         for i, gain in enumerate(gains):
             if gain > 0:
@@ -144,11 +210,17 @@ class ThresholdManager:
     lazily creates newly valid instances empty; elements seen before an
     instance existed could never have been accepted by it.
 
-    Each element is processed inside one ``F._memo_scope()``: the live
-    instances often hold the same per-function sets, so an (i, set) that
-    one of them already evaluated for this element is served from the memo.
-    Every such eval is still one counted ``F.value`` call, and the outputs
-    and eval counts are those of a run without the memo.
+    Instances that started together and accepted the same elements hold
+    the same sets, and ``StreamState.group`` says which do.  So each
+    element is probed once per group: the first instance of a group to see
+    it (the leader) runs ``_Sets.probe``, and every later one that can take
+    it (a follower) reuses the leader's moves, compares their average with
+    its own tau, and applies them if it accepts.  A follower still makes
+    one counted ``F.value`` call for every set the leader evaluated.  Each
+    element is processed inside one ``F._memo_scope()``, which serves those
+    replays, and the (i, set)s that instances of different groups share,
+    without calling f_i again.  The outputs and eval counts are those of a
+    run that probes every instance without the memo.
 
     Raises ``InstanceBudgetError`` on construction when instance_bound() *
     F.m * ell exceeds ``MAX_INSTANCE_SLOTS`` or instance_bound() exceeds
@@ -166,17 +238,7 @@ class ThresholdManager:
         self.k = k
         self.alpha = alpha
         self.beta = (BETA + epsilon) / (1.0 + epsilon)
-        bound = self.instance_bound()
-        slots = bound * F.m * ell
-        if slots > MAX_INSTANCE_SLOTS:
-            raise InstanceBudgetError(
-                f"epsilon={epsilon} allows {bound} threshold "
-                f"instances; times m={F.m} and ell={ell} that is {slots} "
-                f"slots, above the limit of {MAX_INSTANCE_SLOTS}")
-        if bound > MAX_INSTANCES:
-            raise InstanceBudgetError(
-                f"epsilon={epsilon} allows {bound} threshold instances, "
-                f"above the limit of {MAX_INSTANCES}")
+        _check_grid(epsilon, F.m, ell)
         self.instrument = instrument
         self.delta = 0.0
         self.instances: dict[int, StreamState] = {}  # exponent -> state
@@ -184,8 +246,7 @@ class ThresholdManager:
         self.max_instances = 0
 
     def instance_bound(self) -> int:
-        grid = 1.0 + self.epsilon
-        return math.ceil(math.log(grid * self.beta * self.ell, grid)) + 1
+        return _instance_bound(self.epsilon, self.ell)
 
     def _active_range(self) -> range:
         """Integer exponents l with lo <= (1+eps)^l <= delta."""
@@ -232,8 +293,10 @@ class ThresholdManager:
     def process(self, u: int):
         with self.F._memo_scope():
             self.update_thresholds(u)
+            groups = {}
             for l in sorted(self.instances):
-                exchange(self.F, u, self.instances[l], delta=self.delta)
+                exchange(self.F, u, self.instances[l], delta=self.delta,
+                         groups=groups)
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(
             self.peak_stored,

@@ -14,7 +14,7 @@ from twostage.core import evaluate_solution, solution_from_sets
 from twostage.distributed import distributed_fast
 from twostage.greedy import replacement_greedy
 from twostage.objectives import Point, make_synthetic
-from twostage.streaming import ThresholdManager
+from twostage.streaming import InstanceBudgetError, ThresholdManager
 
 from conftest import modular_family
 
@@ -273,6 +273,33 @@ class TestRunExperiment:
                    f"cannot exceed ell={','.join(map(str, ells))}")
         with pytest.raises(ConfigError, match=message):
             run_experiment(ExperimentConfig(ells=ells, ks=ks))
+
+    @pytest.mark.parametrize("objective, m, class_count, epsilon, ell", [
+        ("facility", 5, 20, 1e-6, 10),
+        # m is the class count: 80 classes times 5015 instances times
+        # ell=25 is above MAX_INSTANCE_SLOTS; m=3 would be below it
+        ("exemplar-csv", 3, 80, 1e-3, 25)])
+    @pytest.mark.parametrize("algorithm", ["streaming", "fast"])
+    def test_oversized_grid_fails_before_any_family_is_built(
+            self, monkeypatch, objective, m, class_count, epsilon, ell,
+            algorithm):
+        def build(config):
+            raise AssertionError("built a family")
+
+        monkeypatch.setattr(cli, "_build_family", build)
+        config = ExperimentConfig(
+            objective=objective, dataset="features.csv", m=m,
+            class_count=class_count, ells=(2, ell), ks=(3,),
+            epsilons=(0.5, epsilon), algorithms=("greedy", algorithm))
+        with pytest.raises(InstanceBudgetError) as exc:
+            ThresholdManager(make_synthetic("modular", 2, class_count
+                                            if objective == "exemplar-csv"
+                                            else m, 0), epsilon, ell, 3)
+        with pytest.raises(ConfigError) as got:
+            run_experiment(config)
+        assert str(got.value) == str(exc.value)
+        # without a threshold grid in the sweep the same epsilon is fine
+        replace(config, algorithms=("greedy", "distributed")).validate()
 
     def test_sweep_with_one_feasible_budget_runs_it_alone(self):
         config = ExperimentConfig(objective="modular", n=10, m=2, ells=(2, 3),
@@ -586,6 +613,25 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (
             "error: per-function budget k=3 cannot exceed ell=2\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_refuses_an_oversized_grid_before_greedy(
+            self, monkeypatch, tmp_path, capsys):
+        def greedy(*args, **kwargs):
+            raise AssertionError("ran greedy")
+
+        monkeypatch.setattr(cli, "replacement_greedy", greedy)
+        out = tmp_path / "report"
+        assert main(["run", "--objective", "facility", "--n", "1500",
+                     "--m", "5", "--ell", "10", "--k", "3",
+                     "--epsilon", "1e-6", "--algorithms", "greedy,streaming",
+                     "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: epsilon=1e-06 allows 4094348 threshold instances; times "
+            "m=5 and ell=10 that is 204717400 slots, above the limit of "
+            "10000000\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_oracle_validates_its_config(self, capsys):

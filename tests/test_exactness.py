@@ -6,15 +6,19 @@ code.  The current code must agree with them bit for bit (``==``, not
 golden runs pin whole-solver outputs and eval counts.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostage import streaming
 from twostage.core import (InvariantViolation, ObjectiveFamily, SwapOutcome,
-                           TwoStageSolution, check_budgets, evaluate_solution,
-                           lambda_gain, marginal, nabla, rep,
-                           solution_from_sets)
+                           TwoStageSolution, _Sets, check_budgets,
+                           evaluate_solution, lambda_gain, marginal, nabla,
+                           rep, solution_from_sets)
 from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
 from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
@@ -606,6 +610,20 @@ class RefThresholdManager(ThresholdManager):
             sum(len(state.S) for state in self.instances.values()))
 
 
+@contextmanager
+def spy(owner, name, record):
+    """Patch ``owner.name`` to pass its positional arguments, as one tuple,
+    to ``record`` before each call."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        record(args)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(owner, name, wrapper):
+        yield
+
+
 def stream_family(kind, n, m, seed):
     if kind == "exemplar":
         return exemplar_family(float_features(n, m, seed), m)
@@ -627,10 +645,21 @@ def test_memoised_threshold_manager_matches_reference(kind, seed, data):
     F, calls = kernel_counted(stream_family(kind, n, m, seed))
     G, ref_calls = kernel_counted(stream_family(kind, n, m, seed))
     runs = []
+    probes, evaluating = [], []
     for manager, fam in ((ThresholdManager, F), (RefThresholdManager, G)):
         before = fam.evals
         mgr = manager(fam, epsilon, ell, k, alpha=alpha,
-                      instrument=instrument).run(stream)
+                      instrument=instrument)
+        if manager is ThresholdManager:
+            def evaluates(args):
+                _, u, state = args[:3]
+                evaluating.append(u not in state.S and len(state.S) < ell)
+
+            with spy(_Sets, "probe", probes.append), \
+                    spy(streaming, "exchange", evaluates):
+                mgr.run(stream)
+        else:
+            mgr.run(stream)
         runs.append((
             mgr.best_solution(), mgr.all_solutions(),
             {l: (state.S, state.T, state.base, state.trace)
@@ -642,6 +671,106 @@ def test_memoised_threshold_manager_matches_reference(kind, seed, data):
     # singleton average and again in the new instance's first exchange
     assert calls[0] <= ref_calls[0]
     assert (calls[0] < ref_calls[0]) == (mgr.max_instances >= 1)
+    # one probe per group of states that evaluates u; a positive delta
+    # creates at least two empty instances at once, and they share one
+    assert len(probes) <= sum(evaluating)
+    assert (len(probes) < sum(evaluating)) == (mgr.max_instances >= 2)
+
+
+def grouped_run(F, order):
+    """Run ThresholdManager(F, 0.2, 6, 2) over ``order``, recording per
+    element the summaries of the states that evaluate it, the probes made,
+    and each state's token before its exchange with the exchange's result."""
+    mgr = ThresholdManager(F, 0.2, 6, 2)
+    update = mgr.update_thresholds
+    steps = []
+
+    def snapshot(u):
+        update(u)
+        steps.append({"evaluating": [frozenset(s.S)
+                                     for s in mgr.instances.values()
+                                     if u not in s.S and len(s.S) < s.ell],
+                      "probes": 0, "exchanges": []})
+
+    def probed(args):
+        steps[-1]["probes"] += 1
+
+    original = streaming.exchange
+
+    def exchange_spy(F, u, state, **kwargs):
+        token = state.group
+        accepted = original(F, u, state, **kwargs)
+        steps[-1]["exchanges"].append((token, accepted))
+        return accepted
+
+    mgr.update_thresholds = snapshot
+    with spy(_Sets, "probe", probed), \
+            mock.patch.object(streaming, "exchange", exchange_spy):
+        for u in order:
+            mgr.process(u)
+            states = list(mgr.instances.values())
+            steps[-1]["tokens_match_sets"] = all(
+                (a.group is b.group) == (a.S == b.S)
+                and (a.group is not b.group or (a.T, a.base) == (b.T, b.base))
+                for a in states for b in states)
+    return mgr, steps
+
+
+class MemoThresholdManager(ThresholdManager):
+    """The manager with the per-element memo but no groups: every instance
+    that can take an element probes it."""
+
+    def process(self, u):
+        with self.F._memo_scope():
+            RefThresholdManager.process(self, u)
+
+
+def test_threshold_manager_probes_once_per_group():
+    """Instances holding equal sets probe each element once between them;
+    the outputs and counts are the reference's, and the followers' replays
+    are all served by the memo."""
+    F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
+    G = make_synthetic("coverage", 40, 3, seed=2)
+    H, memo_calls = kernel_counted(G)
+    order = list(range(40))
+    np.random.default_rng(2).shuffle(order)
+    before = F.evals
+    mgr, steps = grouped_run(F, order)
+    evals, kernel_calls = F.evals - before, calls[0]
+    before = G.evals
+    ref = RefThresholdManager(G, 0.2, 6, 2).run(order)
+    ref_evals = G.evals - before
+    assert (mgr.best_solution(), mgr.all_solutions(), evals,
+            mgr.peak_stored, mgr.max_instances) == \
+        (ref.best_solution(), ref.all_solutions(), ref_evals,
+         ref.peak_stored, ref.max_instances)
+    MemoThresholdManager(H, 0.2, 6, 2).run(order)
+    assert kernel_calls == memo_calls[0]
+    # the first element creates many empty instances, and one probe serves
+    assert len(steps[0]["evaluating"]) > 1 and steps[0]["probes"] == 1
+    # the stream has no repeats, so equal summaries mean one group
+    for step in steps:
+        assert step["probes"] == len(set(step["evaluating"]))
+    assert sum(s["probes"] for s in steps) < \
+        sum(len(s["evaluating"]) for s in steps) / 2
+
+
+def test_split_groups_never_share_again():
+    """Members of one group that accept an element leave it together and the
+    ones that reject keep it: after every element, two live states share a
+    token exactly when they hold the same S, T and base."""
+    F = make_synthetic("coverage", 40, 3, seed=2)
+    order = list(range(40))
+    np.random.default_rng(2).shuffle(order)
+    mgr, steps = grouped_run(F, order)
+    splits = 0
+    for step in steps:
+        results = {}
+        for token, accepted in step["exchanges"]:
+            results.setdefault(token, set()).add(accepted)
+        splits += sum(len(r) == 2 for r in results.values())
+        assert step["tokens_match_sets"]
+    assert splits >= 3
 
 
 # ---------------------------------------------------------------------------

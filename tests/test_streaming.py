@@ -1,4 +1,6 @@
+import gc
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +10,15 @@ from hypothesis import strategies as st
 from twostage import cli, distributed, oracle, streaming
 from twostage.core import NonFiniteValueError, evaluate_solution
 from twostage.distributed import distributed_fast, pseudo_streaming
-from twostage.objectives import make_synthetic
+from twostage.objectives import exemplar_family, make_synthetic
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (MAX_INSTANCE_SLOTS, MAX_INSTANCES,
                                 InstanceBudgetError, StreamState,
                                 ThresholdManager, exchange, run_know_opt,
                                 run_streaming)
 
-from conftest import NON_FINITE, modular_family, poisoned_family
+from conftest import (NON_FINITE, float_features, modular_family,
+                      poisoned_family)
 
 
 def fresh_state(F, ell, k, tau, alpha=1.0):
@@ -42,6 +45,16 @@ class TestExchange:
         state = fresh_state(F, ell=2, k=1, tau=100.0)
         assert not exchange(F, 0, state)
         assert state.S == set() and state.T == [(), ()]
+
+    def test_only_an_accepted_element_changes_the_group_token(
+            self, worked_instance):
+        F = worked_instance
+        low, high = (fresh_state(F, ell=2, k=1, tau=t) for t in (0.25, 100.0))
+        assert low.group is None and high.group is None  # empty: one group
+        assert exchange(F, 0, low) and not exchange(F, 0, high)
+        assert low.group is not None and high.group is None
+        again = fresh_state(F, ell=2, k=1, tau=0.25)
+        assert exchange(F, 1, again) and again.group is not low.group
 
     def test_duplicate_arrival_is_rejected(self, worked_instance):
         F = worked_instance
@@ -352,3 +365,26 @@ class TestEvalMemo:
         mgr.process(0)
         assert None not in seen
         assert len({id(memo) for memo in seen}) == 2
+
+
+def test_grouped_run_keeps_no_tuple_per_exchange():
+    """Grouping the instances by token allocates nothing per function per
+    exchange.  Keyed by ``tuple(state.T)`` instead, the m=20 run below peaked
+    near 370 KiB on CPython 3.11, whose free list keeps every freed 20-slot
+    tuple and never reuses one; the token-keyed run peaks near 35 KiB."""
+    F = exemplar_family(float_features(160, 20, 0), 20)
+    mgr = ThresholdManager(F, 0.5, 10, 3)
+    gc.collect()  # a full collection also empties the tuple free lists
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mgr.run(range(160))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(mgr.instances) > 1
+    assert peak < 128 * 1024
