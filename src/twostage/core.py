@@ -31,7 +31,11 @@ they are still counted one ``value`` call each:
   replays the leader's probe, one ``value`` call per set it evaluated
   (``_Sets.probe_sets``), and the memo serves every replayed call.
 * outside such a scope, each set of a probe that ``_Sets.probes`` serves
-  from a block kernel (the block memo).
+  from a block kernel (the block memo).  When a round's candidates fit in
+  one block, the ``_Sets`` keeps that block, and a later round asks the
+  kernel again only for the functions whose T_i changed; every other value
+  is the one computed for the same candidate against the same T_i.  The
+  kept block lives as long as the ``_Sets``, one solver call.
 
 Nothing else is memoised.
 """
@@ -41,11 +45,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from math import inf, isfinite
+from operator import index
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+
+
+def _check_ids(ids: Iterable):
+    """Raise TypeError unless every id is an integer (``operator.index``)."""
+    try:
+        for e in ids:
+            index(e)
+    except TypeError:
+        raise TypeError(f"element ids must be integers, got {e!r}") from None
 
 
 class InvariantViolation(AssertionError):
@@ -84,7 +97,9 @@ class ObjectiveFamily:
     for a fixed code path.  ``_memo`` is None, or one dict per function from
     sorted key to value while a ``_memo_scope`` is open, or the block memo
     of ``_Sets.probes``.  ``_block`` is None or the family's block kernel
-    (see ``objectives._bases``).
+    (see ``objectives._bases``), and ``_table_floats`` the number of floats
+    in the tables the kernel reads (0 without one), which sizes the blocks
+    of ``_Sets.probes``.
     """
 
     def __init__(self, ground: GroundSet,
@@ -98,6 +113,7 @@ class ObjectiveFamily:
         self.evals = 0
         self._memo = None
         self._block = None
+        self._table_floats = 0
         self._offsets = [0.0] * self._m
         self._offsets = [self.value(i, ()) for i in range(self._m)]
 
@@ -111,7 +127,8 @@ class ObjectiveFamily:
         The checks and the count come first, so a repeat is checked and
         counted like any eval.  While a memo scope is open, a set already
         evaluated in it returns the stored value without calling f_i; a
-        non-finite value raises and is never stored.
+        non-finite value raises and is never stored.  A non-integer id
+        raises ``TypeError`` before f_i is called.
         """
         if not 0 <= i < self._m:
             raise ValueError(f"function index {i} out of range [0, {self._m})")
@@ -124,6 +141,7 @@ class ObjectiveFamily:
             v = memo[i].get(key)
             if v is not None:
                 return v
+        _check_ids(key)
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
             raise NonFiniteValueError(
@@ -234,7 +252,11 @@ def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
     return best_y, best_gain
 
 
-# The values one block of ``_Sets.probes`` holds, k per function and candidate
+# The floats one block of ``_Sets.probes`` holds at most, k per function
+# and candidate: this, or an eighth of F's kernel tables
+# (``F._table_floats``) when that is more, so that a family whose tables
+# are large probes every candidate of a round in one block, which the
+# ``_Sets`` keeps for the next round.
 BLOCK_FLOATS = 1024
 
 
@@ -246,6 +268,7 @@ class _Sets:
         self.S = set()
         self.T = [()] * m
         self.base = [0.0] * m
+        self.kept = None  # the block ``probes`` keeps, see ``_block_values``
 
     def probe(self, F: ObjectiveFamily, x: int, k: int,
               step: float | None = None, raws: list | None = None) -> tuple:
@@ -254,10 +277,13 @@ class _Sets:
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
         is 0.0 with replaced None.  With F's block kernel and no memo scope
-        open, this is a block of one of ``probes``, which passes x's values.
+        open, x's values come from a new block of one, which is not kept;
+        ``probes`` passes them as ``raws``.
         """
         if raws is None and F._block is not None and F._memo is None:
-            return next(self.probes(F, (x,), k, step))[1:]
+            vals, _ = self._block_values(F, [x], k, False)
+            with F._memo_scope():
+                return self.probe(F, x, k, step, vals[0].tolist())
         value = F.value
         base = self.base
         replaced = []
@@ -296,25 +322,56 @@ class _Sets:
         """Yield ``(x, replaced, gains)``, the ``probe`` of each x of xs not
         in S, in order; the caller changes nothing here until it is done.
 
-        With F's block kernel and no memo scope open, one ``F._block`` call
-        per function gives a block of candidates' values, and each probe
-        runs in a memo scope that ``_move`` fills: the block memo."""
-        xs = (x for x in xs if x not in self.S)
+        With F's block kernel and no memo scope open, the candidates' values
+        come in blocks (``_block_values``), and each probe runs in a memo
+        scope that ``_move`` fills: the block memo.  When they fit in one
+        block, that block is kept for the next call."""
+        xs = [x for x in xs if x not in self.S]
         if F._block is None or F._memo is not None:
             yield from ((x, *self.probe(F, x, k, step)) for x in xs)
             return
-        while part := list(islice(xs, max(1, BLOCK_FLOATS // (F.m * k)))):
+        size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * k))
+        for start in range(0, len(xs), size):
+            part = xs[start:start + size]
             vals = None  # the last block's values go before the next's come
-            vals = np.zeros((len(part), F.m, k))
-            for i, key in enumerate(self.T):
-                swap = len(key) >= k
-                vals[:, i, :k if swap else 1] = F._block(
-                    i, key, part, swap).reshape(len(part), -1)
-            vals -= np.array(F._offsets)[:, None]
-            for b, x in enumerate(part):
+            vals, row_of = self._block_values(F, part, k, len(xs) <= size)
+            for x in part:
                 with F._memo_scope():
-                    moves = self.probe(F, x, k, step, vals[b].tolist())
+                    moves = self.probe(F, x, k, step,
+                                       vals[row_of[x]].tolist())
                 yield (x, *moves)
+
+    def _block_values(self, F: ObjectiveFamily, xs: list, k: int,
+                      keep: bool) -> tuple:
+        """The values of the probe sets of xs, none in S, from F's kernel
+        less the offsets, by (row, function, j), and the row of each x.
+
+        The block is new, unless ``keep`` and the kept block has a row for
+        every x: then a function's column is reused if T[i] is still the
+        key it was filled for, and refilled for the rows not in S if not.
+        A ``_Sets`` probes at one k.  A new block is kept if ``keep``.  A
+        column counts as filled only once ``F._block`` has returned; a value
+        that is not finite stays in the block, and ``_move`` does not serve
+        it."""
+        _check_ids(xs)
+        kept = self.kept if keep else None
+        if kept is None or any(x not in kept[0] for x in xs):
+            kept = ({x: r for r, x in enumerate(xs)},
+                    np.zeros((len(xs), F.m, k)), [None] * F.m)
+            if keep:
+                self.kept = kept
+        row_of, vals, keys = kept
+        live = [x for x in row_of if x not in self.S]
+        # a slice writes a whole new block faster than a row list
+        rows = (slice(None) if len(live) == len(row_of)
+                else [row_of[x] for x in live])
+        for i, key in enumerate(self.T):
+            if keys[i] != key:
+                swap = len(key) >= k
+                vals[rows, i, :k if swap else 1] = F._block(
+                    i, key, live, swap).reshape(len(live), -1) - F._offsets[i]
+                keys[i] = key
+        return vals, row_of
 
     def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list):
         """Put x in S, and in each T[i] whose gain is positive, in place
@@ -343,6 +400,7 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
     missing base evaluated: the insertion gain below budget ``k`` (exactly
     0.0 with no eval when x is already in ``key``), else ``_move``.
     """
+    _check_ids((x,))
     if not 0 <= x < F.ground.n:
         raise ValueError(f"element {x} out of range [0, {F.ground.n})")
     if len(key) < k:

@@ -122,6 +122,7 @@ def facility_family(points: Sequence[Point],
 
     F = ObjectiveFamily(ground, [make(mat) for mat in matrices])
     F._block = block
+    F._table_floats = sum(mat.size for mat in matrices)
     return F
 
 
@@ -289,6 +290,7 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     F = ObjectiveFamily(GroundSet(len(vectors), vectors),
                         [make(*c) for c in classes])
     F._block = block
+    F._table_floats = sum(width ** 2 for _, _, width in classes)
     return F
 
 

@@ -33,8 +33,9 @@ BETA = 6.0
 MAX_INSTANCE_SLOTS = 10 ** 7
 
 # Largest instance_bound() a ThresholdManager accepts, whatever m and ell
-# are: an empty StreamState costs about 530 bytes plus 16 per function (590
-# at m=5, group token included), so this many cost about 59 MB at m=5.  It
+# are: an empty StreamState costs about 540 bytes plus 16 per function (600
+# at m=5, group token and the unused kept-block slot of ``_Sets`` included),
+# so this many cost about 60 MB at m=5.  It
 # also bounds one element's eval memo, which holds the m singletons plus at
 # most m * (k + 2) sets per live instance, and its groups, each of which
 # lists at most m * k probe sets.  The tests need 5,708 at most.

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from twostage.core import NonFiniteValueError, ObjectiveFamily
+from twostage.core import (BLOCK_FLOATS, NonFiniteValueError, ObjectiveFamily,
+                           _Sets, marginal)
 from twostage.greedy import replacement_greedy
 from twostage.objectives import exemplar_family, make_synthetic
 from twostage.oracle import brute_force_opt
@@ -147,3 +150,156 @@ class TestSwapProbeMemo:
         got = (replacement_greedy(F, range(12), 4, 2), F.evals)
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
         assert F._memo is None
+
+
+def block_spy(F):
+    """Record each ``F._block(i, key, xs, swap)`` call as (i, key, xs)."""
+    kernel = F._block
+    calls = []
+
+    def spy(i, key, xs, swap):
+        calls.append((i, key, list(xs)))
+        return kernel(i, key, xs, swap)
+    F._block = spy
+    return calls
+
+
+def greedy_rounds(F, cands, ell, k):
+    """replacement_greedy(F, cands, ell, k) with the kernel calls of each
+    round, and per round the S and T it started from."""
+    calls = block_spy(F)
+    starts = []
+    probes = _Sets.probes
+
+    def spy(self, F, xs, k, step=None):
+        starts.append((len(calls), set(self.S), list(self.T)))
+        return probes(self, F, xs, k, step)
+
+    with mock.patch.object(_Sets, "probes", spy):
+        sol = replacement_greedy(F, cands, ell, k)
+    ends = [start for start, *_ in starts[1:]] + [len(calls)]
+    return sol, [(calls[start:end], S, T)
+                 for (start, S, T), end in zip(starts, ends)]
+
+
+class TestKeptBlock:
+    """When a round's candidates fit in one block, greedy keeps the block
+    and asks the kernel again only for the functions whose T_i changed."""
+
+    def test_later_rounds_refill_only_changed_functions(self):
+        E = exemplar_family(float_features(14, 4, 3), 4)
+        G, scalar_calls = kernel_counted(E)
+        F, calls = kernel_counted(E)
+        F._block, F._table_floats = E._block, E._table_floats
+        k = 2
+        assert 14 <= max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * k)
+        sol, rounds = greedy_rounds(F, range(14), 5, k)
+        assert (sol, F.evals) == (replacement_greedy(G, range(14), 5, k),
+                                  G.evals)
+        assert calls[0] < scalar_calls[0]
+        assert len(rounds) >= 3
+        previous = [None] * F.m  # no column is filled before round 1
+        for calls, S, T in rounds:
+            live = [x for x in range(14) if x not in S]
+            changed = [i for i in range(F.m) if T[i] != previous[i]]
+            assert calls == [(i, T[i], live) for i in changed]
+            previous = T
+        # round 1 fills every function; later rounds refill fewer
+        assert len(rounds[0][0]) == F.m
+        assert sum(len(calls) for calls, *_ in rounds[1:]) < \
+            F.m * (len(rounds) - 1)
+
+    def test_several_blocks_per_round_are_all_filled_every_round(self):
+        F = make_synthetic("facility", 100, 10, seed=3)
+        G = ObjectiveFamily(F.ground, F._functions)
+        k = 5
+        size = max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * k)
+        assert size == 25  # an eighth of the 100 x 10 tables per function
+        sol, rounds = greedy_rounds(F, range(100), 6, k)
+        assert (sol, F.evals) == (replacement_greedy(G, range(100), 6, k),
+                                  G.evals)
+        for calls, S, T in rounds:
+            live = [x for x in range(100) if x not in S]
+            blocks = [live[s:s + size] for s in range(0, len(live), size)]
+            assert len(blocks) > 1
+            assert calls == [(i, T[i], xs) for xs in blocks
+                             for i in range(F.m)]
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_a_kernel_that_raises_mid_refill_leaves_no_stale_column(
+            self, fail_at):
+        F = exemplar_family(float_features(14, 4, 3), 4)
+        G = ObjectiveFamily(F.ground, F._functions)
+        sets, ref = _Sets(F.m), _Sets(G.m)
+        cands, k = list(range(14)), 2
+        for s, fam in ((sets, F), (ref, G)):
+            moves = list(s.probes(fam, cands, k))
+            s.add(fam, *max(moves, key=lambda move: sum(move[2])))
+        changed = [i for i in range(F.m) if sets.T[i]]
+        assert len(changed) >= 2 and sets.T == ref.T
+        kernel = F._block
+        calls = []
+
+        def failing(i, key, xs, swap):
+            calls.append(i)
+            if len(calls) > fail_at:
+                raise RuntimeError("block kernel failed")
+            return kernel(i, key, xs, swap)
+        F._block = failing
+        with pytest.raises(RuntimeError, match="block kernel failed"):
+            list(sets.probes(F, cands, k))
+        assert calls == changed[:fail_at + 1]
+        F._block = kernel
+        assert list(sets.probes(F, cands, k)) == list(ref.probes(G, cands, k))
+        assert F.evals == G.evals and F._memo is None
+
+    def test_a_round_with_every_candidate_in_s_calls_no_kernel(self):
+        F = make_synthetic("coverage", 8, 3, seed=1)
+        F._block = scalar_block(F)
+        calls = block_spy(F)
+        sets = _Sets(F.m)
+        for x in (0, 5):
+            sets.add(F, *next(sets.probes(F, [x], 2)))
+        calls.clear()
+        assert list(sets.probes(F, [5, 0, 5], 2)) == []
+        assert calls == []
+
+    def test_a_probe_of_one_element_leaves_the_kept_block(self):
+        F = exemplar_family(float_features(14, 4, 3), 4)
+        calls = block_spy(F)
+        sets = _Sets(F.m)
+        moves = list(sets.probes(F, range(10), 2))
+        kept = sets.kept
+        calls.clear()
+        for x in range(10, 14):
+            sets.probe(F, x, 2)
+        assert sets.kept is kept and len(calls) == 4 * F.m
+        calls.clear()
+        assert list(sets.probes(F, range(10), 2)) == moves and calls == []
+
+
+def id_families():
+    return [make_synthetic("modular", 6, 2, seed=1),
+            make_synthetic("coverage", 6, 2, seed=1),
+            make_synthetic("facility", 6, 2, seed=1),
+            exemplar_family(float_features(6, 2, 1), 2)]
+
+
+class TestElementIds:
+    @pytest.mark.parametrize("F", id_families())
+    def test_non_integer_ids_raise_type_error(self, F):
+        with pytest.raises(TypeError, match="element ids must be integers"):
+            replacement_greedy(F, [0.5, 1.5, 2.5], 2, 1)
+        with pytest.raises(TypeError, match="element ids must be integers"):
+            F.value(0, (2.5,))
+        # 2.0 == 2, so only the candidate's own check refuses it
+        with pytest.raises(TypeError, match="element ids must be integers"):
+            marginal(F, 0, 2.0, [2])
+
+    @pytest.mark.parametrize("F", id_families())
+    def test_numpy_integer_ids_equal_python_ints(self, F):
+        runs = []
+        for ids in (range(6), np.arange(6), np.arange(6, dtype=np.int32)):
+            before = F.evals
+            runs.append((replacement_greedy(F, ids, 3, 2), F.evals - before))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
