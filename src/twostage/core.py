@@ -21,17 +21,19 @@ the clamp or the threshold, and whose ``add`` applies them.
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
 adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
-measure: a code path performs the same evals every time it runs.  Two memos
-serve evals from values already computed rather than from the objective, and
-they are still counted one ``value`` call each:
+measure: a code path performs the same evals every time it runs.  Two
+sources serve evals from values already computed rather than from the
+objective, and they are still counted one ``value`` call each:
 
-* repeats within one streaming element.  ``ThresholdManager.process`` opens
-  ``_memo_scope`` around each element and probes it once per group of
-  threshold instances holding the same sets; each other member of a group
-  replays the leader's probe, one ``value`` call per set it evaluated
-  (``_Sets.probe_sets``), and the memo serves every replayed call.
-* outside such a scope, each set of a probe that ``_Sets.probes`` serves
-  from a block kernel (the block memo).  When a round's candidates fit in
+* the memo, for repeats within one streaming element.
+  ``ThresholdManager.process`` opens ``_memo_scope`` around each element
+  and probes it once per group of threshold instances holding the same
+  sets; each other member of a group replays the leader's probe, one
+  ``value`` call per set it evaluated (``_Sets.probe_sets``), and the memo
+  serves every replayed call.
+* outside a memo scope, the values of F's block kernel.  ``_Sets.probes``
+  gets each candidate's probe sets' values in blocks, and passes each one
+  to its ``value`` call as ``served``.  When a round's candidates fit in
   one block, the ``_Sets`` keeps that block, and a later round asks the
   kernel again only for the functions whose T_i changed; every other value
   is the one computed for the same candidate against the same T_i.  The
@@ -42,7 +44,6 @@ Nothing else is memoised.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite
@@ -95,11 +96,10 @@ class ObjectiveFamily:
     to exactly 0 on the empty set.  Every set evaluation increments ``evals``;
     the complexity regression tests depend on that count being deterministic
     for a fixed code path.  ``_memo`` is None, or one dict per function from
-    sorted key to value while a ``_memo_scope`` is open, or the block memo
-    of ``_Sets.probes``.  ``_block`` is None or the family's block kernel
-    (see ``objectives._bases``), and ``_table_floats`` the number of floats
-    in the tables the kernel reads (0 without one), which sizes the blocks
-    of ``_Sets.probes``.
+    sorted key to value while a ``_memo_scope`` is open.  ``_block`` is None
+    or the family's block kernel (see ``objectives._bases``), and
+    ``_table_floats`` the number of floats in the tables the kernel reads (0
+    without one), which sizes the blocks of ``_Sets.probes``.
     """
 
     def __init__(self, ground: GroundSet,
@@ -121,13 +121,16 @@ class ObjectiveFamily:
     def m(self) -> int:
         return self._m
 
-    def value(self, i: int, ids: Iterable[int]) -> float:
+    def value(self, i: int, ids: Iterable[int],
+              served: float | None = None) -> float:
         """Normalized value of f_i on the given element set (one counted eval).
 
         The checks and the count come first, so a repeat is checked and
         counted like any eval.  While a memo scope is open, a set already
         evaluated in it returns the stored value without calling f_i; a
-        non-finite value raises and is never stored.  A non-integer id
+        non-finite value raises and is never stored.  Internal: ``served``
+        is the normalized value a block kernel computed for this set, and
+        is returned without calling f_i if it is finite.  A non-integer id
         raises ``TypeError`` before f_i is called.
         """
         if not 0 <= i < self._m:
@@ -141,6 +144,8 @@ class ObjectiveFamily:
             v = memo[i].get(key)
             if v is not None:
                 return v
+        if served is not None and isfinite(served):
+            return served
         _check_ids(key)
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
@@ -201,8 +206,9 @@ class TwoStageSolution:
 
 
 def check_budgets(ell: int, k: int):
-    """Raise ValueError unless 1 <= k <= ell."""
-    if ell < 1 or k < 1:
+    """Raise TypeError unless ell and k are integers, ValueError unless
+    1 <= k <= ell."""
+    if min(index(ell), index(k)) < 1:
         raise ValueError(f"budgets must be at least 1, got ell={ell}, k={k}")
     if k > ell:
         raise ValueError(f"per-function budget k={k} cannot exceed ell={ell}")
@@ -223,29 +229,21 @@ def solution_from_sets(F: ObjectiveFamily, summary, per_function,
     return sol
 
 
-def _move(value: Callable[[int, tuple], float], i: int, key: tuple, x: int,
-          base: float, raw: list | None = None, memo: list | None = None) -> tuple:
+def _move(value: Callable[..., float], i: int, key: tuple, x: int,
+          base: float, raw: list | None = None) -> tuple:
     """Best single swap of x for some y in the sorted tuple ``key``:
     ``(y, gain)``; the gain may be negative and ties go to the lowest y.
 
     Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
     and must not contain x, and ``base`` is f_i(key).  ``raw``, if given,
-    has the swap sets' values by j; the block memo ``memo`` serves each
-    call its set's value, unless that is not finite: f_i is evaluated.
+    has the swap sets' kernel values by j, each passed to its ``value``
+    call as ``served``.
     """
     best_y = None
     best_gain = 0.0
-    if raw is not None:
-        p = bisect_left(key, x)
-        joined = key[:p] + (x,) + key[p:]  # sorted; key[j] at j or j + 1
     for j, y in enumerate(key):
-        if raw is None:
-            ids = key[:j] + key[j + 1:] + (x,)
-        else:
-            q = j + (j >= p)
-            ids = joined[:q] + joined[q + 1:]
-            memo[i] = {ids: raw[j]} if isfinite(raw[j]) else {}
-        gain = value(i, ids) - base
+        ids = key[:j] + key[j + 1:] + (x,)
+        gain = (value(i, ids) if raw is None else value(i, ids, raw[j])) - base
         if best_y is None or gain > best_gain:
             best_gain = gain
             best_y = y
@@ -276,28 +274,26 @@ class _Sets:
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
-        is 0.0 with replaced None.  With F's block kernel and no memo scope
-        open, x's values come from a new block of one, which is not kept;
-        ``probes`` passes them as ``raws``.
+        is 0.0 with replaced None.  ``raws`` has x's kernel values by
+        (function, j); with F's kernel and no memo scope open, a missing one
+        comes from a new block of one, which is not kept.
         """
         if raws is None and F._block is not None and F._memo is None:
             vals, _ = self._block_values(F, [x], k, False)
-            with F._memo_scope():
-                return self.probe(F, x, k, step, vals[0].tolist())
+            raws = vals[0].tolist()
         value = F.value
         base = self.base
         replaced = []
         gains = []
         for i, key in enumerate(self.T):
             b = base[i]
+            raw = raws and raws[i]
             if len(key) >= k:
-                r, g = _move(value, i, key, x, b, raws and raws[i], F._memo)
+                r, g = _move(value, i, key, x, b, raw)
+            elif raw is None:
+                r, g = None, value(i, key + (x,)) - b
             else:
-                ids = key + (x,)
-                if raws:  # served like _move's swap sets
-                    ids = tuple(sorted(ids))
-                    F._memo[i] = {ids: raws[i][0]} if isfinite(raws[i][0]) else {}
-                r, g = None, value(i, ids) - b
+                r, g = None, value(i, key + (x,), raw[0]) - b
             if not ((r is None or g > 0) and (step is None or g >= step * b)):
                 r, g = None, 0.0
             replaced.append(r)
@@ -323,9 +319,9 @@ class _Sets:
         in S, in order; the caller changes nothing here until it is done.
 
         With F's block kernel and no memo scope open, the candidates' values
-        come in blocks (``_block_values``), and each probe runs in a memo
-        scope that ``_move`` fills: the block memo.  When they fit in one
-        block, that block is kept for the next call."""
+        come in blocks (``_block_values``), and each probe is served its
+        row.  When they fit in one block, that block is kept for the next
+        call."""
         xs = [x for x in xs if x not in self.S]
         if F._block is None or F._memo is not None:
             yield from ((x, *self.probe(F, x, k, step)) for x in xs)
@@ -336,10 +332,7 @@ class _Sets:
             vals = None  # the last block's values go before the next's come
             vals, row_of = self._block_values(F, part, k, len(xs) <= size)
             for x in part:
-                with F._memo_scope():
-                    moves = self.probe(F, x, k, step,
-                                       vals[row_of[x]].tolist())
-                yield (x, *moves)
+                yield (x, *self.probe(F, x, k, step, vals[row_of[x]].tolist()))
 
     def _block_values(self, F: ObjectiveFamily, xs: list, k: int,
                       keep: bool) -> tuple:
@@ -351,7 +344,7 @@ class _Sets:
         key it was filled for, and refilled for the rows not in S if not.
         A ``_Sets`` probes at one k.  A new block is kept if ``keep``.  A
         column counts as filled only once ``F._block`` has returned; a value
-        that is not finite stays in the block, and ``_move`` does not serve
+        that is not finite stays in the block, and ``value`` does not serve
         it."""
         _check_ids(xs)
         kept = self.kept if keep else None

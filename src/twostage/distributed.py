@@ -8,6 +8,7 @@ of (best worker solution, merged solution).  Only the worker differs.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable
 
 import numpy as np
@@ -24,8 +25,9 @@ def partition(ground_n: int, M: int, seed: int) -> list[list[int]]:
     derived from the seed, so later sources of randomness can be added
     without disturbing existing partitions.  Machines that draw nothing are
     left out, so the cost depends on ``ground_n`` only, not on ``M``.
+    Raises TypeError unless ``M`` is an integer.
     """
-    if M < 1:
+    if index(M) < 1:
         raise ValueError("need at least one machine")
     stream = np.random.SeedSequence(seed).spawn(1)[0]
     machine = np.random.default_rng(stream).integers(0, M, ground_n)

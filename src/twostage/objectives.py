@@ -238,7 +238,8 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
 
     The block kernel ``_block`` (see ``_bases``) takes the same minima over
     the same rows, with +inf for a chosen id outside the class, and keeps
-    the last key's rows per class for the next block.
+    the last key's rows per class for the next block: ``run_know_opt``
+    probes each element in a block of one, mostly against unchanged keys.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not

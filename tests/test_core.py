@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 
 from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
-                           ObjectiveFamily, empty_solution, evaluate_solution, lambda_gain,
-                           marginal, nabla, rep, solution_from_sets)
+                           ObjectiveFamily, empty_solution, evaluate_solution,
+                           lambda_gain, marginal, nabla, rep,
+                           solution_from_sets)
+from twostage.distributed import distributed_fast, replacement_distributed
+from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
+from twostage.streaming import run_know_opt, run_streaming
 
 from conftest import (NON_FINITE, kernel_counted, modular_family,
                       poisoned_family)
@@ -121,6 +126,78 @@ class TestEvalMemo:
             F.value(0, (1,))
         assert calls[0] == 3
         assert F._memo is None
+
+
+class TestServedValue:
+    """``value``'s internal ``served`` argument: a block kernel's value for
+    the set, counted as one eval and returned in place of f_i's."""
+
+    def test_finite_value_is_counted_without_calling_f(self, counted):
+        F, calls = counted
+        before = F.evals
+        assert F.value(0, (2, 1), 7.5) == 7.5
+        assert (calls[0], F.evals - before) == (0, 1)
+
+    def test_bad_indices_raise_before_it_is_served(self, counted):
+        F, calls = counted
+        with pytest.raises(ValueError, match="function index"):
+            F.value(1, (1,), 2.0)
+        with pytest.raises(ValueError, match="element id"):
+            F.value(0, (1, 4), 2.0)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("served", NON_FINITE)
+    def test_non_finite_value_calls_f(self, counted, served):
+        F, calls = counted
+        before = F.evals
+        assert F.value(0, (2, 1), served) == 5.0
+        assert (calls[0], F.evals - before) == (1, 1)
+
+    @pytest.mark.parametrize("served", NON_FINITE)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_value_and_f_raise(self, served, bad):
+        F = poisoned_family(bad)
+        before = F.evals
+        with pytest.raises(NonFiniteValueError, match=r"function 1 .*\(1, 3\)"):
+            F.value(1, (3, 1), served)
+        assert F.evals - before == 1
+
+
+class TestIntegerArguments:
+    """Budgets and machine counts that are not integers raise TypeError
+    before any eval; numpy integers are integers."""
+
+    SOLVES = {
+        "run_streaming": lambda F, ell, k, M: run_streaming(
+            range(20), F, 0.5, ell, k),
+        "run_know_opt": lambda F, ell, k, M: run_know_opt(
+            range(20), F, 1.0, ell, k),
+        "replacement_greedy": lambda F, ell, k, M: replacement_greedy(
+            F, range(20), ell, k),
+        "replacement_distributed": lambda F, ell, k, M:
+            replacement_distributed(F, M, ell, k, 0),
+        "distributed_fast": lambda F, ell, k, M: distributed_fast(
+            F, M, 0.5, ell, k, 0),
+    }
+
+    @pytest.mark.parametrize("name, ell, k, M", [
+        (name, ell, k, M) for name in SOLVES
+        for ell, k, M in [(2.5, 2, 2), (3, 1.5, 2), (3, 2, 2.5)]
+        if M == 2 or "distributed" in name])
+    def test_non_integer_raises_before_any_eval(self, name, ell, k, M):
+        F = make_synthetic("coverage", 20, 2, 0)
+        before = F.evals
+        with pytest.raises(TypeError, match="integer"):
+            self.SOLVES[name](F, ell, k, M)
+        assert F.evals == before
+
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_numpy_integers_are_accepted(self, name):
+        F = make_synthetic("coverage", 20, 2, 0)
+        G = make_synthetic("coverage", 20, 2, 0)
+        solve = self.SOLVES[name]
+        assert (solve(F, np.int64(3), np.int32(2), np.int16(2)), F.evals) == (
+            solve(G, 3, 2, 2), G.evals)
 
 
 class TestMarginal:

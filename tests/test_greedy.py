@@ -152,6 +152,26 @@ class TestSwapProbeMemo:
         assert F._memo is None
 
 
+def test_kernel_probes_open_no_memo_scope():
+    # kernel values reach value() as its served argument, never a memo
+    for F in (make_synthetic("facility", 12, 3, seed=2),
+              exemplar_family(float_features(12, 3, 2), 3)):
+        G = ObjectiveFamily(F.ground, F._functions)
+        value = ObjectiveFamily.value
+        memos, served = [], []
+
+        def spy(self, *args):
+            memos.append(self._memo)
+            served.append(len(args) == 3)
+            return value(self, *args)
+        with mock.patch.object(ObjectiveFamily, "_memo_scope") as scope, \
+                mock.patch.object(ObjectiveFamily, "value", spy):
+            got = (replacement_greedy(F, range(12), 4, 2), F.evals)
+        assert scope.call_count == 0
+        assert any(served) and all(memo is None for memo in memos)
+        assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
+
+
 def block_spy(F):
     """Record each ``F._block(i, key, xs, swap)`` call as (i, key, xs)."""
     kernel = F._block
