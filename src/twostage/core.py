@@ -30,7 +30,9 @@ objective, and they are still counted one ``value`` call each:
   and probes it once per group of threshold instances holding the same
   sets; each other member of a group replays the leader's probe, one
   ``value`` call per set it evaluated (``_Sets.probe_sets``), and the memo
-  serves every replayed call.
+  serves every replayed call.  The memo stores only sorted, checked keys,
+  so a replayed set, passed as its sorted tuple, is found as given: it is
+  counted, and was checked when the leader's call stored it.
 * outside a memo scope, the values of F's block kernel.  ``_Sets.probes``
   gets each candidate's probe sets' values in blocks, and passes each one
   to its ``value`` call as ``served``.  When a round's candidates fit in
@@ -44,6 +46,7 @@ Nothing else is memoised.
 
 from __future__ import annotations
 
+from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite
@@ -97,7 +100,7 @@ class ObjectiveFamily:
     the complexity regression tests depend on that count being deterministic
     for a fixed code path.  ``_memo`` is None, or one dict per function from
     sorted key to value while a ``_memo_scope`` is open.  ``_block`` is None
-    or the family's block kernel (see ``objectives._bases``), and
+    or the family's block kernel (see ``_bases``), and
     ``_table_floats`` the number of floats in the tables the kernel reads (0
     without one), which sizes the blocks of ``_Sets.probes``.
     """
@@ -125,21 +128,30 @@ class ObjectiveFamily:
               served: float | None = None) -> float:
         """Normalized value of f_i on the given element set (one counted eval).
 
-        The checks and the count come first, so a repeat is checked and
-        counted like any eval.  While a memo scope is open, a set already
-        evaluated in it returns the stored value without calling f_i; a
-        non-finite value raises and is never stored.  Internal: ``served``
-        is the normalized value a block kernel computed for this set, and
-        is returned without calling f_i if it is finite.  A non-integer id
+        ``i`` is checked first, and every call that passes the checks is
+        counted.  While a memo scope is open, a set already evaluated in it
+        returns the stored value without calling f_i; a non-finite value
+        raises and is never stored.  The memo's keys are sorted and were
+        range-checked when stored, so a tuple found there as given is a
+        canonical repeat: it is counted and served without being sorted or
+        checked again.  Any other set is sorted and its ids range-checked
+        before it is counted or looked up.  Internal: ``served`` is the
+        normalized value a block kernel computed for this set, and is
+        returned without calling f_i if it is finite.  A non-integer id
         raises ``TypeError`` before f_i is called.
         """
         if not 0 <= i < self._m:
             raise ValueError(f"function index {i} out of range [0, {self._m})")
+        memo = self._memo
+        if memo is not None and type(ids) is tuple:
+            v = memo[i].get(ids)
+            if v is not None:
+                self.evals += 1
+                return v
         key = tuple(sorted(ids))
         if key and not (0 <= key[0] and key[-1] < self._n):
             raise ValueError("element id out of range")
         self.evals += 1
-        memo = self._memo
         if memo is not None:
             v = memo[i].get(key)
             if v is not None:
@@ -229,20 +241,32 @@ def solution_from_sets(F: ObjectiveFamily, summary, per_function,
     return sol
 
 
-def _move(value: Callable[..., float], i: int, key: tuple, x: int,
-          base: float, raw: list | None = None) -> tuple:
+def _bases(key: tuple, swap: bool) -> list:
+    """The sets a probe against the sorted ``key`` adds its candidate to:
+    ``key`` itself, or, to ``swap``, ``key`` without ``key[j]`` for each j.
+
+    A block kernel ``F._block(i, key, xs, swap)`` gives the raw value of f_i
+    on each of them plus x, for each x of ``xs`` (none in ``key``): shape
+    (len(xs),), or (len(xs), len(key)) to swap.  It reduces each base's rows
+    once and combines the result with every candidate's row at once.
+    """
+    return [key[:j] + key[j + 1:] for j in range(len(key))] if swap else [key]
+
+
+def _move(value: Callable[..., float], i: int, key: tuple, bases: list,
+          x: int, base: float, raw: list | None = None) -> tuple:
     """Best single swap of x for some y in the sorted tuple ``key``:
     ``(y, gain)``; the gain may be negative and ties go to the lowest y.
 
     Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
-    and must not contain x, and ``base`` is f_i(key).  ``raw``, if given,
-    has the swap sets' kernel values by j, each passed to its ``value``
-    call as ``served``.
+    and must not contain x, ``bases`` is ``_bases(key, True)``, and
+    ``base`` is f_i(key).  ``raw``, if given, has the swap sets' kernel
+    values by j, each passed to its ``value`` call as ``served``.
     """
     best_y = None
     best_gain = 0.0
     for j, y in enumerate(key):
-        ids = key[:j] + key[j + 1:] + (x,)
+        ids = bases[j] + (x,)
         gain = (value(i, ids) if raw is None else value(i, ids, raw[j])) - base
         if best_y is None or gain > best_gain:
             best_gain = gain
@@ -268,19 +292,28 @@ class _Sets:
         self.base = [0.0] * m
         self.kept = None  # the block ``probes`` keeps, see ``_block_values``
 
+    def swap_bases(self, k: int) -> list:
+        """``_bases(T[i], True)`` for each function at budget k, else None."""
+        return [_bases(key, True) if len(key) >= k else None
+                for key in self.T]
+
     def probe(self, F: ObjectiveFamily, x: int, k: int,
-              step: float | None = None, raws: list | None = None) -> tuple:
+              step: float | None = None, raws: list | None = None,
+              bases: list | None = None) -> tuple:
         """The moves of x, not in S, as ``(replaced, gains)`` lists by function.
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
         (function, j); with F's kernel and no memo scope open, a missing one
-        comes from a new block of one, which is not kept.
+        comes from a new block of one, which is not kept.  ``bases`` is
+        ``self.swap_bases(k)``, made here if not given.
         """
         if raws is None and F._block is not None and F._memo is None:
             vals, _ = self._block_values(F, [x], k, False)
             raws = vals[0].tolist()
+        if bases is None:
+            bases = self.swap_bases(k)
         value = F.value
         base = self.base
         replaced = []
@@ -289,7 +322,7 @@ class _Sets:
             b = base[i]
             raw = raws and raws[i]
             if len(key) >= k:
-                r, g = _move(value, i, key, x, b, raw)
+                r, g = _move(value, i, key, bases[i], x, b, raw)
             elif raw is None:
                 r, g = None, value(i, key + (x,)) - b
             else:
@@ -303,14 +336,19 @@ class _Sets:
     def probe_sets(self, x: int, k: int) -> list:
         """The ``(i, ids)`` of each ``F.value`` call that ``probe`` makes
         for x, not in S, outside the block kernel: one insertion set per
-        function below budget k, one swap set per member at it."""
+        function below budget k, one swap set per member at it.  Each ids
+        is the sorted tuple that ``value`` keys its memo by, so a replay
+        of a set ``probe`` evaluated in the same memo scope is counted
+        without being sorted or checked again."""
         sets = []
         for i, key in enumerate(self.T):
+            p = bisect(key, x)
+            ins = key[:p] + (x,) + key[p:]
             if len(key) >= k:
-                sets.extend((i, key[:j] + key[j + 1:] + (x,))
-                            for j in range(len(key)))
+                sets.extend((i, ins[:q] + ins[q + 1:])
+                            for q in range(len(ins)) if q != p)
             else:
-                sets.append((i, key + (x,)))
+                sets.append((i, ins))
         return sets
 
     def probes(self, F: ObjectiveFamily, xs: Iterable[int], k: int,
@@ -323,8 +361,10 @@ class _Sets:
         row.  When they fit in one block, that block is kept for the next
         call."""
         xs = [x for x in xs if x not in self.S]
+        bases = self.swap_bases(k)
         if F._block is None or F._memo is not None:
-            yield from ((x, *self.probe(F, x, k, step)) for x in xs)
+            yield from ((x, *self.probe(F, x, k, step, None, bases))
+                        for x in xs)
             return
         size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * k))
         for start in range(0, len(xs), size):
@@ -332,7 +372,8 @@ class _Sets:
             vals = None  # the last block's values go before the next's come
             vals, row_of = self._block_values(F, part, k, len(xs) <= size)
             for x in part:
-                yield (x, *self.probe(F, x, k, step, vals[row_of[x]].tolist()))
+                yield (x, *self.probe(F, x, k, step, vals[row_of[x]].tolist(),
+                                      bases))
 
     def _block_values(self, F: ObjectiveFamily, xs: list, k: int,
                       keep: bool) -> tuple:
@@ -407,7 +448,7 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
         base = F.value(i, key)
     if len(key) < k:
         return None, F.value(i, key + (x,)) - base
-    return _move(F.value, i, key, x, base)
+    return _move(F.value, i, key, _bases(key, True), x, base)
 
 
 def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundSet, ObjectiveFamily
+from .core import GroundSet, ObjectiveFamily, _bases
 
 
 class Point(NamedTuple):
@@ -57,18 +57,6 @@ def facility_value(region: Region, candidates: Iterable[Point]) -> float:
         return 0.0
     return sum(max(facility_convenience(a, b) for b in pts)
                for a in region.members)
-
-
-def _bases(key: tuple, swap: bool) -> list:
-    """The sets a probe against the sorted ``key`` adds its candidate to:
-    ``key`` itself, or, to ``swap``, ``key`` without ``key[j]`` for each j.
-
-    A block kernel ``F._block(i, key, xs, swap)`` gives the raw value of f_i
-    on each of them plus x, for each x of ``xs`` (none in ``key``): shape
-    (len(xs),), or (len(xs), len(key)) to swap.  It reduces each base's rows
-    once and combines the result with every candidate's row at once.
-    """
-    return [key[:j] + key[j + 1:] for j in range(len(key))] if swap else [key]
 
 
 def facility_family(points: Sequence[Point],

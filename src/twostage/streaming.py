@@ -100,19 +100,23 @@ class StreamState(_Sets):
 
 
 class _Group:
-    """The moves of one element against the states of one group token: the
-    group's first state to see the element (its leader) probes, and every
-    later one (a follower) reuses the moves."""
+    """The moves of one element against the states of one group token, and
+    their average gain: the group's first state to see the element (its
+    leader) probes, and every later one (a follower) reuses them."""
 
-    def __init__(self, replaced: list, gains: list):
+    def __init__(self, m: int, replaced: list, gains: list):
         self.replaced = replaced
         self.gains = gains
+        self.avg = sum(gains) / m
         self.sets = None  # the leader's probe sets, listed for a follower
         self.token = object()  # the new token of the states that accept
 
     def replay(self, F: ObjectiveFamily, u: int, state: StreamState):
-        """Make the leader's counted evals again for a follower; the
-        element's memo scope serves each of them without calling f_i."""
+        """Make the leader's counted evals again for a follower.  Each set
+        is passed as the sorted tuple the element's memo scope stored when
+        the leader evaluated it, so each call is counted and served as
+        given, without calling f_i and without sorting or checking the set
+        again."""
         if self.sets is None:
             self.sets = state.probe_sets(u, state.k)
         value = F.value
@@ -142,18 +146,15 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
         return False
     if not 0 <= u < F.ground.n:
         raise ValueError(f"element {u} out of range [0, {F.ground.n})")
-    if groups is None:
-        replaced, gains = state.probe(F, u, state.k, state.alpha / state.k)
-        token = object()
+    group = None if groups is None else groups.get(state.group)
+    if group is None:
+        group = _Group(F.m,
+                       *state.probe(F, u, state.k, state.alpha / state.k))
+        if groups is not None:
+            groups[state.group] = group
     else:
-        group = groups.get(state.group)
-        if group is None:
-            group = groups[state.group] = _Group(
-                *state.probe(F, u, state.k, state.alpha / state.k))
-        else:
-            group.replay(F, u, state)
-        replaced, gains, token = group.replaced, group.gains, group.token
-    avg = sum(gains) / F.m
+        group.replay(F, u, state)
+    replaced, gains, avg = group.replaced, group.gains, group.avg
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
             f"average gain {avg} exceeds the running singleton maximum {delta}")
@@ -162,7 +163,7 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
 
     before = state.total()
     state.add(F, u, replaced, gains)
-    state.group = token
+    state.group = group.token
     if state.trace is not None:
         for i, gain in enumerate(gains):
             if gain > 0:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twostage import core
 from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
                            ObjectiveFamily, empty_solution, evaluate_solution,
                            lambda_gain, marginal, nabla, rep,
@@ -111,6 +114,73 @@ class TestEvalMemo:
                 F.value(0, (1, 4))
             assert F._memo == [{(1,): 2.0}]
         assert calls[0] == 1
+
+    def test_sorted_repeat_is_counted_but_not_sorted_again(
+            self, counted, monkeypatch):
+        F, calls = counted
+        sorts = []
+
+        def spy(ids):
+            ids = list(ids)
+            sorts.append(tuple(ids))
+            return sorted(ids)
+        monkeypatch.setattr(core, "sorted", spy, raising=False)
+        with F._memo_scope():
+            assert F.value(0, (2, 1)) == 5.0
+            before = F.evals
+            for _ in range(3):
+                assert F.value(0, (1, 2)) == 5.0
+            assert (F.evals - before, sorts) == (3, [(2, 1)])
+            assert F.value(0, (2, 1)) == 5.0  # found only once sorted
+        assert F.value(0, (1, 2)) == 5.0  # no memo: sorted and checked
+        assert sorts == [(2, 1), (2, 1), (1, 2)]
+        assert calls[0] == 2
+
+    def test_bad_function_index_raises_before_the_memo(self, counted):
+        F, calls = counted
+        with F._memo_scope():
+            F.value(0, (1,))
+            before = F.evals
+            # memo[-1] is function 0's memo, which holds (1,)
+            for i in (-1, 1):
+                with pytest.raises(ValueError, match="function index"):
+                    F.value(i, (1,))
+            assert F.evals == before
+        assert calls[0] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(-1, 2),
+        st.lists(st.integers(-1, 4), max_size=4),
+        st.sampled_from([tuple, list, lambda ids: tuple(sorted(ids))])),
+        max_size=30))
+    def test_a_scope_changes_no_value_error_or_count(self, calls):
+        """Inside a memo scope, any sequence of ``value`` calls (sets as
+        permuted or sorted tuples or as lists, with repeated and
+        out-of-range ids, and bad function indices) returns what it
+        returns outside one, raises the same errors and counts the same
+        evals; f_i runs once per distinct valid set."""
+        def run(F):
+            out = []
+            for i, ids, form in calls:
+                before = F.evals
+                try:
+                    got = F.value(i, form(ids))
+                except ValueError as e:
+                    got = type(e), str(e)
+                out.append((got, F.evals - before))
+            return out
+
+        weights = (1.0, 2.0, 3.0, 4.0), (4.0, 3.0, 2.0, 1.0)
+        F, _ = kernel_counted(modular_family(*weights))
+        G, scoped_calls = kernel_counted(modular_family(*weights))
+        outside = run(F)
+        with G._memo_scope():
+            inside = run(G)
+        assert inside == outside
+        valid = {(i, tuple(sorted(ids))) for i, ids, _ in calls
+                 if 0 <= i < 2 and all(0 <= e < 4 for e in ids)}
+        assert scoped_calls[0] == len(valid)
 
     def test_nested_scope_restores_the_outer_memo(self, counted):
         F, calls = counted

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -365,6 +366,45 @@ class TestEvalMemo:
         mgr.process(0)
         assert None not in seen
         assert len({id(memo) for memo in seen}) == 2
+
+
+@pytest.mark.parametrize("family", [
+    lambda: make_synthetic("coverage", 40, 3, seed=5),
+    lambda: exemplar_family(float_features(40, 4, 0), 4),
+], ids=["coverage", "exemplar"])
+def test_memo_keys_and_replayed_sets_are_canonical(family, monkeypatch):
+    """The memo only stores sorted tuples of ids in range, which is what
+    lets ``value`` serve a tuple found there as given; and every set a
+    follower replays is found there as given."""
+    F = family()
+    scope = F._memo_scope
+    stored = []
+
+    @contextmanager
+    def checked_scope():
+        with scope():
+            yield
+            for memo in F._memo:
+                for key in memo:
+                    assert type(key) is tuple
+                    assert list(key) == sorted(set(key))
+                    assert all(0 <= e < F.ground.n for e in key)
+            stored.append(sum(map(len, F._memo)))
+    F._memo_scope = checked_scope
+
+    replay = streaming._Group.replay
+    replayed = []
+
+    def checked_replay(self, F, u, state):
+        replay(self, F, u, state)
+        assert all(ids in F._memo[i] for i, ids in self.sets)
+        replayed.append(len(self.sets))
+    monkeypatch.setattr(streaming._Group, "replay", checked_replay)
+
+    stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
+    mgr = ThresholdManager(F, 0.2, 4, 2).run(stream)
+    assert len(stored) == F.ground.n and min(stored) > 0
+    assert sum(replayed) > 0 and mgr.best_solution().value > 0
 
 
 def test_grouped_run_keeps_no_tuple_per_exchange():
