@@ -33,13 +33,14 @@ objective, and they are still counted one ``value`` call each:
   serves every replayed call.  The memo stores only sorted, checked keys,
   so a replayed set, passed as its sorted tuple, is found as given: it is
   counted, and was checked when the leader's call stored it.
-* outside a memo scope, the values of F's block kernel.  ``_Sets.probes``
-  gets each candidate's probe sets' values in blocks, and passes each one
-  to its ``value`` call as ``served``.  When a round's candidates fit in
-  one block, the ``_Sets`` keeps that block, and a later round asks the
-  kernel again only for the functions whose T_i changed; every other value
-  is the one computed for the same candidate against the same T_i.  The
-  kept block lives as long as the ``_Sets``, one solver call.
+* the values of F's block kernel, in greedy only: ``_Sets.probes`` gets
+  each candidate's probe sets' values in blocks, and passes each one to
+  its ``value`` call as ``served``; a streaming ``_Sets.probe`` of one
+  element serves none.  When a round's candidates fit in one block, the
+  ``_Sets`` keeps that block, and a later round asks the kernel again only
+  for the functions whose T_i changed; every other value is the one
+  computed for the same candidate against the same T_i.  The kept block
+  lives as long as the ``_Sets``, one solver call.
 
 Nothing else is memoised.
 """
@@ -304,14 +305,11 @@ class _Sets:
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
-        is 0.0 with replaced None.  ``raws`` has x's kernel values by
-        (function, j); with F's kernel and no memo scope open, a missing one
-        comes from a new block of one, which is not kept.  ``bases`` is
-        ``self.swap_bases(k)``, made here if not given.
+        is 0.0 with replaced None.  ``raws``, given only by ``probes``, has
+        x's kernel values by (function, j); without it every set is
+        evaluated by f_i.  ``bases`` is ``self.swap_bases(k)``, made here if
+        not given.
         """
-        if raws is None and F._block is not None and F._memo is None:
-            vals, _ = self._block_values(F, [x], k, False)
-            raws = vals[0].tolist()
         if bases is None:
             bases = self.swap_bases(k)
         value = F.value
@@ -356,13 +354,12 @@ class _Sets:
         """Yield ``(x, replaced, gains)``, the ``probe`` of each x of xs not
         in S, in order; the caller changes nothing here until it is done.
 
-        With F's block kernel and no memo scope open, the candidates' values
-        come in blocks (``_block_values``), and each probe is served its
-        row.  When they fit in one block, that block is kept for the next
-        call."""
+        With F's block kernel, the candidates' values come in blocks
+        (``_block_values``), and each probe is served its row.  When they
+        fit in one block, that block is kept for the next call."""
         xs = [x for x in xs if x not in self.S]
         bases = self.swap_bases(k)
-        if F._block is None or F._memo is not None:
+        if F._block is None:
             yield from ((x, *self.probe(F, x, k, step, None, bases))
                         for x in xs)
             return

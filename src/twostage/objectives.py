@@ -225,9 +225,8 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     size besides them.
 
     The block kernel ``_block`` (see ``_bases``) takes the same minima over
-    the same rows, with +inf for a chosen id outside the class, and keeps
-    the last key's rows per class for the next block: ``run_know_opt``
-    probes each element in a block of one, mostly against unchanged keys.
+    the same rows, with +inf for a chosen id outside the class; it keeps
+    nothing between calls.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
@@ -255,20 +254,16 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
             return float(anchor_mean - np.add.reduce(best) / width)
         return f
 
-    last = {}  # per class: (key, swap), kept rows, values for x outside
-
     def block(i: int, key: tuple, xs: list, swap: bool) -> np.ndarray:
         row_of, anchor_mean, width = classes[i]
-        if last.get(i, (None,))[0] != (key, swap):
-            gone, bases = np.full(width, np.inf), _bases(key, swap)
-            kept = np.minimum.reduce(np.array(
-                [[row_of.get(y, gone) for y in base] for base in bases]).reshape(
-                    len(bases), -1, width), axis=1, initial=np.inf)
-            # f_i is exactly 0.0 on a set with no class member
-            empty = [not any(y in row_of for y in base) for base in bases]
-            last[i] = (key, swap), kept, np.where(
-                empty, 0.0, anchor_mean - np.add.reduce(kept, axis=1) / width)
-        _, kept, outside = last[i]
+        gone, bases = np.full(width, np.inf), _bases(key, swap)
+        kept = np.minimum.reduce(np.array(
+            [[row_of.get(y, gone) for y in base] for base in bases]).reshape(
+                len(bases), -1, width), axis=1, initial=np.inf)
+        # f_i is exactly 0.0 on a set with no class member
+        empty = [not any(y in row_of for y in base) for base in bases]
+        outside = np.where(
+            empty, 0.0, anchor_mean - np.add.reduce(kept, axis=1) / width)
         out = np.repeat(outside[None], len(xs), axis=0)
         hit = [b for b, x in enumerate(xs) if x in row_of]
         if hit:

@@ -10,6 +10,7 @@ surviving runs always carries a near-correct threshold.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterable
 
 from .core import (InvariantViolation, ObjectiveFamily, TwoStageSolution,
@@ -130,7 +131,9 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
 
     Accepts u when the average thresholded gain reaches tau, then applies
     the cached insertion/swap per function.  Duplicates and full summaries
-    are rejected without evaluating anything.
+    are rejected without evaluating anything.  An id that is not an integer
+    raises ``TypeError``, and one outside the ground set ``ValueError``,
+    also when u would be rejected.
 
     The per-function gain is ``nabla``'s: the raw move of u against T_i
     counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
@@ -142,10 +145,10 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     its evals instead of probing; inside u's memo scope no replayed eval
     calls f_i.
     """
+    if not 0 <= index(u) < F.ground.n:
+        raise ValueError(f"element {u} out of range [0, {F.ground.n})")
     if u in state.S or len(state.S) >= state.ell:
         return False
-    if not 0 <= u < F.ground.n:
-        raise ValueError(f"element {u} out of range [0, {F.ground.n})")
     group = None if groups is None else groups.get(state.group)
     if group is None:
         group = _Group(F.m,

@@ -502,7 +502,7 @@ def wide_exemplar(seed, n, m, data):
 def assert_block_is_exact(F, n, data):
     """F._block equals f_i set by set, ``==``, for drawn keys and blocks of
     candidates: insertions for every key, swaps for non-empty ones."""
-    for _ in range(4):  # the exemplar kernel keeps each class's last key
+    for _ in range(4):  # several calls: the kernels must keep no state
         i = data.draw(st.integers(0, F.m - 1))
         key = tuple(sorted(data.draw(st.lists(
             st.integers(0, n - 1), max_size=4, unique=True))))
@@ -575,11 +575,11 @@ def test_swap_kernel_solvers_match_the_scalar_path(seed, kind, data):
         assert F._memo is None
 
 
-def test_swap_kernel_serves_probes_outside_a_memo_scope_only():
-    """run_know_opt opens no memo scope, so its probes are blocks of one
-    from the kernel; ThresholdManager's per-element scope serves them
-    instead."""
-    F = make_synthetic("facility", 30, 3, seed=2)
+@pytest.mark.parametrize("kind", ["facility", "exemplar"])
+def test_single_element_probes_never_call_the_block_kernel(kind):
+    """Only greedy's candidate blocks use the kernel: run_know_opt, a bare
+    exchange and ThresholdManager probe each element set by set."""
+    F = stream_family(kind, 30, 3, 2)
     kernel = F._block
     calls = []
 
@@ -588,13 +588,17 @@ def test_swap_kernel_serves_probes_outside_a_memo_scope_only():
         return kernel(i, key, xs, swap)
 
     F._block = counted
-    sol = run_know_opt(range(30), F, 0.5, 6, 2)
-    assert calls and all(len(T) == 2 for T in sol.per_function)
-    assert all(len(xs) == 1 for _, _, xs, _ in calls)
-    assert any(swap for *_, swap in calls)
-    calls.clear()
+    # a low alpha lets swaps through, so at-budget probes are made too
+    sol = run_know_opt(range(30), F, 0.5, 6, 2, alpha=0.1)
+    assert any(len(T) == 2 for T in sol.per_function)
+    state = StreamState(F.m, 30, 2, 0.1, 0.0)
+    for u in range(30):
+        exchange(F, u, state)
+    assert any(len(T) == 2 for T in state.T)
     ThresholdManager(F, 0.5, 6, 2).run(range(30))
     assert calls == []
+    replacement_greedy(F, range(30), 6, 2)
+    assert calls
 
 
 class RefThresholdManager(ThresholdManager):

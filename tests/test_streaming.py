@@ -95,6 +95,18 @@ class TestKnowOpt:
         with pytest.raises(ValueError, match="budget"):
             run_know_opt(range(5), F, opt=1.0, ell=ell, k=k)
 
+    @pytest.mark.parametrize("bad,error,match", [
+        (10 ** 6, ValueError, "out of range"),
+        (-5, ValueError, "out of range"),
+        (2.5, TypeError, "integer")])
+    def test_bad_ids_raise_also_after_the_summary_is_full(self, bad, error,
+                                                          match):
+        F = make_synthetic("modular", 10, 2, seed=0)
+        stream = list(range(10))
+        assert len(run_know_opt(stream, F, opt=0.1, ell=3, k=2).summary) == 3
+        with pytest.raises(error, match=match):
+            run_know_opt(stream + [bad], F, opt=0.1, ell=3, k=2)
+
     def test_guarantee_on_random_instances(self):
         for seed in range(10):
             F = make_synthetic("coverage", 10, 3, seed=seed)
