@@ -78,6 +78,8 @@ class ExperimentConfig:
         for v in (*self.ells, *self.ks, *self.machines, self.oracle_budget):
             if v < 1:
                 raise ConfigError("ell, k, M and oracle_budget must be >= 1")
+        if self.seed < 0:  # numpy's generators refuse it, without the key
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.ks) > max(self.ells):  # then no (ell, k) has k <= ell
             raise ConfigError(
                 f"per-function budget k={','.join(map(str, self.ks))} "

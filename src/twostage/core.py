@@ -16,7 +16,9 @@ validate the candidate and the set, and evaluate a missing base.  All of
 them run the same swap loop, ``_move``, which trusts its caller.  The
 greedy and streaming drivers keep their solution in a ``_Sets``, whose
 ``probes`` picks the kernel, whose ``probe`` counts a candidate's moves by
-the clamp or the threshold, and whose ``add`` applies them.
+the clamp or the threshold, and whose ``add`` applies them.  Every probe
+adds x to the sets of one probe table, ``_Sets.moves``, one entry per
+function, which ``add`` rebuilds only where it changes T_i.
 
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
@@ -33,21 +35,21 @@ objective, and they are still counted one ``value`` call each:
   serves every replayed call.  The memo stores only sorted, checked keys,
   so a replayed set, passed as its sorted tuple, is found as given: it is
   counted, and was checked when the leader's call stored it.
-* the values of F's block kernel, in greedy only: ``_Sets.probes`` gets
-  each candidate's probe sets' values in blocks, and passes each one to
-  its ``value`` call as ``served``; a streaming ``_Sets.probe`` of one
-  element serves none.  When a round's candidates fit in one block, the
-  ``_Sets`` keeps that block, and a later round asks the kernel again only
-  for the functions whose T_i changed; every other value is the one
-  computed for the same candidate against the same T_i.  The kept block
-  lives as long as the ``_Sets``, one solver call.
+* the values of F's block kernel, in greedy only: ``_Sets.probes`` hands
+  each function's table entry's bases to ``F._block(i, bases, xs)``, gets
+  every base plus x for a block of candidates at once, and passes each
+  value to its ``value`` call as ``served``; a streaming ``_Sets.probe`` of
+  one element serves none.  When a round's candidates fit in one block,
+  the ``_Sets`` keeps that block, and a later round asks the kernel again
+  only for the functions whose table entry changed; every other value is
+  the one computed for the same candidate against the same T_i.  The kept
+  block lives as long as the ``_Sets``, one solver call.
 
 Nothing else is memoised.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite
@@ -101,9 +103,11 @@ class ObjectiveFamily:
     the complexity regression tests depend on that count being deterministic
     for a fixed code path.  ``_memo`` is None, or one dict per function from
     sorted key to value while a ``_memo_scope`` is open.  ``_block`` is None
-    or the family's block kernel (see ``_bases``), and
-    ``_table_floats`` the number of floats in the tables the kernel reads (0
-    without one), which sizes the blocks of ``_Sets.probes``.
+    or the family's block kernel ``_block(i, bases, xs)``: the raw f_i(b +
+    (x,)) for each x of ``xs`` and each b of ``bases``, one probe-table
+    entry's (see ``_moves``), with shape (len(xs), len(bases)).
+    ``_table_floats`` is the number of floats in the tables the kernel reads
+    (0 without one), which sizes the blocks of ``_Sets.probes``.
     """
 
     def __init__(self, ground: GroundSet,
@@ -242,27 +246,36 @@ def solution_from_sets(F: ObjectiveFamily, summary, per_function,
     return sol
 
 
-def _bases(key: tuple, swap: bool) -> list:
-    """The sets a probe against the sorted ``key`` adds its candidate to:
-    ``key`` itself, or, to ``swap``, ``key`` without ``key[j]`` for each j.
+def _moves(key: tuple, k: int) -> tuple:
+    """The probe-table entry ``(bases, replaced)`` of the sorted ``key`` at
+    budget k: the sets a probe adds its candidate x to, and the members x
+    may replace.  Below budget that is ``([key], None)``, an insertion; at
+    it, ``key`` without ``key[j]`` for each j, and ``key``, a swap.
 
-    A block kernel ``F._block(i, key, xs, swap)`` gives the raw value of f_i
-    on each of them plus x, for each x of ``xs`` (none in ``key``): shape
-    (len(xs),), or (len(xs), len(key)) to swap.  It reduces each base's rows
-    once and combines the result with every candidate's row at once.
+    A block kernel ``F._block(i, bases, xs)`` (see ``ObjectiveFamily``)
+    takes ``bases`` as given here, with no x of ``xs`` in a base.  It
+    reduces each base's rows once and combines the result with every
+    candidate's row at once.
     """
-    return [key[:j] + key[j + 1:] for j in range(len(key))] if swap else [key]
+    if len(key) < k:
+        return [key], None
+    return [key[:j] + key[j + 1:] for j in range(len(key))], key
 
 
-def _move(value: Callable[..., float], i: int, key: tuple, bases: list,
+# The entry of every empty T_i below budget, shared by all functions and
+# states until ``_Sets.add`` first changes one.
+_EMPTY_MOVES = _moves((), 1)
+
+
+def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
           x: int, base: float, raw: list | None = None) -> tuple:
     """Best single swap of x for some y in the sorted tuple ``key``:
     ``(y, gain)``; the gain may be negative and ties go to the lowest y.
 
     Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
-    and must not contain x, ``bases`` is ``_bases(key, True)``, and
-    ``base`` is f_i(key).  ``raw``, if given, has the swap sets' kernel
-    values by j, each passed to its ``value`` call as ``served``.
+    and must not contain x, ``(bases, key)`` is ``_moves(key, k)`` at
+    budget, and ``base`` is f_i(key).  ``raw``, if given, has the swap sets'
+    kernel values by j, each passed to its ``value`` call as ``served``.
     """
     best_y = None
     best_gain = 0.0
@@ -284,136 +297,120 @@ BLOCK_FLOATS = 1024
 
 
 class _Sets:
-    """A two-stage solution under construction: the summary ``S``, one
-    sorted tuple ``T[i]`` per function and its cached value ``base[i]``."""
+    """A two-stage solution under construction at budget k: the summary
+    ``S``, one sorted tuple ``T[i]`` per function, its cached value
+    ``base[i]`` and its probe-table entry ``moves[i]``, which is
+    ``_moves(T[i], k)``."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, k: int):
+        self.k = k
         self.S = set()
         self.T = [()] * m
         self.base = [0.0] * m
+        self.moves = [_EMPTY_MOVES] * m
         self.kept = None  # the block ``probes`` keeps, see ``_block_values``
 
-    def swap_bases(self, k: int) -> list:
-        """``_bases(T[i], True)`` for each function at budget k, else None."""
-        return [_bases(key, True) if len(key) >= k else None
-                for key in self.T]
-
-    def probe(self, F: ObjectiveFamily, x: int, k: int,
-              step: float | None = None, raws: list | None = None,
-              bases: list | None = None) -> tuple:
+    def probe(self, F: ObjectiveFamily, x: int, step: float | None = None,
+              raws: list | None = None) -> tuple:
         """The moves of x, not in S, as ``(replaced, gains)`` lists by function.
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
         is 0.0 with replaced None.  ``raws``, given only by ``probes``, has
         x's kernel values by (function, j); without it every set is
-        evaluated by f_i.  ``bases`` is ``self.swap_bases(k)``, made here if
-        not given.
+        evaluated by f_i.
         """
-        if bases is None:
-            bases = self.swap_bases(k)
         value = F.value
         base = self.base
         replaced = []
         gains = []
-        for i, key in enumerate(self.T):
+        for i, (bases, key) in enumerate(self.moves):
             b = base[i]
             raw = raws and raws[i]
-            if len(key) >= k:
-                r, g = _move(value, i, key, bases[i], x, b, raw)
+            if key is not None:
+                r, g = _move(value, i, bases, key, x, b, raw)
             elif raw is None:
-                r, g = None, value(i, key + (x,)) - b
+                r, g = None, value(i, bases[0] + (x,)) - b
             else:
-                r, g = None, value(i, key + (x,), raw[0]) - b
+                r, g = None, value(i, bases[0] + (x,), raw[0]) - b
             if not ((r is None or g > 0) and (step is None or g >= step * b)):
                 r, g = None, 0.0
             replaced.append(r)
             gains.append(g)
         return replaced, gains
 
-    def probe_sets(self, x: int, k: int) -> list:
+    def probe_sets(self, x: int) -> list:
         """The ``(i, ids)`` of each ``F.value`` call that ``probe`` makes
-        for x, not in S, outside the block kernel: one insertion set per
-        function below budget k, one swap set per member at it.  Each ids
-        is the sorted tuple that ``value`` keys its memo by, so a replay
-        of a set ``probe`` evaluated in the same memo scope is counted
-        without being sorted or checked again."""
-        sets = []
-        for i, key in enumerate(self.T):
-            p = bisect(key, x)
-            ins = key[:p] + (x,) + key[p:]
-            if len(key) >= k:
-                sets.extend((i, ins[:q] + ins[q + 1:])
-                            for q in range(len(ins)) if q != p)
-            else:
-                sets.append((i, ins))
-        return sets
+        for x, not in S, outside the block kernel: each base of each
+        ``moves[i]`` plus x.  Each ids is the sorted tuple that ``value``
+        keys its memo by, so a replay of a set ``probe`` evaluated in the
+        same memo scope is counted without being sorted or checked again."""
+        return [(i, tuple(sorted(b + (x,))))
+                for i, (bases, _) in enumerate(self.moves) for b in bases]
 
-    def probes(self, F: ObjectiveFamily, xs: Iterable[int], k: int,
-               step: float | None = None):
-        """Yield ``(x, replaced, gains)``, the ``probe`` of each x of xs not
-        in S, in order; the caller changes nothing here until it is done.
+    def probes(self, F: ObjectiveFamily, xs: Iterable[int]):
+        """Yield ``(x, replaced, gains)``, the ``probe`` of each distinct x
+        of xs not in S, in order of first appearance; the caller changes
+        nothing here until it is done.
 
         With F's block kernel, the candidates' values come in blocks
         (``_block_values``), and each probe is served its row.  When they
         fit in one block, that block is kept for the next call."""
-        xs = [x for x in xs if x not in self.S]
-        bases = self.swap_bases(k)
+        xs = list(dict.fromkeys(x for x in xs if x not in self.S))
         if F._block is None:
-            yield from ((x, *self.probe(F, x, k, step, None, bases))
-                        for x in xs)
+            yield from ((x, *self.probe(F, x)) for x in xs)
             return
-        size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * k))
+        size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * self.k))
         for start in range(0, len(xs), size):
             part = xs[start:start + size]
             vals = None  # the last block's values go before the next's come
-            vals, row_of = self._block_values(F, part, k, len(xs) <= size)
+            vals, row_of = self._block_values(F, part, len(xs) <= size)
             for x in part:
-                yield (x, *self.probe(F, x, k, step, vals[row_of[x]].tolist(),
-                                      bases))
+                yield (x, *self.probe(F, x, None, vals[row_of[x]].tolist()))
 
-    def _block_values(self, F: ObjectiveFamily, xs: list, k: int,
-                      keep: bool) -> tuple:
-        """The values of the probe sets of xs, none in S, from F's kernel
-        less the offsets, by (row, function, j), and the row of each x.
+    def _block_values(self, F: ObjectiveFamily, xs: list, keep: bool) -> tuple:
+        """The values of the probe sets of xs, distinct and none in S, from
+        F's kernel less the offsets, by (row, function, j), and the row of
+        each x.
 
         The block is new, unless ``keep`` and the kept block has a row for
-        every x: then a function's column is reused if T[i] is still the
-        key it was filled for, and refilled for the rows not in S if not.
-        A ``_Sets`` probes at one k.  A new block is kept if ``keep``.  A
-        column counts as filled only once ``F._block`` has returned; a value
-        that is not finite stays in the block, and ``value`` does not serve
-        it."""
+        every x: then a function's column is reused if ``moves[i]`` is still
+        the entry it was filled for, and refilled for the rows not in S if
+        not.  A new block is kept if ``keep``.  A column counts as filled
+        only once ``F._block`` has returned; a value that is not finite
+        stays in the block, and ``value`` does not serve it."""
         _check_ids(xs)
         kept = self.kept if keep else None
         if kept is None or any(x not in kept[0] for x in xs):
             kept = ({x: r for r, x in enumerate(xs)},
-                    np.zeros((len(xs), F.m, k)), [None] * F.m)
+                    np.zeros((len(xs), F.m, self.k)), [None] * F.m)
             if keep:
                 self.kept = kept
-        row_of, vals, keys = kept
+        row_of, vals, entries = kept
         live = [x for x in row_of if x not in self.S]
         # a slice writes a whole new block faster than a row list
         rows = (slice(None) if len(live) == len(row_of)
                 else [row_of[x] for x in live])
-        for i, key in enumerate(self.T):
-            if keys[i] != key:
-                swap = len(key) >= k
-                vals[rows, i, :k if swap else 1] = F._block(
-                    i, key, live, swap).reshape(len(live), -1) - F._offsets[i]
-                keys[i] = key
+        for i, entry in enumerate(self.moves):
+            if entries[i] is not entry:
+                bases = entry[0]
+                vals[rows, i, :len(bases)] = (F._block(i, bases, live)
+                                              - F._offsets[i])
+                entries[i] = entry
         return vals, row_of
 
     def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list):
         """Put x in S, and in each T[i] whose gain is positive, in place
-        of ``replaced[i]``; re-evaluate those ``base[i]``."""
+        of ``replaced[i]``; rebuild those ``moves[i]`` and re-evaluate
+        those ``base[i]``."""
         self.S.add(x)
         T = self.T
         for i, gain in enumerate(gains):
             if gain > 0:
-                T[i] = tuple(sorted([y for y in T[i] if y != replaced[i]]
-                                    + [x]))
-                self.base[i] = F.value(i, T[i])
+                T[i] = key = tuple(sorted([y for y in T[i] if y != replaced[i]]
+                                          + [x]))
+                self.moves[i] = _moves(key, self.k)
+                self.base[i] = F.value(i, key)
 
     def total(self) -> float:
         return sum(self.base) / len(self.base)
@@ -443,9 +440,10 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
         raise ValueError("candidate already in the set")
     if base is None:
         base = F.value(i, key)
-    if len(key) < k:
+    bases, replaced = _moves(key, k)
+    if replaced is None:
         return None, F.value(i, key + (x,)) - base
-    return _move(F.value, i, key, _bases(key, True), x, base)
+    return _move(F.value, i, bases, replaced, x, base)
 
 
 def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],

@@ -38,11 +38,11 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
         if not 0 <= x < F.ground.n:
             raise ValueError(f"element {x} out of range [0, {F.ground.n})")
 
-    sets = _Sets(F.m)
+    sets = _Sets(F.m, k)
     for _ in range(ell):
         best_total = 0.0
         best = None  # (x, replaced, gains) of the best candidate so far
-        for x, replaced, gains in sets.probes(F, cands, k):
+        for x, replaced, gains in sets.probes(F, cands):
             total = sum(gains)
             if total > best_total:  # strict: ties keep the lowest id
                 best_total = total

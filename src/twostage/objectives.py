@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundSet, ObjectiveFamily, _bases
+from .core import GroundSet, ObjectiveFamily
 
 
 class Point(NamedTuple):
@@ -67,7 +67,7 @@ def facility_family(points: Sequence[Point],
     are precomputed, one row per element, so a set evaluation gathers the
     set's rows and takes a tiny max-then-sum.
 
-    The family's block kernel ``_block`` (see ``_bases``) takes the column
+    The family's block kernel ``_block`` (see ``_moves``) takes the column
     maxima of every probed set and reduces them by the same last-axis
     ``np.add.reduce`` as f_i, so each value equals f_i's bit for bit.
 
@@ -99,14 +99,14 @@ def facility_family(points: Sequence[Point],
                 np.maximum.reduce(mat.take(ids, axis=0), axis=0)))
         return f
 
-    def block(i: int, key: tuple, xs: list, swap: bool) -> np.ndarray:
+    def block(i: int, bases: list, xs: list) -> np.ndarray:
         mat = matrices[i]
         # -inf, the identity of max, for an empty base
-        kept = np.maximum.reduce(mat.take(_bases(key, swap), axis=0), axis=1,
+        kept = np.maximum.reduce(mat.take(bases, axis=0), axis=1,
                                  initial=-np.inf)
         cand = mat.take(xs, axis=0)  # one kept row at a time, for memory
-        out = np.array([np.add.reduce(np.maximum(row, cand), axis=1) for row in kept]).T
-        return out if swap else out[:, 0]
+        return np.array([np.add.reduce(np.maximum(row, cand), axis=1)
+                         for row in kept]).T
 
     F = ObjectiveFamily(ground, [make(mat) for mat in matrices])
     F._block = block
@@ -224,7 +224,7 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     ``_exemplar_tables`` builds the tables, holding one block of bounded
     size besides them.
 
-    The block kernel ``_block`` (see ``_bases``) takes the same minima over
+    The block kernel ``_block`` (see ``_moves``) takes the same minima over
     the same rows, with +inf for a chosen id outside the class; it keeps
     nothing between calls.
 
@@ -254,9 +254,9 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
             return float(anchor_mean - np.add.reduce(best) / width)
         return f
 
-    def block(i: int, key: tuple, xs: list, swap: bool) -> np.ndarray:
+    def block(i: int, bases: list, xs: list) -> np.ndarray:
         row_of, anchor_mean, width = classes[i]
-        gone, bases = np.full(width, np.inf), _bases(key, swap)
+        gone = np.full(width, np.inf)
         kept = np.minimum.reduce(np.array(
             [[row_of.get(y, gone) for y in base] for base in bases]).reshape(
                 len(bases), -1, width), axis=1, initial=np.inf)
@@ -269,7 +269,7 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
         if hit:
             best = np.minimum(kept, np.array([row_of[xs[b]] for b in hit])[:, None])
             out[hit] = anchor_mean - np.add.reduce(best, axis=2) / width
-        return out if swap else out[:, 0]
+        return out
 
     F = ObjectiveFamily(GroundSet(len(vectors), vectors),
                         [make(*c) for c in classes])

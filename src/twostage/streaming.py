@@ -34,9 +34,9 @@ BETA = 6.0
 MAX_INSTANCE_SLOTS = 10 ** 7
 
 # Largest instance_bound() a ThresholdManager accepts, whatever m and ell
-# are: an empty StreamState costs about 540 bytes plus 16 per function (600
-# at m=5, group token and the unused kept-block slot of ``_Sets`` included),
-# so this many cost about 60 MB at m=5.  It
+# are: an empty StreamState costs about 560 bytes plus 24 per function (680
+# at m=5, group token, unused kept-block slot and the shared empty entries
+# of its probe table included), so this many cost about 68 MB at m=5.  It
 # also bounds one element's eval memo, which holds the m singletons plus at
 # most m * (k + 2) sets per live instance, and its groups, each of which
 # lists at most m * k probe sets.  The tests need 5,708 at most.
@@ -90,10 +90,10 @@ class StreamState(_Sets):
 
     def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
                  instrument: bool = False):
+        check_budgets(ell, k)
         _check_alpha(alpha)
-        super().__init__(m)
+        super().__init__(m, k)
         self.ell = ell
-        self.k = k
         self.alpha = alpha
         self.tau = tau
         self.trace = [set() for _ in range(m)] if instrument else None
@@ -119,7 +119,7 @@ class _Group:
         given, without calling f_i and without sorting or checking the set
         again."""
         if self.sets is None:
-            self.sets = state.probe_sets(u, state.k)
+            self.sets = state.probe_sets(u)
         value = F.value
         for i, ids in self.sets:
             value(i, ids)
@@ -151,8 +151,7 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
         return False
     group = None if groups is None else groups.get(state.group)
     if group is None:
-        group = _Group(F.m,
-                       *state.probe(F, u, state.k, state.alpha / state.k))
+        group = _Group(F.m, *state.probe(F, u, state.alpha / state.k))
         if groups is not None:
             groups[state.group] = group
     else:

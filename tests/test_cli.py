@@ -13,7 +13,7 @@ from twostage.cli import (ConfigError, ExperimentConfig, build_regions,
 from twostage.core import evaluate_solution, solution_from_sets
 from twostage.distributed import distributed_fast
 from twostage.greedy import replacement_greedy
-from twostage.objectives import Point, make_synthetic
+from twostage.objectives import Point, exemplar_family, make_synthetic
 from twostage.streaming import InstanceBudgetError, ThresholdManager
 
 from conftest import modular_family
@@ -633,6 +633,46 @@ class TestMain:
             "m=5 and ell=10 that is 204717400 slots, above the limit of "
             "10000000\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_negative_seed_is_refused_before_any_family_is_built(
+            self, monkeypatch, tmp_path, capsys, command):
+        # unchecked, greedy ran and streaming's shuffle then failed with
+        # numpy's "expected non-negative integer", which names no key
+        def unbuilt(config):
+            raise AssertionError("family built for a refused config")
+        monkeypatch.setattr(cli, "_build_family", unbuilt)
+        data = tmp_path / "features.csv"
+        data.write_text("1,0,2,1\n0,1,1,2\n2,2,0,1\n")
+        assert main([command, "--objective", "exemplar-csv",
+                     "--dataset", str(data), "--class-count", "4",
+                     "--seed", "-1", "--ell", "4", "--k", "2",
+                     "--algorithms", "greedy,streaming",
+                     "--output", str(tmp_path / "report")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_exemplar_csv_run_equals_its_family(self, tmp_path):
+        data = tmp_path / "features.csv"
+        assert main(["gen-synthetic", "--kind", "features", "--n", "40",
+                     "--class-count", "4", "--seed", "2",
+                     "--out", str(data)]) == 0
+        out = tmp_path / "report"
+        assert main(["run", "--objective", "exemplar-csv",
+                     "--dataset", str(data), "--class-count", "4",
+                     "--ell", "4", "--k", "2", "--machines", "2",
+                     "--algorithms", "greedy,streaming,distributed,fast",
+                     "--no-timing", "--output", str(out)]) == 0
+        config = ExperimentConfig(
+            objective="exemplar-csv", dataset=str(data), class_count=4,
+            ells=(4,), ks=(2,), machines=(2,),
+            algorithms=("greedy", "streaming", "distributed", "fast"),
+            timing=False)
+        vectors = np.loadtxt(data, delimiter=",", ndmin=2)
+        assert load_report_json(f"{out}.json") == run_experiment(
+            config, family=exemplar_family(vectors, 4))
 
     def test_oracle_validates_its_config(self, capsys):
         assert main(["oracle", "--objective", "exemplar-csv"]) == 1

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from twostage import core
 from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
-                           ObjectiveFamily, empty_solution, evaluate_solution,
-                           lambda_gain, marginal, nabla, rep,
-                           solution_from_sets)
+                           ObjectiveFamily, TwoStageSolution, empty_solution,
+                           evaluate_solution, lambda_gain, marginal, nabla,
+                           rep, solution_from_sets)
 from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
@@ -24,6 +24,23 @@ class TestGroundSet:
 
     def test_elements(self):
         assert list(GroundSet(3).elements()) == [0, 1, 2]
+
+
+class TestSolutionCheck:
+    def test_a_solution_within_its_budgets_passes(self):
+        TwoStageSolution(frozenset({0, 1}), (frozenset({0}), frozenset()),
+                         1.0, 2, 1).check()
+
+    @pytest.mark.parametrize("summary,per_function,match", [
+        ({0, 1, 2}, ({0},), "summary exceeds its budget"),
+        ({0, 1}, ({0, 1},), "per-function solution exceeds its budget"),
+        ({0, 1}, ({2},), "per-function solution not contained in summary"),
+    ])
+    def test_each_violation_raises(self, summary, per_function, match):
+        sol = TwoStageSolution(frozenset(summary),
+                               tuple(map(frozenset, per_function)), 1.0, 2, 1)
+        with pytest.raises(ValueError, match=match):
+            sol.check()
 
 
 class TestObjectiveFamily:

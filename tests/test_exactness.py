@@ -509,12 +509,12 @@ def assert_block_is_exact(F, n, data):
         xs = data.draw(st.lists(st.integers(0, n - 1).filter(
             lambda e: e not in key), min_size=1, max_size=40))
         f = F._functions[i]
-        assert F._block(i, key, xs, False).tolist() == [
-            f(tuple(sorted(key + (x,)))) for x in xs]
+        assert F._block(i, [key], xs).tolist() == [
+            [f(tuple(sorted(key + (x,))))] for x in xs]
         if key:
-            assert F._block(i, key, xs, True).tolist() == [
-                [f(tuple(sorted(key[:j] + key[j + 1:] + (x,))))
-                 for j in range(len(key))] for x in xs]
+            swaps = [key[:j] + key[j + 1:] for j in range(len(key))]
+            assert F._block(i, swaps, xs).tolist() == [
+                [f(tuple(sorted(base + (x,)))) for base in swaps] for x in xs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -583,9 +583,9 @@ def test_single_element_probes_never_call_the_block_kernel(kind):
     kernel = F._block
     calls = []
 
-    def counted(i, key, xs, swap):
-        calls.append((i, key, list(xs), swap))
-        return kernel(i, key, xs, swap)
+    def counted(i, bases, xs):
+        calls.append((i, bases, list(xs)))
+        return kernel(i, bases, xs)
 
     F._block = counted
     # a low alpha lets swaps through, so at-budget probes are made too

@@ -80,13 +80,19 @@ def test_non_finite_objective_raises(bad):
 
 def scalar_block(F):
     """A block kernel for F computed set by set from its own objectives."""
-    def block(i, key, xs, swap):
+    def block(i, bases, xs):
         f = F._functions[i]
-        if not swap:
-            return np.array([f(tuple(sorted(key + (x,)))) for x in xs])
-        return np.array([[f(tuple(sorted(key[:j] + key[j + 1:] + (x,))))
-                          for j in range(len(key))] for x in xs])
+        return np.array([[f(tuple(sorted(b + (x,)))) for b in bases]
+                         for x in xs])
     return block
+
+
+def probe_bases(key, k):
+    """The sets a probe against the sorted ``key`` at budget k adds its
+    candidate to: ``key`` below budget, ``key`` less each member at it."""
+    if len(key) < k:
+        return [key]
+    return [key[:j] + key[j + 1:] for j in range(len(key))]
 
 
 class TestSwapProbeMemo:
@@ -105,7 +111,7 @@ class TestSwapProbeMemo:
     def test_no_memo_is_left_open_after_the_kernel_raises(self):
         F = make_synthetic("facility", 12, 3, seed=2)
 
-        def broken(i, key, xs, swap):
+        def broken(i, bases, xs):
             raise RuntimeError("block kernel failed")
         F._block = broken
         with pytest.raises(RuntimeError, match="block kernel failed"):
@@ -145,7 +151,7 @@ class TestSwapProbeMemo:
         F = make_synthetic("facility", 12, 3, seed=4)
         G = ObjectiveFamily(F.ground, F._functions)
         block = F._block
-        F._block = lambda i, key, xs, swap: block(i, key, xs, swap) * (
+        F._block = lambda i, bases, xs: block(i, bases, xs) * (
             np.nan if i == 2 else 1.0)
         got = (replacement_greedy(F, range(12), 4, 2), F.evals)
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
@@ -173,13 +179,13 @@ def test_kernel_probes_open_no_memo_scope():
 
 
 def block_spy(F):
-    """Record each ``F._block(i, key, xs, swap)`` call as (i, key, xs)."""
+    """Record each ``F._block(i, bases, xs)`` call as (i, bases, xs)."""
     kernel = F._block
     calls = []
 
-    def spy(i, key, xs, swap):
-        calls.append((i, key, list(xs)))
-        return kernel(i, key, xs, swap)
+    def spy(i, bases, xs):
+        calls.append((i, bases, list(xs)))
+        return kernel(i, bases, xs)
     F._block = spy
     return calls
 
@@ -191,9 +197,9 @@ def greedy_rounds(F, cands, ell, k):
     starts = []
     probes = _Sets.probes
 
-    def spy(self, F, xs, k, step=None):
+    def spy(self, F, xs):
         starts.append((len(calls), set(self.S), list(self.T)))
-        return probes(self, F, xs, k, step)
+        return probes(self, F, xs)
 
     with mock.patch.object(_Sets, "probes", spy):
         sol = replacement_greedy(F, cands, ell, k)
@@ -222,7 +228,8 @@ class TestKeptBlock:
         for calls, S, T in rounds:
             live = [x for x in range(14) if x not in S]
             changed = [i for i in range(F.m) if T[i] != previous[i]]
-            assert calls == [(i, T[i], live) for i in changed]
+            assert calls == [(i, probe_bases(T[i], k), live)
+                             for i in changed]
             previous = T
         # round 1 fills every function; later rounds refill fewer
         assert len(rounds[0][0]) == F.m
@@ -242,7 +249,7 @@ class TestKeptBlock:
             live = [x for x in range(100) if x not in S]
             blocks = [live[s:s + size] for s in range(0, len(live), size)]
             assert len(blocks) > 1
-            assert calls == [(i, T[i], xs) for xs in blocks
+            assert calls == [(i, probe_bases(T[i], k), xs) for xs in blocks
                              for i in range(F.m)]
 
     @pytest.mark.parametrize("fail_at", [0, 1])
@@ -250,51 +257,66 @@ class TestKeptBlock:
             self, fail_at):
         F = exemplar_family(float_features(14, 4, 3), 4)
         G = ObjectiveFamily(F.ground, F._functions)
-        sets, ref = _Sets(F.m), _Sets(G.m)
         cands, k = list(range(14)), 2
+        sets, ref = _Sets(F.m, k), _Sets(G.m, k)
         for s, fam in ((sets, F), (ref, G)):
-            moves = list(s.probes(fam, cands, k))
+            moves = list(s.probes(fam, cands))
             s.add(fam, *max(moves, key=lambda move: sum(move[2])))
         changed = [i for i in range(F.m) if sets.T[i]]
         assert len(changed) >= 2 and sets.T == ref.T
         kernel = F._block
         calls = []
 
-        def failing(i, key, xs, swap):
+        def failing(i, bases, xs):
             calls.append(i)
             if len(calls) > fail_at:
                 raise RuntimeError("block kernel failed")
-            return kernel(i, key, xs, swap)
+            return kernel(i, bases, xs)
         F._block = failing
         with pytest.raises(RuntimeError, match="block kernel failed"):
-            list(sets.probes(F, cands, k))
+            list(sets.probes(F, cands))
         assert calls == changed[:fail_at + 1]
         F._block = kernel
-        assert list(sets.probes(F, cands, k)) == list(ref.probes(G, cands, k))
+        assert list(sets.probes(F, cands)) == list(ref.probes(G, cands))
         assert F.evals == G.evals and F._memo is None
 
     def test_a_round_with_every_candidate_in_s_calls_no_kernel(self):
         F = make_synthetic("coverage", 8, 3, seed=1)
         F._block = scalar_block(F)
         calls = block_spy(F)
-        sets = _Sets(F.m)
+        sets = _Sets(F.m, 2)
         for x in (0, 5):
-            sets.add(F, *next(sets.probes(F, [x], 2)))
+            sets.add(F, *next(sets.probes(F, [x])))
         calls.clear()
-        assert list(sets.probes(F, [5, 0, 5], 2)) == []
+        assert list(sets.probes(F, [5, 0, 5])) == []
         assert calls == []
 
     def test_a_probe_of_one_element_leaves_the_kept_block(self):
         F = exemplar_family(float_features(14, 4, 3), 4)
         calls = block_spy(F)
-        sets = _Sets(F.m)
-        moves = list(sets.probes(F, range(10), 2))
+        sets = _Sets(F.m, 2)
+        moves = list(sets.probes(F, range(10)))
         kept = sets.kept
         calls.clear()
         for x in range(10, 14):
-            sets.probe(F, x, 2)
+            sets.probe(F, x)
         assert sets.kept is kept and calls == []
-        assert list(sets.probes(F, range(10), 2)) == moves and calls == []
+        assert list(sets.probes(F, range(10))) == moves and calls == []
+
+
+def test_repeated_candidates_are_probed_once_on_both_paths():
+    F = make_synthetic("facility", 20, 3, seed=0)
+    G = ObjectiveFamily(F.ground, F._functions)
+    assert F._block is not None and G._block is None
+    runs = []
+    for fam in (F, G):
+        sets, probes = _Sets(fam.m, 1), []
+        for first in (5, 9):  # empty sets, then every T_i at budget
+            probes.append(list(sets.probes(fam, [3, 1, 3])))
+            sets.add(fam, *next(sets.probes(fam, [first])))
+        runs.append((probes, fam.evals))
+    assert runs[0] == runs[1]
+    assert [[x for x, *_ in moves] for moves in runs[0][0]] == [[3, 1]] * 2
 
 
 def id_families():

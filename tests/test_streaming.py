@@ -155,6 +155,22 @@ class TestAlpha:
                 StreamState(2, 3, 2, alpha, 1.0)
 
 
+@pytest.mark.parametrize("ell,k,error", [(3, 0, ValueError),
+                                         (3, 2.5, TypeError),
+                                         (2, 4, ValueError),
+                                         (0, 1, ValueError)])
+def test_fresh_state_checks_its_budgets_before_any_eval(ell, k, error):
+    # unchecked, k=0 divided by zero at the first exchange, k=2.5 kept sets
+    # of three, and k > ell or ell=0 ran
+    F = make_synthetic("coverage", 20, 3, seed=0)
+    before = F.evals
+    with pytest.raises(error):
+        state = StreamState(F.m, ell, k, 1.0, 0.1)
+        for u in range(20):
+            exchange(F, u, state)
+    assert F.evals == before
+
+
 EPSILON_ENTRY_POINTS = {
     "manager": lambda F, epsilon: ThresholdManager(F, epsilon, 3, 2).run(
         range(F.ground.n)),
@@ -234,6 +250,18 @@ class TestThresholdManager:
         assert mgr.delta == 3.0
         taus = sorted(inst.tau for inst in mgr.instances.values())
         assert taus == [0.25, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("delta", [
+        0.004371363744640307, 0.0032842702814728075,  # the upper end's
+        0.0029779336853049568, 4.16638207772693])  # the lower end's
+    def test_each_window_fix_up_gives_the_brute_force_window(self, delta):
+        # at each delta a rounded logarithm puts one end of the window one
+        # exponent off, and one of the four correction loops moves it back
+        mgr = ThresholdManager(modular_family((1.0, 0.0)), 0.1, 1, 1)
+        mgr.delta = delta
+        lo = delta / (1.1 * mgr.beta)
+        assert list(mgr._active_range()) == [
+            l for l in range(-300, 300) if lo <= 1.1 ** l <= delta]
 
     def test_unchanged_delta_keeps_instances(self):
         F = modular_family((3.0, 1.0))
