@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle as oracle_mod
-from .core import GroundSet, ObjectiveFamily, _check_alpha
+from .core import GroundSet, ObjectiveFamily, _check_alpha, _check_seed
 from .distributed import distributed_fast, replacement_distributed
 from .greedy import replacement_greedy
 from .objectives import (Point, Region, exemplar_family, facility_family,
@@ -78,13 +78,12 @@ class ExperimentConfig:
         for v in (*self.ells, *self.ks, *self.machines, self.oracle_budget):
             if v < 1:
                 raise ConfigError("ell, k, M and oracle_budget must be >= 1")
-        if self.seed < 0:  # numpy's generators refuse it, without the key
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.ks) > max(self.ells):  # then no (ell, k) has k <= ell
             raise ConfigError(
                 f"per-function budget k={','.join(map(str, self.ks))} "
                 f"cannot exceed ell={','.join(map(str, self.ells))}")
         try:
+            _check_seed(self.seed)
             for e in self.epsilons:
                 _check_epsilon(e, max(self.ells))
             _check_alpha(self.alpha)
@@ -442,6 +441,7 @@ def _cmd_gen_synthetic(args) -> int:
     if args.kind == "features" and args.class_count < 1:
         raise ConfigError(
             f"--class-count must be at least 1, got {args.class_count}")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     out = Path(args.out)
     if args.kind == "points":

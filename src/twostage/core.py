@@ -32,18 +32,26 @@ objective, and they are still counted one ``value`` call each:
   and probes it once per group of threshold instances holding the same
   sets; each other member of a group replays the leader's probe, one
   ``value`` call per set it evaluated (``_Sets.probe_sets``), and the memo
-  serves every replayed call.  The memo stores only sorted, checked keys,
-  so a replayed set, passed as its sorted tuple, is found as given: it is
-  counted, and was checked when the leader's call stored it.
-* the values of F's block kernel, in greedy only: ``_Sets.probes`` hands
-  each function's table entry's bases to ``F._block(i, bases, xs)``, gets
-  every base plus x for a block of candidates at once, and passes each
-  value to its ``value`` call as ``served``; a streaming ``_Sets.probe`` of
-  one element serves none.  When a round's candidates fit in one block,
-  the ``_Sets`` keeps that block, and a later round asks the kernel again
-  only for the functions whose table entry changed; every other value is
-  the one computed for the same candidate against the same T_i.  The kept
-  block lives as long as the ``_Sets``, one solver call.
+  serves every replayed call of a leader that evaluated its sets (for one
+  served from a block, see below).  The memo stores only sorted, checked
+  keys, so a replayed set, passed as its sorted tuple, is found as given:
+  it is counted, and was checked when the leader's call stored it.
+* the values of F's block kernel.  ``_Sets._block_values`` hands each
+  function's table entry's bases to ``F._block(i, bases, xs)`` and gets
+  every base plus x for a block of candidates at once; each value is
+  passed to its ``value`` call as ``served``, which counts it and returns
+  it, when finite, before the memo, the sort or the range check.  The ids
+  behind a served value are checked once, at the block boundary:
+  ``_block_values`` checks that a block's candidates are integer ids in
+  range before any kernel call, and T_i only ever holds checked ids.  The
+  blocks are greedy's (``_Sets.probes``), and those of a long-lived
+  streaming group over the arrivals ahead (``streaming._Lookahead``),
+  whose followers are served the leader's values again.  When a greedy
+  round's candidates fit in one block, the ``_Sets`` keeps that block,
+  and a later round asks the kernel again only for the functions whose
+  table entry changed; every other value is the one computed for the same
+  candidate against the same T_i.  The kept block lives as long as the
+  ``_Sets``, one solver call.
 
 Nothing else is memoised.
 """
@@ -68,6 +76,17 @@ def _check_ids(ids: Iterable):
         raise TypeError(f"element ids must be integers, got {e!r}") from None
 
 
+def _check_seed(seed):
+    """Raise TypeError unless ``seed`` is an integer (``None`` draws OS
+    entropy, so it is refused too), ValueError if it is negative."""
+    try:
+        seed = index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 class InvariantViolation(AssertionError):
     """An instrumented run observed a state that should be impossible."""
 
@@ -82,13 +101,14 @@ class GroundSet:
 
     Elements are dense integer ids ``0..n-1``.  ``payload`` is whatever the
     objective implementations need (points, feature vectors, nothing).
+    Raises TypeError unless ``n`` is an integer.
     """
 
     n: int
     payload: Sequence = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        if index(self.n) < 1:
             raise ValueError("ground set must contain at least one element")
 
     def elements(self) -> range:
@@ -134,19 +154,23 @@ class ObjectiveFamily:
         """Normalized value of f_i on the given element set (one counted eval).
 
         ``i`` is checked first, and every call that passes the checks is
-        counted.  While a memo scope is open, a set already evaluated in it
-        returns the stored value without calling f_i; a non-finite value
-        raises and is never stored.  The memo's keys are sorted and were
-        range-checked when stored, so a tuple found there as given is a
-        canonical repeat: it is counted and served without being sorted or
-        checked again.  Any other set is sorted and its ids range-checked
-        before it is counted or looked up.  Internal: ``served`` is the
-        normalized value a block kernel computed for this set, and is
-        returned without calling f_i if it is finite.  A non-integer id
-        raises ``TypeError`` before f_i is called.
+        counted.  Internal: ``served`` is the normalized value a block
+        kernel computed for this set; if it is finite, it is counted and
+        returned next, without the memo, the sort or the range check, since
+        ``_Sets._block_values`` checked the block's ids.  While a memo scope
+        is open, a set already evaluated in it returns the stored value
+        without calling f_i; a non-finite value raises and is never stored.
+        The memo's keys are sorted and were range-checked when stored, so a
+        tuple found there as given is a canonical repeat: it is counted and
+        served without being sorted or checked again.  Any other set is
+        sorted and its ids range-checked before it is counted or looked up.
+        A non-integer id raises ``TypeError`` before f_i is called.
         """
         if not 0 <= i < self._m:
             raise ValueError(f"function index {i} out of range [0, {self._m})")
+        if served is not None and isfinite(served):
+            self.evals += 1
+            return served
         memo = self._memo
         if memo is not None and type(ids) is tuple:
             v = memo[i].get(ids)
@@ -161,8 +185,6 @@ class ObjectiveFamily:
             v = memo[i].get(key)
             if v is not None:
                 return v
-        if served is not None and isfinite(served):
-            return served
         _check_ids(key)
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
@@ -378,8 +400,13 @@ class _Sets:
         the entry it was filled for, and refilled for the rows not in S if
         not.  A new block is kept if ``keep``.  A column counts as filled
         only once ``F._block`` has returned; a value that is not finite
-        stays in the block, and ``value`` does not serve it."""
+        stays in the block, and ``value`` does not serve it.  Raises
+        TypeError or ValueError, before any kernel call, unless every x is
+        an integer id in range: ``value`` does not check the ids of a value
+        it serves."""
         _check_ids(xs)
+        if xs and not (0 <= min(xs) and max(xs) < F.ground.n):
+            raise ValueError("element id out of range")
         kept = self.kept if keep else None
         if kept is None or any(x not in kept[0] for x in xs):
             kept = ({x: r for r, x in enumerate(xs)},

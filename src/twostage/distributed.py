@@ -13,7 +13,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import ObjectiveFamily, TwoStageSolution, empty_solution
+from .core import (ObjectiveFamily, TwoStageSolution, _check_seed,
+                   empty_solution)
 from .greedy import replacement_greedy
 from .streaming import ThresholdManager
 
@@ -25,10 +26,12 @@ def partition(ground_n: int, M: int, seed: int) -> list[list[int]]:
     derived from the seed, so later sources of randomness can be added
     without disturbing existing partitions.  Machines that draw nothing are
     left out, so the cost depends on ``ground_n`` only, not on ``M``.
-    Raises TypeError unless ``M`` is an integer.
+    Raises TypeError unless ``M`` and ``seed`` are integers, ValueError if
+    ``seed`` is negative (see ``_check_seed``).
     """
     if index(M) < 1:
         raise ValueError("need at least one machine")
+    _check_seed(seed)
     stream = np.random.SeedSequence(seed).spawn(1)[0]
     machine = np.random.default_rng(stream).integers(0, M, ground_n)
     order = np.argsort(machine, kind="stable")
@@ -91,8 +94,9 @@ def distributed_fast(F: ObjectiveFamily, M: int, epsilon: float, ell: int,
 
 
 def recommend_machine_count(n: int, ell: int, variant: str) -> int:
-    """Machine counts minimizing total work for each distributed variant."""
-    if n < 1 or ell < 1:
+    """Machine counts minimizing total work for each distributed variant.
+    Raises TypeError unless ``n`` and ``ell`` are integers."""
+    if index(n) < 1 or index(ell) < 1:
         raise ValueError("n and ell must be at least 1")
     if variant == "distributed":
         return max(1, int((n / ell) ** 0.5 + 0.5))

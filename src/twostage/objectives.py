@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundSet, ObjectiveFamily
+from .core import GroundSet, ObjectiveFamily, _check_seed
 
 
 class Point(NamedTuple):
@@ -267,8 +267,14 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
         out = np.repeat(outside[None], len(xs), axis=0)
         hit = [b for b, x in enumerate(xs) if x in row_of]
         if hit:
-            best = np.minimum(kept, np.array([row_of[xs[b]] for b in hit])[:, None])
-            out[hit] = anchor_mean - np.add.reduce(best, axis=2) / width
+            rows = np.array([row_of[xs[b]] for b in hit])
+            # one base at a time, for memory: at most two (hits, width)
+            # arrays, and the last base's minima overwrite ``rows``
+            spare = np.empty_like(rows) if len(kept) > 1 else rows
+            for j, row in enumerate(kept):
+                best = np.minimum(row, rows,
+                                  out=rows if j == len(kept) - 1 else spare)
+                out[hit, j] = anchor_mean - np.add.reduce(best, axis=1) / width
         return out
 
     F = ObjectiveFamily(GroundSet(len(vectors), vectors),
@@ -297,12 +303,14 @@ SYNTHETIC_KINDS = ("modular", "coverage", "facility")
 
 
 def make_synthetic(kind: str, n: int, m: int, seed: int) -> ObjectiveFamily:
-    """Deterministic random family of the requested kind."""
+    """Deterministic random family of the requested kind; ``seed`` is
+    checked by ``_check_seed``."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}; "
                          f"expected one of {SYNTHETIC_KINDS}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     if kind == "modular":
         weights = rng.uniform(0.0, 1.0, size=(m, n))

@@ -41,7 +41,7 @@ def brute_force_opt(F: ObjectiveFamily, ell: int, k: int,
     """
     check_budgets(ell, k)
     work = estimate_work(F.ground.n, ell, k, F.m)
-    if work > max_evaluations:
+    if not work <= max_evaluations:  # a NaN budget is refused too
         raise OracleBudgetError(
             f"instance needs ~{work} evaluations, above the budget of "
             f"{max_evaluations}; refusing rather than approximating")

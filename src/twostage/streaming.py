@@ -13,9 +13,9 @@ import math
 from operator import index
 from typing import Iterable
 
-from .core import (InvariantViolation, ObjectiveFamily, TwoStageSolution,
-                   _check_alpha, _Sets, check_budgets, empty_solution,
-                   solution_from_sets)
+from .core import (BLOCK_FLOATS, InvariantViolation, ObjectiveFamily,
+                   TwoStageSolution, _check_alpha, _Sets, check_budgets,
+                   empty_solution, solution_from_sets)
 # exchange counts nabla's threshold in _Sets.probe; the name stays bound
 # here because perfbench/tracer.py wraps streaming.nabla, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
@@ -36,7 +36,9 @@ MAX_INSTANCE_SLOTS = 10 ** 7
 # Largest instance_bound() a ThresholdManager accepts, whatever m and ell
 # are: an empty StreamState costs about 560 bytes plus 24 per function (680
 # at m=5, group token, unused kept-block slot and the shared empty entries
-# of its probe table included), so this many cost about 68 MB at m=5.  It
+# of its probe table included), so this many cost about 68 MB at m=5; in
+# run, each group token that reaches the lookahead's price may add a block of
+# up to LOOKAHEAD_FLOATS floats (4 KiB) while a live instance holds it.  It
 # also bounds one element's eval memo, which holds the m singletons plus at
 # most m * (k + 2) sets per live instance, and its groups, each of which
 # lists at most m * k probe sets.  The tests need 5,708 at most.
@@ -100,33 +102,134 @@ class StreamState(_Sets):
         self.group = None
 
 
+# A token's leaders probe set by set until they have made this many evals
+# per function; only then may ``_Lookahead`` fill a block for it.  A block
+# costs m kernel calls, and an exemplar kernel call costs as much as about
+# 10 f_i calls, but most of a short-lived token's evals are memo hits.  On the
+# distributed-exemplar benchmark, a price of 16 made 2,420 kernel calls to
+# save 5,291 f_i calls, and was slower; at 64 its tokens never reach it,
+# while on criterion 8's facility instance, whose tokens live for up to
+# 1,345 probes, 35 tokens reach it, after 17 to 65 probes.
+KERNEL_CALL_EVALS = 64
+
+# The floats one lookahead block holds at most, k per function and arrival.
+# A run keeps a block per long-lived token, where greedy keeps one in all.
+# The exemplar run of test_grouped_run_keeps_no_tuple_per_exchange peaks at
+# 102 KiB with this, and at 124 KiB with BLOCK_FLOATS (64.5 KiB with no
+# lookahead); on criterion 8, halving it again cost fast about 25%.
+LOOKAHEAD_FLOATS = BLOCK_FLOATS // 2
+
+
+class _Seen:
+    """What the leaders of one group token have probed: the evals made set
+    by set (counted up to the price), the elements, and the token's block
+    of kernel values, if any, which stays valid while the token lives."""
+
+    __slots__ = ("evals", "probes", "block")
+
+    def __init__(self):
+        self.evals = 0
+        self.probes = 0
+        self.block = None
+
+
 class _Group:
     """The moves of one element against the states of one group token, and
     their average gain: the group's first state to see the element (its
-    leader) probes, and every later one (a follower) reuses them."""
+    leader) probes, and every later one (a follower) reuses them.  ``raws``
+    are the kernel values the leader was served, by function and set, or
+    None if it evaluated every set."""
 
-    def __init__(self, m: int, replaced: list, gains: list):
+    __slots__ = ("replaced", "gains", "avg", "raws", "sets", "token")
+
+    def __init__(self, m: int, replaced: list, gains: list,
+                 raws: list | None = None):
         self.replaced = replaced
         self.gains = gains
         self.avg = sum(gains) / m
+        self.raws = raws
         self.sets = None  # the leader's probe sets, listed for a follower
         self.token = object()  # the new token of the states that accept
 
     def replay(self, F: ObjectiveFamily, u: int, state: StreamState):
-        """Make the leader's counted evals again for a follower.  Each set
-        is passed as the sorted tuple the element's memo scope stored when
-        the leader evaluated it, so each call is counted and served as
-        given, without calling f_i and without sorting or checking the set
-        again."""
+        """Make the leader's counted evals again for a follower.  A served
+        leader's values are served again.  Otherwise each set is passed as
+        the sorted tuple the element's memo scope stored when the leader
+        evaluated it, so each call is counted and served as given, without
+        calling f_i and without sorting or checking the set again."""
+        value = F.value
+        if self.raws is not None:
+            for i, ((bases, _), raw) in enumerate(zip(state.moves, self.raws)):
+                for b, v in zip(bases, raw):
+                    value(i, b + (u,), v)
+            return
         if self.sets is None:
             self.sets = state.probe_sets(u)
-        value = F.value
         for i, ids in self.sets:
             value(i, ids)
 
 
+class _Lookahead:
+    """``ThresholdManager.run``'s buffered stream, the position ``t`` of the
+    element in process, and what the leaders of each live group token have
+    probed (``seen``).
+
+    A token's leaders probe set by set until they have made
+    ``KERNEL_CALL_EVALS`` evals per function.  Then a leader that finds no
+    row for its element fills the token's block (``_Sets._block_values``)
+    over the element and the arrivals after it: as many as the token's
+    leaders have probed, in at most ``LOOKAHEAD_FLOATS`` floats.  Arrivals
+    that are not integer ids in range, are in S or repeat are left out, so
+    they raise or are skipped where the scalar path does.  A row holds one
+    element's values against the token's frozen sets, so it serves the
+    element's later arrivals too.  ``forget`` drops the blocks of the
+    tokens that no live instance holds any more."""
+
+    def __init__(self, stream: list):
+        self.stream = stream
+        self.t = 0
+        self.seen = {}  # group token -> _Seen, for tokens live states hold
+
+    def row(self, F: ObjectiveFamily, u: int, state: StreamState):
+        """The kernel values of u, not in S, by (function, set) for
+        ``state.probe``, or None if u is to be probed set by set."""
+        if state.group is None:  # empty states: singletons, memo-served
+            return None
+        seen = self.seen.get(state.group)
+        if seen is None:
+            seen = self.seen[state.group] = _Seen()
+        seen.probes += 1
+        if seen.block is not None:
+            vals, row_of = seen.block
+            r = row_of.get(u)
+            if r is not None:
+                return vals[r].tolist()
+            seen.block = None  # past the block: its values go first
+        if seen.evals < KERNEL_CALL_EVALS * F.m:
+            seen.evals += sum(len(bases) for bases, _ in state.moves)
+            return None
+        rows = min(seen.probes, max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
+        xs = {}
+        for x in self.stream[self.t:self.t + rows]:
+            try:
+                if 0 <= index(x) < F.ground.n and x not in state.S:
+                    xs[x] = None
+            except TypeError:
+                pass
+        seen.block = vals, row_of = state._block_values(F, list(xs), False)
+        return vals[row_of[u]].tolist()
+
+    def forget(self, states: Iterable[StreamState]):
+        """Drop what is kept for the tokens that none of ``states`` holds,
+        their blocks included."""
+        live = {state.group for state in states}
+        self.seen = {token: seen for token, seen in self.seen.items()
+                     if token in live}
+
+
 def exchange(F: ObjectiveFamily, u: int, state: StreamState,
-             delta: float | None = None, groups: dict | None = None) -> bool:
+             delta: float | None = None, groups: dict | None = None,
+             ahead: _Lookahead | None = None) -> bool:
     """Process one arriving element against one threshold's state.
 
     Accepts u when the average thresholded gain reaches tau, then applies
@@ -143,7 +246,8 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     ``groups``, if given, maps the group tokens already seen for u to their
     ``_Group``: a state whose token is there reuses its moves and replays
     its evals instead of probing; inside u's memo scope no replayed eval
-    calls f_i.
+    calls f_i.  ``ahead``, given only by ``ThresholdManager.run``, may serve
+    a leader's probe from its token's block (see ``_Lookahead``).
     """
     if not 0 <= index(u) < F.ground.n:
         raise ValueError(f"element {u} out of range [0, {F.ground.n})")
@@ -151,7 +255,9 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
         return False
     group = None if groups is None else groups.get(state.group)
     if group is None:
-        group = _Group(F.m, *state.probe(F, u, state.alpha / state.k))
+        raws = None if ahead is None else ahead.row(F, u, state)
+        group = _Group(F.m, *state.probe(F, u, state.alpha / state.k, raws),
+                       raws)
         if groups is not None:
             groups[state.group] = group
     else:
@@ -223,13 +329,18 @@ class ThresholdManager:
     one counted ``F.value`` call for every set the leader evaluated.  Each
     element is processed inside one ``F._memo_scope()``, which serves those
     replays, and the (i, set)s that instances of different groups share,
-    without calling f_i again.  The outputs and eval counts are those of a
-    run that probes every instance without the memo.
+    without calling f_i again.  In ``run``, on a family with a block kernel,
+    the leaders of a long-lived group are served from kernel blocks over
+    the arrivals ahead, and their followers replay the served values (see
+    ``_Lookahead``).  The outputs and eval counts are those of a run that
+    probes every instance without the memo.
 
     Raises ``InstanceBudgetError`` on construction when instance_bound() *
     F.m * ell exceeds ``MAX_INSTANCE_SLOTS`` or instance_bound() exceeds
     ``MAX_INSTANCES``.
     """
+
+    _ahead = None  # run's lookahead while it runs, if F has a block kernel
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
                  alpha: float = 1.0, instrument: bool = False):
@@ -295,20 +406,35 @@ class ThresholdManager:
                 f"{self.instance_bound()}")
 
     def process(self, u: int):
-        with self.F._memo_scope():
+        F, instances, ahead = self.F, self.instances, self._ahead
+        with F._memo_scope():
             self.update_thresholds(u)
             groups = {}
-            for l in sorted(self.instances):
-                exchange(self.F, u, self.instances[l], delta=self.delta,
-                         groups=groups)
+            delta = self.delta
+            for l in sorted(instances):
+                exchange(F, u, instances[l], delta=delta, groups=groups,
+                         ahead=ahead)
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(
             self.peak_stored,
             sum(len(state.S) for state in self.instances.values()))
 
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
-        for u in stream:
-            self.process(u)
+        """``process`` each element in turn.  With F's block kernel the
+        stream is buffered, so that long-lived groups' leaders can be served
+        from blocks over the arrivals ahead (see ``_Lookahead``)."""
+        if self.F._block is None:
+            for u in stream:
+                self.process(u)
+            return self
+        self._ahead = ahead = _Lookahead(list(stream))
+        try:
+            for t, u in enumerate(ahead.stream):
+                ahead.t = t
+                self.process(u)
+                ahead.forget(self.instances.values())
+        finally:
+            del self._ahead
         return self
 
     def best_solution(self) -> TwoStageSolution:

@@ -654,6 +654,15 @@ class TestMain:
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == [data]
 
+    def test_gen_synthetic_refuses_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "pts.csv"
+        assert main(["gen-synthetic", "--kind", "points", "--n", "5",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_exemplar_csv_run_equals_its_family(self, tmp_path):
         data = tmp_path / "features.csv"
         assert main(["gen-synthetic", "--kind", "features", "--n", "40",

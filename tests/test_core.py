@@ -8,9 +8,12 @@ from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
                            ObjectiveFamily, TwoStageSolution, empty_solution,
                            evaluate_solution, lambda_gain, marginal, nabla,
                            rep, solution_from_sets)
-from twostage.distributed import distributed_fast, replacement_distributed
+from twostage.distributed import (distributed_fast, partition,
+                                  recommend_machine_count,
+                                  replacement_distributed)
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
+from twostage.oracle import OracleBudgetError, brute_force_opt
 from twostage.streaming import run_know_opt, run_streaming
 
 from conftest import (NON_FINITE, kernel_counted, modular_family,
@@ -225,13 +228,30 @@ class TestServedValue:
         assert F.value(0, (2, 1), 7.5) == 7.5
         assert (calls[0], F.evals - before) == (0, 1)
 
-    def test_bad_indices_raise_before_it_is_served(self, counted):
+    def test_bad_function_index_raises_before_it_is_served(self, counted):
         F, calls = counted
         with pytest.raises(ValueError, match="function index"):
             F.value(1, (1,), 2.0)
-        with pytest.raises(ValueError, match="element id"):
-            F.value(0, (1, 4), 2.0)
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_out_of_range_candidate_raises_at_the_block_boundary(self, bad):
+        """A served value's ids are not checked by ``value``: ``probes``
+        range-checks each block's candidates before any kernel call, so a
+        bad candidate raises before any kernel call or eval."""
+        F = make_synthetic("facility", 12, 2, 0)
+        kernel = F._block
+        calls = []
+
+        def counted(i, bases, xs):
+            calls.append(i)
+            return kernel(i, bases, xs)
+
+        F._block = counted
+        before = F.evals
+        with pytest.raises(ValueError, match="element id"):
+            next(core._Sets(F.m, 2).probes(F, [3, bad, 5]))
+        assert (calls, F.evals - before) == ([], 0)
 
     @pytest.mark.parametrize("served", NON_FINITE)
     def test_non_finite_value_calls_f(self, counted, served):
@@ -285,6 +305,53 @@ class TestIntegerArguments:
         solve = self.SOLVES[name]
         assert (solve(F, np.int64(3), np.int32(2), np.int16(2)), F.evals) == (
             solve(G, 3, 2, 2), G.evals)
+
+
+# (case, call on a coverage family F, error type, message pattern): each bad
+# seed, size or budget is refused with its typed error before any eval
+BAD_INPUTS = [
+    ("partition seed None", lambda F: partition(20, 3, None), TypeError,
+     "seed"),
+    ("partition seed 2.5", lambda F: partition(20, 3, 2.5), TypeError, "seed"),
+    ("partition seed -1", lambda F: partition(20, 3, -1), ValueError, "seed"),
+    ("replacement_distributed seed None",
+     lambda F: replacement_distributed(F, 2, 3, 2, None), TypeError, "seed"),
+    ("replacement_distributed seed -1",
+     lambda F: replacement_distributed(F, 2, 3, 2, -1), ValueError, "seed"),
+    ("distributed_fast seed None",
+     lambda F: distributed_fast(F, 2, 0.5, 3, 2, None), TypeError, "seed"),
+    ("distributed_fast seed -1",
+     lambda F: distributed_fast(F, 2, 0.5, 3, 2, -1), ValueError, "seed"),
+    ("make_synthetic seed None",
+     lambda F: make_synthetic("coverage", 20, 2, None), TypeError, "seed"),
+    ("make_synthetic seed -1",
+     lambda F: make_synthetic("facility", 20, 2, -1), ValueError, "seed"),
+    ("GroundSet n 2.5", lambda F: GroundSet(2.5), TypeError, "integer"),
+    ("recommend_machine_count n 2.5",
+     lambda F: recommend_machine_count(2.5, 1, "fast"), TypeError, "integer"),
+    ("recommend_machine_count ell 2.5",
+     lambda F: recommend_machine_count(100, 2.5, "distributed"), TypeError,
+     "integer"),
+    ("brute_force_opt budget nan",
+     lambda F: brute_force_opt(F, 2, 1, max_evaluations=float("nan")),
+     OracleBudgetError, "budget of nan"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [row[1:] for row in BAD_INPUTS],
+                         ids=[row[0] for row in BAD_INPUTS])
+def test_bad_input_raises_its_typed_error_before_any_eval(call, error, match):
+    F = make_synthetic("coverage", 20, 2, 0)
+    before = F.evals
+    with pytest.raises(error, match=match):
+        call(F)
+    assert F.evals == before
+
+
+def test_numpy_integer_seeds_are_seeds():
+    assert partition(20, 3, np.int64(4)) == partition(20, 3, 4)
+    F, G = (make_synthetic("facility", 12, 2, s) for s in (np.int32(3), 3))
+    assert F._functions[1]((0, 5)) == G._functions[1]((0, 5))
 
 
 class TestMarginal:

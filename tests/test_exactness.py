@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage import streaming
-from twostage.core import (InvariantViolation, ObjectiveFamily, SwapOutcome,
+from twostage.core import (InvariantViolation, NonFiniteValueError,
+                           ObjectiveFamily, SwapOutcome,
                            TwoStageSolution, _Sets, check_budgets,
                            evaluate_solution, lambda_gain, marginal, nabla,
                            rep, solution_from_sets)
@@ -577,8 +578,10 @@ def test_swap_kernel_solvers_match_the_scalar_path(seed, kind, data):
 
 @pytest.mark.parametrize("kind", ["facility", "exemplar"])
 def test_single_element_probes_never_call_the_block_kernel(kind):
-    """Only greedy's candidate blocks use the kernel: run_know_opt, a bare
-    exchange and ThresholdManager probe each element set by set."""
+    """Only greedy's candidate blocks and long-lived streaming groups use
+    the kernel: run_know_opt, a bare exchange, and ThresholdManager on a
+    stream too short for any group to reach the lookahead's price probe
+    each element set by set."""
     F = stream_family(kind, 30, 3, 2)
     kernel = F._block
     calls = []
@@ -775,6 +778,168 @@ def test_split_groups_never_share_again():
         splits += sum(len(r) == 2 for r in results.values())
         assert step["tokens_match_sets"]
     assert splits >= 3
+
+
+# ---------------------------------------------------------------------------
+# lookahead blocks: long-lived streaming groups served from the kernel
+
+
+def scalar_copy(F):
+    """The same objectives as F with no block kernel: every eval calls f_i."""
+    return ObjectiveFamily(F.ground, F._functions)
+
+
+@contextmanager
+def lookahead_spy():
+    """Count the kernel blocks ``_Lookahead`` fills and the leader probes
+    it serves: yields {"fills": n, "served": n}."""
+    counts = {"fills": 0, "served": 0}
+    row = streaming._Lookahead.row
+
+    def counted_row(self, F, u, state):
+        kept = self.seen.get(state.group)
+        block = kept and kept.block
+        raws = row(self, F, u, state)
+        if raws is not None:
+            counts["served"] += 1
+            counts["fills"] += self.seen[state.group].block is not block
+        return raws
+
+    with mock.patch.object(streaming._Lookahead, "row", counted_row):
+        yield counts
+
+
+def manager_run(manager, F, stream, epsilon, ell, k, alpha=1.0):
+    """(outputs, evals spent, or the exception type raised) of one run."""
+    before = F.evals
+    mgr = manager(F, epsilon, ell, k, alpha=alpha)
+    try:
+        mgr.run(stream)
+    except (ValueError, TypeError) as exc:
+        result = type(exc)
+    else:
+        result = (mgr.best_solution(), mgr.all_solutions())
+    return (result, {l: (s.S, s.T, s.base) for l, s in mgr.instances.items()},
+            mgr.peak_stored, mgr.max_instances, F.evals - before)
+
+
+# n=120, m=2, ell=5, k=2, epsilon=0.5: groups live long enough to reach the
+# lookahead's default price on both families, shuffled or sorted
+LOOKAHEAD_FAMILIES = {
+    "facility": lambda: make_synthetic("facility", 120, 2, 3),
+    "exemplar": lambda: exemplar_family(float_features(120, 2, 3), 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
+@pytest.mark.parametrize("order", ["shuffled", "sorted"])
+def test_lookahead_run_matches_the_scalar_reference(kind, order):
+    """ThresholdManager.run serves long-lived groups from kernel blocks, and
+    its outputs, evals, peak_stored and max_instances equal those of the
+    manager without the memo, on the same objectives without a kernel."""
+    F = LOOKAHEAD_FAMILIES[kind]()
+    stream = list(range(120))
+    if order == "shuffled":
+        np.random.default_rng(1).shuffle(stream)
+    kernel = []
+    with lookahead_spy() as seen, spy(F, "_block", kernel.append):
+        got = manager_run(ThresholdManager, F, stream, 0.5, 5, 2)
+    assert kernel and seen["fills"] > 0 and seen["served"] > seen["fills"]
+    assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
+                              0.5, 5, 2)
+    assert F._memo is None
+
+
+@pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
+def test_lookahead_distributed_fast_matches_the_scalar_path(kind):
+    F = LOOKAHEAD_FAMILIES[kind]()
+    G = scalar_copy(F)
+    with lookahead_spy() as seen:
+        got = outcome(F, distributed_fast, 2, 0.5, 5, 2, 0)
+    assert seen["fills"] > 0 and seen["served"] > seen["fills"]
+    assert got == outcome(G, distributed_fast, 2, 0.5, 5, 2, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["facility", "exemplar"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_lookahead_at_any_price_matches_the_scalar_reference(kind, seed, data):
+    """With the price at 0 every group token's leaders are served from its
+    blocks, and small blocks are refilled often; repeated arrivals, alpha
+    and the grid vary.  The run still equals the scalar reference's."""
+    n = 12
+    m = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    ell = data.draw(st.integers(k, k + 3))
+    epsilon = data.draw(st.sampled_from([0.2, 1.0]))
+    alpha = data.draw(st.sampled_from([0.5, 1.0]))
+    stream = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
+    floats = data.draw(st.sampled_from([1, 16, 512]))
+    F = stream_family(kind, n, m, seed)
+    with mock.patch.object(streaming, "KERNEL_CALL_EVALS", 0), \
+            mock.patch.object(streaming, "LOOKAHEAD_FLOATS", floats):
+        got = manager_run(ThresholdManager, F, stream, epsilon, ell, k, alpha)
+    assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
+                              epsilon, ell, k, alpha)
+    assert F._memo is None
+
+
+def poisoned_pair_family(bad):
+    """Two modular functions on 12 elements, with a set-by-set kernel; f_1
+    is ``bad`` on every set holding both 0 and 9."""
+    weights = np.random.default_rng(0).uniform(0.5, 1.0, (2, 12))
+
+    def f0(ids):
+        return float(sum(weights[0][e] for e in ids))
+
+    def f1(ids):
+        return bad if {0, 9} <= set(ids) else float(
+            sum(weights[1][e] for e in ids))
+
+    F = ObjectiveFamily(make_synthetic("modular", 12, 2, 0).ground, [f0, f1])
+    F._block = lambda i, bases, xs: np.array(
+        [[F._functions[i](tuple(sorted(b + (x,)))) for b in bases]
+         for x in xs])
+    return F
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_block_value_raises_at_the_scalar_eval(bad):
+    """A block filled ahead holds 9's non-finite value; the run raises
+    NonFiniteValueError when 9 arrives, at the reference's eval count."""
+    stream = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+    F = poisoned_pair_family(bad)
+    blocks = []
+    fill = _Sets._block_values
+
+    def recorded(self, F, xs, keep):
+        vals, row_of = fill(self, F, xs, keep)
+        blocks.append(not np.isfinite(vals).all())
+        return vals, row_of
+
+    with mock.patch.object(streaming, "KERNEL_CALL_EVALS", 0), \
+            mock.patch.object(_Sets, "_block_values", recorded):
+        got = manager_run(ThresholdManager, F, stream, 0.5, 3, 2, 0.1)
+    assert any(blocks)
+    assert got[0] is NonFiniteValueError
+    assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
+                              0.5, 3, 2, 0.1)
+
+
+@pytest.mark.parametrize("bad", [120, -1, 2.5, np.float64(3.0), None])
+@pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
+def test_bad_arrival_ahead_raises_where_the_scalar_path_does(kind, bad):
+    """A bad id in the stream ahead, just after two repeated arrivals, is
+    left out of every block: the run raises at it, not earlier, after the
+    reference's evals and with the reference's states."""
+    F = LOOKAHEAD_FAMILIES[kind]()
+    stream = list(range(100)) + [7, 50] + [bad] + list(range(100, 120))
+    with lookahead_spy() as seen:
+        got = manager_run(ThresholdManager, F, stream, 0.5, 5, 2)
+    assert seen["served"] > 0
+    assert got[0] in (ValueError, TypeError)
+    assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
+                              0.5, 5, 2)
 
 
 # ---------------------------------------------------------------------------
