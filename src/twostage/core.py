@@ -23,19 +23,22 @@ function, which ``add`` rebuilds only where it changes T_i.
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
 adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
-measure: a code path performs the same evals every time it runs.  Two
+measure: a code path performs the same evals every time it runs.  Three
 sources serve evals from values already computed rather than from the
 objective, and they are still counted one ``value`` call each:
 
 * the memo, for repeats within one streaming element.
   ``ThresholdManager.process`` opens ``_memo_scope`` around each element
   and probes it once per group of threshold instances holding the same
-  sets; each other member of a group replays the leader's probe, one
-  ``value`` call per set it evaluated (``_Sets.probe_sets``), and the memo
-  serves every replayed call of a leader that evaluated its sets (for one
-  served from a block, see below).  The memo stores only sorted, checked
-  keys, so a replayed set, passed as its sorted tuple, is found as given:
-  it is counted, and was checked when the leader's call stored it.
+  sets; the memo serves every (i, set) evaluated again within the
+  element, such as the sets that leaders of different groups share,
+  without calling f_i.  It stores only sorted, checked keys, so a sorted
+  tuple is found there as given (see ``ObjectiveFamily.value``).
+* the values of earlier calls.  A leader records each of its probe's
+  counted evals as ``(i, ids, v)`` (``_Sets.probe``'s ``calls``), and each
+  other member of its group (a follower) replays them, one ``value`` call
+  each with ``v`` passed as ``served`` (see below), so a replay calls no
+  f_i, sorts nothing and skips the memo.
 * the values of F's block kernel.  ``_Sets._block_values`` hands each
   function's table entry's bases to ``F._block(i, bases, xs)`` and gets
   every base plus x for a block of candidates at once; each value is
@@ -46,7 +49,7 @@ objective, and they are still counted one ``value`` call each:
   range before any kernel call, and T_i only ever holds checked ids.  The
   blocks are greedy's (``_Sets.probes``), and those of a long-lived
   streaming group over the arrivals ahead (``streaming._Lookahead``),
-  whose followers are served the leader's values again.  When a greedy
+  whose leader records its served values like any other.  When a greedy
   round's candidates fit in one block, the ``_Sets`` keeps that block,
   and a later round asks the kernel again only for the functions whose
   table entry changed; every other value is the one computed for the same
@@ -154,23 +157,33 @@ class ObjectiveFamily:
         """Normalized value of f_i on the given element set (one counted eval).
 
         ``i`` is checked first, and every call that passes the checks is
-        counted.  Internal: ``served`` is the normalized value a block
-        kernel computed for this set; if it is finite, it is counted and
-        returned next, without the memo, the sort or the range check, since
-        ``_Sets._block_values`` checked the block's ids.  While a memo scope
-        is open, a set already evaluated in it returns the stored value
-        without calling f_i; a non-finite value raises and is never stored.
-        The memo's keys are sorted and were range-checked when stored, so a
+        counted.  Internal: ``served`` is a normalized value already computed
+        for this set, by a block kernel or by an earlier call; if it is
+        finite, it is counted and returned next, without the memo, the sort
+        or the range check, and without checking that ``i`` is an integer
+        (the callers that serve pass a loop index).  Any other call raises
+        ``TypeError`` unless ``i`` is an integer.  While a memo scope is
+        open, a set already evaluated in it returns the stored value without
+        calling f_i; a non-finite value raises and is never stored.  The
+        memo's keys are sorted and were range-checked when stored, so a
         tuple found there as given is a canonical repeat: it is counted and
-        served without being sorted or checked again.  Any other set is
-        sorted and its ids range-checked before it is counted or looked up.
-        A non-integer id raises ``TypeError`` before f_i is called.
+        served without being sorted or checked again.  The sets that are
+        found so are ``_Sets.add``'s new T_i, which its probe evaluated, and
+        the probe sets of sorted arrivals (``pseudo_streaming``), whose
+        candidate comes last.  Any other set is sorted and its ids
+        range-checked before it is counted or looked up.  A non-integer id
+        raises ``TypeError`` before f_i is called.
         """
         if not 0 <= i < self._m:
             raise ValueError(f"function index {i} out of range [0, {self._m})")
         if served is not None and isfinite(served):
             self.evals += 1
             return served
+        try:
+            index(i)
+        except TypeError:
+            raise TypeError(
+                f"function index must be an integer, got {i!r}") from None
         memo = self._memo
         if memo is not None and type(ids) is tuple:
             v = memo[i].get(ids)
@@ -290,7 +303,8 @@ _EMPTY_MOVES = _moves((), 1)
 
 
 def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
-          x: int, base: float, raw: list | None = None) -> tuple:
+          x: int, base: float, raw: list | None = None,
+          calls: list | None = None) -> tuple:
     """Best single swap of x for some y in the sorted tuple ``key``:
     ``(y, gain)``; the gain may be negative and ties go to the lowest y.
 
@@ -298,12 +312,16 @@ def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
     and must not contain x, ``(bases, key)`` is ``_moves(key, k)`` at
     budget, and ``base`` is f_i(key).  ``raw``, if given, has the swap sets'
     kernel values by j, each passed to its ``value`` call as ``served``.
+    ``calls``, if given, gets each ``value`` call's ``(i, ids, v)`` appended.
     """
     best_y = None
     best_gain = 0.0
     for j, y in enumerate(key):
         ids = bases[j] + (x,)
-        gain = (value(i, ids) if raw is None else value(i, ids, raw[j])) - base
+        v = value(i, ids) if raw is None else value(i, ids, raw[j])
+        if calls is not None:
+            calls.append((i, ids, v))
+        gain = v - base
         if best_y is None or gain > best_gain:
             best_gain = gain
             best_y = y
@@ -333,14 +351,17 @@ class _Sets:
         self.kept = None  # the block ``probes`` keeps, see ``_block_values``
 
     def probe(self, F: ObjectiveFamily, x: int, step: float | None = None,
-              raws: list | None = None) -> tuple:
+              raws: list | None = None, calls: list | None = None) -> tuple:
         """The moves of x, not in S, as ``(replaced, gains)`` lists by function.
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
-        is 0.0 with replaced None.  ``raws``, given only by ``probes``, has
-        x's kernel values by (function, j); without it every set is
-        evaluated by f_i.
+        is 0.0 with replaced None.  ``raws`` has x's kernel values by
+        (function, j); without it every set is evaluated by f_i.  ``calls``,
+        given only by ``streaming.exchange``, gets the ``(i, ids, v)`` of
+        each counted ``value`` call appended, in eval order: ``ids`` is the
+        tuple passed and ``v`` the value returned, so that ``value(i, ids,
+        v)`` makes the same counted eval again as a served one.
         """
         value = F.value
         base = self.base
@@ -350,25 +371,18 @@ class _Sets:
             b = base[i]
             raw = raws and raws[i]
             if key is not None:
-                r, g = _move(value, i, bases, key, x, b, raw)
-            elif raw is None:
-                r, g = None, value(i, bases[0] + (x,)) - b
+                r, g = _move(value, i, bases, key, x, b, raw, calls)
             else:
-                r, g = None, value(i, bases[0] + (x,), raw[0]) - b
+                ids = bases[0] + (x,)
+                v = value(i, ids) if raw is None else value(i, ids, raw[0])
+                if calls is not None:
+                    calls.append((i, ids, v))
+                r, g = None, v - b
             if not ((r is None or g > 0) and (step is None or g >= step * b)):
                 r, g = None, 0.0
             replaced.append(r)
             gains.append(g)
         return replaced, gains
-
-    def probe_sets(self, x: int) -> list:
-        """The ``(i, ids)`` of each ``F.value`` call that ``probe`` makes
-        for x, not in S, outside the block kernel: each base of each
-        ``moves[i]`` plus x.  Each ids is the sorted tuple that ``value``
-        keys its memo by, so a replay of a set ``probe`` evaluated in the
-        same memo scope is counted without being sorted or checked again."""
-        return [(i, tuple(sorted(b + (x,))))
-                for i, (bases, _) in enumerate(self.moves) for b in bases]
 
     def probes(self, F: ObjectiveFamily, xs: Iterable[int]):
         """Yield ``(x, replaced, gains)``, the ``probe`` of each distinct x

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import (ObjectiveFamily, TwoStageSolution, _Sets, check_budgets,
-                   solution_from_sets)
+from .core import (ObjectiveFamily, TwoStageSolution, _check_ids, _Sets,
+                   check_budgets, solution_from_sets)
 # replacement_greedy counts lambda_gain's clamp in _Sets.probe; the name
 # stays bound here because perfbench/tracer.py wraps greedy.lambda_gain, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
@@ -29,11 +29,15 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     The per-function gain is ``lambda_gain``'s: the insertion gain below
     budget, the best-swap gain clamped at 0 at budget.  Each candidate is
     probed with ``_Sets.probes`` and the best one applied with ``_Sets.add``.
+    Raises, before any eval, ``TypeError`` unless every candidate is an
+    integer id, and ``ValueError`` unless every one is in range.
     """
-    cands = sorted(set(candidates))
+    cands = set(candidates)
     if not cands:
         raise ValueError("candidate set must be non-empty")
     check_budgets(ell, k)
+    _check_ids(cands)
+    cands = sorted(cands)
     for x in (cands[0], cands[-1]):
         if not 0 <= x < F.ground.n:
             raise ValueError(f"element {x} out of range [0, {F.ground.n})")

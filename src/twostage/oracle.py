@@ -37,11 +37,18 @@ def brute_force_opt(F: ObjectiveFamily, ell: int, k: int,
     Ties go to the first maximizer in the enumeration order (summaries by
     size then lexicographically), so results are deterministic.  The
     solution is built from the enumeration's own values; evaluating it again
-    would add evals beyond ``estimate_work``.
+    would add evals beyond ``estimate_work``.  Raises, before any eval,
+    ``TypeError`` unless ``max_evaluations`` is a number, and
+    ``OracleBudgetError`` unless the work fits in it.
     """
     check_budgets(ell, k)
     work = estimate_work(F.ground.n, ell, k, F.m)
-    if not work <= max_evaluations:  # a NaN budget is refused too
+    try:
+        fits = work <= max_evaluations
+    except TypeError:
+        raise TypeError(f"budget must be a number, got {max_evaluations!r}"
+                        ) from None
+    if not fits:  # a NaN budget is refused too
         raise OracleBudgetError(
             f"instance needs ~{work} evaluations, above the budget of "
             f"{max_evaluations}; refusing rather than approximating")

@@ -41,7 +41,7 @@ MAX_INSTANCE_SLOTS = 10 ** 7
 # up to LOOKAHEAD_FLOATS floats (4 KiB) while a live instance holds it.  It
 # also bounds one element's eval memo, which holds the m singletons plus at
 # most m * (k + 2) sets per live instance, and its groups, each of which
-# lists at most m * k probe sets.  The tests need 5,708 at most.
+# records at most m * k calls of its leader.  The tests need 5,708 at most.
 MAX_INSTANCES = 10 ** 5
 
 
@@ -136,37 +136,27 @@ class _Seen:
 class _Group:
     """The moves of one element against the states of one group token, and
     their average gain: the group's first state to see the element (its
-    leader) probes, and every later one (a follower) reuses them.  ``raws``
-    are the kernel values the leader was served, by function and set, or
-    None if it evaluated every set."""
+    leader) probes, and every later one (a follower) reuses them.  ``calls``
+    are the leader's counted evals, ``(i, ids, v)`` in eval order (see
+    ``_Sets.probe``), or None where the group has no followers."""
 
-    __slots__ = ("replaced", "gains", "avg", "raws", "sets", "token")
+    __slots__ = ("replaced", "gains", "avg", "calls", "token")
 
     def __init__(self, m: int, replaced: list, gains: list,
-                 raws: list | None = None):
+                 calls: list | None):
         self.replaced = replaced
         self.gains = gains
         self.avg = sum(gains) / m
-        self.raws = raws
-        self.sets = None  # the leader's probe sets, listed for a follower
+        self.calls = calls
         self.token = object()  # the new token of the states that accept
 
-    def replay(self, F: ObjectiveFamily, u: int, state: StreamState):
-        """Make the leader's counted evals again for a follower.  A served
-        leader's values are served again.  Otherwise each set is passed as
-        the sorted tuple the element's memo scope stored when the leader
-        evaluated it, so each call is counted and served as given, without
-        calling f_i and without sorting or checking the set again."""
+    def replay(self, F: ObjectiveFamily):
+        """Make the leader's counted evals again for a follower: each is
+        served the value the leader's call returned, so no call reaches
+        f_i, the memo, the sort or the range check."""
         value = F.value
-        if self.raws is not None:
-            for i, ((bases, _), raw) in enumerate(zip(state.moves, self.raws)):
-                for b, v in zip(bases, raw):
-                    value(i, b + (u,), v)
-            return
-        if self.sets is None:
-            self.sets = state.probe_sets(u)
-        for i, ids in self.sets:
-            value(i, ids)
+        for i, ids, v in self.calls:
+            value(i, ids, v)
 
 
 class _Lookahead:
@@ -245,23 +235,27 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
 
     ``groups``, if given, maps the group tokens already seen for u to their
     ``_Group``: a state whose token is there reuses its moves and replays
-    its evals instead of probing; inside u's memo scope no replayed eval
+    its leader's recorded evals instead of probing, and no replayed eval
     calls f_i.  ``ahead``, given only by ``ThresholdManager.run``, may serve
     a leader's probe from its token's block (see ``_Lookahead``).
     """
-    if not 0 <= index(u) < F.ground.n:
-        raise ValueError(f"element {u} out of range [0, {F.ground.n})")
+    try:
+        if not 0 <= index(u) < F.ground.n:
+            raise ValueError(f"element {u} out of range [0, {F.ground.n})")
+    except TypeError:
+        raise TypeError(f"element ids must be integers, got {u!r}") from None
     if u in state.S or len(state.S) >= state.ell:
         return False
     group = None if groups is None else groups.get(state.group)
     if group is None:
         raws = None if ahead is None else ahead.row(F, u, state)
-        group = _Group(F.m, *state.probe(F, u, state.alpha / state.k, raws),
-                       raws)
+        calls = None if groups is None else []
+        group = _Group(F.m, *state.probe(F, u, state.alpha / state.k, raws,
+                                         calls), calls)
         if groups is not None:
             groups[state.group] = group
     else:
-        group.replay(F, u, state)
+        group.replay(F)
     replaced, gains, avg = group.replaced, group.gains, group.avg
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
@@ -326,12 +320,13 @@ class ThresholdManager:
     it (the leader) runs ``_Sets.probe``, and every later one that can take
     it (a follower) reuses the leader's moves, compares their average with
     its own tau, and applies them if it accepts.  A follower still makes
-    one counted ``F.value`` call for every set the leader evaluated.  Each
-    element is processed inside one ``F._memo_scope()``, which serves those
-    replays, and the (i, set)s that instances of different groups share,
-    without calling f_i again.  In ``run``, on a family with a block kernel,
-    the leaders of a long-lived group are served from kernel blocks over
-    the arrivals ahead, and their followers replay the served values (see
+    one counted ``F.value`` call for every set the leader evaluated: it
+    replays the leader's recorded calls, each served the value the leader
+    got (``_Group.replay``), so none calls f_i.  Each element is processed
+    inside one ``F._memo_scope()``, which serves the (i, set)s that
+    instances of different groups share without calling f_i again.  In
+    ``run``, on a family with a block kernel, the leaders of a long-lived
+    group are served from kernel blocks over the arrivals ahead (see
     ``_Lookahead``).  The outputs and eval counts are those of a run that
     probes every instance without the memo.
 

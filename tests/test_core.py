@@ -13,7 +13,7 @@ from twostage.distributed import (distributed_fast, partition,
                                   replacement_distributed)
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
-from twostage.oracle import OracleBudgetError, brute_force_opt
+from twostage.oracle import OracleBudgetError, brute_force_opt, estimate_work
 from twostage.streaming import run_know_opt, run_streaming
 
 from conftest import (NON_FINITE, kernel_counted, modular_family,
@@ -335,6 +335,17 @@ BAD_INPUTS = [
     ("brute_force_opt budget nan",
      lambda F: brute_force_opt(F, 2, 1, max_evaluations=float("nan")),
      OracleBudgetError, "budget of nan"),
+    ("brute_force_opt budget None",
+     lambda F: brute_force_opt(F, 2, 1, max_evaluations=None), TypeError,
+     "budget must be a number, got None"),
+    ("value function index 0.5", lambda F: F.value(0.5, (1,)), TypeError,
+     "function index must be an integer, got 0.5"),
+    ("replacement_greedy candidate 2.5",
+     lambda F: replacement_greedy(F, [0, 2.5, 3], 2, 1), TypeError,
+     "element ids must be integers, got 2.5"),
+    ("replacement_greedy candidate np.float64",
+     lambda F: replacement_greedy(F, [0, np.float64(3.0)], 2, 1), TypeError,
+     "element ids must be integers"),
 ]
 
 
@@ -346,6 +357,70 @@ def test_bad_input_raises_its_typed_error_before_any_eval(call, error, match):
     with pytest.raises(error, match=match):
         call(F)
     assert F.evals == before
+
+
+# (argument, call on a coverage family F with the value v, kind): every seed,
+# size and budget argument of BAD_INPUTS.  A seed is an integer >= 0, a size
+# an integer >= 1, and a budget a number the oracle's work must not exceed.
+BAD_INPUT_ARGS = [
+    ("partition seed", lambda F, v: partition(20, 3, v), "seed"),
+    ("replacement_distributed seed",
+     lambda F, v: replacement_distributed(F, 2, 3, 2, v), "seed"),
+    ("distributed_fast seed",
+     lambda F, v: distributed_fast(F, 2, 0.5, 3, 2, v), "seed"),
+    ("make_synthetic seed",
+     lambda F, v: make_synthetic("coverage", 20, 2, v)._functions[1]((0, 5)),
+     "seed"),
+    ("GroundSet n", lambda F, v: GroundSet(v).n, "size"),
+    ("recommend_machine_count n",
+     lambda F, v: recommend_machine_count(v, 1, "fast"), "size"),
+    ("recommend_machine_count ell",
+     lambda F, v: recommend_machine_count(100, v, "distributed"), "size"),
+    ("brute_force_opt budget",
+     lambda F, v: brute_force_opt(F, 2, 1, max_evaluations=v), "budget"),
+]
+
+# None, NaN and the infinities, negatives, float-valued integers, and numpy
+# floats and integers
+INPUT_VALUES = st.one_of(
+    st.sampled_from([None, float("nan"), float("inf"), float("-inf")]),
+    st.integers(-10 ** 6, -1),
+    st.integers(-3, 10 ** 6).map(float),
+    st.integers(-3, 10 ** 6).map(np.float64),
+    st.integers(-3, 10 ** 6).map(np.int64),
+)
+
+
+def expected_error(kind, v, work):
+    """The typed error a ``kind`` argument of value v raises, or None."""
+    if kind == "budget":
+        if v is None:
+            return TypeError
+        return None if work <= v else OracleBudgetError
+    if not isinstance(v, (int, np.integer)):
+        return TypeError
+    return ValueError if v < (0 if kind == "seed" else 1) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(arg=st.sampled_from(BAD_INPUT_ARGS), v=INPUT_VALUES)
+def test_each_value_class_is_refused_or_accepted(arg, v):
+    """Each refused value raises its typed error before any eval; a numpy
+    integer is accepted, with the result of the same Python integer."""
+    _, call, kind = arg
+    F = make_synthetic("coverage", 20, 2, 0)
+    error = expected_error(kind, v, estimate_work(20, 2, 1, F.m))
+    before = F.evals
+    if error is not None:
+        with pytest.raises(error):
+            call(F, v)
+        assert F.evals == before
+    elif isinstance(v, np.integer):
+        G = make_synthetic("coverage", 20, 2, 0)
+        assert call(F, v) == call(G, int(v))
+        assert F.evals == G.evals
+    else:
+        call(F, v)
 
 
 def test_numpy_integer_seeds_are_seeds():

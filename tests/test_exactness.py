@@ -734,8 +734,8 @@ class MemoThresholdManager(ThresholdManager):
 
 def test_threshold_manager_probes_once_per_group():
     """Instances holding equal sets probe each element once between them;
-    the outputs and counts are the reference's, and the followers' replays
-    are all served by the memo."""
+    the outputs and counts are the reference's, and f_i is called as often
+    as with the memo and no groups, so no follower's replay calls it."""
     F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
     G = make_synthetic("coverage", 40, 3, seed=2)
     H, memo_calls = kernel_counted(G)
@@ -858,6 +858,72 @@ def test_lookahead_distributed_fast_matches_the_scalar_path(kind):
         got = outcome(F, distributed_fast, 2, 0.5, 5, 2, 0)
     assert seen["fills"] > 0 and seen["served"] > seen["fills"]
     assert got == outcome(G, distributed_fast, 2, 0.5, 5, 2, 0)
+
+
+# coverage probes every leader set by set; on the two families with a block
+# kernel, some long-lived groups' leaders are served from lookahead blocks
+REPLAY_FAMILIES = {
+    "coverage": lambda: make_synthetic("coverage", 40, 3, seed=2),
+    "exemplar": lambda: exemplar_family(float_features(40, 3, 2), 3),
+    "facility": LOOKAHEAD_FAMILIES["facility"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPLAY_FAMILIES))
+def test_follower_replays_call_no_objective(kind):
+    """A follower replays its leader's recorded calls: no f_i call, and
+    one eval per recorded call, which is one per set of its probe table,
+    also when the leader was served from a lookahead block."""
+    F = REPLAY_FAMILIES[kind]()
+    f_calls = [0]
+
+    def counted(f):
+        def g(key):
+            f_calls[0] += 1
+            return f(key)
+        return g
+
+    F._functions = [counted(f) for f in F._functions]
+    exchange, row = streaming.exchange, streaming._Lookahead.row
+    replay = streaming._Group.replay
+    current, rows = [], []  # the state in exchange; its leader's rows
+    served = {}  # id of a group -> whether its leader was served a row
+    replays = []  # (leader served, evals, recorded calls, table sets)
+
+    def exchange_spy(F, u, state, delta=None, groups=None, ahead=None):
+        token, leads = state.group, state.group not in groups
+        current[:] = [state]
+        rows.clear()
+        accepted = exchange(F, u, state, delta, groups, ahead)
+        if leads and token in groups:  # before any follower replays
+            served[id(groups[token])] = any(rows)
+        return accepted
+
+    def row_spy(self, F, u, state):
+        raws = row(self, F, u, state)
+        rows.append(raws is not None)
+        return raws
+
+    def replay_spy(group, F):
+        before, calls_before = F.evals, f_calls[0]
+        replay(group, F)
+        assert f_calls[0] == calls_before
+        replays.append((served[id(group)], F.evals - before, len(group.calls),
+                        sum(len(bases) for bases, _ in current[0].moves)))
+
+    stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
+    with mock.patch.object(streaming, "exchange", exchange_spy), \
+            mock.patch.object(streaming._Group, "replay", replay_spy), \
+            mock.patch.object(streaming._Lookahead, "row", row_spy):
+        ThresholdManager(F, 0.5, 5, 2).run(stream)
+    assert replays and f_calls[0] > 0
+    for _, evals, calls, sets in replays:
+        assert evals == calls == sets
+    served_replays = sum(leader_served for leader_served, *_ in replays)
+    if F._block is None:
+        assert served_replays == 0
+    else:  # both kinds of leader have followers
+        assert 0 < served_replays < len(replays)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -106,6 +107,13 @@ class TestKnowOpt:
         assert len(run_know_opt(stream, F, opt=0.1, ell=3, k=2).summary) == 3
         with pytest.raises(error, match=match):
             run_know_opt(stream + [bad], F, opt=0.1, ell=3, k=2)
+
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0)])
+    def test_a_non_integer_id_is_named(self, bad):
+        F = make_synthetic("coverage", 20, 3, 0)
+        with pytest.raises(TypeError, match=re.escape(
+                f"element ids must be integers, got {bad!r}")):
+            run_know_opt([0, bad], F, 1.0, 2, 1)
 
     def test_guarantee_on_random_instances(self):
         for seed in range(10):
@@ -397,9 +405,9 @@ class TestEvalMemo:
         F = make_synthetic("modular", 4, 2, seed=0)
         value = F.value
 
-        def spy(i, ids):
+        def spy(i, ids, served=None):
             seen.append(F._memo)
-            return value(i, ids)
+            return value(i, ids, served)
         F.value = spy
         mgr = ThresholdManager(F, 1.0, 2, 1)
         mgr.process(0)
@@ -414,10 +422,11 @@ class TestEvalMemo:
 ], ids=["coverage", "exemplar"])
 def test_memo_keys_and_replayed_sets_are_canonical(family, monkeypatch):
     """The memo only stores sorted tuples of ids in range, which is what
-    lets ``value`` serve a tuple found there as given; and every set a
-    follower replays is found there as given, unless its leader was served
-    from a lookahead block: then the follower is served the same values,
-    one eval per set of its probe table."""
+    lets ``value`` serve a tuple found there as given; and a follower
+    replays its leader's recorded calls, one eval each: every call's set is
+    canonical once sorted, and where the memo holds that set (the leader
+    evaluated it rather than being served from a lookahead block), it holds
+    the value the call recorded."""
     F = family()
     scope = F._memo_scope
     stored = []
@@ -434,18 +443,28 @@ def test_memo_keys_and_replayed_sets_are_canonical(family, monkeypatch):
             stored.append(sum(map(len, F._memo)))
     F._memo_scope = checked_scope
 
+    exchange = streaming.exchange
+    states = []  # the state of each exchange, the last one in process
+
+    def tracked_exchange(F, u, state, **kwargs):
+        states.append(state)
+        return exchange(F, u, state, **kwargs)
+    monkeypatch.setattr(streaming, "exchange", tracked_exchange)
+
     replay = streaming._Group.replay
     replayed = []
 
-    def checked_replay(self, F, u, state):
+    def checked_replay(self, F):
         before = F.evals
-        replay(self, F, u, state)
-        if self.raws is None:
-            assert all(ids in F._memo[i] for i, ids in self.sets)
-            replayed.append(len(self.sets))
-        else:
-            assert self.sets is None
-            assert F.evals - before == sum(len(b) for b, _ in state.moves)
+        replay(self, F)
+        assert F.evals - before == len(self.calls) == sum(
+            len(bases) for bases, _ in states[-1].moves)
+        for i, ids, v in self.calls:
+            key = tuple(sorted(ids))
+            assert list(key) == sorted(set(key))
+            assert all(0 <= e < F.ground.n for e in key)
+            assert F._memo[i].get(key, v) == v
+        replayed.append(len(self.calls))
     monkeypatch.setattr(streaming._Group, "replay", checked_replay)
 
     stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
