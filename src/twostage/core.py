@@ -23,7 +23,7 @@ function, which ``add`` rebuilds only where it changes T_i.
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
 adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
-measure: a code path performs the same evals every time it runs.  Three
+measure: a code path performs the same evals every time it runs.  Four
 sources serve evals from values already computed rather than from the
 objective, and they are still counted one ``value`` call each:
 
@@ -55,6 +55,16 @@ objective, and they are still counted one ``value`` call each:
   table entry changed; every other value is the one computed for the same
   candidate against the same T_i.  The kept block lives as long as the
   ``_Sets``, one solver call.
+* the values of F's row kernel.  A ``_Sets.probe`` that is given no
+  kernel values hands x and the probe table to ``F._row(x, moves)``, if F
+  has one, and gets f_i(b + (x,)) for every base b of every function's
+  entry, in plain Python (the coverage family ORs its bitmasks); each
+  value, less the offset, is passed to its ``value`` call as ``served``.
+  So every coverage probe is served: streaming leaders, greedy and
+  ``run_know_opt``.  The ids behind these values are checked by the
+  probe's callers: ``exchange`` checks its element and
+  ``replacement_greedy`` its candidates before any probe, and T_i only
+  ever holds checked ids.
 
 Nothing else is memoised.
 """
@@ -130,7 +140,13 @@ class ObjectiveFamily:
     (x,)) for each x of ``xs`` and each b of ``bases``, one probe-table
     entry's (see ``_moves``), with shape (len(xs), len(bases)).
     ``_table_floats`` is the number of floats in the tables the kernel reads
-    (0 without one), which sizes the blocks of ``_Sets.probes``.
+    (0 without one), which sizes the blocks of ``_Sets.probes``.  ``_row``
+    is None or the family's row kernel ``_row(x, moves)``: for a probe
+    table ``moves`` (``_Sets.moves``) and an x in none of its bases, one
+    list per function i of the raw f_i(b + (x,)) for each base b of
+    ``moves[i]``.  It suits a family whose sets cost less to evaluate than
+    one numpy call, and it serves every ``_Sets.probe`` that is given no
+    kernel values (see the eval contract above).
     """
 
     def __init__(self, ground: GroundSet,
@@ -144,6 +160,7 @@ class ObjectiveFamily:
         self.evals = 0
         self._memo = None
         self._block = None
+        self._row = None
         self._table_floats = 0
         self._offsets = [0.0] * self._m
         self._offsets = [self.value(i, ()) for i in range(self._m)]
@@ -156,9 +173,11 @@ class ObjectiveFamily:
               served: float | None = None) -> float:
         """Normalized value of f_i on the given element set (one counted eval).
 
-        ``i`` is checked first, and every call that passes the checks is
-        counted.  Internal: ``served`` is a normalized value already computed
-        for this set, by a block kernel or by an earlier call; if it is
+        ``i`` is checked first: one that does not compare with an integer
+        (None, a string) raises ``TypeError``, one out of range
+        ``ValueError``, and every call that passes the checks is counted.
+        Internal: ``served`` is a normalized value already computed for this
+        set, by a block or row kernel or by an earlier call; if it is
         finite, it is counted and returned next, without the memo, the sort
         or the range check, and without checking that ``i`` is an integer
         (the callers that serve pass a loop index).  Any other call raises
@@ -174,8 +193,13 @@ class ObjectiveFamily:
         range-checked before it is counted or looked up.  A non-integer id
         raises ``TypeError`` before f_i is called.
         """
-        if not 0 <= i < self._m:
-            raise ValueError(f"function index {i} out of range [0, {self._m})")
+        try:
+            if not 0 <= i < self._m:
+                raise ValueError(
+                    f"function index {i} out of range [0, {self._m})")
+        except TypeError:  # not comparable with an int: None, a string
+            raise TypeError(
+                f"function index must be an integer, got {i!r}") from None
         if served is not None and isfinite(served):
             self.evals += 1
             return served
@@ -357,7 +381,11 @@ class _Sets:
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
-        (function, j); without it every set is evaluated by f_i.  ``calls``,
+        (function, j); without it they come from F's row kernel, less the
+        offsets, if F has one, and otherwise every set is evaluated by f_i.
+        Served values skip ``value``'s range check, so x must be an integer
+        id in range: the callers are the boundary, and ``exchange`` and
+        ``replacement_greedy`` check their ids before any probe.  ``calls``,
         given only by ``streaming.exchange``, gets the ``(i, ids, v)`` of
         each counted ``value`` call appended, in eval order: ``ids`` is the
         tuple passed and ``v`` the value returned, so that ``value(i, ids,
@@ -367,6 +395,11 @@ class _Sets:
         base = self.base
         replaced = []
         gains = []
+        if raws is None and F._row is not None:
+            raws = F._row(x, self.moves)
+            if any(F._offsets):  # v - 0.0 is v, so skip the copy
+                raws = [[v - off for v in row]
+                        for row, off in zip(raws, F._offsets)]
         for i, (bases, key) in enumerate(self.moves):
             b = base[i]
             raw = raws and raws[i]

@@ -299,12 +299,38 @@ class CoverageSpec:
         return float(acc.bit_count())
 
 
+def _coverage_row(specs: Sequence[CoverageSpec]):
+    """The row kernel ``_row(x, moves)`` of the coverage functions ``specs``
+    (see ``ObjectiveFamily``): per function, the raw f_i(b + (x,)) of each
+    base b of its probe-table entry, by the same OR and ``bit_count`` as
+    ``CoverageSpec.value``.  OR is exact and order-free, so each value
+    equals f_i's on the sorted set.  Pure Python: at a few ids per base
+    this is cheaper than one numpy call."""
+    tables = [spec.masks for spec in specs]
+
+    def row(x: int, moves: list) -> list:
+        out = []
+        for masks, (bases, _) in zip(tables, moves):
+            mx = masks[x]
+            vals = []
+            for base in bases:
+                acc = mx
+                for e in base:
+                    acc |= masks[e]
+                vals.append(float(acc.bit_count()))
+            out.append(vals)
+        return out
+    return row
+
+
 SYNTHETIC_KINDS = ("modular", "coverage", "facility")
 
 
 def make_synthetic(kind: str, n: int, m: int, seed: int) -> ObjectiveFamily:
     """Deterministic random family of the requested kind; ``seed`` is
-    checked by ``_check_seed``."""
+    checked by ``_check_seed``.  A coverage family carries the row kernel
+    ``_coverage_row``, a facility family the block kernel of
+    ``facility_family``."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
     if kind not in SYNTHETIC_KINDS:
@@ -333,8 +359,10 @@ def make_synthetic(kind: str, n: int, m: int, seed: int) -> ObjectiveFamily:
             masks = tuple(int.from_bytes(row.tobytes(), "big") >> pad
                           for row in np.packbits(hits, axis=1))
             specs.append(CoverageSpec(masks, universe))
-        ground = GroundSet(n, specs)
-        return ObjectiveFamily(ground, [spec.value for spec in specs])
+        F = ObjectiveFamily(GroundSet(n, specs),
+                            [spec.value for spec in specs])
+        F._row = _coverage_row(specs)
+        return F
 
     # facility: points in a box small enough that the convenience kernel
     # actually discriminates (its length scale is 1/200 of a degree)

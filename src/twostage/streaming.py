@@ -236,26 +236,31 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     ``groups``, if given, maps the group tokens already seen for u to their
     ``_Group``: a state whose token is there reuses its moves and replays
     its leader's recorded evals instead of probing, and no replayed eval
-    calls f_i.  ``ahead``, given only by ``ThresholdManager.run``, may serve
-    a leader's probe from its token's block (see ``_Lookahead``).
+    calls f_i.  It replays before the id and S checks: its leader made
+    them on the same u against the same S, and every instance of one
+    manager has the same ell.  ``ahead``, given only by
+    ``ThresholdManager.run``, may serve a leader's probe from its token's
+    block (see ``_Lookahead``).
     """
-    try:
-        if not 0 <= index(u) < F.ground.n:
-            raise ValueError(f"element {u} out of range [0, {F.ground.n})")
-    except TypeError:
-        raise TypeError(f"element ids must be integers, got {u!r}") from None
-    if u in state.S or len(state.S) >= state.ell:
-        return False
     group = None if groups is None else groups.get(state.group)
-    if group is None:
+    if group is not None:
+        group.replay(F)
+    else:
+        try:
+            if not 0 <= index(u) < F.ground.n:
+                raise ValueError(
+                    f"element {u} out of range [0, {F.ground.n})")
+        except TypeError:
+            raise TypeError(
+                f"element ids must be integers, got {u!r}") from None
+        if u in state.S or len(state.S) >= state.ell:
+            return False
         raws = None if ahead is None else ahead.row(F, u, state)
         calls = None if groups is None else []
         group = _Group(F.m, *state.probe(F, u, state.alpha / state.k, raws,
                                          calls), calls)
         if groups is not None:
             groups[state.group] = group
-    else:
-        group.replay(F)
     replaced, gains, avg = group.replaced, group.gains, group.avg
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
@@ -330,6 +335,13 @@ class ThresholdManager:
     ``_Lookahead``).  The outputs and eval counts are those of a run that
     probes every instance without the memo.
 
+    The per-element bookkeeping is redone only when something changed.
+    The window depends on delta alone, so ``update_thresholds`` moves it
+    only when delta rises.  ``stored``, the elements the live instances
+    hold between them, is a running count: one more per accepted element,
+    and an instance's |S| less when the window drops it; ``peak_stored`` is
+    its largest value after an element.
+
     Raises ``InstanceBudgetError`` on construction when instance_bound() *
     F.m * ell exceeds ``MAX_INSTANCE_SLOTS`` or instance_bound() exceeds
     ``MAX_INSTANCES``.
@@ -352,6 +364,7 @@ class ThresholdManager:
         self.instrument = instrument
         self.delta = 0.0
         self.instances: dict[int, StreamState] = {}  # exponent -> state
+        self.stored = 0  # sum of len(state.S) over the live instances
         self.peak_stored = 0
         self.max_instances = 0
 
@@ -382,13 +395,21 @@ class ThresholdManager:
         return range(l_lo, l_hi + 1)
 
     def update_thresholds(self, u: int):
-        """Fold u's singleton average into delta and resize the instance window."""
-        self.delta = max(self.delta, self.F.singleton_average(u))
-        if self.delta <= 0:
+        """Fold u's singleton average into delta and, if delta rose, move
+        the instance window: it depends on delta alone.  A rise whose
+        window is outside the float range raises ``ValueError`` and leaves
+        delta as it was."""
+        average = self.F.singleton_average(u)
+        if not average > self.delta:
             return
-        active = self._active_range()
+        delta, self.delta = self.delta, average
+        try:
+            active = self._active_range()
+        except ValueError:
+            self.delta = delta  # the window still matches delta
+            raise
         for l in [l for l in self.instances if l not in active]:
-            del self.instances[l]
+            self.stored -= len(self.instances.pop(l).S)
         grid = 1.0 + self.epsilon
         for l in active:
             if l not in self.instances:
@@ -407,12 +428,11 @@ class ThresholdManager:
             groups = {}
             delta = self.delta
             for l in sorted(instances):
-                exchange(F, u, instances[l], delta=delta, groups=groups,
-                         ahead=ahead)
+                if exchange(F, u, instances[l], delta=delta, groups=groups,
+                            ahead=ahead):
+                    self.stored += 1
         self.max_instances = max(self.max_instances, len(self.instances))
-        self.peak_stored = max(
-            self.peak_stored,
-            sum(len(state.S) for state in self.instances.values()))
+        self.peak_stored = max(self.peak_stored, self.stored)
 
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
         """``process`` each element in turn.  With F's block kernel the

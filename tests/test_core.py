@@ -340,6 +340,13 @@ BAD_INPUTS = [
      "budget must be a number, got None"),
     ("value function index 0.5", lambda F: F.value(0.5, (1,)), TypeError,
      "function index must be an integer, got 0.5"),
+    ("value function index None", lambda F: F.value(None, (1,)), TypeError,
+     "function index must be an integer, got None"),
+    ("value function index 'a'", lambda F: F.value("a", (1,)), TypeError,
+     "function index must be an integer, got 'a'"),
+    ("served value function index None",
+     lambda F: F.value(None, (1,), 1.0), TypeError,
+     "function index must be an integer, got None"),
     ("replacement_greedy candidate 2.5",
      lambda F: replacement_greedy(F, [0, 2.5, 3], 2, 1), TypeError,
      "element ids must be integers, got 2.5"),

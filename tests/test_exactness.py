@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from twostage import streaming
 from twostage.core import (InvariantViolation, NonFiniteValueError,
                            ObjectiveFamily, SwapOutcome,
-                           TwoStageSolution, _Sets, check_budgets,
+                           TwoStageSolution, _moves, _Sets, check_budgets,
                            evaluate_solution, lambda_gain, marginal, nabla,
                            rep, solution_from_sets)
 from twostage.distributed import distributed_fast, replacement_distributed
@@ -1006,6 +1006,121 @@ def test_bad_arrival_ahead_raises_where_the_scalar_path_does(kind, bad):
     assert got[0] in (ValueError, TypeError)
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               0.5, 5, 2)
+
+
+# ---------------------------------------------------------------------------
+# the coverage row kernel: every coverage probe served from bitmask ORs
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_coverage_row_kernel_is_bit_identical(seed, data):
+    """``F._row``, less the offsets, equals ``F.value`` set by set (``==``)
+    on probe tables whose sets are empty, below budget or at budget."""
+    n = data.draw(st.integers(1, 30))
+    m = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    F = make_synthetic("coverage", n, m, seed)
+    x = data.draw(st.integers(0, n - 1))
+    others = [e for e in range(n) if e != x]
+    moves = []
+    for _ in range(m):
+        size = data.draw(st.sampled_from([0, data.draw(st.integers(0, k - 1)),
+                                          k]))
+        key = data.draw(st.permutations(others))[:size]
+        moves.append(_moves(tuple(sorted(key)), k))
+    rows = F._row(x, moves)
+    assert [[v - F._offsets[i] for v in row] for i, row in enumerate(rows)] \
+        == [[F.value(i, base + (x,)) for base in bases]
+            for i, (bases, _) in enumerate(moves)]
+
+
+def offset_coverage(n, m, seed):
+    """Coverage plus a constant c_i per function, with its row kernel: the
+    offsets are the c_i, so probes serve the row less them."""
+    F = make_synthetic("coverage", n, m, seed)
+    row, consts = F._row, [0.5 + i for i in range(m)]
+    G = ObjectiveFamily(F.ground, [lambda ids, f=f, c=c: c + f(ids)
+                                   for f, c in zip(F._functions, consts)])
+    G._row = lambda x, moves: [[c + v for v in vals]
+                               for c, vals in zip(consts, row(x, moves))]
+    assert G._offsets == consts
+    return G
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["coverage", "offset coverage"]), data=st.data())
+def test_coverage_solvers_match_without_the_row_kernel(seed, kind, data):
+    """Greedy, both streaming solvers and distributed_fast on a family with
+    a row kernel equal the same objectives without it, outputs and evals;
+    ThresholdManager's reference also has no memo and no groups."""
+    n = data.draw(st.integers(4, 14))
+    m = data.draw(st.integers(1, 3))
+    F = (make_synthetic("coverage", n, m, seed) if kind == "coverage"
+         else offset_coverage(n, m, seed))
+    G = scalar_copy(F)
+    assert G._row is None
+    k = data.draw(st.integers(1, 4))
+    ell = data.draw(st.integers(k, k + 3))
+    cands = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=2 * n))
+    M = data.draw(st.integers(1, 4))
+    opt = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    epsilon = data.draw(st.sampled_from([0.2, 1.0]))
+    alpha = data.draw(st.sampled_from([0.5, 1.0]))
+    instrument = data.draw(st.booleans())
+
+    def know_opt(F):
+        return run_know_opt(cands, F, opt, ell, k, alpha, instrument)
+
+    rows = []
+    with spy(F, "_row", rows.append):
+        for solver, args in ((replacement_greedy, (cands, ell, k)),
+                             (distributed_fast, (M, epsilon, ell, k, seed)),
+                             (know_opt, ())):
+            assert outcome(F, solver, *args) == outcome(G, solver, *args)
+        assert manager_run(ThresholdManager, F, cands, epsilon, ell, k,
+                           alpha) == \
+            manager_run(RefThresholdManager, G, cands, epsilon, ell, k, alpha)
+    assert rows and F._memo is None
+
+
+@pytest.mark.parametrize("bad, error", [(2.5, TypeError), (-1, ValueError),
+                                        (None, TypeError)])
+def test_bad_ids_raise_before_any_eval_with_the_row_kernel(bad, error):
+    """``value`` does not range-check a served value, so the probes' callers
+    are the boundary: on a family with a row kernel, a bad id raises its
+    typed error before any eval or row call, also against a filled state,
+    where -1 would otherwise read the last element's mask."""
+    F = make_synthetic("coverage", 12, 3, seed=4)
+    state = StreamState(F.m, 12, 2, 0.1, 0.0)  # tau 0 takes every element
+    for u in range(6):
+        exchange(F, u, state)
+    assert state.S == set(range(6)) and all(len(T) == 2 for T in state.T)
+    rows = []
+    with spy(F, "_row", rows.append):
+        for call in (lambda: exchange(F, bad, state),
+                     lambda: run_know_opt([bad, 1], F, 1.0, 4, 2),
+                     lambda: replacement_greedy(F, [0, bad, 3], 4, 2)):
+            before = F.evals
+            with pytest.raises(error):
+                call()
+            assert (F.evals - before, rows) == (0, [])
+        exchange(F, 6, state)
+    assert [x for x, _ in rows] == [6]
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, None, 40])
+def test_bad_arrival_raises_where_the_row_free_run_does(bad):
+    """A bad id mid-stream raises at the same element, after the same evals
+    and with the same states, as the reference without the row kernel."""
+    F = make_synthetic("coverage", 40, 3, seed=2)
+    stream = list(range(20)) + [bad] + list(range(20, 40))
+    got = manager_run(ThresholdManager, F, stream, 0.2, 6, 2)
+    assert got[0] in (ValueError, TypeError)
+    assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
+                              0.2, 6, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,21 @@ def test_grid_outside_the_float_range_is_a_value_error(weight, epsilon):
     assert "delta" in str(err.value)
 
 
+def test_a_window_error_leaves_delta_with_its_window():
+    """The window moves only when delta rises, so a rise whose window is
+    outside the float range leaves delta where it was: a later element is
+    processed against the window delta gives."""
+    mgr = ThresholdManager(modular_family((1.0, 1e250, 2.0)), 1e200, 1, 1)
+    mgr.process(0)
+    live = dict(mgr.instances)
+    with pytest.raises(ValueError, match="epsilon"):
+        mgr.process(1)
+    assert (mgr.delta, mgr.instances) == (1.0, live)
+    mgr.process(2)
+    assert mgr.delta == 2.0
+    assert sorted(mgr.instances) == list(mgr._active_range())
+
+
 @settings(max_examples=60, deadline=None)
 @given(epsilon=st.floats(min_value=1e-3, max_value=10.0),
        ell=st.integers(min_value=1, max_value=50),
@@ -494,3 +509,56 @@ def test_grouped_run_keeps_no_tuple_per_exchange():
             tracemalloc.stop()
     assert len(mgr.instances) > 1
     assert peak < 128 * 1024
+
+
+@pytest.mark.parametrize("family, stream", [
+    (lambda: make_synthetic("coverage", 40, 3, seed=2),
+     np.random.default_rng(2).permutation(40).tolist() * 2),
+    # equal singletons: the second of each pair leaves delta where it is
+    (lambda: modular_family((1.0, 1.0, 2.0, 0.5, 2.0, 3.0, 3.0)),
+     [3, 0, 1, 2, 4, 3, 5, 6, 5]),
+], ids=["coverage", "ties"])
+def test_window_moves_only_when_delta_rises(family, stream):
+    """update_thresholds calls _active_range once per strict rise of delta
+    and never otherwise, and the live exponents are always the window that
+    delta gives."""
+    mgr = ThresholdManager(family(), 0.2, 6, 2)
+    window, calls = mgr._active_range, []
+    mgr._active_range = lambda: calls.append(mgr.delta) or window()
+    rises = 0
+    for u in stream:
+        before, made = mgr.delta, len(calls)
+        mgr.process(u)
+        rose = mgr.delta > before
+        rises += rose
+        assert len(calls) - made == rose
+        assert sorted(mgr.instances) == list(window())
+    assert len(calls) == rises > 1
+
+
+@pytest.mark.parametrize("family", [
+    lambda: make_synthetic("coverage", 60, 3, seed=5),
+    lambda: exemplar_family(float_features(60, 4, 0), 4),
+], ids=["coverage", "exemplar"])
+def test_stored_is_a_running_count_of_the_live_summaries(family):
+    """After every element, through run and its lookahead too, ``stored``
+    is the sum of the live instances' |S|, and ``peak_stored`` its largest
+    value; the window drops some instances that hold elements."""
+    F = family()
+    mgr = ThresholdManager(F, 0.2, 4, 2)
+    process, totals, dropped = mgr.process, [], []
+
+    def checked(u):
+        live = dict(mgr.instances)
+        process(u)
+        dropped.extend(len(s.S) for l, s in live.items()
+                       if l not in mgr.instances)
+        totals.append(sum(len(s.S) for s in mgr.instances.values()))
+        assert mgr.stored == totals[-1]
+
+    mgr.process = checked
+    # ascending singletons: delta rises often, so filled instances drop
+    stream = sorted(range(60), key=F.singleton_average)
+    mgr.run(stream + stream[::-1])
+    assert len(totals) == 120 and mgr.peak_stored == max(totals)
+    assert max(dropped) > 0
