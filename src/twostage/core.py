@@ -38,7 +38,10 @@ objective, and they are still counted one ``value`` call each:
   counted evals as ``(i, ids, v)`` (``_Sets.probe``'s ``calls``), and each
   other member of its group (a follower) replays them, one ``value`` call
   each with ``v`` passed as ``served`` (see below), so a replay calls no
-  f_i, sorts nothing and skips the memo.
+  f_i, sorts nothing and skips the memo.  Likewise, a member that adopts
+  the new state its group's first accepter built makes that accepter's
+  ``_Sets.add`` evals again, each served the new state's ``base[i]``
+  (``streaming._Group.accept``).
 * the values of F's block kernel.  ``_Sets._block_values`` hands each
   function's table entry's bases to ``F._block(i, bases, xs)`` and gets
   every base plus x for a block of candidates at once; each value is
@@ -190,8 +193,9 @@ class ObjectiveFamily:
         found so are ``_Sets.add``'s new T_i, which its probe evaluated, and
         the probe sets of sorted arrivals (``pseudo_streaming``), whose
         candidate comes last.  Any other set is sorted and its ids
-        range-checked before it is counted or looked up.  A non-integer id
-        raises ``TypeError`` before f_i is called.
+        range-checked before it is counted or looked up, and a set that is
+        not found in the memo raises ``TypeError`` for a non-integer id
+        before it is counted.
         """
         try:
             if not 0 <= i < self._m:
@@ -217,12 +221,13 @@ class ObjectiveFamily:
         key = tuple(sorted(ids))
         if key and not (0 <= key[0] and key[-1] < self._n):
             raise ValueError("element id out of range")
-        self.evals += 1
         if memo is not None:
             v = memo[i].get(key)
             if v is not None:
+                self.evals += 1
                 return v
-        _check_ids(key)
+        _check_ids(key)  # memo keys were checked when they were stored
+        self.evals += 1
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
             raise NonFiniteValueError(
@@ -297,11 +302,12 @@ def empty_solution(m: int, ell: int, k: int) -> TwoStageSolution:
 
 def solution_from_sets(F: ObjectiveFamily, summary, per_function,
                        ell: int, k: int) -> TwoStageSolution:
-    """Build a solution with a freshly recomputed value."""
+    """Build a solution with a freshly recomputed value; its budgets and
+    containment are checked before any eval."""
     sets = tuple(frozenset(t) for t in per_function)
-    value = sum(F.value(i, t) for i, t in enumerate(sets)) / F.m
-    sol = TwoStageSolution(frozenset(summary), sets, value, ell, k)
+    sol = TwoStageSolution(frozenset(summary), sets, 0.0, ell, k)
     sol.check()
+    sol.value = sum(F.value(i, t) for i, t in enumerate(sets)) / F.m
     return sol
 
 
@@ -365,6 +371,8 @@ class _Sets:
     ``S``, one sorted tuple ``T[i]`` per function, its cached value
     ``base[i]`` and its probe-table entry ``moves[i]``, which is
     ``_moves(T[i], k)``."""
+
+    __slots__ = ("k", "S", "T", "base", "moves", "kept")
 
     def __init__(self, m: int, k: int):
         self.k = k
@@ -580,7 +588,12 @@ def _counted(F: ObjectiveFamily, i: int, x: int, A: Iterable[int], k: int,
 
 
 def evaluate_solution(F: ObjectiveFamily, sol: TwoStageSolution) -> float:
-    """(1/m) sum_i f_i(T_i), recomputed from scratch."""
+    """(1/m) sum_i f_i(T_i), recomputed from scratch.  Raises ValueError,
+    before any eval, unless the solution has one set per function of F and
+    each is contained in its summary."""
+    if len(sol.per_function) != F.m:
+        raise ValueError(f"solution has {len(sol.per_function)} per-function "
+                         f"sets, the family has {F.m} functions")
     for t in sol.per_function:
         if not t <= sol.summary:
             raise ValueError("per-function solution not contained in summary")

@@ -4,13 +4,14 @@ threshold-guessing framework that removes the need to know the optimum.
 The guessing framework maintains one independent exchange run per threshold
 on a geometric grid.  The grid is anchored to the running maximum of
 singleton averages, which provably brackets the optimum, so one of the
-surviving runs always carries a near-correct threshold.
+surviving runs always carries a near-correct threshold.  Runs that hold
+the same sets share them (``StreamState.group``).
 """
 
 from __future__ import annotations
 
 import math
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable
 
 from .core import (BLOCK_FLOATS, InvariantViolation, ObjectiveFamily,
@@ -34,14 +35,21 @@ BETA = 6.0
 MAX_INSTANCE_SLOTS = 10 ** 7
 
 # Largest instance_bound() a ThresholdManager accepts, whatever m and ell
-# are: an empty StreamState costs about 560 bytes plus 24 per function (680
-# at m=5, group token, unused kept-block slot and the shared empty entries
-# of its probe table included), so this many cost about 68 MB at m=5; in
-# run, each group token that reaches the lookahead's price may add a block of
-# up to LOOKAHEAD_FLOATS floats (4 KiB) while a live instance holds it.  It
-# also bounds one element's eval memo, which holds the m singletons plus at
-# most m * (k + 2) sets per live instance, and its groups, each of which
-# records at most m * k calls of its leader.  The tests need 5,708 at most.
+# are.  The instances of one group share one state (``_GroupState``), and a
+# manager's new instances share one empty state, so a live instance costs
+# about 150 bytes of its own (its handle, tau and slot in the instance
+# dict; 760 when each had its own state), and this many about 15 MB.  Each
+# distinct state costs about 540 bytes plus 24 per function when empty, and
+# filled to budget about 4.4 KB at m=5, k=ell=5 or 66 KB at m=10, k=ell=25,
+# mostly the probe table's k bases per function (tracemalloc, CPython 3.11).
+# A run holds far fewer distinct states than live instances (207 instances
+# on about 6 states on the stream-coverage shape at epsilon=0.02), but
+# nothing bounds them below the instance count.  In run, each state that
+# reaches the lookahead's price may add a block of up to LOOKAHEAD_FLOATS
+# floats (4 KiB) while a live instance holds it.  The cap also bounds one
+# element's eval memo, which holds the m singletons plus at most m * (k + 2)
+# sets per live instance, and its groups, each of which records at most
+# m * k calls of its leader.  The tests need 5,708 at most.
 MAX_INSTANCES = 10 ** 5
 
 
@@ -82,65 +90,103 @@ def _check_grid(epsilon: float, m: int, ell: int):
             f"above the limit of {MAX_INSTANCES}")
 
 
-class StreamState(_Sets):
-    """Mutable state of one exchange run (one threshold), empty at first;
-    ``trace`` holds the ever-in-T_i sets on instrumented runs, else None.
+class _GroupState(_Sets):
+    """The sets of one group of threshold instances: ``S``, ``T``, ``base``
+    and the probe table ``moves``, which no exchange changes once an
+    instance holds the state.  So the state itself is the group's token:
+    two instances share it exactly when they started together and accepted
+    the same elements (see ``exchange``).
 
-    ``group`` is a token: two states with the same token hold equal ``S``,
-    ``T`` and ``base``.  Empty states share the token None, and each
-    accepted element gives a state a new one (see ``exchange``)."""
+    ``seen_evals``, ``seen_probes`` and ``block`` are what its leaders have
+    probed, for ``_Lookahead``: the evals made set by set (counted up to
+    the price), the elements, and the block of kernel values, if any, which
+    stays valid while the state lives."""
 
-    def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
-                 instrument: bool = False):
+    __slots__ = ("ell", "alpha", "seen_evals", "seen_probes", "block")
+
+    def __init__(self, m: int, ell: int, k: int, alpha: float):
         check_budgets(ell, k)
         _check_alpha(alpha)
         super().__init__(m, k)
         self.ell = ell
         self.alpha = alpha
+        self.seen_evals = self.seen_probes = 0
+        self.block = None
+
+    def accepted(self, F: ObjectiveFamily, x: int, replaced: list,
+                 gains: list) -> "_GroupState":
+        """A new state: this one with x applied by ``_Sets.add``, which makes
+        its counted base evals.  This one is left as it is, and the new one
+        shares its unchanged T_i and table entries."""
+        new = object.__new__(_GroupState)
+        new.k, new.ell, new.alpha = self.k, self.ell, self.alpha
+        new.kept = None
+        new.S, new.T = set(self.S), self.T[:]
+        new.base, new.moves = self.base[:], self.moves[:]
+        new.seen_evals = new.seen_probes = 0
+        new.block = None
+        new.add(F, x, replaced, gains)
+        return new
+
+
+class StreamState:
+    """One exchange run (one threshold ``tau``): ``group``, the
+    ``_GroupState`` it shares with the other instances of its group, and
+    ``trace``, the ever-in-T_i sets on instrumented runs, else None.
+
+    ``S``, ``T``, ``base``, ``moves``, ``k``, ``ell`` and ``alpha`` read
+    the group state's.  A new state is empty and its own; ``group``, if
+    given, is an empty state to share instead, as the instances that a
+    ``ThresholdManager`` creates share one.  Accepting an element gives the
+    instance a new group state, and leaves the old one to the others."""
+
+    __slots__ = ("group", "tau", "trace")
+
+    def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
+                 instrument: bool = False, group: _GroupState | None = None):
+        self.group = _GroupState(m, ell, k, alpha) if group is None else group
         self.tau = tau
         self.trace = [set() for _ in range(m)] if instrument else None
-        self.group = None
+
+    S = property(attrgetter("group.S"))
+    T = property(attrgetter("group.T"))
+    base = property(attrgetter("group.base"))
+    moves = property(attrgetter("group.moves"))
+    k = property(attrgetter("group.k"))
+    ell = property(attrgetter("group.ell"))
+    alpha = property(attrgetter("group.alpha"))
+
+    def total(self) -> float:
+        return self.group.total()
 
 
-# A token's leaders probe set by set until they have made this many evals
-# per function; only then may ``_Lookahead`` fill a block for it.  A block
-# costs m kernel calls, and an exemplar kernel call costs as much as about
-# 10 f_i calls, but most of a short-lived token's evals are memo hits.  On the
-# distributed-exemplar benchmark, a price of 16 made 2,420 kernel calls to
-# save 5,291 f_i calls, and was slower; at 64 its tokens never reach it,
-# while on criterion 8's facility instance, whose tokens live for up to
-# 1,345 probes, 35 tokens reach it, after 17 to 65 probes.
+# A group state's leaders probe set by set until they have made this many
+# evals per function; only then may ``_Lookahead`` fill a block for it.  A
+# block costs m kernel calls, and an exemplar kernel call costs as much as
+# about 10 f_i calls, but most of a short-lived state's evals are memo hits.
+# On the distributed-exemplar benchmark, a price of 16 made 2,420 kernel
+# calls to save 5,291 f_i calls, and was slower; at 64 its states never
+# reach it, while on criterion 8's facility instance, whose states live for
+# up to 1,345 probes, 35 states reach it, after 17 to 65 probes.
 KERNEL_CALL_EVALS = 64
 
 # The floats one lookahead block holds at most, k per function and arrival.
-# A run keeps a block per long-lived token, where greedy keeps one in all.
-# The exemplar run of test_grouped_run_keeps_no_tuple_per_exchange peaks at
-# 102 KiB with this, and at 124 KiB with BLOCK_FLOATS (64.5 KiB with no
-# lookahead); on criterion 8, halving it again cost fast about 25%.
+# A run keeps a block per long-lived group state, where greedy keeps one in
+# all.  The exemplar run of test_grouped_run_keeps_no_tuple_per_exchange
+# peaks at 58 KiB with this, and at 80 KiB with BLOCK_FLOATS (23 KiB with
+# no lookahead); on criterion 8, halving it again cost fast about 25%.
 LOOKAHEAD_FLOATS = BLOCK_FLOATS // 2
 
 
-class _Seen:
-    """What the leaders of one group token have probed: the evals made set
-    by set (counted up to the price), the elements, and the token's block
-    of kernel values, if any, which stays valid while the token lives."""
-
-    __slots__ = ("evals", "probes", "block")
-
-    def __init__(self):
-        self.evals = 0
-        self.probes = 0
-        self.block = None
-
-
 class _Group:
-    """The moves of one element against the states of one group token, and
-    their average gain: the group's first state to see the element (its
-    leader) probes, and every later one (a follower) reuses them.  ``calls``
-    are the leader's counted evals, ``(i, ids, v)`` in eval order (see
-    ``_Sets.probe``), or None where the group has no followers."""
+    """The moves of one element against the state of one group, and their
+    average gain: the group's first member to see the element (its leader)
+    probes, and every later one (a follower) reuses them.  ``calls`` are
+    the leader's counted evals, ``(i, ids, v)`` in eval order (see
+    ``_Sets.probe``), or None where the group has no followers.  ``new`` is
+    the state of the members that accept, once the first has built it."""
 
-    __slots__ = ("replaced", "gains", "avg", "calls", "token")
+    __slots__ = ("replaced", "gains", "avg", "calls", "new")
 
     def __init__(self, m: int, replaced: list, gains: list,
                  calls: list | None):
@@ -148,7 +194,7 @@ class _Group:
         self.gains = gains
         self.avg = sum(gains) / m
         self.calls = calls
-        self.token = object()  # the new token of the states that accept
+        self.new = None
 
     def replay(self, F: ObjectiveFamily):
         """Make the leader's counted evals again for a follower: each is
@@ -158,47 +204,60 @@ class _Group:
         for i, ids, v in self.calls:
             value(i, ids, v)
 
+    def accept(self, F: ObjectiveFamily, u: int,
+               state: _GroupState) -> _GroupState:
+        """The group's state once u is accepted.  The first accepter builds
+        it from ``state`` (``_GroupState.accepted``); every later one adopts
+        it and makes the first's base evals again, each served the value
+        that the first's call returned."""
+        new = self.new
+        if new is None:
+            self.new = new = state.accepted(F, u, self.replaced, self.gains)
+        else:
+            value, T, base = F.value, new.T, new.base
+            for i, gain in enumerate(self.gains):
+                if gain > 0:
+                    value(i, T[i], base[i])
+        return new
+
 
 class _Lookahead:
-    """``ThresholdManager.run``'s buffered stream, the position ``t`` of the
-    element in process, and what the leaders of each live group token have
-    probed (``seen``).
+    """``ThresholdManager.run``'s buffered stream and the position ``t`` of
+    the element in process.  What the leaders of a group have probed is
+    kept on its state (``_GroupState.seen_evals``, ``seen_probes`` and
+    ``block``), so it goes with the state.
 
-    A token's leaders probe set by set until they have made
+    A group's leaders probe set by set until they have made
     ``KERNEL_CALL_EVALS`` evals per function.  Then a leader that finds no
-    row for its element fills the token's block (``_Sets._block_values``)
-    over the element and the arrivals after it: as many as the token's
+    row for its element fills the group's block (``_Sets._block_values``)
+    over the element and the arrivals after it: as many as the group's
     leaders have probed, in at most ``LOOKAHEAD_FLOATS`` floats.  Arrivals
     that are not integer ids in range, are in S or repeat are left out, so
     they raise or are skipped where the scalar path does.  A row holds one
-    element's values against the token's frozen sets, so it serves the
-    element's later arrivals too.  ``forget`` drops the blocks of the
-    tokens that no live instance holds any more."""
+    element's values against the group's frozen sets, so it serves the
+    element's later arrivals too."""
 
     def __init__(self, stream: list):
         self.stream = stream
         self.t = 0
-        self.seen = {}  # group token -> _Seen, for tokens live states hold
 
-    def row(self, F: ObjectiveFamily, u: int, state: StreamState):
+    def row(self, F: ObjectiveFamily, u: int, state: _GroupState):
         """The kernel values of u, not in S, by (function, set) for
         ``state.probe``, or None if u is to be probed set by set."""
-        if state.group is None:  # empty states: singletons, memo-served
+        if not state.S:  # empty states: singletons, memo-served
             return None
-        seen = self.seen.get(state.group)
-        if seen is None:
-            seen = self.seen[state.group] = _Seen()
-        seen.probes += 1
-        if seen.block is not None:
-            vals, row_of = seen.block
+        state.seen_probes += 1
+        if state.block is not None:
+            vals, row_of = state.block
             r = row_of.get(u)
             if r is not None:
                 return vals[r].tolist()
-            seen.block = None  # past the block: its values go first
-        if seen.evals < KERNEL_CALL_EVALS * F.m:
-            seen.evals += sum(len(bases) for bases, _ in state.moves)
+            state.block = None  # past the block: its values go first
+        if state.seen_evals < KERNEL_CALL_EVALS * F.m:
+            state.seen_evals += sum(len(bases) for bases, _ in state.moves)
             return None
-        rows = min(seen.probes, max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
+        rows = min(state.seen_probes,
+                   max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
         xs = {}
         for x in self.stream[self.t:self.t + rows]:
             try:
@@ -206,15 +265,8 @@ class _Lookahead:
                     xs[x] = None
             except TypeError:
                 pass
-        seen.block = vals, row_of = state._block_values(F, list(xs), False)
+        state.block = vals, row_of = state._block_values(F, list(xs), False)
         return vals[row_of[u]].tolist()
-
-    def forget(self, states: Iterable[StreamState]):
-        """Drop what is kept for the tokens that none of ``states`` holds,
-        their blocks included."""
-        live = {state.group for state in states}
-        self.seen = {token: seen for token, seen in self.seen.items()
-                     if token in live}
 
 
 def exchange(F: ObjectiveFamily, u: int, state: StreamState,
@@ -222,27 +274,30 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
              ahead: _Lookahead | None = None) -> bool:
     """Process one arriving element against one threshold's state.
 
-    Accepts u when the average thresholded gain reaches tau, then applies
-    the cached insertion/swap per function.  Duplicates and full summaries
-    are rejected without evaluating anything.  An id that is not an integer
-    raises ``TypeError``, and one outside the ground set ``ValueError``,
-    also when u would be rejected.
+    Accepts u when the average thresholded gain reaches tau, then gives the
+    instance a new group state with the cached insertion/swap applied per
+    function; its old state is left as it was.  Duplicates and full
+    summaries are rejected without evaluating anything.  An id that is not
+    an integer raises ``TypeError``, and one outside the ground set
+    ``ValueError``, also when u would be rejected.
 
     The per-function gain is ``nabla``'s: the raw move of u against T_i
     counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
     is also positive; anything else contributes 0.  The moves come from
     ``_Sets.probe`` and are applied by ``_Sets.add``.
 
-    ``groups``, if given, maps the group tokens already seen for u to their
-    ``_Group``: a state whose token is there reuses its moves and replays
-    its leader's recorded evals instead of probing, and no replayed eval
-    calls f_i.  It replays before the id and S checks: its leader made
+    ``groups``, if given, maps the group states already probed for u to
+    their ``_Group``: an instance whose state is there reuses its moves and
+    replays its leader's recorded evals instead of probing, and no replayed
+    eval calls f_i.  It replays before the id and S checks: its leader made
     them on the same u against the same S, and every instance of one
-    manager has the same ell.  ``ahead``, given only by
-    ``ThresholdManager.run``, may serve a leader's probe from its token's
-    block (see ``_Lookahead``).
+    manager has the same ell.  If it accepts, it adopts the state that the
+    group's first accepter built (``_Group.accept``).  ``ahead``, given
+    only by ``ThresholdManager.run``, may serve a leader's probe from its
+    group's block (see ``_Lookahead``).
     """
-    group = None if groups is None else groups.get(state.group)
+    shared = state.group
+    group = None if groups is None else groups.get(shared)
     if group is not None:
         group.replay(F)
     else:
@@ -253,30 +308,28 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
         except TypeError:
             raise TypeError(
                 f"element ids must be integers, got {u!r}") from None
-        if u in state.S or len(state.S) >= state.ell:
+        if u in shared.S or len(shared.S) >= shared.ell:
             return False
-        raws = None if ahead is None else ahead.row(F, u, state)
+        raws = None if ahead is None else ahead.row(F, u, shared)
         calls = None if groups is None else []
-        group = _Group(F.m, *state.probe(F, u, state.alpha / state.k, raws,
-                                         calls), calls)
+        group = _Group(F.m, *shared.probe(F, u, shared.alpha / shared.k, raws,
+                                          calls), calls)
         if groups is not None:
-            groups[state.group] = group
-    replaced, gains, avg = group.replaced, group.gains, group.avg
+            groups[shared] = group
+    avg = group.avg
     if delta is not None and avg > delta + TOL:
         raise InvariantViolation(
             f"average gain {avg} exceeds the running singleton maximum {delta}")
     if avg < state.tau:
         return False
 
-    before = state.total()
-    state.add(F, u, replaced, gains)
-    state.group = group.token
+    state.group = group.accept(F, u, shared)
     if state.trace is not None:
-        for i, gain in enumerate(gains):
+        for i, gain in enumerate(group.gains):
             if gain > 0:
                 state.trace[i].add(u)
         _check_trace_bound(F, state)
-        if state.total() - before < state.tau - TOL:
+        if state.total() - shared.total() < state.tau - TOL:
             raise InvariantViolation(
                 "accepted element increased the objective by less than tau")
     return True
@@ -319,21 +372,27 @@ class ThresholdManager:
     lazily creates newly valid instances empty; elements seen before an
     instance existed could never have been accepted by it.
 
-    Instances that started together and accepted the same elements hold
-    the same sets, and ``StreamState.group`` says which do.  So each
-    element is probed once per group: the first instance of a group to see
-    it (the leader) runs ``_Sets.probe``, and every later one that can take
-    it (a follower) reuses the leader's moves, compares their average with
-    its own tau, and applies them if it accepts.  A follower still makes
-    one counted ``F.value`` call for every set the leader evaluated: it
-    replays the leader's recorded calls, each served the value the leader
-    got (``_Group.replay``), so none calls f_i.  Each element is processed
-    inside one ``F._memo_scope()``, which serves the (i, set)s that
-    instances of different groups share without calling f_i again.  In
-    ``run``, on a family with a block kernel, the leaders of a long-lived
-    group are served from kernel blocks over the arrivals ahead (see
-    ``_Lookahead``).  The outputs and eval counts are those of a run that
-    probes every instance without the memo.
+    Instances that started together and accepted the same elements share
+    one state, ``StreamState.group``, which is also the group's token; the
+    instances the window creates share one empty state.  So memory follows
+    the distinct states, not the live instances, and each element is
+    probed once per group: the first instance of a group to see it (the
+    leader) runs ``_Sets.probe``, and every later one that can take it (a
+    follower) reuses the leader's moves and compares their average with its
+    own tau.  A follower still makes one counted ``F.value`` call for every
+    set the leader evaluated: it replays the leader's recorded calls, each
+    served the value the leader got (``_Group.replay``), so none calls f_i.
+    The first accepter builds the group's new state, copy-on-write, and the
+    later ones adopt it, making the first's base evals again as served
+    calls (``_Group.accept``); the rejecters keep the old state.
+
+    Each element is processed inside one ``F._memo_scope()``, which serves
+    the (i, set)s that instances of different groups share without calling
+    f_i again.  In ``run``, on a family with a block kernel, the leaders of
+    a long-lived group are served from kernel blocks over the arrivals
+    ahead (see ``_Lookahead``).  The outputs and eval counts are those of a
+    run that gives every instance its own state and probes it without the
+    memo.
 
     The per-element bookkeeping is redone only when something changed.
     The window depends on delta alone, so ``update_thresholds`` moves it
@@ -364,6 +423,7 @@ class ThresholdManager:
         self.instrument = instrument
         self.delta = 0.0
         self.instances: dict[int, StreamState] = {}  # exponent -> state
+        self._empty = _GroupState(F.m, ell, k, alpha)  # new instances share it
         self.stored = 0  # sum of len(state.S) over the live instances
         self.peak_stored = 0
         self.max_instances = 0
@@ -415,7 +475,7 @@ class ThresholdManager:
             if l not in self.instances:
                 self.instances[l] = StreamState(
                     self.F.m, self.ell, self.k, self.alpha, grid ** l,
-                    instrument=self.instrument)
+                    instrument=self.instrument, group=self._empty)
         if self.instrument and len(self.instances) > self.instance_bound():
             raise InvariantViolation(
                 f"{len(self.instances)} live instances exceed the bound "
@@ -437,7 +497,9 @@ class ThresholdManager:
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
         """``process`` each element in turn.  With F's block kernel the
         stream is buffered, so that long-lived groups' leaders can be served
-        from blocks over the arrivals ahead (see ``_Lookahead``)."""
+        from blocks over the arrivals ahead (see ``_Lookahead``).  A block
+        goes with its state, when no live instance holds it, and the live
+        states' blocks go when the run ends."""
         if self.F._block is None:
             for u in stream:
                 self.process(u)
@@ -447,9 +509,10 @@ class ThresholdManager:
             for t, u in enumerate(ahead.stream):
                 ahead.t = t
                 self.process(u)
-                ahead.forget(self.instances.values())
         finally:
             del self._ahead
+            for state in self.instances.values():
+                state.group.block = None
         return self
 
     def best_solution(self) -> TwoStageSolution:

@@ -14,7 +14,7 @@ from twostage.distributed import (distributed_fast, partition,
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
 from twostage.oracle import OracleBudgetError, brute_force_opt, estimate_work
-from twostage.streaming import run_know_opt, run_streaming
+from twostage.streaming import ThresholdManager, run_know_opt, run_streaming
 
 from conftest import (NON_FINITE, kernel_counted, modular_family,
                       poisoned_family)
@@ -353,6 +353,17 @@ BAD_INPUTS = [
     ("replacement_greedy candidate np.float64",
      lambda F: replacement_greedy(F, [0, np.float64(3.0)], 2, 1), TypeError,
      "element ids must be integers"),
+    ("value id 0.5", lambda F: F.value(0, (0.5,)), TypeError,
+     "element ids must be integers, got 0.5"),
+    ("ThresholdManager process 0.5",
+     lambda F: ThresholdManager(F, 0.5, 5, 2).process(0.5), TypeError,
+     "element ids must be integers, got 0.5"),
+    ("solution_from_sets uncontained",
+     lambda F: solution_from_sets(F, {0}, [{1}, {0}], 3, 2), ValueError,
+     "per-function solution not contained in summary"),
+    ("solution_from_sets summary over budget",
+     lambda F: solution_from_sets(F, {0, 1, 2, 3}, [{0}, {1}], 3, 2),
+     ValueError, "summary exceeds its budget"),
 ]
 
 
@@ -571,6 +582,20 @@ class TestEvaluateSolution:
         sol.per_function = (frozenset({1}),)
         with pytest.raises(ValueError):
             evaluate_solution(F, sol)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_rejects_a_solution_for_another_m_before_any_eval(self, m):
+        """A solution built on a 3-function family has three sets; on a
+        family of another size it is refused, not summed and divided by
+        that family's m."""
+        sol = replacement_greedy(make_synthetic("coverage", 10, 3, 2),
+                                 range(10), 3, 2)
+        F = make_synthetic("coverage", 10, m, 2)
+        before = F.evals
+        with pytest.raises(ValueError, match=f"3 per-function sets, the "
+                                             f"family has {m} functions"):
+            evaluate_solution(F, sol)
+        assert F.evals == before
 
     def test_matches_fresh_recomputation(self):
         from twostage.greedy import replacement_greedy

@@ -445,7 +445,7 @@ def test_exchange_matches_reference_driver(kind, seed, data):
     stream = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
     new = StreamState(F.m, ell, k, alpha, tau, instrument=instrument)
     ref = StreamState(F.m, ell, k, alpha, tau, instrument=instrument)
-    ref.T = [set() for _ in range(F.m)]
+    ref.group.T = [set() for _ in range(F.m)]
     for u in stream:
         got = outcome(F, exchange, u, new, delta)
         want = outcome(F, ref_exchange, u, ref, delta)
@@ -797,12 +797,11 @@ def lookahead_spy():
     row = streaming._Lookahead.row
 
     def counted_row(self, F, u, state):
-        kept = self.seen.get(state.group)
-        block = kept and kept.block
+        block = state.block
         raws = row(self, F, u, state)
         if raws is not None:
             counts["served"] += 1
-            counts["fills"] += self.seen[state.group].block is not block
+            counts["fills"] += state.block is not block
         return raws
 
     with mock.patch.object(streaming._Lookahead, "row", counted_row):
@@ -924,6 +923,47 @@ def test_follower_replays_call_no_objective(kind):
         assert served_replays == 0
     else:  # both kinds of leader have followers
         assert 0 < served_replays < len(replays)
+
+
+@pytest.mark.parametrize("instrument", [False, True])
+@pytest.mark.parametrize("kind", sorted(REPLAY_FAMILIES))
+def test_shared_group_states_match_the_reference(kind, instrument):
+    """The instances of one group share one state.  The first to accept an
+    element builds the group's new state; every later accepter adopts it
+    and makes the first's base evals again, served, while the rejecters
+    keep the old one.  Outputs, live states, evals, peak_stored and
+    max_instances equal those of the reference, in which every instance
+    has its own state and evaluates everything on objectives without a
+    kernel; on instrumented runs, each accepter's trace checks make its
+    own evals."""
+    F = REPLAY_FAMILIES[kind]()
+    accepted = []  # (group, state it accepted from, new state, evals)
+    accept = streaming._Group.accept
+
+    def recorded(group, F, u, state):
+        before = F.evals
+        new = accept(group, F, u, state)
+        accepted.append((group, state, new, F.evals - before))
+        return new
+
+    def run(manager, F):
+        before = F.evals
+        mgr = manager(F, 0.5, 5, 2, instrument=instrument)
+        mgr.run(np.random.default_rng(1).permutation(F.ground.n).tolist())
+        return (mgr.best_solution(), mgr.all_solutions(),
+                {l: (s.S, s.T, s.base, s.trace)
+                 for l, s in mgr.instances.items()},
+                mgr.peak_stored, mgr.max_instances, F.evals - before)
+
+    with mock.patch.object(streaming._Group, "accept", recorded):
+        got = run(ThresholdManager, F)
+    assert got == run(RefThresholdManager, scalar_copy(F))
+    firsts = {}
+    for group, old, new, evals in accepted:
+        first = firsts.setdefault(id(group), (new, evals))
+        assert new is first[0] is not old and evals == first[1]
+        assert evals == sum(g > 0 for g in group.gains)
+    assert len(accepted) > 2 * len(firsts)  # most accepters adopt
 
 
 @settings(max_examples=100, deadline=None)

@@ -50,11 +50,15 @@ class TestExchange:
 
     def test_only_an_accepted_element_changes_the_group_token(
             self, worked_instance):
+        """The group state is the token: an accepter gets a new one, and the
+        old one, which a rejecter keeps, is left as it was."""
         F = worked_instance
         low, high = (fresh_state(F, ell=2, k=1, tau=t) for t in (0.25, 100.0))
-        assert low.group is None and high.group is None  # empty: one group
+        empty = high.group = low.group  # empty: one group
         assert exchange(F, 0, low) and not exchange(F, 0, high)
-        assert low.group is not None and high.group is None
+        assert low.group is not empty and high.group is empty
+        assert empty.S == set() and empty.T == [(), ()]
+        assert low.S == {0} and low.T == [(0,), (0,)]
         again = fresh_state(F, ell=2, k=1, tau=0.25)
         assert exchange(F, 1, again) and again.group is not low.group
 
@@ -492,9 +496,20 @@ def test_grouped_run_keeps_no_tuple_per_exchange():
     """Grouping the instances by token allocates nothing per function per
     exchange.  Keyed by ``tuple(state.T)`` instead, the m=20 run below peaked
     near 370 KiB on CPython 3.11, whose free list keeps every freed 20-slot
-    tuple and never reuses one; the token-keyed run peaks near 35 KiB."""
+    tuple and never reuses one; keyed by the shared group state, it peaks
+    near 58 KiB, lookahead blocks included."""
     F = exemplar_family(float_features(160, 20, 0), 20)
     mgr = ThresholdManager(F, 0.5, 10, 3)
+    _, peak, _ = traced_growth(lambda: mgr.run(range(160)))
+    assert len(mgr.instances) > 1
+    assert peak < 128 * 1024
+
+
+def traced_growth(call):
+    """(result, peak, held): what ``call()`` returns, the bytes it allocated
+    at its peak and those still allocated once it returns, after full
+    collections before and after, so that free lists hold no tuple of
+    earlier work."""
     gc.collect()  # a full collection also empties the tuple free lists
     started = not tracemalloc.is_tracing()
     if started:
@@ -502,13 +517,52 @@ def test_grouped_run_keeps_no_tuple_per_exchange():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        mgr.run(range(160))
+        result = call()
         peak = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
             tracemalloc.stop()
-    assert len(mgr.instances) > 1
-    assert peak < 128 * 1024
+    return result, peak, held
+
+
+def test_fine_grid_run_grows_with_distinct_states():
+    """At epsilon=0.02, 207 instances live on about 6 distinct states.
+    With one state per group the run below peaks near 85 KiB on CPython
+    3.11; with a copy of S, T, base and the probe table per instance it
+    peaked near 575 KiB."""
+    F = make_synthetic("coverage", 300, 5, seed=1)
+    order = np.random.default_rng(1).permutation(300).tolist()
+    mgr = ThresholdManager(F, 0.02, 10, 3)
+    _, peak, _ = traced_growth(lambda: mgr.run(order))
+    assert len(mgr.instances) == 207
+    assert peak < 192 * 1024
+
+
+def test_instances_of_one_group_hold_one_state_between_them():
+    """At m=10 and k=ell=25 a state filled to budget holds ten probe-table
+    entries of 25 bases each: about 66 KB on CPython 3.11.  With equal
+    weights every live instance takes every element, so all of them share
+    one such state, and each adds only its own tau and handle, about 170 B
+    (with a state per instance, each cost about 67 KB)."""
+    F = modular_family(*[(1.0,) * 40] * 10)
+
+    def fill_one():
+        state = StreamState(F.m, 25, 25, 1.0, 0.0)
+        for u in range(40):
+            exchange(F, u, state)
+        return state
+
+    one, _, state_bytes = traced_growth(fill_one)
+    mgr, _, held = traced_growth(
+        lambda: ThresholdManager(F, 0.1, 25, 25).run(range(40)))
+    live = list(mgr.instances.values())
+    assert all(len(t) == 25 for t in one.T)
+    assert len(live) == 53 and len({id(s.group) for s in live}) == 1
+    assert live[0].T == one.T
+    assert state_bytes > 60_000
+    assert (held - state_bytes) / len(live) < 256
 
 
 @pytest.mark.parametrize("family, stream", [
