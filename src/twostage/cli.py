@@ -32,6 +32,8 @@ from .objectives import (Point, Region, exemplar_family, facility_family,
                          make_synthetic)
 from .streaming import ThresholdManager, _check_epsilon, _check_grid
 
+OBJECTIVES = ("modular", "coverage", "facility", "facility-csv",
+              "exemplar-csv")
 ALGORITHMS = ("greedy", "streaming", "distributed", "fast", "oracle")
 # The sweep axes each algorithm reads besides (ell, k); the others it ignores.
 AXES_READ = {"greedy": (), "streaming": ("epsilon",), "distributed": ("M",),
@@ -52,7 +54,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    objective: str = "modular"        # modular | coverage | facility | facility-csv | exemplar-csv
+    objective: str = "modular"        # one of OBJECTIVES
     dataset: str | None = None
     class_count: int = 20
     n: int = 50
@@ -96,6 +98,8 @@ class ExperimentConfig:
                     _check_grid(e, m, ell)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.objective not in OBJECTIVES:
+            raise ConfigError(f"unknown objective {self.objective!r}")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
@@ -236,10 +240,9 @@ def _build_family(config: ExperimentConfig) -> ObjectiveFamily:
         regions = build_regions(ground, config.m, config.radius, config.cap,
                                 config.seed)
         return facility_family(ground.payload, regions)
-    if config.objective == "exemplar-csv":
-        ground, _ = load_features_csv(config.dataset, config.class_count)
-        return exemplar_family(ground.payload, config.class_count)
-    raise ConfigError(f"unknown objective {config.objective!r}")
+    # exemplar-csv: validate() admits no other objective
+    ground, _ = load_features_csv(config.dataset, config.class_count)
+    return exemplar_family(ground.payload, config.class_count)
 
 
 def _run_algorithm(name: str, F: ObjectiveFamily, ell: int, k: int,
@@ -259,10 +262,9 @@ def _run_algorithm(name: str, F: ObjectiveFamily, ell: int, k: int,
     if name == "fast":
         return distributed_fast(F, M, epsilon, ell, k, config.seed,
                                 alpha=config.alpha), 0
-    if name == "oracle":
-        return oracle_mod.brute_force_opt(
-            F, ell, k, max_evaluations=config.oracle_budget), 0
-    raise ConfigError(f"unknown algorithm {name!r}")
+    # oracle: validate() admits no other algorithm
+    return oracle_mod.brute_force_opt(
+        F, ell, k, max_evaluations=config.oracle_budget), 0
 
 
 def run_experiment(config: ExperimentConfig,

@@ -46,30 +46,26 @@ objective, and they are still counted one ``value`` call each:
   function's table entry's bases to ``F._block(i, bases, xs)`` and gets
   every base plus x for a block of candidates at once; each value is
   passed to its ``value`` call as ``served``, which counts it and returns
-  it, when finite, before the memo, the sort or the range check.  The ids
-  behind a served value are checked once, at the block boundary:
-  ``_block_values`` checks that a block's candidates are integer ids in
-  range before any kernel call, and T_i only ever holds checked ids.  The
-  blocks are greedy's (``_Sets.probes``), and those of a long-lived
-  streaming group over the arrivals ahead (``streaming._Lookahead``),
-  whose leader records its served values like any other.  When a greedy
-  round's candidates fit in one block, the ``_Sets`` keeps that block,
-  and a later round asks the kernel again only for the functions whose
-  table entry changed; every other value is the one computed for the same
+  it, when finite, before the memo, the sort or the id check.  The blocks
+  are greedy's (``_Sets.probes``), and those of a long-lived streaming
+  group over the arrivals ahead (``streaming._Lookahead``), whose leader
+  records its served values like any other.  When a greedy round's
+  candidates fit in one block, the ``_Sets`` keeps that block, and a
+  later round asks the kernel again only for the functions whose table
+  entry changed; every other value is the one computed for the same
   candidate against the same T_i.  The kept block lives as long as the
-  ``_Sets``, one solver call.
+  ``_Sets``, one solver call, and a streaming group's as long as its
+  state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and the probe table to ``F._row(x, moves)``, if F
   has one, and gets f_i(b + (x,)) for every base b of every function's
   entry, in plain Python (the coverage family ORs its bitmasks); each
   value, less the offset, is passed to its ``value`` call as ``served``.
   So every coverage probe is served: streaming leaders, greedy and
-  ``run_know_opt``.  The ids behind these values are checked by the
-  probe's callers: ``exchange`` checks its element and
-  ``replacement_greedy`` its candidates before any probe, and T_i only
-  ever holds checked ids.
+  ``run_know_opt``.
 
-Nothing else is memoised.
+Nothing else is memoised.  No served value's ids are checked again; see
+``_check_ids`` for where they were.
 """
 
 from __future__ import annotations
@@ -83,13 +79,26 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 
-def _check_ids(ids: Iterable):
-    """Raise TypeError unless every id is an integer (``operator.index``)."""
-    try:
-        for e in ids:
-            index(e)
-    except TypeError:
-        raise TypeError(f"element ids must be integers, got {e!r}") from None
+def _check_ids(ids: Iterable, n: int):
+    """The one element-id check: raise TypeError unless every id is an
+    integer (``operator.index``), ValueError unless it is in [0, n).
+
+    Every id a solver evaluates was checked here where it entered the
+    library, before any eval: by ``exchange`` (the arriving element),
+    ``replacement_greedy`` (its candidates), ``_Sets._block_values`` (a
+    block's candidates, before any kernel call), ``_probe`` (a gain
+    primitive's candidate), ``evaluate_solution`` (a summary) and
+    ``ObjectiveFamily.value`` (a set it does not find in the memo).  T_i
+    only ever holds checked ids, so the values served for its probe sets
+    (see the eval contract above) and the memo's keys need no check.
+    """
+    for e in ids:
+        try:
+            inside = 0 <= index(e) < n
+        except TypeError:
+            raise TypeError(f"element ids must be integers, got {e!r}") from None
+        if not inside:
+            raise ValueError(f"element id {e} out of range [0, {n})")
 
 
 def _check_seed(seed):
@@ -182,20 +191,19 @@ class ObjectiveFamily:
         Internal: ``served`` is a normalized value already computed for this
         set, by a block or row kernel or by an earlier call; if it is
         finite, it is counted and returned next, without the memo, the sort
-        or the range check, and without checking that ``i`` is an integer
+        or the id check, and without checking that ``i`` is an integer
         (the callers that serve pass a loop index).  Any other call raises
         ``TypeError`` unless ``i`` is an integer.  While a memo scope is
         open, a set already evaluated in it returns the stored value without
         calling f_i; a non-finite value raises and is never stored.  The
-        memo's keys are sorted and were range-checked when stored, so a
-        tuple found there as given is a canonical repeat: it is counted and
-        served without being sorted or checked again.  The sets that are
-        found so are ``_Sets.add``'s new T_i, which its probe evaluated, and
-        the probe sets of sorted arrivals (``pseudo_streaming``), whose
-        candidate comes last.  Any other set is sorted and its ids
-        range-checked before it is counted or looked up, and a set that is
-        not found in the memo raises ``TypeError`` for a non-integer id
-        before it is counted.
+        memo's keys are sorted and were checked when stored, so a tuple
+        found there as given is a canonical repeat: it is counted and
+        served without being sorted.  The sets that are found so are
+        ``_Sets.add``'s new T_i, which its probe evaluated, and the probe
+        sets of sorted arrivals (``pseudo_streaming``), whose candidate
+        comes last.  Any other set is sorted and looked up again, and one
+        not found has its ids checked (``_check_ids``) before it is
+        counted.
         """
         try:
             if not 0 <= i < self._m:
@@ -219,14 +227,12 @@ class ObjectiveFamily:
                 self.evals += 1
                 return v
         key = tuple(sorted(ids))
-        if key and not (0 <= key[0] and key[-1] < self._n):
-            raise ValueError("element id out of range")
         if memo is not None:
             v = memo[i].get(key)
             if v is not None:
                 self.evals += 1
                 return v
-        _check_ids(key)  # memo keys were checked when they were stored
+        _check_ids(key, self._n)
         self.evals += 1
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
@@ -302,12 +308,12 @@ def empty_solution(m: int, ell: int, k: int) -> TwoStageSolution:
 
 def solution_from_sets(F: ObjectiveFamily, summary, per_function,
                        ell: int, k: int) -> TwoStageSolution:
-    """Build a solution with a freshly recomputed value; its budgets and
-    containment are checked before any eval."""
-    sets = tuple(frozenset(t) for t in per_function)
-    sol = TwoStageSolution(frozenset(summary), sets, 0.0, ell, k)
-    sol.check()
-    sol.value = sum(F.value(i, t) for i, t in enumerate(sets)) / F.m
+    """A solution of the given sets, its value from ``evaluate_solution``,
+    which checks it before any eval."""
+    sol = TwoStageSolution(frozenset(summary),
+                           tuple(frozenset(t) for t in per_function),
+                           0.0, ell, k)
+    sol.value = evaluate_solution(F, sol)
     return sol
 
 
@@ -380,7 +386,7 @@ class _Sets:
         self.T = [()] * m
         self.base = [0.0] * m
         self.moves = [_EMPTY_MOVES] * m
-        self.kept = None  # the block ``probes`` keeps, see ``_block_values``
+        self.kept = None  # greedy's or a lookahead's block, see ``_block_values``
 
     def probe(self, F: ObjectiveFamily, x: int, step: float | None = None,
               raws: list | None = None, calls: list | None = None) -> tuple:
@@ -391,9 +397,7 @@ class _Sets:
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
         (function, j); without it they come from F's row kernel, less the
         offsets, if F has one, and otherwise every set is evaluated by f_i.
-        Served values skip ``value``'s range check, so x must be an integer
-        id in range: the callers are the boundary, and ``exchange`` and
-        ``replacement_greedy`` check their ids before any probe.  ``calls``,
+        x must be a checked id (see ``_check_ids``).  ``calls``,
         given only by ``streaming.exchange``, gets the ``(i, ids, v)`` of
         each counted ``value`` call appended, in eval order: ``ids`` is the
         tuple passed and ``v`` the value returned, so that ``value(i, ids,
@@ -455,13 +459,9 @@ class _Sets:
         the entry it was filled for, and refilled for the rows not in S if
         not.  A new block is kept if ``keep``.  A column counts as filled
         only once ``F._block`` has returned; a value that is not finite
-        stays in the block, and ``value`` does not serve it.  Raises
-        TypeError or ValueError, before any kernel call, unless every x is
-        an integer id in range: ``value`` does not check the ids of a value
-        it serves."""
-        _check_ids(xs)
-        if xs and not (0 <= min(xs) and max(xs) < F.ground.n):
-            raise ValueError("element id out of range")
+        stays in the block, and ``value`` does not serve it.  The ids of xs
+        are checked (``_check_ids``) before any kernel call."""
+        _check_ids(xs, F.ground.n)
         kept = self.kept if keep else None
         if kept is None or any(x not in kept[0] for x in xs):
             kept = ({x: r for r, x in enumerate(xs)},
@@ -506,13 +506,11 @@ def _check_alpha(alpha: float):
 
 def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
            base: float | None) -> tuple:
-    """The raw move of x against ``key`` with its arguments checked and a
-    missing base evaluated: the insertion gain below budget ``k`` (exactly
-    0.0 with no eval when x is already in ``key``), else ``_move``.
+    """The raw move of x against ``key`` with x checked (``_check_ids``)
+    and a missing base evaluated: the insertion gain below budget ``k``
+    (exactly 0.0 with no eval when x is already in ``key``), else ``_move``.
     """
-    _check_ids((x,))
-    if not 0 <= x < F.ground.n:
-        raise ValueError(f"element {x} out of range [0, {F.ground.n})")
+    _check_ids((x,), F.ground.n)
     if len(key) < k:
         if x in key:
             return None, 0.0
@@ -580,6 +578,7 @@ def _counted(F: ObjectiveFamily, i: int, x: int, A: Iterable[int], k: int,
     if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     if base is None:
+        _check_ids((x,), F.ground.n)  # as _probe does, before any eval
         base = F.value(i, key)
     replaced, gain = _probe(F, i, x, key, k, base)
     if (replaced is None or gain > 0) and (step is None or gain >= step * base):
@@ -590,11 +589,11 @@ def _counted(F: ObjectiveFamily, i: int, x: int, A: Iterable[int], k: int,
 def evaluate_solution(F: ObjectiveFamily, sol: TwoStageSolution) -> float:
     """(1/m) sum_i f_i(T_i), recomputed from scratch.  Raises ValueError,
     before any eval, unless the solution has one set per function of F and
-    each is contained in its summary."""
+    passes ``TwoStageSolution.check``, and TypeError or ValueError unless
+    its summary's ids are F's (``_check_ids``)."""
     if len(sol.per_function) != F.m:
         raise ValueError(f"solution has {len(sol.per_function)} per-function "
                          f"sets, the family has {F.m} functions")
-    for t in sol.per_function:
-        if not t <= sol.summary:
-            raise ValueError("per-function solution not contained in summary")
+    sol.check()
+    _check_ids(sol.summary, F.ground.n)
     return sum(F.value(i, t) for i, t in enumerate(sol.per_function)) / F.m

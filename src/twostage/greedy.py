@@ -29,18 +29,14 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     The per-function gain is ``lambda_gain``'s: the insertion gain below
     budget, the best-swap gain clamped at 0 at budget.  Each candidate is
     probed with ``_Sets.probes`` and the best one applied with ``_Sets.add``.
-    Raises, before any eval, ``TypeError`` unless every candidate is an
-    integer id, and ``ValueError`` unless every one is in range.
+    The candidates' ids are checked (``_check_ids``) before any eval.
     """
     cands = set(candidates)
     if not cands:
         raise ValueError("candidate set must be non-empty")
     check_budgets(ell, k)
-    _check_ids(cands)
+    _check_ids(cands, F.ground.n)
     cands = sorted(cands)
-    for x in (cands[0], cands[-1]):
-        if not 0 <= x < F.ground.n:
-            raise ValueError(f"element {x} out of range [0, {F.ground.n})")
 
     sets = _Sets(F.m, k)
     for _ in range(ell):

@@ -15,8 +15,8 @@ from operator import attrgetter, index
 from typing import Iterable
 
 from .core import (BLOCK_FLOATS, InvariantViolation, ObjectiveFamily,
-                   TwoStageSolution, _check_alpha, _Sets, check_budgets,
-                   empty_solution, solution_from_sets)
+                   TwoStageSolution, _check_alpha, _check_ids, _Sets,
+                   check_budgets, empty_solution, solution_from_sets)
 # exchange counts nabla's threshold in _Sets.probe; the name stays bound
 # here because perfbench/tracer.py wraps streaming.nabla, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
@@ -97,12 +97,12 @@ class _GroupState(_Sets):
     two instances share it exactly when they started together and accepted
     the same elements (see ``exchange``).
 
-    ``seen_evals``, ``seen_probes`` and ``block`` are what its leaders have
-    probed, for ``_Lookahead``: the evals made set by set (counted up to
-    the price), the elements, and the block of kernel values, if any, which
-    stays valid while the state lives."""
+    ``seen_evals`` and ``seen_probes`` are what its leaders have probed,
+    for ``_Lookahead``: the evals made set by set (counted up to the
+    price) and the elements.  ``kept`` is the lookahead's block of kernel
+    values, if any, which stays valid while the state lives."""
 
-    __slots__ = ("ell", "alpha", "seen_evals", "seen_probes", "block")
+    __slots__ = ("ell", "alpha", "seen_evals", "seen_probes")
 
     def __init__(self, m: int, ell: int, k: int, alpha: float):
         check_budgets(ell, k)
@@ -111,7 +111,6 @@ class _GroupState(_Sets):
         self.ell = ell
         self.alpha = alpha
         self.seen_evals = self.seen_probes = 0
-        self.block = None
 
     def accepted(self, F: ObjectiveFamily, x: int, replaced: list,
                  gains: list) -> "_GroupState":
@@ -124,7 +123,6 @@ class _GroupState(_Sets):
         new.S, new.T = set(self.S), self.T[:]
         new.base, new.moves = self.base[:], self.moves[:]
         new.seen_evals = new.seen_probes = 0
-        new.block = None
         new.add(F, x, replaced, gains)
         return new
 
@@ -225,17 +223,17 @@ class _Lookahead:
     """``ThresholdManager.run``'s buffered stream and the position ``t`` of
     the element in process.  What the leaders of a group have probed is
     kept on its state (``_GroupState.seen_evals``, ``seen_probes`` and
-    ``block``), so it goes with the state.
+    ``kept``), so it goes with the state.
 
     A group's leaders probe set by set until they have made
     ``KERNEL_CALL_EVALS`` evals per function.  Then a leader that finds no
     row for its element fills the group's block (``_Sets._block_values``)
     over the element and the arrivals after it: as many as the group's
-    leaders have probed, in at most ``LOOKAHEAD_FLOATS`` floats.  Arrivals
-    that are not integer ids in range, are in S or repeat are left out, so
-    they raise or are skipped where the scalar path does.  A row holds one
-    element's values against the group's frozen sets, so it serves the
-    element's later arrivals too."""
+    leaders have probed, in at most ``LOOKAHEAD_FLOATS`` floats, and keeps
+    it in ``kept``.  Arrivals that are not integer ids in range, are in S
+    or repeat are left out, so they raise or are skipped where the scalar
+    path does.  A row holds one element's values against the group's
+    frozen sets, so it serves the element's later arrivals too."""
 
     def __init__(self, stream: list):
         self.stream = stream
@@ -247,12 +245,12 @@ class _Lookahead:
         if not state.S:  # empty states: singletons, memo-served
             return None
         state.seen_probes += 1
-        if state.block is not None:
-            vals, row_of = state.block
+        if state.kept is not None:
+            row_of, vals, _ = state.kept
             r = row_of.get(u)
             if r is not None:
                 return vals[r].tolist()
-            state.block = None  # past the block: its values go first
+            state.kept = None  # past the block: its values go first
         if state.seen_evals < KERNEL_CALL_EVALS * F.m:
             state.seen_evals += sum(len(bases) for bases, _ in state.moves)
             return None
@@ -265,7 +263,7 @@ class _Lookahead:
                     xs[x] = None
             except TypeError:
                 pass
-        state.block = vals, row_of = state._block_values(F, list(xs), False)
+        vals, row_of = state._block_values(F, list(xs), True)
         return vals[row_of[u]].tolist()
 
 
@@ -277,9 +275,8 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     Accepts u when the average thresholded gain reaches tau, then gives the
     instance a new group state with the cached insertion/swap applied per
     function; its old state is left as it was.  Duplicates and full
-    summaries are rejected without evaluating anything.  An id that is not
-    an integer raises ``TypeError``, and one outside the ground set
-    ``ValueError``, also when u would be rejected.
+    summaries are rejected without evaluating anything.  u is checked
+    (``_check_ids``) first, also when it would be rejected.
 
     The per-function gain is ``nabla``'s: the raw move of u against T_i
     counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
@@ -301,13 +298,7 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     if group is not None:
         group.replay(F)
     else:
-        try:
-            if not 0 <= index(u) < F.ground.n:
-                raise ValueError(
-                    f"element {u} out of range [0, {F.ground.n})")
-        except TypeError:
-            raise TypeError(
-                f"element ids must be integers, got {u!r}") from None
+        _check_ids((u,), F.ground.n)
         if u in shared.S or len(shared.S) >= shared.ell:
             return False
         raws = None if ahead is None else ahead.row(F, u, shared)
@@ -512,7 +503,7 @@ class ThresholdManager:
         finally:
             del self._ahead
             for state in self.instances.values():
-                state.group.block = None
+                state.group.kept = None
         return self
 
     def best_solution(self) -> TwoStageSolution:

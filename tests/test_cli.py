@@ -44,6 +44,13 @@ class TestLoadPoints:
         with pytest.raises(ValueError):
             load_points_csv(p)
 
+    @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, coordinate):
+        p = tmp_path / "pts.csv"
+        p.write_text(f"lat,lon\n1.0,2.0\n3.0,{coordinate}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite coordinate"):
+            load_points_csv(p)
+
 
 class TestLoadFeatures:
     def test_class_membership_is_one_based_consistent(self, tmp_path):
@@ -93,6 +100,13 @@ class TestLoadFeatures:
         p = tmp_path / "feat.csv"
         p.write_text("1,0,3\n1,-2,0\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_features_csv(p, 3)
+
+    @pytest.mark.parametrize("entry", ["x", "1.5", ""])
+    def test_non_integer_entry_names_its_line(self, tmp_path, entry):
+        p = tmp_path / "feat.csv"
+        p.write_text(f"1,0,3\n1,{entry},0\n")
+        with pytest.raises(ValueError, match="line 2: non-integer entry"):
             load_features_csv(p, 3)
 
 
@@ -181,6 +195,20 @@ class TestRunExperiment:
     def test_nan_epsilon_fails_before_work(self):
         with pytest.raises(ConfigError, match="epsilon"):
             run_experiment(ExperimentConfig(epsilons=(0.5, float("nan"))))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("objective", "foo", "unknown objective 'foo'"),
+        ("algorithms", ("greedy", "bogus"), "unknown algorithm 'bogus'"),
+        ("formats", ("csv", "xml"), "unknown report format 'xml'"),
+    ])
+    def test_unknown_name_fails_before_any_family_is_built(
+            self, monkeypatch, field, value, message):
+        def build(config):
+            raise AssertionError("built a family")
+
+        monkeypatch.setattr(cli, "_build_family", build)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_experiment(ExperimentConfig(**{field: value}))
 
     @pytest.mark.parametrize("epsilon", [float("inf"), 1e308])
     def test_overflowing_epsilon_fails_before_any_family_is_built(
@@ -352,6 +380,11 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report([], tmp_path / "r.csv", "csv")
 
+    def test_rejects_an_unknown_format_without_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report(self._rows(), tmp_path / "r.xml", "xml")
+        assert list(tmp_path.iterdir()) == []
+
     def test_pipeline_is_byte_deterministic_without_timing(self, tmp_path):
         config = ExperimentConfig(objective="coverage", n=12, m=2, seed=9,
                                   ells=(3,), ks=(2,), machines=(2,),
@@ -386,6 +419,12 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("flux_capacitor = 1\n")
         with pytest.raises(ConfigError):
+            parse_config_file(cfg)
+
+    def test_line_without_equals_names_its_line(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# sweep\nn = 12\nell 3\n")
+        with pytest.raises(ConfigError, match="line 3: expected key = value"):
             parse_config_file(cfg)
 
     def test_misspelt_boolean_names_its_line(self, tmp_path):
@@ -653,6 +692,18 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == [data]
+
+    def test_unknown_objective_is_refused_before_any_family_is_built(
+            self, monkeypatch, tmp_path, capsys):
+        def unbuilt(config):
+            raise AssertionError("family built for a refused config")
+        monkeypatch.setattr(cli, "_build_family", unbuilt)
+        assert main(["run", "--objective", "foo",
+                     "--output", str(tmp_path / "report")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown objective 'foo'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_gen_synthetic_refuses_a_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "pts.csv"

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage import core
+from twostage.cli import ConfigError, ExperimentConfig, run_experiment
 from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
                            ObjectiveFamily, TwoStageSolution, empty_solution,
                            evaluate_solution, lambda_gain, marginal, nabla,
@@ -14,7 +17,8 @@ from twostage.distributed import (distributed_fast, partition,
 from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
 from twostage.oracle import OracleBudgetError, brute_force_opt, estimate_work
-from twostage.streaming import ThresholdManager, run_know_opt, run_streaming
+from twostage.streaming import (StreamState, ThresholdManager, exchange,
+                                run_know_opt, run_streaming)
 
 from conftest import (NON_FINITE, kernel_counted, modular_family,
                       poisoned_family)
@@ -364,16 +368,69 @@ BAD_INPUTS = [
     ("solution_from_sets summary over budget",
      lambda F: solution_from_sets(F, {0, 1, 2, 3}, [{0}, {1}], 3, 2),
      ValueError, "summary exceeds its budget"),
+    # unchecked, its one set is summed and divided by m=2
+    ("solution_from_sets one set for two functions",
+     lambda F: solution_from_sets(F, {0, 1}, [{0}], 3, 2), ValueError,
+     "solution has 1 per-function sets, the family has 2 functions"),
+    ("evaluate_solution over budget",
+     lambda F: evaluate_solution(F, TwoStageSolution(
+         frozenset({0, 1, 2}), (frozenset(), frozenset()), 0.0, 2, 1)),
+     ValueError, "summary exceeds its budget"),
+    ("run --objective foo",
+     lambda F: run_experiment(ExperimentConfig(objective="foo"), F),
+     ConfigError, "unknown objective 'foo'"),
+    # each element processes in a fresh memo scope, so 2.0 is not served
+    # the value stored for 2
+    ("ThresholdManager process 2.0 after 2",
+     (lambda F: processed(ThresholdManager(F, 0.5, 5, 2), 2),
+      lambda mgr: mgr.process(2.0)),
+     TypeError, "element ids must be integers, got 2.0"),
 ]
+
+
+def processed(mgr, u):
+    """``mgr`` once it has processed u."""
+    mgr.process(u)
+    return mgr
+
+
+# (entry, call on a coverage family F with the element id x): each entry
+# that takes an element id, which _check_ids refuses before any eval
+ID_ENTRIES = {
+    "exchange": lambda F, x: exchange(F, x, StreamState(F.m, 3, 2, 1.0, 0.1)),
+    "run_know_opt": lambda F, x: run_know_opt([x], F, 1.0, 3, 2),
+    "marginal": lambda F, x: marginal(F, 0, x, {0}),
+    "rep": lambda F, x: rep(F, 0, x, {0}),
+    "nabla": lambda F, x: nabla(F, 0, x, {0}, 1.0, 2),
+    "lambda_gain": lambda F, x: lambda_gain(F, 0, x, {0}, 2),
+    # unchecked, a summary id outside the ground set raises after an eval
+    "solution_from_sets": lambda F, x: solution_from_sets(
+        F, {0, x}, [{0}, {x}], 3, 2),
+    "evaluate_solution": lambda F, x: evaluate_solution(F, TwoStageSolution(
+        frozenset({0, x}), (frozenset({0}), frozenset({x})), 0.0, 3, 2)),
+}
+BAD_IDS = [(25, ValueError, "element id 25 out of range [0, 20)"),
+           (-1, ValueError, "element id -1 out of range [0, 20)"),
+           (2.5, TypeError, "element ids must be integers, got 2.5")]
+BAD_INPUTS += [
+    (f"{name} id {x!r}", lambda F, call=call, x=x: call(F, x), error,
+     re.escape(message))
+    for name, call in ID_ENTRIES.items() for x, error, message in BAD_IDS]
 
 
 @pytest.mark.parametrize("call, error, match", [row[1:] for row in BAD_INPUTS],
                          ids=[row[0] for row in BAD_INPUTS])
 def test_bad_input_raises_its_typed_error_before_any_eval(call, error, match):
+    """A row's call is called on F, or is a pair (set-up, call) whose call
+    gets what its set-up makes of F."""
     F = make_synthetic("coverage", 20, 2, 0)
+    arg = F
+    if isinstance(call, tuple):
+        setup, call = call
+        arg = setup(F)
     before = F.evals
     with pytest.raises(error, match=match):
-        call(F)
+        call(arg)
     assert F.evals == before
 
 

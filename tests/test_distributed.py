@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage.core import NonFiniteValueError, evaluate_solution
+from twostage.core import (NonFiniteValueError, empty_solution,
+                           evaluate_solution)
 from twostage.distributed import (distributed_fast, partition,
                                   pseudo_streaming, recommend_machine_count,
                                   replacement_distributed)
@@ -13,7 +14,7 @@ from twostage.greedy import replacement_greedy
 from twostage.objectives import make_synthetic
 from twostage.streaming import run_streaming
 
-from conftest import NON_FINITE, poisoned_family
+from conftest import NON_FINITE, modular_family, poisoned_family
 
 
 class TestPartition:
@@ -158,8 +159,18 @@ class TestRecommendMachineCount:
         assert recommend_machine_count(1, 1, "fast") == 1
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'quantum'"):
             recommend_machine_count(10, 2, "quantum")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda F: replacement_distributed(F, 3, 3, 2, 0),
+    lambda F: distributed_fast(F, 3, 0.5, 3, 2, 0),
+], ids=["distributed", "fast"])
+def test_no_worker_summary_gives_the_empty_solution(solve):
+    """On a family whose only function is 0 every worker's summary is
+    empty, so there is nothing to merge."""
+    assert solve(modular_family((0.0,) * 8)) == empty_solution(1, 3, 2)
 
 
 def test_expected_guarantees_on_a_small_mean():

@@ -797,11 +797,11 @@ def lookahead_spy():
     row = streaming._Lookahead.row
 
     def counted_row(self, F, u, state):
-        block = state.block
+        block = state.kept
         raws = row(self, F, u, state)
         if raws is not None:
             counts["served"] += 1
-            counts["fills"] += state.block is not block
+            counts["fills"] += state.kept is not block
         return raws
 
     with mock.patch.object(streaming._Lookahead, "row", counted_row):

@@ -43,6 +43,12 @@ class TestConvenience:
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
 
+def test_region_needs_a_point():
+    with pytest.raises(ValueError, match="region must contain at least one "
+                                         "point"):
+        Region(())
+
+
 class TestFacilityValue:
     def test_empty_candidates(self):
         region = Region((Point(0.0, 0.0),))

@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Mutation check: each mutant is one exact edit to a file under ``src/``,
+and the tests listed with it must fail once the edit is made.
+
+    python3 tools/mutants.py
+
+Run it from the root of a checkout, with numpy, pytest and hypothesis
+importable and the ``twostage`` package not installed (an editable install
+can shadow the copies).  For each mutant it copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a new temporary directory, makes the one edit there
+(its snippet must occur exactly once in the file), and runs
+``python -m pytest -x -q`` on the mutant's tests with the copy's ``src``
+first on ``PYTHONPATH``.  A mutant whose tests all pass survives.  Before
+any mutant, an unedited copy must pass every listed test, or a failing test
+would count as a kill.
+
+Exit status: 0 if every mutant is killed, 1 if one survives, 2 if the list
+is stale (a snippet not found exactly once), the unedited copy fails, or
+pytest ends other than by passing or failing (an unknown test id, say).
+
+Each mutant undoes one check or fast path; add one with every new one.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+BAD_INPUTS = ("tests/test_core.py::"
+              "test_bad_input_raises_its_typed_error_before_any_eval")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout's root
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest node ids, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant("check_ids without its range test", "src/twostage/core.py",
+           "inside = 0 <= index(e) < n", "inside = index(e) or True",
+           (BAD_INPUTS,)),
+    Mutant("exchange without check_ids", "src/twostage/streaming.py",
+           "        _check_ids((u,), F.ground.n)\n", "",
+           (BAD_INPUTS, "tests/test_streaming.py::TestKnowOpt::"
+                        "test_bad_ids_raise_also_after_the_summary_is_full")),
+    Mutant("replacement_greedy without check_ids", "src/twostage/greedy.py",
+           "    _check_ids(cands, F.ground.n)\n", "",
+           (BAD_INPUTS,)),
+    Mutant("_block_values without check_ids", "src/twostage/core.py",
+           "        _check_ids(xs, F.ground.n)\n", "",
+           ("tests/test_core.py::TestServedValue::"
+            "test_out_of_range_candidate_raises_at_the_block_boundary",)),
+    Mutant("_probe without check_ids", "src/twostage/core.py",
+           "    _check_ids((x,), F.ground.n)\n    if len(key) < k:",
+           "    if len(key) < k:",
+           (BAD_INPUTS,)),
+    Mutant("_counted without check_ids", "src/twostage/core.py",
+           "        _check_ids((x,), F.ground.n)  # as _probe does", "        #",
+           (BAD_INPUTS,)),
+    Mutant("value without check_ids", "src/twostage/core.py",
+           "        _check_ids(key, self._n)\n", "",
+           (BAD_INPUTS,)),
+    Mutant("evaluate_solution without the length check",
+           "src/twostage/core.py",
+           "    if len(sol.per_function) != F.m:\n"
+           "        raise ValueError(", "    if False:\n        raise ValueError(",
+           (BAD_INPUTS, "tests/test_core.py::TestEvaluateSolution")),
+    Mutant("validate without the objective check", "src/twostage/cli.py",
+           "        if self.objective not in OBJECTIVES:\n", "        if False:\n",
+           (BAD_INPUTS, "tests/test_cli.py::TestMain::test_unknown_objective"
+                        "_is_refused_before_any_family_is_built")),
+)
+
+
+def copy_tree(into: Path):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def apply(mutant: Mutant, into: Path):
+    """Make the mutant's edit in the copy; ValueError unless its snippet
+    occurs exactly once."""
+    path = into / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.snippet)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: snippet found {count} times "
+                         f"in {mutant.path}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def run_tests(into: Path, tests, check_import=False) -> int:
+    """pytest's exit code for ``tests`` on the copy in ``into``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(into / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    if check_import:
+        where = subprocess.run(
+            [sys.executable, "-c", "import twostage; print(twostage.__file__)"],
+            cwd=into, env=env, capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(into)):
+            raise ValueError(f"twostage imports from {where!r}, not the copy")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *tests], cwd=into, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        copy_tree(base)
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        try:
+            code = run_tests(base, tests, check_import=True)
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
+        if code != 0:
+            print(f"error: the unedited tree fails its tests (pytest exit "
+                  f"{code}): {' '.join(tests)}")
+            return 2
+
+    survivors, errors = [], []
+    for m in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            into = Path(tmp)
+            copy_tree(into)
+            try:
+                apply(m, into)
+            except ValueError as exc:
+                errors.append(str(exc))
+                print(f"error     {exc}")
+                continue
+            code = run_tests(into, m.tests)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error {code}")
+        print(f"{verdict:9} {m.name} ({time.perf_counter() - start:.1f} s)",
+              flush=True)
+        if code == 0:
+            survivors.append(m.name)
+        elif code != 1:
+            errors.append(f"{m.name}: pytest exit {code}")
+    print(f"{len(MUTANTS) - len(survivors) - len(errors)} of {len(MUTANTS)} "
+          f"mutants killed")
+    if errors:
+        return 2
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
