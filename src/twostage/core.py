@@ -91,6 +91,8 @@ def _check_ids(ids: Iterable, n: int):
     ``ObjectiveFamily.value`` (a set it does not find in the memo).  T_i
     only ever holds checked ids, so the values served for its probe sets
     (see the eval contract above) and the memo's keys need no check.
+    Where a set's ids fail to sort (None or a string among integers),
+    ``value`` and ``_key`` check them here, so the error names the id.
     """
     for e in ids:
         try:
@@ -226,7 +228,11 @@ class ObjectiveFamily:
             if v is not None:
                 self.evals += 1
                 return v
-        key = tuple(sorted(ids))
+        try:
+            key = tuple(sorted(ids))
+        except TypeError:  # an id that does not sort: None, a string
+            _check_ids(ids, self._n)
+            raise
         if memo is not None:
             v = memo[i].get(key)
             if v is not None:
@@ -476,8 +482,9 @@ class _Sets:
         for i, entry in enumerate(self.moves):
             if entries[i] is not entry:
                 bases = entry[0]
-                vals[rows, i, :len(bases)] = (F._block(i, bases, live)
-                                              - F._offsets[i])
+                vals[rows, i, :len(bases)] = F._block(i, bases, live)
+                if F._offsets[i]:  # v - 0.0 is v, so skip the pass
+                    vals[rows, i, :len(bases)] -= F._offsets[i]
                 entries[i] = entry
         return vals, row_of
 
@@ -526,13 +533,25 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
     return _move(F.value, i, bases, replaced, x, base)
 
 
+def _key(F: ObjectiveFamily, A: Iterable[int]) -> tuple:
+    """The sorted tuple of the distinct ids of A, for the gain primitives.
+    Ids that do not sort (None or a string among integers) raise
+    ``_check_ids``'s error, not the sort's."""
+    A = set(A)
+    try:
+        return tuple(sorted(A))
+    except TypeError:
+        _check_ids(A, F.ground.n)
+        raise
+
+
 def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
              base: float | None = None) -> float:
     """f_i(A + x) - f_i(A); exactly 0 when x is already in A.
 
     ``base`` lets callers reuse a cached f_i(A) instead of re-evaluating.
     """
-    key = tuple(sorted(set(A)))
+    key = _key(F, A)
     # a budget above |A| always takes the insertion path
     return _probe(F, i, x, key, len(key) + 1, base)[1]
 
@@ -544,7 +563,7 @@ def rep(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     The gain may be negative.  Ties break toward the lowest replaced id.
     """
     # budget 0 always takes the swap path
-    return SwapOutcome(*_probe(F, i, x, tuple(sorted(set(A))), 0, base))
+    return SwapOutcome(*_probe(F, i, x, _key(F, A), 0, base))
 
 
 def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -574,7 +593,7 @@ def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
 def _counted(F: ObjectiveFamily, i: int, x: int, A: Iterable[int], k: int,
              base: float | None, step: float | None) -> SwapOutcome:
     """The move of x against A, counted by ``_Sets.probe``'s rule."""
-    key = tuple(sorted(set(A)))
+    key = _key(F, A)
     if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     if base is None:

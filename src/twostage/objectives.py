@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -207,6 +208,18 @@ def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
     return out
 
 
+def _class_minima(row_of: dict, ids) -> np.ndarray | None:
+    """The elementwise minima of the class rows (``row_of``) of ``ids``, by
+    a pairwise ``np.minimum`` chain in id order, or None when no id is in
+    the class.  A single row is returned as it is, never written."""
+    best = None
+    for e in ids:
+        row = row_of.get(e)
+        if row is not None:
+            best = row if best is None else np.minimum(best, row)
+    return best
+
+
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     """One exemplar-clustering function per class with a nonempty member set.
 
@@ -224,9 +237,14 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     ``_exemplar_tables`` builds the tables, holding one block of bounded
     size besides them.
 
-    The block kernel ``_block`` (see ``_moves``) takes the same minima over
-    the same rows, with +inf for a chosen id outside the class; it keeps
-    nothing between calls.
+    The block kernel ``_block`` (see ``_moves``) gathers the rows of the
+    candidates in the class once, and per base takes f_i's chain of minima
+    over the base's class rows, one ``np.minimum`` with every gathered row
+    and one last-axis ``np.add.reduce`` of the C-contiguous result, so each
+    value equals f_i's bit for bit.  A candidate outside the class gets
+    the base's own value, exactly 0.0 for a base with no class member.  The
+    kernel keeps nothing between calls and holds at most two (hits, width)
+    arrays besides its output; its cost is a few numpy calls per base.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
@@ -239,16 +257,10 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
 
     def make(row_of, anchor_mean, width):
         def f(ids: tuple) -> float:
-            # a pairwise np.minimum chain over the chosen rows, then the
-            # ufunc sum that ndarray.mean runs: bit-identical to
-            # np.minimum(anchor, dist[chosen].min(axis=0)).mean() on the
-            # unclipped distances.  A single chosen row is read in place,
-            # never written.
-            best = None
-            for e in ids:
-                row = row_of.get(e)
-                if row is not None:
-                    best = row if best is None else np.minimum(best, row)
+            # the chain's minima, then the ufunc sum that ndarray.mean
+            # runs: bit-identical to np.minimum(anchor,
+            # dist[chosen].min(axis=0)).mean() on the unclipped distances
+            best = _class_minima(row_of, ids)
             if best is None:
                 return 0.0
             return float(anchor_mean - np.add.reduce(best) / width)
@@ -256,26 +268,34 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
 
     def block(i: int, bases: list, xs: list) -> np.ndarray:
         row_of, anchor_mean, width = classes[i]
-        gone = np.full(width, np.inf)
-        kept = np.minimum.reduce(np.array(
-            [[row_of.get(y, gone) for y in base] for base in bases]).reshape(
-                len(bases), -1, width), axis=1, initial=np.inf)
-        # f_i is exactly 0.0 on a set with no class member
-        empty = [not any(y in row_of for y in base) for base in bases]
-        outside = np.where(
-            empty, 0.0, anchor_mean - np.add.reduce(kept, axis=1) / width)
-        out = np.repeat(outside[None], len(xs), axis=0)
-        hit = [b for b, x in enumerate(xs) if x in row_of]
-        if hit:
-            rows = np.array([row_of[xs[b]] for b in hit])
-            # one base at a time, for memory: at most two (hits, width)
-            # arrays, and the last base's minima overwrite ``rows``
-            spare = np.empty_like(rows) if len(kept) > 1 else rows
-            for j, row in enumerate(kept):
-                best = np.minimum(row, rows,
-                                  out=rows if j == len(kept) - 1 else spare)
-                out[hit, j] = anchor_mean - np.add.reduce(best, axis=1) / width
-        return out
+        hit = [row_of[x] for x in xs if x in row_of]
+        h = len(hit)
+        miss = h < len(xs)
+        # row j: base j's sum with each hit, then its own sum if a candidate
+        # is outside the class, which adds nothing to the base
+        sums = np.zeros((len(bases), h + miss))
+        rows = np.array(hit).reshape(h, width)
+        # the only (hits, width) arrays; a single base overwrites rows
+        spare = rows if len(bases) == 1 else np.empty_like(rows)
+        empty = []
+        for j, base in enumerate(bases):
+            best = _class_minima(row_of, base)
+            if best is None:
+                empty.append(j)
+                np.add.reduce(rows, axis=1, out=sums[j, :h])
+                continue
+            np.add.reduce(np.minimum(best, rows, out=spare), axis=1,
+                          out=sums[j, :h])
+            if miss:
+                sums[j, h] = np.add.reduce(best)
+        out = anchor_mean - sums / width
+        if not miss:
+            return out.T
+        for j in empty:  # f_i is exactly 0.0 on a set with no class member
+            out[j, h] = 0.0
+        col = count()
+        return out.take([next(col) if x in row_of else h for x in xs],
+                        axis=1).T
 
     F = ObjectiveFamily(GroundSet(len(vectors), vectors),
                         [make(*c) for c in classes])

@@ -359,6 +359,20 @@ BAD_INPUTS = [
      "element ids must be integers"),
     ("value id 0.5", lambda F: F.value(0, (0.5,)), TypeError,
      "element ids must be integers, got 0.5"),
+    # ids that do not sort: the id check names the bad one, not the sort
+    ("value ids (None, 1)", lambda F: F.value(0, (None, 1)), TypeError,
+     "element ids must be integers, got None"),
+    ("value ids ('a', 1)", lambda F: F.value(0, ["a", 1]), TypeError,
+     "element ids must be integers, got 'a'"),
+    ("marginal set {0, 'a'}", lambda F: marginal(F, 0, 1, {0, "a"}),
+     TypeError, "element ids must be integers, got 'a'"),
+    ("rep set {0, None}", lambda F: rep(F, 0, 1, {0, None}), TypeError,
+     "element ids must be integers, got None"),
+    ("nabla set {0, 'a'}", lambda F: nabla(F, 0, 1, {0, "a"}, 1.0, 2),
+     TypeError, "element ids must be integers, got 'a'"),
+    ("lambda_gain set {0, None} with base",
+     lambda F: lambda_gain(F, 0, 1, {0, None}, 2, base=1.0), TypeError,
+     "element ids must be integers, got None"),
     ("ThresholdManager process 0.5",
      lambda F: ThresholdManager(F, 0.5, 5, 2).process(0.5), TypeError,
      "element ids must be integers, got 0.5"),

@@ -6,6 +6,8 @@ code.  The current code must agree with them bit for bit (``==``, not
 golden runs pin whole-solver outputs and eval counts.
 """
 
+import gc
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -532,6 +534,90 @@ def test_exemplar_block_kernel_is_bit_identical(seed, data):
     # candidates outside narrow classes are the usual draw there
     n = 210
     assert_block_is_exact(wide_exemplar(seed, n, 2, data), n, data)
+
+
+WIDE, SOLO, OUTSIDE = 200, 3, (225, 226, 227, 228, 229)
+
+
+def kernel_shapes_family():
+    """An exemplar family over 230 elements: class 0 holds the first WIDE
+    of them, class 1 only SOLO, and OUTSIDE are in neither."""
+    rng = np.random.default_rng(7)
+    vectors = np.zeros((230, 3))
+    vectors[:, 2] = rng.uniform(-1.0, 1.0, 230)
+    vectors[:WIDE, 0] = rng.uniform(0.05, 2.0, WIDE)
+    vectors[SOLO, 1] = 1.5
+    return exemplar_family(vectors, 2)
+
+
+# (case, function, key, budget, candidates): the probe-table entries
+# (``_moves``) and candidate blocks that a drawn block rarely takes
+KERNEL_SHAPES = [
+    ("no candidates", 0, (1, 2), 3, []),
+    ("no candidates, swaps", 0, (1, 2), 2, []),
+    ("no candidate in the class", 0, (1, 2, 225), 3, list(OUTSIDE)),
+    ("no candidate in the class, empty key", 0, (), 3, list(OUTSIDE)),
+    ("no candidate in the class, memberless base", 0, (7, 225), 2,
+     list(OUTSIDE)),
+    ("every candidate in the class", 0, (1, 2, 5), 3, [9, 40, 8, 199, 150]),
+    ("every candidate in the class, memberless base", 0, (1, 225), 2,
+     [9, 40, 8]),
+    ("one candidate in the class", 0, (1, 2, 225), 3, [10]),
+    ("memberless key, mixed candidates", 0, (226, 227), 3,
+     [225, 10, 228, 11, 12]),
+    ("empty key, mixed candidates", 0, (), 3, [225, 10, 228, 11, 12]),
+    ("memberless base among others", 0, (1, 225, 226), 3,
+     [227, 30, 31, 229]),
+    ("class of width 1, insertion", 1, (), 3, [SOLO, 0, 225]),
+    ("class of width 1, swaps", 1, (SOLO, 225), 2, [0, 226, 1]),
+    ("class of width 1, its member alone", 1, (0, 225), 2, [SOLO]),
+]
+
+
+@pytest.mark.parametrize("i, key, k, xs", [row[1:] for row in KERNEL_SHAPES],
+                         ids=[row[0] for row in KERNEL_SHAPES])
+def test_exemplar_block_kernel_shapes(i, key, k, xs):
+    F = kernel_shapes_family()
+    f = F._functions[i]
+    bases = _moves(key, k)[0]
+    got = F._block(i, bases, xs)
+    assert got.shape == (len(xs), len(bases))
+    assert got.tolist() == [[f(tuple(sorted(b + (x,)))) for b in bases]
+                            for x in xs]
+
+
+def test_exemplar_block_kernel_gives_a_memberless_set_zero():
+    """A candidate outside the class against a base with no class member:
+    f_i of a set with no member is exactly 0.0, not anchor_mean - 0."""
+    F = kernel_shapes_family()
+    got = F._block(0, _moves((1, 225), 2)[0], [226, 10, 227])
+    assert got[0, 0] == got[2, 0] == 0.0  # against (225,)
+    assert got[0, 1] == got[2, 1] == F._functions[0]((1,)) > 0.0
+
+
+def test_exemplar_block_kernel_holds_two_candidate_arrays():
+    """At 60 candidates in the class, 3 bases and width 200, the kernel's
+    transient peak is at most two (hits, width) arrays plus its output,
+    with slack for the small arrays and lists; a third would exceed it.
+    numpy's broadcasting ``np.minimum`` also takes a buffer of up to
+    ``np.getbufsize()`` elements (64 KiB by default) for the call."""
+    F = kernel_shapes_family()
+    xs = list(range(100, 160))
+    bases = _moves((1, 2, 3), 3)[0]
+    F._block(0, bases, xs)  # warm up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = F._block(0, bases, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (60, 3)
+    rows = 60 * WIDE * 8
+    buffer = np.getbufsize() * out.itemsize
+    assert peak - start <= 2 * rows + out.nbytes + buffer + 16 * 1024
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,6 +35,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 BAD_INPUTS = ("tests/test_core.py::"
               "test_bad_input_raises_its_typed_error_before_any_eval")
+EXEMPLAR_SHAPES = "tests/test_exactness.py::test_exemplar_block_kernel_shapes"
+EXEMPLAR_BLOCK = ("tests/test_exactness.py::"
+                  "test_exemplar_block_kernel_is_bit_identical")
 
 
 class Mutant(NamedTuple):
@@ -75,6 +78,16 @@ MUTANTS = (
            "    if len(sol.per_function) != F.m:\n"
            "        raise ValueError(", "    if False:\n        raise ValueError(",
            (BAD_INPUTS, "tests/test_core.py::TestEvaluateSolution")),
+    Mutant("exemplar kernel's all-hit block not transposed",
+           "src/twostage/objectives.py",
+           "        if not miss:\n            return out.T\n",
+           "        if not miss:\n            return out\n",
+           (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
+    Mutant("exemplar kernel without the memberless base's 0.0",
+           "src/twostage/objectives.py",
+           "            out[j, h] = 0.0\n",
+           "            out[j, h] = anchor_mean - sums[j, h] / width\n",
+           (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
     Mutant("validate without the objective check", "src/twostage/cli.py",
            "        if self.objective not in OBJECTIVES:\n", "        if False:\n",
            (BAD_INPUTS, "tests/test_cli.py::TestMain::test_unknown_objective"
