@@ -27,13 +27,16 @@ measure: a code path performs the same evals every time it runs.  Four
 sources serve evals from values already computed rather than from the
 objective, and they are still counted one ``value`` call each:
 
-* the memo, for repeats within one streaming element.
-  ``ThresholdManager.process`` opens ``_memo_scope`` around each element
-  and probes it once per group of threshold instances holding the same
-  sets; the memo serves every (i, set) evaluated again within the
-  element, such as the sets that leaders of different groups share,
-  without calling f_i.  It stores only sorted, checked keys, so a sorted
-  tuple is found there as given (see ``ObjectiveFamily.value``).
+* the memo, for repeats within one streaming element or one call of
+  ``ThresholdManager.all_solutions``.  ``ThresholdManager.process`` opens
+  ``_memo_scope`` around each element and probes it once per group of
+  threshold instances holding the same sets; the memo serves every (i,
+  set) evaluated again within the element, such as the sets that leaders
+  of different groups share, without calling f_i.  ``all_solutions``
+  opens one around its instances, whose groups repeat the same (i, T_i).
+  The memo stores only sorted, checked keys, so a sorted tuple is found
+  there as given, and any other set by its sorted key (see
+  ``ObjectiveFamily.value``).
 * the values of earlier calls.  A leader records each of its probe's
   counted evals as ``(i, ids, v)`` (``_Sets.probe``'s ``calls``), and each
   other member of its group (a follower) replays them, one ``value`` call
@@ -91,8 +94,9 @@ def _check_ids(ids: Iterable, n: int):
     ``ObjectiveFamily.value`` (a set it does not find in the memo).  T_i
     only ever holds checked ids, so the values served for its probe sets
     (see the eval contract above) and the memo's keys need no check.
-    Where a set's ids fail to sort (None or a string among integers),
-    ``value`` and ``_key`` check them here, so the error names the id.
+    Where a set's ids fail to sort (None or a string among integers) or,
+    in ``value``'s memo lookup, to hash (a list), ``value`` and ``_key``
+    check them here, so the error names the id.
     """
     for e in ids:
         try:
@@ -153,11 +157,12 @@ class ObjectiveFamily:
     or the family's block kernel ``_block(i, bases, xs)``: the raw f_i(b +
     (x,)) for each x of ``xs`` and each b of ``bases``, one probe-table
     entry's (see ``_moves``), with shape (len(xs), len(bases)).
-    ``_table_floats`` is the number of floats in the tables the kernel reads
-    (0 without one), which sizes the blocks of ``_Sets.probes``.  ``_row``
-    is None or the family's row kernel ``_row(x, moves)``: for a probe
-    table ``moves`` (``_Sets.moves``) and an x in none of its bases, one
-    list per function i of the raw f_i(b + (x,)) for each base b of
+    ``_table_floats`` is the logical number of floats in the tables the
+    kernel reads, as if each function kept its own, whatever the family
+    stores (0 without a kernel); it sizes the blocks of ``_Sets.probes``.
+    ``_row`` is None or the family's row kernel ``_row(x, moves)``: for a
+    probe table ``moves`` (``_Sets.moves``) and an x in none of its bases,
+    one list per function i of the raw f_i(b + (x,)) for each base b of
     ``moves[i]``.  It suits a family whose sets cost less to evaluate than
     one numpy call, and it serves every ``_Sets.probe`` that is given no
     kernel values (see the eval contract above).
@@ -197,15 +202,18 @@ class ObjectiveFamily:
         (the callers that serve pass a loop index).  Any other call raises
         ``TypeError`` unless ``i`` is an integer.  While a memo scope is
         open, a set already evaluated in it returns the stored value without
-        calling f_i; a non-finite value raises and is never stored.  The
-        memo's keys are sorted and were checked when stored, so a tuple
-        found there as given is a canonical repeat: it is counted and
-        served without being sorted.  The sets that are found so are
-        ``_Sets.add``'s new T_i, which its probe evaluated, and the probe
-        sets of sorted arrivals (``pseudo_streaming``), whose candidate
-        comes last.  Any other set is sorted and looked up again, and one
-        not found has its ids checked (``_check_ids``) before it is
-        counted.
+        calling f_i; a non-finite value raises and is never stored.  Ids
+        that are not a tuple are made one first, so that a generator
+        outlives the sort for the id check.  The memo's keys are sorted and
+        were checked when stored, so a tuple found there as given is a
+        canonical repeat: it is counted and served without being sorted.
+        The sets that are found so are ``_Sets.add``'s new T_i, which its
+        probe evaluated, and the probe sets of sorted arrivals
+        (``pseudo_streaming``), whose candidate comes last.  Any other set
+        is sorted and looked up again, such as the frozensets of
+        ``evaluate_solution`` that ``ThresholdManager.all_solutions``
+        evaluates once per instance of a group; one not found has its ids
+        checked (``_check_ids``) before it is counted.
         """
         try:
             if not 0 <= i < self._m:
@@ -223,8 +231,14 @@ class ObjectiveFamily:
             raise TypeError(
                 f"function index must be an integer, got {i!r}") from None
         memo = self._memo
-        if memo is not None and type(ids) is tuple:
-            v = memo[i].get(ids)
+        if type(ids) is not tuple:  # a generator must outlive the sort
+            ids = tuple(ids)
+        if memo is not None:
+            try:
+                v = memo[i].get(ids)
+            except TypeError:  # an id that does not hash: a list, a set
+                _check_ids(ids, self._n)
+                raise
             if v is not None:
                 self.evals += 1
                 return v

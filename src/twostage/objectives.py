@@ -135,44 +135,50 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
 
 
 # Upper bound, in floats, on the (rows, width, columns) difference block that
-# a distance pass of ``_exemplar_tables`` holds at once.
+# a distance pass of ``_exemplar_tables`` holds at once, and on the (rows,
+# width) block that ``exemplar_family`` gathers for its singleton sums.
 _DIST_BLOCK_FLOATS = 1 << 18
 
 
-def _fill_distances(points: np.ndarray, groups: list, tables: list) -> None:
-    """Write the distances among ``points[idx]`` into ``table`` for each
-    (idx, table) of ``groups`` and ``tables``; every idx is sorted.
+def _clipped_distances(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """The distances among the rows of ``points``, column c clipped at
+    ``anchor[c]``.
 
     The distances from a block of rows to all of ``points`` are computed at
     once, with the difference temporary under ``_DIST_BLOCK_FLOATS`` floats
-    (or one row, if a row is larger), and scattered into the tables before
-    the next block, so no matrix over all of ``points`` is kept.
+    (or one row, if a row is larger), so the pass holds the table plus one
+    block.
     """
     width, columns = points.shape
+    table = np.empty((width, width))
     step = max(1, _DIST_BLOCK_FLOATS // (width * columns))
     for start in range(0, width, step):
-        block = np.linalg.norm(
+        table[start:start + step] = np.linalg.norm(
             points[start:start + step, None, :] - points[None, :, :], axis=2)
-        for idx, table in zip(groups, tables):
-            lo, hi = np.searchsorted(idx, (start, start + step))
-            table[lo:hi] = block[np.ix_(idx[lo:hi] - start, idx)]
+    return np.minimum(table, anchor, out=table)
 
 
 def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
-    """Per class i: (member ids, clipped distance table, anchor distances).
+    """Per class i: (member ids omega, table, rows, cols, anchor distances).
 
-    Element e belongs to class i when ``vectors[e, i] > 0``.  Row r of class
-    i's table holds the distances from member ``omega[r]``, as an exemplar,
-    to every member, clipped at each member's distance to the zero anchor.
+    Element e belongs to class i when ``vectors[e, i] > 0``.  Entry (r, c)
+    of a table is the distance from the element of row r, as an exemplar,
+    to the element of column c, clipped at the latter's distance to the
+    zero anchor.  Class i's own (|omega_i|, |omega_i|) table is
+    ``table[rows][:, cols]``, or ``table[rows]`` when ``cols`` is None
+    because the table's columns are class i's members already: its row j
+    and column j belong to ``omega[j]``.
 
     When the classes overlap enough that |U|^2 <= sum_i |omega_i|^2, with U
-    the elements in at least one class, one distance pass over U fills every
-    class's table; otherwise each class gets a pass over its own members.
-    Either way the build computes the smaller of the two counts of distances
-    and holds the tables plus one block.  Every entry is the same last-axis
-    ``np.linalg.norm`` reduction, so the tables do not depend on the pass
-    or the blocking.  ``vectors`` is a float array; input errors raise as
-    ``exemplar_family`` says.
+    the elements in at least one class, all classes share one table over
+    U, and ``rows`` (and ``cols``, unless omega_i is all of U) are omega_i's
+    positions in U.  Otherwise each class gets a table over its own
+    members, with ``rows`` the range and ``cols`` None.  Either way the
+    build computes and stores the smaller count, min(|U|^2, sum_i
+    |omega_i|^2), of distances, and holds the tables plus one block.  Every
+    entry is the same last-axis ``np.linalg.norm`` reduction, so the tables
+    do not depend on the layout or the blocking.  ``vectors`` is a float
+    array; input errors raise as ``exemplar_family`` says.
     """
     if vectors.ndim != 2:
         raise ValueError("vectors must be a 2-D (elements x classes) array, "
@@ -189,35 +195,41 @@ def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
         if omega.size == 0:
             raise ValueError(f"class {i} has no members; cannot build its function")
 
-    used = np.flatnonzero(member.any(axis=1))
-    tables = [np.empty((omega.size, omega.size)) for omega in omegas]
-    if used.size ** 2 <= sum(omega.size ** 2 for omega in omegas):
-        _fill_distances(vectors[used],
-                        [np.searchsorted(used, omega) for omega in omegas],
-                        tables)
-    else:
-        for omega, table in zip(omegas, tables):
-            _fill_distances(vectors[omega], [np.arange(omega.size)], [table])
-
     anchors = np.linalg.norm(vectors, axis=1)
-    out = []
-    for omega, table in zip(omegas, tables):
-        anchor = anchors[omega]
-        np.minimum(table, anchor, out=table)
-        out.append((omega, table, anchor))
-    return out
+    used = np.flatnonzero(member.any(axis=1))
+    if used.size ** 2 <= sum(omega.size ** 2 for omega in omegas):
+        table = _clipped_distances(vectors[used], anchors[used])
+        out = []
+        for omega in omegas:
+            rows = np.searchsorted(used, omega)
+            cols = None if omega.size == used.size else rows
+            out.append((omega, table, rows, cols, anchors[omega]))
+        return out
+    return [(omega, _clipped_distances(vectors[omega], anchors[omega]),
+             np.arange(omega.size), None, anchors[omega]) for omega in omegas]
 
 
-def _class_minima(row_of: dict, ids) -> np.ndarray | None:
-    """The elementwise minima of the class rows (``row_of``) of ``ids``, by
-    a pairwise ``np.minimum`` chain in id order, or None when no id is in
-    the class.  A single row is returned as it is, never written."""
+def _gather(table: np.ndarray, rix, cols) -> np.ndarray:
+    """The rows ``rix`` of ``table``, restricted to the columns ``cols``
+    unless that is None: a new C-contiguous array, by two ``take``s (a
+    third of the time of ``np.ix_`` on exemplar-sized blocks)."""
+    rows = table.take(rix, axis=0)
+    return rows if cols is None else rows.take(cols, axis=1)
+
+
+def _class_minima(views: list, pos: dict, cols, ids) -> np.ndarray | None:
+    """The elementwise minima of the table rows ``views[pos[e]]`` of the
+    ids e in the class (``pos``), by a pairwise ``np.minimum`` chain in id
+    order, restricted to the columns ``cols`` unless that is None, or None
+    when no id is in the class.  A single row of a class-only table is
+    returned as it is, never written."""
     best = None
     for e in ids:
-        row = row_of.get(e)
-        if row is not None:
+        r = pos.get(e)
+        if r is not None:
+            row = views[r]
             best = row if best is None else np.minimum(best, row)
-    return best
+    return best if best is None or cols is None else best.take(cols)
 
 
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
@@ -228,58 +240,83 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     class i; everything else is screened out before the distance minimum,
     which keeps the function normalized and total.
 
-    Each class keeps one table row per member: the member's distances to
-    every class member, already clipped at those members' distances to the
-    zero anchor.  Memory is therefore the sum over classes of |omega_i|^2
-    floats.  Because ``min`` is exact, clipping once at build time gives
-    the same numbers as clipping on every evaluation.
+    Distances are stored once, already clipped at each column element's
+    distance to the zero anchor (``_exemplar_tables``): in one table over
+    the elements in any class when the classes overlap enough, else in one
+    table per class.  Class i reads the table rows of its members (``pos``
+    maps a member to its row) and, in the shared table, only its members'
+    columns (``cols``).  Each class also keeps its n singleton values,
+    computed at build time by one row sum per member block, which f_i
+    returns for a one-element set.  Memory is min(|U|^2, sum_i
+    |omega_i|^2) + n*m floats, with U the elements in any class, plus a
+    view per table row and a row map per class; the build holds a few
+    blocks of bounded size besides them.  Because ``min`` is exact,
+    clipping once at build time gives the same numbers as clipping on
+    every evaluation, and every sum is a last-axis ``np.add.reduce`` of
+    the class's columns in ascending order in a C-contiguous array, so the
+    values do not depend on the layout.
 
-    ``_exemplar_tables`` builds the tables, holding one block of bounded
-    size besides them.
-
-    The block kernel ``_block`` (see ``_moves``) gathers the rows of the
-    candidates in the class once, and per base takes f_i's chain of minima
-    over the base's class rows, one ``np.minimum`` with every gathered row
-    and one last-axis ``np.add.reduce`` of the C-contiguous result, so each
-    value equals f_i's bit for bit.  A candidate outside the class gets
-    the base's own value, exactly 0.0 for a base with no class member.  The
-    kernel keeps nothing between calls and holds at most two (hits, width)
-    arrays besides its output; its cost is a few numpy calls per base.
+    The block kernel ``_block`` (see ``_moves``) gathers the class rows
+    and columns of the candidates in the class once, and per base takes
+    f_i's chain of minima over the base's rows, one ``np.minimum`` with
+    every gathered row and one last-axis ``np.add.reduce`` of the
+    C-contiguous result, so each value equals f_i's bit for bit.  A
+    candidate outside the class gets the base's own value, exactly 0.0 for
+    a base with no class member.  The kernel keeps nothing between calls
+    and holds at most two (hits, width) arrays besides its output, or, while
+    it gathers from a shared table, one (hits, |U|) and one (hits, width);
+    its cost is a few numpy calls per base.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
     finite, or a class has no members.
     """
     vectors = np.asarray(vectors, dtype=float)
-    classes = [(dict(zip(omega.tolist(), table)), anchor.mean(), len(anchor))
-               for omega, table, anchor in _exemplar_tables(vectors,
-                                                            class_count)]
+    n = len(vectors)
+    views = {}  # id of a table: its row views, shared by the classes on it
+    classes = []
+    for omega, table, rows, cols, anchor in _exemplar_tables(vectors,
+                                                             class_count):
+        if id(table) not in views:
+            views[id(table)] = list(table)
+        width, anchor_mean = omega.size, anchor.mean()
+        step = max(1, _DIST_BLOCK_FLOATS // table.shape[1])
+        sums = np.concatenate([
+            np.add.reduce(_gather(table, rows[s:s + step], cols), axis=1)
+            for s in range(0, width, step)])
+        singles = np.zeros(n)
+        singles[omega] = anchor_mean - sums / width
+        classes.append((table, views[id(table)],
+                        dict(zip(omega.tolist(), rows.tolist())), cols,
+                        anchor_mean, width, singles))
 
-    def make(row_of, anchor_mean, width):
+    def make(table, views, pos, cols, anchor_mean, width, singles):
         def f(ids: tuple) -> float:
-            # the chain's minima, then the ufunc sum that ndarray.mean
-            # runs: bit-identical to np.minimum(anchor,
+            if len(ids) == 1:  # numpy floats; value makes them floats
+                return singles[ids[0]]
+            # the chain's minima on the class columns, then the ufunc sum
+            # that ndarray.mean runs: bit-identical to np.minimum(anchor,
             # dist[chosen].min(axis=0)).mean() on the unclipped distances
-            best = _class_minima(row_of, ids)
+            best = _class_minima(views, pos, cols, ids)
             if best is None:
                 return 0.0
-            return float(anchor_mean - np.add.reduce(best) / width)
+            return anchor_mean - np.add.reduce(best) / width
         return f
 
     def block(i: int, bases: list, xs: list) -> np.ndarray:
-        row_of, anchor_mean, width = classes[i]
-        hit = [row_of[x] for x in xs if x in row_of]
-        h = len(hit)
+        table, views, pos, cols, anchor_mean, width, _ = classes[i]
+        rix = [pos[x] for x in xs if x in pos]
+        h = len(rix)
         miss = h < len(xs)
         # row j: base j's sum with each hit, then its own sum if a candidate
         # is outside the class, which adds nothing to the base
         sums = np.zeros((len(bases), h + miss))
-        rows = np.array(hit).reshape(h, width)
+        rows = _gather(table, rix, cols)
         # the only (hits, width) arrays; a single base overwrites rows
         spare = rows if len(bases) == 1 else np.empty_like(rows)
         empty = []
         for j, base in enumerate(bases):
-            best = _class_minima(row_of, base)
+            best = _class_minima(views, pos, cols, base)
             if best is None:
                 empty.append(j)
                 np.add.reduce(rows, axis=1, out=sums[j, :h])
@@ -294,13 +331,12 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
         for j in empty:  # f_i is exactly 0.0 on a set with no class member
             out[j, h] = 0.0
         col = count()
-        return out.take([next(col) if x in row_of else h for x in xs],
+        return out.take([next(col) if x in pos else h for x in xs],
                         axis=1).T
 
-    F = ObjectiveFamily(GroundSet(len(vectors), vectors),
-                        [make(*c) for c in classes])
+    F = ObjectiveFamily(GroundSet(n, vectors), [make(*c) for c in classes])
     F._block = block
-    F._table_floats = sum(width ** 2 for _, _, width in classes)
+    F._table_floats = sum(width ** 2 for *_, width, _ in classes)
     return F
 
 

@@ -518,10 +518,14 @@ class ThresholdManager:
         return solution_from_sets(self.F, best.S, best.T, self.ell, self.k)
 
     def all_solutions(self) -> list[tuple[float, TwoStageSolution]]:
-        """Every surviving (threshold, solution) pair, ordered by exponent."""
-        return [(state.tau,
-                 solution_from_sets(self.F, state.S, state.T, self.ell, self.k))
-                for _, state in sorted(self.instances.items())]
+        """Every surviving (threshold, solution) pair, ordered by exponent.
+
+        The instances of a group hold the same sets, so their evals are
+        served from one memo scope (see ``ObjectiveFamily.value``)."""
+        with self.F._memo_scope():
+            return [(state.tau, solution_from_sets(self.F, state.S, state.T,
+                                                   self.ell, self.k))
+                    for _, state in sorted(self.instances.items())]
 
 
 def run_streaming(stream: Iterable[int], F: ObjectiveFamily, epsilon: float,

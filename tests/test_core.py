@@ -364,6 +364,10 @@ BAD_INPUTS = [
      "element ids must be integers, got None"),
     ("value ids ('a', 1)", lambda F: F.value(0, ["a", 1]), TypeError,
      "element ids must be integers, got 'a'"),
+    # a generator is made a tuple before the sort consumes it
+    ("value ids generator (None, 1)",
+     lambda F: F.value(0, (x for x in (None, 1))), TypeError,
+     "element ids must be integers, got None"),
     ("marginal set {0, 'a'}", lambda F: marginal(F, 0, 1, {0, "a"}),
      TypeError, "element ids must be integers, got 'a'"),
     ("rep set {0, None}", lambda F: rep(F, 0, 1, {0, None}), TypeError,
@@ -376,6 +380,10 @@ BAD_INPUTS = [
     ("ThresholdManager process 0.5",
      lambda F: ThresholdManager(F, 0.5, 5, 2).process(0.5), TypeError,
      "element ids must be integers, got 0.5"),
+    # the memo lookup runs first there, and a list does not hash
+    ("ThresholdManager process [1]",
+     lambda F: ThresholdManager(F, 0.5, 5, 2).process([1]), TypeError,
+     re.escape("element ids must be integers, got [1]")),
     ("solution_from_sets uncontained",
      lambda F: solution_from_sets(F, {0}, [{1}, {0}], 3, 2), ValueError,
      "per-function solution not contained in summary"),

@@ -26,7 +26,8 @@ from twostage.distributed import distributed_fast, replacement_distributed
 from twostage.greedy import replacement_greedy
 from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
                                  _exemplar_tables, exemplar_family,
-                                 facility_family, make_synthetic)
+                                 exemplar_value, facility_family,
+                                 make_synthetic)
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
                                 _check_trace_bound, exchange, run_know_opt)
@@ -218,11 +219,40 @@ def test_exemplar_tables_match_per_class_build(seed, integral, shape):
     got = _exemplar_tables(vectors, class_count)
     want = ref_exemplar_tables(vectors, class_count)
     assert len(got) == len(want) == class_count
-    for (omega, table, anchor), (r_omega, r_table, r_anchor) in zip(got, want):
+    # the shared layout is one (|U|, |U|) table, the other one per class
+    tables = {id(table): table.shape for _, table, _, _, _ in got}
+    if shared:
+        assert list(tables.values()) == [(used, used)]
+    else:
+        assert sorted(tables.values()) == sorted((w, w) for w in widths)
+    for (omega, table, rows, cols, anchor), (r_omega, r_table, r_anchor) in \
+            zip(got, want):
         assert np.array_equal(omega, r_omega)
-        assert np.array_equal(table, r_table)
+        assert (cols is None) == (len(table) == len(omega))
+        clipped = table[rows] if cols is None else table[np.ix_(rows, cols)]
+        assert np.array_equal(clipped, r_table)
         assert np.array_equal(anchor, r_anchor)
         assert anchor.mean() == r_anchor.mean()
+
+
+@pytest.mark.parametrize("one_label", [False, True],
+                         ids=["shared table", "per-class tables"])
+def test_exemplar_singletons_equal_exemplar_value(one_label):
+    # f_i((e,)) is served from the values filled at build time; every e,
+    # in the class or not, gets exemplar_value's number, with the shared
+    # table's class columns or the class's own table
+    vectors = table_features(np.random.default_rng(3), 90, 6, 4, False,
+                             one_label)
+    tables = _exemplar_tables(vectors, 4)
+    assert (len({id(table) for _, table, _, _, _ in tables}) == 1) != one_label
+    assert any(cols is not None for _, _, _, cols, _ in tables) != one_label
+    F = exemplar_family(vectors, 4)
+    none = vectors[:0]
+    for i, (omega, _, _, _, _) in enumerate(tables):
+        members = vectors[omega]
+        for e in range(len(vectors)):
+            selected = vectors[[e]] if e in omega else none
+            assert F.value(i, (e,)) == exemplar_value(members, selected)
 
 
 @settings(max_examples=60, deadline=None)

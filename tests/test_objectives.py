@@ -194,6 +194,26 @@ class TestExemplarFamily:
         assert F.m == 20
         assert peak - start <= bound
 
+    def test_shared_build_memory_is_one_table_plus_blocks(self):
+        # the overlapping input's classes share one |U| x |U| table; each
+        # class adds its n singleton values and its own (small) row map.
+        # Per-class tables would hold about 25 MiB
+        vectors = self.build_input(True)
+        n, m = vectors.shape
+        used = int((vectors > 0).any(axis=1).sum())
+        bound = (used ** 2 + n * m + 4 * _DIST_BLOCK_FLOATS) * 8
+        assert sum(int(w) ** 2 for w in (vectors > 0).sum(axis=0)) * 8 > \
+            2 * bound
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            F = exemplar_family(vectors, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert F.m == m
+        assert peak - start <= bound
+
     @pytest.mark.parametrize("overlap", [True, False])
     def test_build_work_is_the_smaller_pass(self, overlap, monkeypatch):
         # distance terms: |U|^2 * columns for one pass over the used

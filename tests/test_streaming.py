@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage import cli, distributed, oracle, streaming
-from twostage.core import NonFiniteValueError, evaluate_solution
+from twostage.core import (NonFiniteValueError, evaluate_solution,
+                           solution_from_sets)
 from twostage.distributed import distributed_fast, pseudo_streaming
 from twostage.objectives import exemplar_family, make_synthetic
 from twostage.oracle import brute_force_opt
@@ -19,8 +20,8 @@ from twostage.streaming import (MAX_INSTANCE_SLOTS, MAX_INSTANCES,
                                 ThresholdManager, exchange, run_know_opt,
                                 run_streaming)
 
-from conftest import (NON_FINITE, float_features, modular_family,
-                      poisoned_family)
+from conftest import (NON_FINITE, float_features, kernel_counted,
+                      modular_family, poisoned_family)
 
 
 def fresh_state(F, ell, k, tau, alpha=1.0):
@@ -433,6 +434,24 @@ class TestEvalMemo:
         mgr.process(0)
         assert None not in seen
         assert len({id(memo) for memo in seen}) == 2
+
+    def test_all_solutions_evaluates_the_sets_of_a_group_once(self):
+        """The instances of a group hold the same sets: ``all_solutions``
+        gives the solutions and the evals of evaluating each instance on
+        its own, outside a memo, with fewer objective calls."""
+        F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
+        mgr = ThresholdManager(F, 0.2, 4, 2).run(range(40))
+        live = sorted(mgr.instances.items())
+        assert len({id(state.group) for _, state in live}) < len(live)
+        before, made = F.evals, calls[0]
+        got = mgr.all_solutions()
+        evals, objective_calls = F.evals - before, calls[0] - made
+        assert F._memo is None
+        before, made = F.evals, calls[0]
+        want = [(state.tau, solution_from_sets(F, state.S, state.T, 4, 2))
+                for _, state in live]
+        assert (got, evals) == (want, F.evals - before)
+        assert objective_calls < calls[0] - made
 
 
 @pytest.mark.parametrize("family", [

@@ -38,6 +38,10 @@ BAD_INPUTS = ("tests/test_core.py::"
 EXEMPLAR_SHAPES = "tests/test_exactness.py::test_exemplar_block_kernel_shapes"
 EXEMPLAR_BLOCK = ("tests/test_exactness.py::"
                   "test_exemplar_block_kernel_is_bit_identical")
+EXEMPLAR_SINGLETONS = ("tests/test_exactness.py::"
+                       "test_exemplar_singletons_equal_exemplar_value")
+SHARED_BUILD = ("tests/test_objectives.py::TestExemplarFamily::"
+                "test_shared_build_memory_is_one_table_plus_blocks")
 
 
 class Mutant(NamedTuple):
@@ -73,6 +77,13 @@ MUTANTS = (
     Mutant("value without check_ids", "src/twostage/core.py",
            "        _check_ids(key, self._n)\n", "",
            (BAD_INPUTS,)),
+    Mutant("value without the tuple of its ids", "src/twostage/core.py",
+           "            ids = tuple(ids)\n", "            pass\n",
+           (BAD_INPUTS,)),
+    Mutant("value's memo lookup without check_ids", "src/twostage/core.py",
+           "a list, a set\n                _check_ids(ids, self._n)\n",
+           "a list, a set\n",
+           (BAD_INPUTS,)),
     Mutant("evaluate_solution without the length check",
            "src/twostage/core.py",
            "    if len(sol.per_function) != F.m:\n"
@@ -88,6 +99,20 @@ MUTANTS = (
            "            out[j, h] = 0.0\n",
            "            out[j, h] = anchor_mean - sums[j, h] / width\n",
            (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
+    Mutant("exemplar layout choice inverted", "src/twostage/objectives.py",
+           "if used.size ** 2 <= sum(", "if used.size ** 2 > sum(",
+           (SHARED_BUILD, EXEMPLAR_SINGLETONS)),
+    Mutant("exemplar singletons summed over the full shared row",
+           "src/twostage/objectives.py",
+           "np.add.reduce(_gather(table, rows[s:s + step], cols), axis=1)",
+           "np.add.reduce(_gather(table, rows[s:s + step], None), axis=1)",
+           (EXEMPLAR_SINGLETONS,)),
+    Mutant("all_solutions without its memo scope",
+           "src/twostage/streaming.py",
+           "        with self.F._memo_scope():\n            return [(state.tau",
+           "        if True:\n            return [(state.tau",
+           ("tests/test_streaming.py::TestEvalMemo::"
+            "test_all_solutions_evaluates_the_sets_of_a_group_once",)),
     Mutant("validate without the objective check", "src/twostage/cli.py",
            "        if self.objective not in OBJECTIVES:\n", "        if False:\n",
            (BAD_INPUTS, "tests/test_cli.py::TestMain::test_unknown_objective"
