@@ -29,35 +29,35 @@ objective, and they are still counted one ``value`` call each:
 
 * the memo, for repeats within one streaming element or one call of
   ``ThresholdManager.all_solutions``.  ``ThresholdManager.process`` opens
-  ``_memo_scope`` around each element and probes it once per group of
-  threshold instances holding the same sets; the memo serves every (i,
-  set) evaluated again within the element, such as the sets that leaders
-  of different groups share, without calling f_i.  ``all_solutions``
-  opens one around its instances, whose groups repeat the same (i, T_i).
+  ``_memo_scope`` around each element and probes it once per run of
+  threshold instances sharing one state; the memo serves every (i, set)
+  evaluated again within the element, such as the sets that the leaders
+  of different runs share, without calling f_i.  ``all_solutions`` opens
+  one around its instances, whose runs repeat the same (i, T_i).
   The memo stores only sorted, checked keys, so a sorted tuple is found
   there as given, and any other set by its sorted key (see
   ``ObjectiveFamily.value``).
-* the values of earlier calls.  A leader records each of its probe's
-  counted evals as ``(i, ids, v)`` (``_Sets.probe``'s ``calls``), and each
-  other member of its group (a follower) replays them, one ``value`` call
-  each with ``v`` passed as ``served`` (see below), so a replay calls no
-  f_i, sorts nothing and skips the memo.  Likewise, a member that adopts
-  the new state its group's first accepter built makes that accepter's
-  ``_Sets.add`` evals again, each served the new state's ``base[i]``
-  (``streaming._Group.accept``).
+* the values of earlier calls, in ``ThresholdManager.process``.  The
+  first instance of a run (its leader) records each of its probe's
+  counted evals as ``(i, ids, v)`` (``_Sets.probe``'s ``calls``), and
+  every later instance of the run makes them again, one ``value`` call
+  each with ``v`` passed as ``served`` (see below), so it calls no f_i,
+  sorts nothing and skips the memo.  Likewise, every accepter after the
+  run's first takes the new state that the first built and makes its
+  ``_Sets.add`` evals again, each served the new state's ``base[i]``.
 * the values of F's block kernel.  ``_Sets._block_values`` hands each
   function's table entry's bases to ``F._block(i, bases, xs)`` and gets
   every base plus x for a block of candidates at once; each value is
   passed to its ``value`` call as ``served``, which counts it and returns
   it, when finite, before the memo, the sort or the id check.  The blocks
   are greedy's (``_Sets.probes``), and those of a long-lived streaming
-  group over the arrivals ahead (``streaming._Lookahead``), whose leader
-  records its served values like any other.  When a greedy round's
+  state over the arrivals ahead (``streaming._Lookahead``), whose leaders
+  record their served values like any other.  When a greedy round's
   candidates fit in one block, the ``_Sets`` keeps that block, and a
   later round asks the kernel again only for the functions whose table
   entry changed; every other value is the one computed for the same
   candidate against the same T_i.  The kept block lives as long as the
-  ``_Sets``, one solver call, and a streaming group's as long as its
+  ``_Sets``, one solver call, and a streaming state's as long as the
   state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and the probe table to ``F._row(x, moves)``, if F
@@ -91,9 +91,11 @@ def _check_ids(ids: Iterable, n: int):
     ``replacement_greedy`` (its candidates), ``_Sets._block_values`` (a
     block's candidates, before any kernel call), ``_probe`` (a gain
     primitive's candidate), ``evaluate_solution`` (a summary) and
-    ``ObjectiveFamily.value`` (a set it does not find in the memo).  T_i
-    only ever holds checked ids, so the values served for its probe sets
-    (see the eval contract above) and the memo's keys need no check.
+    ``ObjectiveFamily.value`` (a set it does not find in the memo), which
+    is how ``ThresholdManager.process`` checks its arrival, in
+    ``F.singleton_average``'s first call.  T_i only ever holds checked
+    ids, so the values served for its probe sets (see the eval contract
+    above) and the memo's keys need no check.
     Where a set's ids fail to sort (None or a string among integers) or,
     in ``value``'s memo lookup, to hash (a list), ``value`` and ``_key``
     check them here, so the error names the id.
@@ -212,7 +214,7 @@ class ObjectiveFamily:
         (``pseudo_streaming``), whose candidate comes last.  Any other set
         is sorted and looked up again, such as the frozensets of
         ``evaluate_solution`` that ``ThresholdManager.all_solutions``
-        evaluates once per instance of a group; one not found has its ids
+        evaluates once per instance of a run; one not found has its ids
         checked (``_check_ids``) before it is counted.
         """
         try:
@@ -417,8 +419,8 @@ class _Sets:
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
         (function, j); without it they come from F's row kernel, less the
         offsets, if F has one, and otherwise every set is evaluated by f_i.
-        x must be a checked id (see ``_check_ids``).  ``calls``,
-        given only by ``streaming.exchange``, gets the ``(i, ids, v)`` of
+        x must be a checked id (see ``_check_ids``).  ``calls``, given
+        only by ``ThresholdManager.process``, gets the ``(i, ids, v)`` of
         each counted ``value`` call appended, in eval order: ``ids`` is the
         tuple passed and ``v`` the value returned, so that ``value(i, ids,
         v)`` makes the same counted eval again as a served one.

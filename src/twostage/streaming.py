@@ -1,17 +1,18 @@
 """Single-pass solvers: the exchange rule, a known-optimum variant, and the
 threshold-guessing framework that removes the need to know the optimum.
 
-The guessing framework maintains one independent exchange run per threshold
-on a geometric grid.  The grid is anchored to the running maximum of
-singleton averages, which provably brackets the optimum, so one of the
-surviving runs always carries a near-correct threshold.  Runs that hold
-the same sets share them (``StreamState.group``).
+The guessing framework maintains one independent exchange instance per
+threshold on a geometric grid.  The grid is anchored to the running maximum
+of singleton averages, which provably brackets the optimum, so one of the
+surviving instances always carries a near-correct threshold.  Instances
+that hold the same sets share one state, and those of one state form a run
+of consecutive exponents (see ``ThresholdManager``).
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter, index
+from operator import index
 from typing import Iterable
 
 from .core import (BLOCK_FLOATS, InvariantViolation, ObjectiveFamily,
@@ -35,21 +36,22 @@ BETA = 6.0
 MAX_INSTANCE_SLOTS = 10 ** 7
 
 # Largest instance_bound() a ThresholdManager accepts, whatever m and ell
-# are.  The instances of one group share one state (``_GroupState``), and a
+# are.  The instances of one run share one state (``_GroupState``), and a
 # manager's new instances share one empty state, so a live instance costs
-# about 150 bytes of its own (its handle, tau and slot in the instance
-# dict; 760 when each had its own state), and this many about 15 MB.  Each
-# distinct state costs about 540 bytes plus 24 per function when empty, and
-# filled to budget about 4.4 KB at m=5, k=ell=5 or 66 KB at m=10, k=ell=25,
-# mostly the probe table's k bases per function (tracemalloc, CPython 3.11).
-# A run holds far fewer distinct states than live instances (207 instances
-# on about 6 states on the stream-coverage shape at epsilon=0.02), but
-# nothing bounds them below the instance count.  In run, each state that
-# reaches the lookahead's price may add a block of up to LOOKAHEAD_FLOATS
-# floats (4 KiB) while a live instance holds it.  The cap also bounds one
+# about 70 bytes of its own, its exponent and slot in the instance dict
+# (150 with a handle and tau each, 760 when each had its own state), and
+# this many about 7 MB.  Each distinct state costs about 540 bytes plus 24
+# per function when empty, and filled to budget about 4.4 KB at m=5,
+# k=ell=5 or 66 KB at m=10, k=ell=25, mostly the probe table's k bases per
+# function (tracemalloc, CPython 3.11).  A manager holds far fewer
+# distinct states than live instances (207 instances on about 12 states on
+# the stream-coverage shape at epsilon=0.02), but nothing bounds them
+# below the instance count.  In run, each state that reaches the
+# lookahead's price may add a block of up to LOOKAHEAD_FLOATS floats
+# (4 KiB) while a live instance holds it.  The cap also bounds one
 # element's eval memo, which holds the m singletons plus at most m * (k + 2)
-# sets per live instance, and its groups, each of which records at most
-# m * k calls of its leader.  The tests need 5,708 at most.
+# sets per live instance, and its runs' leaders, each of which records at
+# most m * k calls.  The tests need 5,708 at most.
 MAX_INSTANCES = 10 ** 5
 
 
@@ -91,151 +93,101 @@ def _check_grid(epsilon: float, m: int, ell: int):
 
 
 class _GroupState(_Sets):
-    """The sets of one group of threshold instances: ``S``, ``T``, ``base``
-    and the probe table ``moves``, which no exchange changes once an
-    instance holds the state.  So the state itself is the group's token:
-    two instances share it exactly when they started together and accepted
-    the same elements (see ``exchange``).
+    """The sets of one run of threshold instances: ``S``, ``T``, ``base``
+    and the probe table ``moves``, which nothing changes once a
+    ``ThresholdManager`` holds the state, and ``trace``, the ever-in-T_i
+    sets on instrumented runs, else None.  So the state itself is the
+    run's token: two exponents share it exactly when they started together
+    and accepted the same elements.
 
     ``seen_evals`` and ``seen_probes`` are what its leaders have probed,
     for ``_Lookahead``: the evals made set by set (counted up to the
     price) and the elements.  ``kept`` is the lookahead's block of kernel
     values, if any, which stays valid while the state lives."""
 
-    __slots__ = ("ell", "alpha", "seen_evals", "seen_probes")
+    __slots__ = ("ell", "alpha", "trace", "seen_evals", "seen_probes")
 
-    def __init__(self, m: int, ell: int, k: int, alpha: float):
+    def __init__(self, m: int, ell: int, k: int, alpha: float,
+                 instrument: bool = False):
         check_budgets(ell, k)
         _check_alpha(alpha)
         super().__init__(m, k)
         self.ell = ell
         self.alpha = alpha
+        self.trace = [set() for _ in range(m)] if instrument else None
         self.seen_evals = self.seen_probes = 0
+
+    def accept(self, F: ObjectiveFamily, x: int, replaced: list,
+               gains: list):
+        """Apply x in place: ``_Sets.add``, which makes its counted base
+        evals, and x put in the trace sets of the functions it entered,
+        each as a new set, so that states may share trace sets."""
+        self.add(F, x, replaced, gains)
+        if self.trace is not None:
+            self.trace = [t | {x} if gain > 0 else t
+                          for t, gain in zip(self.trace, gains)]
 
     def accepted(self, F: ObjectiveFamily, x: int, replaced: list,
                  gains: list) -> "_GroupState":
-        """A new state: this one with x applied by ``_Sets.add``, which makes
-        its counted base evals.  This one is left as it is, and the new one
-        shares its unchanged T_i and table entries."""
+        """A new state: this one with x accepted.  This one is left as it
+        is, and the new one shares its unchanged T_i, table entries and
+        trace sets."""
         new = object.__new__(_GroupState)
         new.k, new.ell, new.alpha = self.k, self.ell, self.alpha
-        new.kept = None
+        new.kept, new.trace = None, self.trace
         new.S, new.T = set(self.S), self.T[:]
         new.base, new.moves = self.base[:], self.moves[:]
         new.seen_evals = new.seen_probes = 0
-        new.add(F, x, replaced, gains)
+        new.accept(F, x, replaced, gains)
         return new
 
 
-class StreamState:
-    """One exchange run (one threshold ``tau``): ``group``, the
-    ``_GroupState`` it shares with the other instances of its group, and
-    ``trace``, the ever-in-T_i sets on instrumented runs, else None.
+class StreamState(_GroupState):
+    """One exchange instance on its own: a ``_GroupState`` and its
+    threshold ``tau``, which ``exchange`` changes in place."""
 
-    ``S``, ``T``, ``base``, ``moves``, ``k``, ``ell`` and ``alpha`` read
-    the group state's.  A new state is empty and its own; ``group``, if
-    given, is an empty state to share instead, as the instances that a
-    ``ThresholdManager`` creates share one.  Accepting an element gives the
-    instance a new group state, and leaves the old one to the others."""
-
-    __slots__ = ("group", "tau", "trace")
+    __slots__ = ("tau",)
 
     def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
-                 instrument: bool = False, group: _GroupState | None = None):
-        self.group = _GroupState(m, ell, k, alpha) if group is None else group
+                 instrument: bool = False):
+        super().__init__(m, ell, k, alpha, instrument)
         self.tau = tau
-        self.trace = [set() for _ in range(m)] if instrument else None
-
-    S = property(attrgetter("group.S"))
-    T = property(attrgetter("group.T"))
-    base = property(attrgetter("group.base"))
-    moves = property(attrgetter("group.moves"))
-    k = property(attrgetter("group.k"))
-    ell = property(attrgetter("group.ell"))
-    alpha = property(attrgetter("group.alpha"))
-
-    def total(self) -> float:
-        return self.group.total()
 
 
-# A group state's leaders probe set by set until they have made this many
-# evals per function; only then may ``_Lookahead`` fill a block for it.  A
-# block costs m kernel calls, and an exemplar kernel call at 30 candidates
-# costs as much as about 6 (one base) to 11 (three bases) computed f_i
-# calls (19 and 32 us against about 3 us on a 2-core Xeon), but most of a
-# short-lived state's evals are memo hits.  On the distributed-exemplar
-# benchmark, a price of 16 made 2,420 kernel calls to save 5,291 f_i
-# calls, and was slower (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs);
-# at 64 its states never reach it, while on criterion 8's facility
-# instance, whose states live for up to 1,345 probes, 35 states reach it,
-# after 17 to 65 probes.
+# A state's leaders probe set by set until they have made this many evals
+# per function; only then may ``_Lookahead`` fill a block for it.  A block
+# costs m kernel calls, and an exemplar kernel call at 30 candidates costs
+# as much as about 6 (one base) to 11 (three bases) computed f_i calls (19
+# and 32 us against about 3 us on a 2-core Xeon), but most of a short-lived
+# state's evals are memo hits.  On the distributed-exemplar benchmark, a
+# price of 16 made 2,420 kernel calls to save 5,291 f_i calls, and was
+# slower (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs); at 64 its states
+# never reach it, while on criterion 8's facility instance, whose states
+# live for up to 1,345 probes, 35 states reach it, after 17 to 65 probes.
 KERNEL_CALL_EVALS = 64
 
 # The floats one lookahead block holds at most, k per function and arrival.
-# A run keeps a block per long-lived group state, where greedy keeps one in
-# all.  The exemplar run of test_grouped_run_keeps_no_tuple_per_exchange
-# peaks at 58 KiB with this, and at 80 KiB with BLOCK_FLOATS (23 KiB with
-# no lookahead); on criterion 8, halving it again cost fast about 25%.
+# A run keeps a block per long-lived state, where greedy keeps one in all.
+# The exemplar run of test_grouped_run_keeps_no_tuple_per_exchange peaks at
+# 48 KiB with this, and at 74 KiB with BLOCK_FLOATS (22 KiB with no
+# lookahead); on criterion 8, halving it again cost fast about 25%.
 LOOKAHEAD_FLOATS = BLOCK_FLOATS // 2
-
-
-class _Group:
-    """The moves of one element against the state of one group, and their
-    average gain: the group's first member to see the element (its leader)
-    probes, and every later one (a follower) reuses them.  ``calls`` are
-    the leader's counted evals, ``(i, ids, v)`` in eval order (see
-    ``_Sets.probe``), or None where the group has no followers.  ``new`` is
-    the state of the members that accept, once the first has built it."""
-
-    __slots__ = ("replaced", "gains", "avg", "calls", "new")
-
-    def __init__(self, m: int, replaced: list, gains: list,
-                 calls: list | None):
-        self.replaced = replaced
-        self.gains = gains
-        self.avg = sum(gains) / m
-        self.calls = calls
-        self.new = None
-
-    def replay(self, F: ObjectiveFamily):
-        """Make the leader's counted evals again for a follower: each is
-        served the value the leader's call returned, so no call reaches
-        f_i, the memo, the sort or the range check."""
-        value = F.value
-        for i, ids, v in self.calls:
-            value(i, ids, v)
-
-    def accept(self, F: ObjectiveFamily, u: int,
-               state: _GroupState) -> _GroupState:
-        """The group's state once u is accepted.  The first accepter builds
-        it from ``state`` (``_GroupState.accepted``); every later one adopts
-        it and makes the first's base evals again, each served the value
-        that the first's call returned."""
-        new = self.new
-        if new is None:
-            self.new = new = state.accepted(F, u, self.replaced, self.gains)
-        else:
-            value, T, base = F.value, new.T, new.base
-            for i, gain in enumerate(self.gains):
-                if gain > 0:
-                    value(i, T[i], base[i])
-        return new
 
 
 class _Lookahead:
     """``ThresholdManager.run``'s buffered stream and the position ``t`` of
-    the element in process.  What the leaders of a group have probed is
-    kept on its state (``_GroupState.seen_evals``, ``seen_probes`` and
+    the element in process.  What the leaders of a state have probed is
+    kept on the state (``_GroupState.seen_evals``, ``seen_probes`` and
     ``kept``), so it goes with the state.
 
-    A group's leaders probe set by set until they have made
+    A state's leaders probe set by set until they have made
     ``KERNEL_CALL_EVALS`` evals per function.  Then a leader that finds no
-    row for its element fills the group's block (``_Sets._block_values``)
-    over the element and the arrivals after it: as many as the group's
+    row for its element fills the state's block (``_Sets._block_values``)
+    over the element and the arrivals after it: as many as the state's
     leaders have probed, in at most ``LOOKAHEAD_FLOATS`` floats, and keeps
     it in ``kept``.  Arrivals that are not integer ids in range, are in S
     or repeat are left out, so they raise or are skipped where the scalar
-    path does.  A row holds one element's values against the group's
+    path does.  A row holds one element's values against the state's
     frozen sets, so it serves the element's later arrivals too."""
 
     def __init__(self, stream: list):
@@ -270,67 +222,52 @@ class _Lookahead:
         return vals[row_of[u]].tolist()
 
 
+def _average(gains: list, delta: float | None) -> float:
+    """The average of the gains; with delta given, InvariantViolation if it
+    exceeds delta, the running singleton maximum."""
+    avg = sum(gains) / len(gains)
+    if delta is not None and avg > delta + TOL:
+        raise InvariantViolation(
+            f"average gain {avg} exceeds the running singleton maximum {delta}")
+    return avg
+
+
 def exchange(F: ObjectiveFamily, u: int, state: StreamState,
-             delta: float | None = None, groups: dict | None = None,
-             ahead: _Lookahead | None = None) -> bool:
+             delta: float | None = None) -> bool:
     """Process one arriving element against one threshold's state.
 
-    Accepts u when the average thresholded gain reaches tau, then gives the
-    instance a new group state with the cached insertion/swap applied per
-    function; its old state is left as it was.  Duplicates and full
-    summaries are rejected without evaluating anything.  u is checked
-    (``_check_ids``) first, also when it would be rejected.
+    Accepts u when the average thresholded gain reaches tau, and applies
+    the cached insertion/swap per function to ``state`` in place
+    (``_GroupState.accept``).  Duplicates and full summaries are rejected
+    without evaluating anything.  u is checked (``_check_ids``) first, also
+    when it would be rejected.
 
     The per-function gain is ``nabla``'s: the raw move of u against T_i
     counts only if it reaches (alpha/k) * f_i(T_i), and a swap only if it
     is also positive; anything else contributes 0.  The moves come from
-    ``_Sets.probe`` and are applied by ``_Sets.add``.
-
-    ``groups``, if given, maps the group states already probed for u to
-    their ``_Group``: an instance whose state is there reuses its moves and
-    replays its leader's recorded evals instead of probing, and no replayed
-    eval calls f_i.  It replays before the id and S checks: its leader made
-    them on the same u against the same S, and every instance of one
-    manager has the same ell.  If it accepts, it adopts the state that the
-    group's first accepter built (``_Group.accept``).  ``ahead``, given
-    only by ``ThresholdManager.run``, may serve a leader's probe from its
-    group's block (see ``_Lookahead``).
+    ``_Sets.probe`` and are applied by ``_Sets.add``.  This is the rule of
+    one instance; ``ThresholdManager.process`` applies it to runs of
+    instances that share a state.
     """
-    shared = state.group
-    group = None if groups is None else groups.get(shared)
-    if group is not None:
-        group.replay(F)
-    else:
-        _check_ids((u,), F.ground.n)
-        if u in shared.S or len(shared.S) >= shared.ell:
-            return False
-        raws = None if ahead is None else ahead.row(F, u, shared)
-        calls = None if groups is None else []
-        group = _Group(F.m, *shared.probe(F, u, shared.alpha / shared.k, raws,
-                                          calls), calls)
-        if groups is not None:
-            groups[shared] = group
-    avg = group.avg
-    if delta is not None and avg > delta + TOL:
-        raise InvariantViolation(
-            f"average gain {avg} exceeds the running singleton maximum {delta}")
-    if avg < state.tau:
+    _check_ids((u,), F.ground.n)
+    if u in state.S or len(state.S) >= state.ell:
         return False
-
-    state.group = group.accept(F, u, shared)
+    replaced, gains = state.probe(F, u, state.alpha / state.k)
+    if _average(gains, delta) < state.tau:
+        return False
+    before = state.total()
+    state.accept(F, u, replaced, gains)
     if state.trace is not None:
-        for i, gain in enumerate(group.gains):
-            if gain > 0:
-                state.trace[i].add(u)
-        _check_trace_bound(F, state)
-        if state.total() - shared.total() < state.tau - TOL:
-            raise InvariantViolation(
-                "accepted element increased the objective by less than tau")
+        _check_accepted(F, state, before, state.tau)
     return True
 
 
-def _check_trace_bound(F: ObjectiveFamily, state: StreamState):
-    """f_i(T_i) must stay within a factor alpha/(alpha+1) of f_i over everything ever kept."""
+def _check_accepted(F: ObjectiveFamily, state: _GroupState, before: float,
+                    tau: float):
+    """The lemmas an acceptance at threshold tau keeps, checked on
+    instrumented states: f_i(T_i) stays within a factor alpha/(alpha+1) of
+    f_i over everything ever kept, and the total rose from ``before`` by at
+    least tau."""
     ratio = state.alpha / (state.alpha + 1.0)
     for i in range(F.m):
         allowed = ratio * F.value(i, state.trace[i])
@@ -338,6 +275,9 @@ def _check_trace_bound(F: ObjectiveFamily, state: StreamState):
             raise InvariantViolation(
                 f"function {i}: kept value {state.base[i]} fell below "
                 f"{ratio} of its ever-kept value")
+    if state.total() - before < tau - TOL:
+        raise InvariantViolation(
+            "accepted element increased the objective by less than tau")
 
 
 def run_know_opt(stream: Iterable[int], F: ObjectiveFamily, opt: float,
@@ -366,34 +306,39 @@ class ThresholdManager:
     lazily creates newly valid instances empty; elements seen before an
     instance existed could never have been accepted by it.
 
-    Instances that started together and accepted the same elements share
-    one state, ``StreamState.group``, which is also the group's token; the
-    instances the window creates share one empty state.  So memory follows
-    the distinct states, not the live instances, and each element is
-    probed once per group: the first instance of a group to see it (the
-    leader) runs ``_Sets.probe``, and every later one that can take it (a
-    follower) reuses the leader's moves and compares their average with its
-    own tau.  A follower still makes one counted ``F.value`` call for every
-    set the leader evaluated: it replays the leader's recorded calls, each
-    served the value the leader got (``_Group.replay``), so none calls f_i.
-    The first accepter builds the group's new state, copy-on-write, and the
-    later ones adopt it, making the first's base evals again as served
-    calls (``_Group.accept``); the rejecters keep the old state.
+    ``instances`` maps each live exponent l (tau = (1+epsilon)**l) to its
+    ``_GroupState``.  Exponents that started together and accepted the
+    same elements share one state, and those of one state form a run of
+    consecutive exponents: new ones join the empty state at the top, the
+    window drops the bottom, and an element splits a run where its average
+    gain meets the taus, the lower ones accepting.  So memory follows the
+    distinct states, not the live instances.
+
+    ``process`` walks the exponents in order.  A run's first (its leader)
+    probes the element (``_Sets.probe``), recording each counted eval as
+    ``(i, ids, v)``, and checks the average gain against delta; each later
+    one makes those evals again as ``value`` calls served the recorded
+    values, so none calls f_i.  Each compares the average with its own
+    tau.  The first accepter builds the new state, copy-on-write
+    (``_GroupState.accepted``), and each later one takes it, making the
+    first's base evals again as served calls; rejecters keep the old
+    state.  Outputs and evals are those of giving every instance its own
+    ``StreamState`` and calling ``exchange`` on it.  The element's id is
+    checked by ``F.singleton_average``'s first ``value`` call, before any
+    eval.
 
     Each element is processed inside one ``F._memo_scope()``, which serves
-    the (i, set)s that instances of different groups share without calling
-    f_i again.  In ``run``, on a family with a block kernel, the leaders of
-    a long-lived group are served from kernel blocks over the arrivals
-    ahead (see ``_Lookahead``).  The outputs and eval counts are those of a
-    run that gives every instance its own state and probes it without the
-    memo.
+    the (i, set)s that different runs share without calling f_i again.  In
+    ``run``, on a family with a block kernel, the leaders of a long-lived
+    state are served from kernel blocks over the arrivals ahead (see
+    ``_Lookahead``).
 
     The per-element bookkeeping is redone only when something changed.
     The window depends on delta alone, so ``update_thresholds`` moves it
     only when delta rises.  ``stored``, the elements the live instances
-    hold between them, is a running count: one more per accepted element,
-    and an instance's |S| less when the window drops it; ``peak_stored`` is
-    its largest value after an element.
+    hold between them, is a running count: one more per accepting
+    instance, and an instance's |S| less when the window drops it;
+    ``peak_stored`` is its largest value after an element.
 
     Raises ``InstanceBudgetError`` on construction when instance_bound() *
     F.m * ell exceeds ``MAX_INSTANCE_SLOTS`` or instance_bound() exceeds
@@ -416,8 +361,9 @@ class ThresholdManager:
         _check_grid(epsilon, F.m, ell)
         self.instrument = instrument
         self.delta = 0.0
-        self.instances: dict[int, StreamState] = {}  # exponent -> state
-        self._empty = _GroupState(F.m, ell, k, alpha)  # new instances share it
+        self.instances: dict[int, _GroupState] = {}  # exponent -> state
+        # the state of the new exponents
+        self._empty = _GroupState(F.m, ell, k, alpha, instrument)
         self.stored = 0  # sum of len(state.S) over the live instances
         self.peak_stored = 0
         self.max_instances = 0
@@ -464,12 +410,8 @@ class ThresholdManager:
             raise
         for l in [l for l in self.instances if l not in active]:
             self.stored -= len(self.instances.pop(l).S)
-        grid = 1.0 + self.epsilon
         for l in active:
-            if l not in self.instances:
-                self.instances[l] = StreamState(
-                    self.F.m, self.ell, self.k, self.alpha, grid ** l,
-                    instrument=self.instrument, group=self._empty)
+            self.instances.setdefault(l, self._empty)
         if self.instrument and len(self.instances) > self.instance_bound():
             raise InvariantViolation(
                 f"{len(self.instances)} live instances exceed the bound "
@@ -477,23 +419,47 @@ class ThresholdManager:
 
     def process(self, u: int):
         F, instances, ahead = self.F, self.instances, self._ahead
+        value, grid, step = F.value, 1.0 + self.epsilon, self.alpha / self.k
         with F._memo_scope():
             self.update_thresholds(u)
-            groups = {}
-            delta = self.delta
+            leader = None
             for l in sorted(instances):
-                if exchange(F, u, instances[l], delta=delta, groups=groups,
-                            ahead=ahead):
-                    self.stored += 1
+                state = instances[l]
+                if state is not leader:  # the first exponent of a run
+                    leader, calls, new = state, None, None
+                    if u in state.S or len(state.S) >= self.ell:
+                        continue
+                    calls = []
+                    raws = None if ahead is None else ahead.row(F, u, state)
+                    replaced, gains = state.probe(F, u, step, raws, calls)
+                    avg = _average(gains, self.delta)
+                elif calls is None:
+                    continue
+                else:
+                    for i, ids, v in calls:
+                        value(i, ids, v)
+                tau = grid ** l
+                if avg < tau:
+                    continue
+                if new is None:
+                    new = state.accepted(F, u, replaced, gains)
+                else:
+                    for i, gain in enumerate(gains):
+                        if gain > 0:
+                            value(i, new.T[i], new.base[i])
+                instances[l] = new
+                if new.trace is not None:
+                    _check_accepted(F, new, state.total(), tau)
+                self.stored += 1
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(self.peak_stored, self.stored)
 
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
         """``process`` each element in turn.  With F's block kernel the
-        stream is buffered, so that long-lived groups' leaders can be served
-        from blocks over the arrivals ahead (see ``_Lookahead``).  A block
-        goes with its state, when no live instance holds it, and the live
-        states' blocks go when the run ends."""
+        stream is buffered, so that long-lived states' leaders can be
+        served from blocks over the arrivals ahead (see ``_Lookahead``).  A
+        block goes with its state, when no live instance holds it, and the
+        live states' blocks go when the run ends."""
         if self.F._block is None:
             for u in stream:
                 self.process(u)
@@ -506,7 +472,7 @@ class ThresholdManager:
         finally:
             del self._ahead
             for state in self.instances.values():
-                state.group.kept = None
+                state.kept = None
         return self
 
     def best_solution(self) -> TwoStageSolution:
@@ -514,18 +480,19 @@ class ThresholdManager:
             return empty_solution(self.F.m, self.ell, self.k)
         # max keeps the first maximum, so ties go to the lowest exponent
         best = max((self.instances[l] for l in sorted(self.instances)),
-                   key=StreamState.total)
+                   key=_Sets.total)
         return solution_from_sets(self.F, best.S, best.T, self.ell, self.k)
 
     def all_solutions(self) -> list[tuple[float, TwoStageSolution]]:
         """Every surviving (threshold, solution) pair, ordered by exponent.
 
-        The instances of a group hold the same sets, so their evals are
+        The instances of a run hold the same sets, so their evals are
         served from one memo scope (see ``ObjectiveFamily.value``)."""
+        grid = 1.0 + self.epsilon
         with self.F._memo_scope():
-            return [(state.tau, solution_from_sets(self.F, state.S, state.T,
+            return [(grid ** l, solution_from_sets(self.F, state.S, state.T,
                                                    self.ell, self.k))
-                    for _, state in sorted(self.instances.items())]
+                    for l, state in sorted(self.instances.items())]
 
 
 def run_streaming(stream: Iterable[int], F: ObjectiveFamily, epsilon: float,

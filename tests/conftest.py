@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,109 @@ def float_features(n, classes, seed):
     vectors[rng.random((n, classes)) < 0.4] = 0.0
     vectors[0] = 1.0  # every class has a member
     return vectors
+
+
+def recorded_run(mgr, stream):
+    """Run the ThresholdManager ``mgr`` over ``stream`` and return one
+    record per element, a dict of:
+
+    * ``u``, the element; ``live``, the exponent -> state map once the
+      window has moved, and ``after``, the map once the element is done;
+    * ``probes``: each probe's ``(state, calls, row)``, its recorded
+      ``(i, ids, v)`` calls and whether a lookahead row served it;
+    * ``builds``: each ``_GroupState.accepted``'s ``(old, new, gains,
+      evals)``;
+    * ``served``: each ``F.value`` call given a served value outside a
+      probe and a build, as ``(i, ids, v, evals, f_calls, memo)``: the
+      evals and objective calls it made, and the memo's value of its
+      sorted set (None if the memo holds none).
+    """
+    from twostage.core import _Sets
+    from twostage.streaming import _GroupState
+
+    F, steps, inside, made = mgr.F, [], [0], [0]
+    update, process = mgr.update_thresholds, mgr.process
+    probe, accepted, value = _Sets.probe, _GroupState.accepted, F.value
+
+    def counted(f):
+        def g(key):
+            made[0] += 1
+            return f(key)
+        return g
+
+    def updated(u):
+        update(u)
+        steps.append({"u": u, "live": dict(mgr.instances), "probes": [],
+                      "builds": [], "served": []})
+
+    def processed(u):
+        process(u)
+        steps[-1]["after"] = dict(mgr.instances)
+
+    def probed(self, F, x, step=None, raws=None, calls=None):
+        inside[0] += 1
+        try:
+            return probe(self, F, x, step, raws, calls)
+        finally:
+            inside[0] -= 1
+            steps[-1]["probes"].append((self, calls, raws is not None))
+
+    def built(self, F, x, replaced, gains):
+        before = F.evals
+        inside[0] += 1
+        try:
+            new = accepted(self, F, x, replaced, gains)
+        finally:
+            inside[0] -= 1
+        steps[-1]["builds"].append((self, new, gains, F.evals - before))
+        return new
+
+    def served(i, ids, v=None):
+        if v is None or inside[0]:
+            return value(i, ids, v)
+        evals, calls = F.evals, made[0]
+        got = value(i, ids, v)
+        memo = None if F._memo is None else F._memo[i].get(
+            tuple(sorted(ids)))
+        steps[-1]["served"].append(
+            (i, ids, got, F.evals - evals, made[0] - calls, memo))
+        return got
+
+    functions = F._functions
+    F._functions = [counted(f) for f in functions]
+    mgr.update_thresholds, mgr.process, F.value = updated, processed, served
+    try:
+        with mock.patch.object(_Sets, "probe", probed), \
+                mock.patch.object(_GroupState, "accepted", built):
+            mgr.run(stream)
+    finally:
+        F._functions = functions
+        del mgr.update_thresholds, mgr.process, F.value
+    return steps
+
+
+def followers(step):
+    """``(l, state, calls, row)`` for each exponent of ``step`` after the
+    first of its run, where the run's leader probed the element, with the
+    leader's recorded calls and whether a lookahead row served it."""
+    probed = {id(s): (calls, row) for s, calls, row in step["probes"]}
+    seen = set()
+    for l, state in sorted(step["live"].items()):
+        if id(state) in seen and id(state) in probed:
+            yield (l, state, *probed[id(state)])
+        seen.add(id(state))
+
+
+def expected_served(step):
+    """The served calls ``step`` must show, in order: each follower makes
+    its leader's recorded calls again and, if it accepts, the base evals
+    of the state that the run's first accepter built, served its values."""
+    builds = {id(old): (new, gains) for old, new, gains, _ in step["builds"]}
+    want = []
+    for l, state, calls, _ in followers(step):
+        want += calls
+        if step["after"][l] is not state:
+            new, gains = builds[id(state)]
+            want += [(i, new.T[i], new.base[i])
+                     for i, gain in enumerate(gains) if gain > 0]
+    return want

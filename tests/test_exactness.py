@@ -30,9 +30,10 @@ from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
                                  make_synthetic)
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
-                                _check_trace_bound, exchange, run_know_opt)
+                                _check_accepted, exchange, run_know_opt)
 
-from conftest import float_features, kernel_counted
+from conftest import (expected_served, float_features, followers,
+                      kernel_counted, recorded_run)
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -413,10 +414,7 @@ def ref_exchange(F, u, state, delta=None):
             if state.trace is not None:
                 state.trace[i].add(u)
     if state.trace is not None:
-        _check_trace_bound(F, state)
-        if state.total() - before < state.tau - TOL:
-            raise InvariantViolation(
-                "accepted element increased the objective by less than tau")
+        _check_accepted(F, state, before, state.tau)
     return True
 
 
@@ -477,7 +475,7 @@ def test_exchange_matches_reference_driver(kind, seed, data):
     stream = data.draw(st.lists(st.integers(0, n - 1), max_size=20))
     new = StreamState(F.m, ell, k, alpha, tau, instrument=instrument)
     ref = StreamState(F.m, ell, k, alpha, tau, instrument=instrument)
-    ref.group.T = [set() for _ in range(F.m)]
+    ref.T = [set() for _ in range(F.m)]
     for u in stream:
         got = outcome(F, exchange, u, new, delta)
         want = outcome(F, ref_exchange, u, ref, delta)
@@ -721,7 +719,21 @@ def test_single_element_probes_never_call_the_block_kernel(kind):
 
 
 class RefThresholdManager(ThresholdManager):
-    """The manager without the per-element memo: every eval calls f_i."""
+    """The manager as the paper states it: each live exponent l has its own
+    ``StreamState`` at tau = (1+epsilon)**l, which plain ``exchange``
+    processes, with no memo, no shared states and no lookahead, so every
+    eval calls f_i (or F's row kernel)."""
+
+    def update_thresholds(self, u):
+        average = self.F.singleton_average(u)
+        if average > self.delta:
+            self.delta = average
+            grid, old = 1.0 + self.epsilon, self.instances
+            self.instances = {
+                l: old[l] if l in old else StreamState(
+                    self.F.m, self.ell, self.k, self.alpha, grid ** l,
+                    instrument=self.instrument)
+                for l in self._active_range()}
 
     def process(self, u):
         self.update_thresholds(u)
@@ -731,6 +743,11 @@ class RefThresholdManager(ThresholdManager):
         self.peak_stored = max(
             self.peak_stored,
             sum(len(state.S) for state in self.instances.values()))
+
+    def run(self, stream):
+        for u in stream:
+            self.process(u)
+        return self
 
 
 @contextmanager
@@ -768,19 +785,12 @@ def test_memoised_threshold_manager_matches_reference(kind, seed, data):
     F, calls = kernel_counted(stream_family(kind, n, m, seed))
     G, ref_calls = kernel_counted(stream_family(kind, n, m, seed))
     runs = []
-    probes, evaluating = [], []
     for manager, fam in ((ThresholdManager, F), (RefThresholdManager, G)):
         before = fam.evals
         mgr = manager(fam, epsilon, ell, k, alpha=alpha,
                       instrument=instrument)
         if manager is ThresholdManager:
-            def evaluates(args):
-                _, u, state = args[:3]
-                evaluating.append(u not in state.S and len(state.S) < ell)
-
-            with spy(_Sets, "probe", probes.append), \
-                    spy(streaming, "exchange", evaluates):
-                mgr.run(stream)
+            steps = recorded_run(mgr, stream)
         else:
             mgr.run(stream)
         runs.append((
@@ -794,64 +804,57 @@ def test_memoised_threshold_manager_matches_reference(kind, seed, data):
     # singleton average and again in the new instance's first exchange
     assert calls[0] <= ref_calls[0]
     assert (calls[0] < ref_calls[0]) == (mgr.max_instances >= 1)
-    # one probe per group of states that evaluates u; a positive delta
+    # one probe per run of states that evaluates u; a positive delta
     # creates at least two empty instances at once, and they share one
-    assert len(probes) <= sum(evaluating)
-    assert (len(probes) < sum(evaluating)) == (mgr.max_instances >= 2)
+    probes = evaluating = 0
+    for step in steps:
+        takers = [s for _, s in sorted(step["live"].items())
+                  if step["u"] not in s.S and len(s.S) < ell]
+        assert [s for s, *_ in step["probes"]] == list(dict.fromkeys(takers))
+        probes, evaluating = probes + len(step["probes"]), \
+            evaluating + len(takers)
+        assert [(i, ids, v) for i, ids, v, *_ in step["served"]] == \
+            expected_served(step)
+    assert (probes < evaluating) == (mgr.max_instances >= 2)
 
 
 def grouped_run(F, order):
     """Run ThresholdManager(F, 0.2, 6, 2) over ``order``, recording per
     element the summaries of the states that evaluate it, the probes made,
-    and each state's token before its exchange with the exchange's result."""
+    each live exponent's state before the element with whether it
+    accepted, and whether two live states are one exactly when they hold
+    the same sets."""
     mgr = ThresholdManager(F, 0.2, 6, 2)
-    update = mgr.update_thresholds
     steps = []
-
-    def snapshot(u):
-        update(u)
-        steps.append({"evaluating": [frozenset(s.S)
-                                     for s in mgr.instances.values()
-                                     if u not in s.S and len(s.S) < s.ell],
-                      "probes": 0, "exchanges": []})
-
-    def probed(args):
-        steps[-1]["probes"] += 1
-
-    original = streaming.exchange
-
-    def exchange_spy(F, u, state, **kwargs):
-        token = state.group
-        accepted = original(F, u, state, **kwargs)
-        steps[-1]["exchanges"].append((token, accepted))
-        return accepted
-
-    mgr.update_thresholds = snapshot
-    with spy(_Sets, "probe", probed), \
-            mock.patch.object(streaming, "exchange", exchange_spy):
-        for u in order:
-            mgr.process(u)
-            states = list(mgr.instances.values())
-            steps[-1]["tokens_match_sets"] = all(
-                (a.group is b.group) == (a.S == b.S)
-                and (a.group is not b.group or (a.T, a.base) == (b.T, b.base))
-                for a in states for b in states)
+    for step in recorded_run(mgr, order):
+        live, after = step["live"], step["after"]
+        states = list(after.values())
+        steps.append({
+            "evaluating": [frozenset(s.S) for s in live.values()
+                           if step["u"] not in s.S and len(s.S) < s.ell],
+            "probes": len(step["probes"]),
+            "exchanges": [(live[l], after[l] is not live[l]) for l in live],
+            "tokens_match_sets": all(
+                (a is b) == (a.S == b.S)
+                and (a is not b or (a.T, a.base) == (b.T, b.base))
+                for a in states for b in states)})
     return mgr, steps
 
 
-class MemoThresholdManager(ThresholdManager):
-    """The manager with the per-element memo but no groups: every instance
-    that can take an element probes it."""
+class MemoThresholdManager(RefThresholdManager):
+    """The reference with the per-element memo: every instance that can
+    take an element probes it, and repeated sets are memo-served."""
 
     def process(self, u):
         with self.F._memo_scope():
-            RefThresholdManager.process(self, u)
+            super().process(u)
 
 
 def test_threshold_manager_probes_once_per_group():
     """Instances holding equal sets probe each element once between them;
     the outputs and counts are the reference's, and f_i is called as often
-    as with the memo and no groups, so no follower's replay calls it."""
+    as with the memo and no shared states, so no follower's replay calls
+    it."""
     F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
     G = make_synthetic("coverage", 40, 3, seed=2)
     H, memo_calls = kernel_counted(G)
@@ -879,9 +882,10 @@ def test_threshold_manager_probes_once_per_group():
 
 
 def test_split_groups_never_share_again():
-    """Members of one group that accept an element leave it together and the
-    ones that reject keep it: after every element, two live states share a
-    token exactly when they hold the same S, T and base."""
+    """The instances of one run that accept an element leave its state
+    together and the ones that reject keep it: after every element, two
+    live exponents share a state exactly when they hold the same S, T and
+    base."""
     F = make_synthetic("coverage", 40, 3, seed=2)
     order = list(range(40))
     np.random.default_rng(2).shuffle(order)
@@ -990,51 +994,21 @@ def test_follower_replays_call_no_objective(kind):
     one eval per recorded call, which is one per set of its probe table,
     also when the leader was served from a lookahead block."""
     F = REPLAY_FAMILIES[kind]()
-    f_calls = [0]
-
-    def counted(f):
-        def g(key):
-            f_calls[0] += 1
-            return f(key)
-        return g
-
-    F._functions = [counted(f) for f in F._functions]
-    exchange, row = streaming.exchange, streaming._Lookahead.row
-    replay = streaming._Group.replay
-    current, rows = [], []  # the state in exchange; its leader's rows
-    served = {}  # id of a group -> whether its leader was served a row
-    replays = []  # (leader served, evals, recorded calls, table sets)
-
-    def exchange_spy(F, u, state, delta=None, groups=None, ahead=None):
-        token, leads = state.group, state.group not in groups
-        current[:] = [state]
-        rows.clear()
-        accepted = exchange(F, u, state, delta, groups, ahead)
-        if leads and token in groups:  # before any follower replays
-            served[id(groups[token])] = any(rows)
-        return accepted
-
-    def row_spy(self, F, u, state):
-        raws = row(self, F, u, state)
-        rows.append(raws is not None)
-        return raws
-
-    def replay_spy(group, F):
-        before, calls_before = F.evals, f_calls[0]
-        replay(group, F)
-        assert f_calls[0] == calls_before
-        replays.append((served[id(group)], F.evals - before, len(group.calls),
-                        sum(len(bases) for bases, _ in current[0].moves)))
-
     stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
-    with mock.patch.object(streaming, "exchange", exchange_spy), \
-            mock.patch.object(streaming._Group, "replay", replay_spy), \
-            mock.patch.object(streaming._Lookahead, "row", row_spy):
-        ThresholdManager(F, 0.5, 5, 2).run(stream)
-    assert replays and f_calls[0] > 0
-    for _, evals, calls, sets in replays:
-        assert evals == calls == sets
-    served_replays = sum(leader_served for leader_served, *_ in replays)
+    steps = recorded_run(ThresholdManager(F, 0.5, 5, 2), stream)
+    replays = []  # (leader served a row, recorded calls, table sets)
+    for step in steps:
+        for _, state, calls, row in followers(step):
+            replays.append((row, len(calls),
+                            sum(len(bases) for bases, _ in state.moves)))
+        assert [(i, ids, v) for i, ids, v, *_ in step["served"]] == \
+            expected_served(step)
+        assert all(evals == 1 and f_calls == 0
+                   for *_, evals, f_calls, _ in step["served"])
+    assert replays
+    for _, calls, sets in replays:
+        assert calls == sets
+    served_replays = sum(row for row, *_ in replays)
     if F._block is None:
         assert served_replays == 0
     else:  # both kinds of leader have followers
@@ -1044,42 +1018,49 @@ def test_follower_replays_call_no_objective(kind):
 @pytest.mark.parametrize("instrument", [False, True])
 @pytest.mark.parametrize("kind", sorted(REPLAY_FAMILIES))
 def test_shared_group_states_match_the_reference(kind, instrument):
-    """The instances of one group share one state.  The first to accept an
-    element builds the group's new state; every later accepter adopts it
-    and makes the first's base evals again, served, while the rejecters
-    keep the old one.  Outputs, live states, evals, peak_stored and
-    max_instances equal those of the reference, in which every instance
-    has its own state and evaluates everything on objectives without a
-    kernel; on instrumented runs, each accepter's trace checks make its
-    own evals."""
+    """The instances of one run share one state.  The first to accept an
+    element builds the run's new state; every later accepter takes it and
+    makes the first's base evals again, served, while the rejecters, the
+    run's upper end, keep the old one.  Outputs, live states, evals,
+    peak_stored and max_instances equal those of the reference, in which
+    every instance has its own state and evaluates everything on
+    objectives without a kernel; on instrumented runs, each accepter's
+    trace checks make its own evals."""
     F = REPLAY_FAMILIES[kind]()
-    accepted = []  # (group, state it accepted from, new state, evals)
-    accept = streaming._Group.accept
-
-    def recorded(group, F, u, state):
-        before = F.evals
-        new = accept(group, F, u, state)
-        accepted.append((group, state, new, F.evals - before))
-        return new
+    steps = []
 
     def run(manager, F):
         before = F.evals
         mgr = manager(F, 0.5, 5, 2, instrument=instrument)
-        mgr.run(np.random.default_rng(1).permutation(F.ground.n).tolist())
+        stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
+        if manager is ThresholdManager:
+            steps.extend(recorded_run(mgr, stream))
+        else:
+            mgr.run(stream)
         return (mgr.best_solution(), mgr.all_solutions(),
                 {l: (s.S, s.T, s.base, s.trace)
                  for l, s in mgr.instances.items()},
                 mgr.peak_stored, mgr.max_instances, F.evals - before)
 
-    with mock.patch.object(streaming._Group, "accept", recorded):
-        got = run(ThresholdManager, F)
-    assert got == run(RefThresholdManager, scalar_copy(F))
-    firsts = {}
-    for group, old, new, evals in accepted:
-        first = firsts.setdefault(id(group), (new, evals))
-        assert new is first[0] is not old and evals == first[1]
-        assert evals == sum(g > 0 for g in group.gains)
-    assert len(accepted) > 2 * len(firsts)  # most accepters adopt
+    assert run(ThresholdManager, F) == run(RefThresholdManager,
+                                           scalar_copy(F))
+    builds = accepters = 0
+    for step in steps:
+        live, after = step["live"], step["after"]
+        olds = [old for old, *_ in step["builds"]]
+        assert len(set(map(id, olds))) == len(olds)  # one build per run
+        for old, new, gains, evals in step["builds"]:
+            run_ls = sorted(l for l in live if live[l] is old)
+            took = [l for l in run_ls if after[l] is not old]
+            assert took == run_ls[:len(took)] and took
+            assert all(after[l] is new for l in took) and new is not old
+            assert evals == sum(g > 0 for g in gains)
+            builds, accepters = builds + 1, accepters + len(took)
+        assert all(after[l] is live[l] for l in live
+                   if live[l] not in olds)
+        assert [(i, ids, v) for i, ids, v, *_ in step["served"]] == \
+            expected_served(step)
+    assert accepters > 2 * builds  # most accepters take a built state
 
 
 @settings(max_examples=100, deadline=None)

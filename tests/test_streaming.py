@@ -3,6 +3,7 @@ import inspect
 import re
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from twostage.streaming import (MAX_INSTANCE_SLOTS, MAX_INSTANCES,
                                 ThresholdManager, exchange, run_know_opt,
                                 run_streaming)
 
-from conftest import (NON_FINITE, float_features, kernel_counted,
-                      modular_family, poisoned_family)
+from conftest import (NON_FINITE, expected_served, float_features,
+                      followers, kernel_counted, modular_family,
+                      poisoned_family, recorded_run)
 
 
 def fresh_state(F, ell, k, tau, alpha=1.0):
@@ -48,20 +50,6 @@ class TestExchange:
         state = fresh_state(F, ell=2, k=1, tau=100.0)
         assert not exchange(F, 0, state)
         assert state.S == set() and state.T == [(), ()]
-
-    def test_only_an_accepted_element_changes_the_group_token(
-            self, worked_instance):
-        """The group state is the token: an accepter gets a new one, and the
-        old one, which a rejecter keeps, is left as it was."""
-        F = worked_instance
-        low, high = (fresh_state(F, ell=2, k=1, tau=t) for t in (0.25, 100.0))
-        empty = high.group = low.group  # empty: one group
-        assert exchange(F, 0, low) and not exchange(F, 0, high)
-        assert low.group is not empty and high.group is empty
-        assert empty.S == set() and empty.T == [(), ()]
-        assert low.S == {0} and low.T == [(0,), (0,)]
-        again = fresh_state(F, ell=2, k=1, tau=0.25)
-        assert exchange(F, 1, again) and again.group is not low.group
 
     def test_duplicate_arrival_is_rejected(self, worked_instance):
         F = worked_instance
@@ -276,8 +264,20 @@ class TestThresholdManager:
         mgr = ThresholdManager(F, epsilon=1.0, ell=2, k=1)
         mgr.update_thresholds(0)
         assert mgr.delta == 3.0
-        taus = sorted(inst.tau for inst in mgr.instances.values())
+        assert sorted(mgr.instances) == [-2, -1, 0, 1]
+        taus = [tau for tau, _ in mgr.all_solutions()]
         assert taus == [0.25, 0.5, 1.0, 2.0]
+
+    def test_an_average_gain_equal_to_tau_is_accepted(self):
+        # at epsilon=1 the taus are powers of two, and element 0's average
+        # gain, (3 + 1) / 2, is exactly the top one
+        F = modular_family((3.0, 0.0), (1.0, 0.0))
+        mgr = ThresholdManager(F, epsilon=1.0, ell=2, k=1)
+        mgr.process(0)
+        assert [(tau, sorted(sol.summary)) for tau, sol
+                in mgr.all_solutions()] == [(0.25, [0]), (0.5, [0]),
+                                            (1.0, [0]), (2.0, [0])]
+        assert len(set(map(id, mgr.instances.values()))) == 1
 
     @pytest.mark.parametrize("delta", [
         0.004371363744640307, 0.0032842702814728075,  # the upper end's
@@ -322,9 +322,9 @@ class TestThresholdManager:
             before = set(mgr.instances)
             mgr.process(u)
             for l in set(mgr.instances) - before:
-                created_at[(l, id(mgr.instances[l]))] = (t, mgr.instances[l].tau)
-        for (l, _), (t, tau) in created_at.items():
-            replay = StreamState(F.m, 3, 2, 1.0, tau)
+                created_at[l] = t
+        for l, t in created_at.items():
+            replay = StreamState(F.m, 3, 2, 1.0, 2.0 ** l)
             for u in range(t):
                 assert not exchange(F, u, replay)
 
@@ -442,14 +442,15 @@ class TestEvalMemo:
         F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
         mgr = ThresholdManager(F, 0.2, 4, 2).run(range(40))
         live = sorted(mgr.instances.items())
-        assert len({id(state.group) for _, state in live}) < len(live)
+        assert len({id(state) for _, state in live}) < len(live)
         before, made = F.evals, calls[0]
         got = mgr.all_solutions()
         evals, objective_calls = F.evals - before, calls[0] - made
         assert F._memo is None
         before, made = F.evals, calls[0]
-        want = [(state.tau, solution_from_sets(F, state.S, state.T, 4, 2))
-                for _, state in live]
+        want = [((1.0 + mgr.epsilon) ** l,
+                 solution_from_sets(F, state.S, state.T, 4, 2))
+                for l, state in live]
         assert (got, evals) == (want, F.evals - before)
         assert objective_calls < calls[0] - made
 
@@ -458,7 +459,7 @@ class TestEvalMemo:
     lambda: make_synthetic("coverage", 40, 3, seed=5),
     lambda: exemplar_family(float_features(40, 4, 0), 4),
 ], ids=["coverage", "exemplar"])
-def test_memo_keys_and_replayed_sets_are_canonical(family, monkeypatch):
+def test_memo_keys_and_replayed_sets_are_canonical(family):
     """The memo only stores sorted tuples of ids in range, which is what
     lets ``value`` serve a tuple found there as given; and a follower
     replays its leader's recorded calls, one eval each: every call's set is
@@ -481,42 +482,32 @@ def test_memo_keys_and_replayed_sets_are_canonical(family, monkeypatch):
             stored.append(sum(map(len, F._memo)))
     F._memo_scope = checked_scope
 
-    exchange = streaming.exchange
-    states = []  # the state of each exchange, the last one in process
-
-    def tracked_exchange(F, u, state, **kwargs):
-        states.append(state)
-        return exchange(F, u, state, **kwargs)
-    monkeypatch.setattr(streaming, "exchange", tracked_exchange)
-
-    replay = streaming._Group.replay
-    replayed = []
-
-    def checked_replay(self, F):
-        before = F.evals
-        replay(self, F)
-        assert F.evals - before == len(self.calls) == sum(
-            len(bases) for bases, _ in states[-1].moves)
-        for i, ids, v in self.calls:
+    stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
+    mgr = ThresholdManager(F, 0.2, 4, 2)
+    replayed = 0
+    for step in recorded_run(mgr, stream):
+        replays = [call for _, _, calls, _ in followers(step)
+                   for call in calls]
+        for i, ids, v in replays:
             key = tuple(sorted(ids))
             assert list(key) == sorted(set(key))
             assert all(0 <= e < F.ground.n for e in key)
-            assert F._memo[i].get(key, v) == v
-        replayed.append(len(self.calls))
-    monkeypatch.setattr(streaming._Group, "replay", checked_replay)
-
-    stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
-    mgr = ThresholdManager(F, 0.2, 4, 2).run(stream)
+        served = step["served"]
+        assert [(i, ids, v) for i, ids, v, *_ in served] == \
+            expected_served(step)
+        assert all(evals == 1 and memo in (None, v)
+                   for _, _, v, evals, _, memo in served)
+        replayed += len(replays)
     assert len(stored) == F.ground.n and min(stored) > 0
-    assert sum(replayed) > 0 and mgr.best_solution().value > 0
+    assert replayed > 0 and mgr.best_solution().value > 0
 
 
 def test_grouped_run_keeps_no_tuple_per_exchange():
-    """Grouping the instances by token allocates nothing per function per
-    exchange.  Keyed by ``tuple(state.T)`` instead, the m=20 run below peaked
-    near 370 KiB on CPython 3.11, whose free list keeps every freed 20-slot
-    tuple and never reuses one; keyed by the shared group state, it peaks
-    near 58 KiB, lookahead blocks included."""
+    """Finding the runs of instances by their shared state allocates
+    nothing per function per exchange.  Keyed by ``tuple(state.T)``
+    instead, the m=20 run below peaked near 370 KiB on CPython 3.11, whose
+    free list keeps every freed 20-slot tuple and never reuses one; by the
+    state itself, it peaks near 48 KiB, lookahead blocks included."""
     F = exemplar_family(float_features(160, 20, 0), 20)
     mgr = ThresholdManager(F, 0.5, 10, 3)
     _, peak, _ = traced_growth(lambda: mgr.run(range(160)))
@@ -547,10 +538,11 @@ def traced_growth(call):
 
 
 def test_fine_grid_run_grows_with_distinct_states():
-    """At epsilon=0.02, 207 instances live on about 6 distinct states.
-    With one state per group the run below peaks near 85 KiB on CPython
-    3.11; with a copy of S, T, base and the probe table per instance it
-    peaked near 575 KiB."""
+    """At epsilon=0.02, 207 instances live on about 12 distinct states.
+    With the exponents mapped straight to their states the run below peaks
+    near 43 KiB on CPython 3.11; with a handle per instance on shared
+    states it peaked near 85 KiB, and with a copy of S, T, base and the
+    probe table per instance near 575 KiB."""
     F = make_synthetic("coverage", 300, 5, seed=1)
     order = np.random.default_rng(1).permutation(300).tolist()
     mgr = ThresholdManager(F, 0.02, 10, 3)
@@ -563,8 +555,9 @@ def test_instances_of_one_group_hold_one_state_between_them():
     """At m=10 and k=ell=25 a state filled to budget holds ten probe-table
     entries of 25 bases each: about 66 KB on CPython 3.11.  With equal
     weights every live instance takes every element, so all of them share
-    one such state, and each adds only its own tau and handle, about 170 B
-    (with a state per instance, each cost about 67 KB)."""
+    one such state, and each adds only its slot in the instance dict,
+    about 72 B (170 B with a handle and tau per instance, and about 67 KB
+    with a state per instance)."""
     F = modular_family(*[(1.0,) * 40] * 10)
 
     def fill_one():
@@ -578,10 +571,48 @@ def test_instances_of_one_group_hold_one_state_between_them():
         lambda: ThresholdManager(F, 0.1, 25, 25).run(range(40)))
     live = list(mgr.instances.values())
     assert all(len(t) == 25 for t in one.T)
-    assert len(live) == 53 and len({id(s.group) for s in live}) == 1
+    assert len(live) == 53 and len({id(s) for s in live}) == 1
     assert live[0].T == one.T
     assert state_bytes > 60_000
-    assert (held - state_bytes) / len(live) < 256
+    assert (held - state_bytes) / len(live) < 128
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["modular", "coverage", "facility", "exemplar"]),
+       epsilon=st.sampled_from([0.02, 0.2, 1.0]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_each_state_holds_one_run_of_exponents(kind, epsilon, seed, data):
+    """After every element of ``run``, with the lookahead on (at any price)
+    where F has a block kernel, each distinct live state holds one run of
+    consecutive exponents, and two exponents share a state exactly when
+    they hold equal S, T and base."""
+    n = 10
+    m = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    ell = data.draw(st.integers(k, k + 3))
+    stream = data.draw(st.lists(st.integers(0, n - 1), max_size=25))
+    price = data.draw(st.sampled_from([0, streaming.KERNEL_CALL_EVALS]))
+    F = (exemplar_family(float_features(n, m, seed), m) if kind == "exemplar"
+         else make_synthetic(kind, n, m, seed))
+    mgr = ThresholdManager(F, epsilon, ell, k)
+    process = mgr.process
+
+    def checked(u):
+        process(u)
+        live = sorted(mgr.instances.items())
+        assert [l for l, _ in live] == list(range(live[0][0],
+                                                  live[-1][0] + 1)) if live \
+            else mgr.delta == 0
+        runs = [s for i, (_, s) in enumerate(live)
+                if i == 0 or s is not live[i - 1][1]]
+        assert len(set(map(id, runs))) == len(runs)
+        sets = [(s.S, s.T, s.base) for s in runs]
+        assert all(a != b for i, a in enumerate(sets) for b in sets[i + 1:])
+
+    mgr.process = checked
+    with mock.patch.object(streaming, "KERNEL_CALL_EVALS", price):
+        mgr.run(stream)
+    assert F._memo is None
 
 
 @pytest.mark.parametrize("family, stream", [

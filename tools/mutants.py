@@ -42,6 +42,9 @@ EXEMPLAR_SINGLETONS = ("tests/test_exactness.py::"
                        "test_exemplar_singletons_equal_exemplar_value")
 SHARED_BUILD = ("tests/test_objectives.py::TestExemplarFamily::"
                 "test_shared_build_memory_is_one_table_plus_blocks")
+GOLDEN_STREAM = "tests/test_exactness.py::test_golden_threshold_manager_run"
+SHARED_STATES = ("tests/test_exactness.py::"
+                 "test_shared_group_states_match_the_reference")
 
 
 class Mutant(NamedTuple):
@@ -57,7 +60,7 @@ MUTANTS = (
            "inside = 0 <= index(e) < n", "inside = index(e) or True",
            (BAD_INPUTS,)),
     Mutant("exchange without check_ids", "src/twostage/streaming.py",
-           "        _check_ids((u,), F.ground.n)\n", "",
+           "    _check_ids((u,), F.ground.n)\n", "",
            (BAD_INPUTS, "tests/test_streaming.py::TestKnowOpt::"
                         "test_bad_ids_raise_also_after_the_summary_is_full")),
     Mutant("replacement_greedy without check_ids", "src/twostage/greedy.py",
@@ -109,10 +112,32 @@ MUTANTS = (
            (EXEMPLAR_SINGLETONS,)),
     Mutant("all_solutions without its memo scope",
            "src/twostage/streaming.py",
-           "        with self.F._memo_scope():\n            return [(state.tau",
-           "        if True:\n            return [(state.tau",
+           "        with self.F._memo_scope():\n            return [(grid ** l",
+           "        if True:\n            return [(grid ** l",
            ("tests/test_streaming.py::TestEvalMemo::"
             "test_all_solutions_evaluates_the_sets_of_a_group_once",)),
+    Mutant("threshold test at <=", "src/twostage/streaming.py",
+           "                if avg < tau:\n", "                if avg <= tau:\n",
+           ("tests/test_streaming.py::TestThresholdManager::"
+            "test_an_average_gain_equal_to_tau_is_accepted",)),
+    # the outputs and evals stay the same: only the probes and the
+    # sharing show it
+    Mutant("every instance its own leader", "src/twostage/streaming.py",
+           "                if state is not leader:", "                if True:",
+           ("tests/test_exactness.py::"
+            "test_threshold_manager_probes_once_per_group",
+            "tests/test_streaming.py::"
+            "test_instances_of_one_group_hold_one_state_between_them")),
+    Mutant("followers without the replay", "src/twostage/streaming.py",
+           "                    for i, ids, v in calls:\n"
+           "                        value(i, ids, v)\n",
+           "                    pass\n",
+           (GOLDEN_STREAM, SHARED_STATES)),
+    Mutant("adopters without their served base evals",
+           "src/twostage/streaming.py",
+           "                            value(i, new.T[i], new.base[i])\n",
+           "                            pass\n",
+           (GOLDEN_STREAM, SHARED_STATES)),
     Mutant("validate without the objective check", "src/twostage/cli.py",
            "        if self.objective not in OBJECTIVES:\n", "        if False:\n",
            (BAD_INPUTS, "tests/test_cli.py::TestMain::test_unknown_objective"
