@@ -25,55 +25,49 @@ The eval contract: every counted evaluation is exactly one call to
 adds one to ``F.evals``.  ``F.evals`` is the logical count, the paper's cost
 measure: a code path performs the same evals every time it runs.  Four
 sources serve evals from values already computed rather than from the
-objective, and they are still counted one ``value`` call each:
+objective; each is still one ``value`` call, passed the value as
+``served`` (see ``ObjectiveFamily.value``), which for a finite value
+calls no f_i and sorts and checks nothing:
 
-* the memo, for repeats within one streaming element or one call of
-  ``ThresholdManager.all_solutions``.  ``ThresholdManager.process`` opens
-  ``_memo_scope`` around each element and probes it once per run of
-  threshold instances sharing one state; the memo serves every (i, set)
-  evaluated again within the element, such as the sets that the leaders
-  of different runs share, without calling f_i.  ``all_solutions`` opens
-  one around its instances, whose runs repeat the same (i, T_i).
-  The memo stores only sorted, checked keys, so a sorted tuple is found
-  there as given, and any other set by its sorted key (see
-  ``ObjectiveFamily.value``).
-* the values of earlier calls, in ``ThresholdManager.process``.  The
-  first instance of a run (its leader) records each of its probe's
-  counted evals as ``(i, ids, v)`` (``_Sets.probe``'s ``calls``), and
-  every later instance of the run makes them again, one ``value`` call
-  each with ``v`` passed as ``served`` (see below), so it calls no f_i,
-  sorts nothing and skips the memo.  Likewise, every accepter after the
-  run's first takes the new state that the first built and makes its
-  ``_Sets.add`` evals again, each served the new state's ``base[i]``.
+* the element's probe dict, in ``ThresholdManager.process``.  It maps
+  each (i, T_i) that a leader (a run's first instance) probed for the
+  element to that function's raw move and recorded ``(i, ids, v)`` calls
+  (``_Sets.probe``'s ``seen``, one dict per function i); a later leader
+  that holds the same T_i makes those calls again and reuses the move.
+  Its (i, ()) entries are the element's singletons, which
+  ``update_thresholds`` computed.
+* the values of earlier calls.  ``_Sets.add`` serves each new T_i's eval
+  the value that the probe which chose the move got for that set.  In
+  ``ThresholdManager.process`` every later instance of a run makes its
+  leader's recorded calls again, and every accepter after the run's
+  first makes the first's ``add`` evals again, served the new state's
+  ``base[i]``.  ``ThresholdManager.all_solutions`` evaluates each
+  (i, T_i) of its states once and serves every later eval of it.
 * the values of F's block kernel.  ``_Sets._block_values`` hands each
   function's table entry's bases to ``F._block(i, bases, xs)`` and gets
-  every base plus x for a block of candidates at once; each value is
-  passed to its ``value`` call as ``served``, which counts it and returns
-  it, when finite, before the memo, the sort or the id check.  The blocks
-  are greedy's (``_Sets.probes``), and those of a long-lived streaming
-  state over the arrivals ahead (``streaming._Lookahead``), whose leaders
-  record their served values like any other.  When a greedy round's
-  candidates fit in one block, the ``_Sets`` keeps that block, and a
-  later round asks the kernel again only for the functions whose table
-  entry changed; every other value is the one computed for the same
-  candidate against the same T_i.  The kept block lives as long as the
-  ``_Sets``, one solver call, and a streaming state's as long as the
-  state.
+  every base plus x for a block of candidates at once, and each probe is
+  served its row.  The blocks are greedy's (``_Sets.probes``), and those
+  of a long-lived streaming state over the arrivals ahead
+  (``streaming._Lookahead``), whose leaders record their served values
+  like any other.  When a greedy round's candidates fit in one block, the
+  ``_Sets`` keeps that block, and a later round asks the kernel again
+  only for the functions whose table entry changed; every other value is
+  the one computed for the same candidate against the same T_i.  The kept
+  block lives as long as the ``_Sets``, one solver call, and a streaming
+  state's as long as the state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
-  kernel values hands x and the probe table to ``F._row(x, moves)``, if F
-  has one, and gets f_i(b + (x,)) for every base b of every function's
-  entry, in plain Python (the coverage family ORs its bitmasks); each
-  value, less the offset, is passed to its ``value`` call as ``served``.
-  So every coverage probe is served: streaming leaders, greedy and
-  ``run_know_opt``.
+  kernel values hands x and each function's bases that it probes to
+  ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each,
+  in plain Python (the coverage family ORs its bitmasks); each value,
+  less the offset, is served to its ``value`` call.  So every coverage
+  probe is served: streaming leaders, greedy and ``run_know_opt``.
 
-Nothing else is memoised.  No served value's ids are checked again; see
+Nothing is memoised.  No served value's ids are checked again; see
 ``_check_ids`` for where they were.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite
 from operator import index
@@ -91,14 +85,13 @@ def _check_ids(ids: Iterable, n: int):
     ``replacement_greedy`` (its candidates), ``_Sets._block_values`` (a
     block's candidates, before any kernel call), ``_probe`` (a gain
     primitive's candidate), ``evaluate_solution`` (a summary) and
-    ``ObjectiveFamily.value`` (a set it does not find in the memo), which
-    is how ``ThresholdManager.process`` checks its arrival, in
-    ``F.singleton_average``'s first call.  T_i only ever holds checked
+    ``ObjectiveFamily.value`` (every set it is not served a value for),
+    which is how ``ThresholdManager.process`` checks its arrival, in
+    ``update_thresholds``' first singleton.  T_i only ever holds checked
     ids, so the values served for its probe sets (see the eval contract
-    above) and the memo's keys need no check.
-    Where a set's ids fail to sort (None or a string among integers) or,
-    in ``value``'s memo lookup, to hash (a list), ``value`` and ``_key``
-    check them here, so the error names the id.
+    above) need no check.  Where a set's ids fail to sort (None or a
+    string among integers), ``value`` and ``_key`` check them here, so
+    the error names the id.
     """
     for e in ids:
         try:
@@ -154,18 +147,17 @@ class ObjectiveFamily:
     Functions are normalized at construction so that every member evaluates
     to exactly 0 on the empty set.  Every set evaluation increments ``evals``;
     the complexity regression tests depend on that count being deterministic
-    for a fixed code path.  ``_memo`` is None, or one dict per function from
-    sorted key to value while a ``_memo_scope`` is open.  ``_block`` is None
-    or the family's block kernel ``_block(i, bases, xs)``: the raw f_i(b +
-    (x,)) for each x of ``xs`` and each b of ``bases``, one probe-table
-    entry's (see ``_moves``), with shape (len(xs), len(bases)).
+    for a fixed code path.  ``_block`` is None or the family's block
+    kernel ``_block(i, bases, xs)``: the raw f_i(b + (x,)) for each x of
+    ``xs`` and each b of ``bases``, one probe-table entry's (see
+    ``_moves``), with shape (len(xs), len(bases)).
     ``_table_floats`` is the logical number of floats in the tables the
     kernel reads, as if each function kept its own, whatever the family
     stores (0 without a kernel); it sizes the blocks of ``_Sets.probes``.
-    ``_row`` is None or the family's row kernel ``_row(x, moves)``: for a
-    probe table ``moves`` (``_Sets.moves``) and an x in none of its bases,
-    one list per function i of the raw f_i(b + (x,)) for each base b of
-    ``moves[i]``.  It suits a family whose sets cost less to evaluate than
+    ``_row`` is None or the family's row kernel ``_row(i, x, bases)``: for
+    one function's probe-table bases (``_Sets.moves[i][0]``) and an x in
+    none of them, the list of the raw f_i(b + (x,)) for each base b.  It
+    suits a family whose sets cost less to evaluate than
     one numpy call, and it serves every ``_Sets.probe`` that is given no
     kernel values (see the eval contract above).
     """
@@ -179,7 +171,6 @@ class ObjectiveFamily:
         self._m = len(self._functions)
         self._n = ground.n
         self.evals = 0
-        self._memo = None
         self._block = None
         self._row = None
         self._table_floats = 0
@@ -198,24 +189,15 @@ class ObjectiveFamily:
         (None, a string) raises ``TypeError``, one out of range
         ``ValueError``, and every call that passes the checks is counted.
         Internal: ``served`` is a normalized value already computed for this
-        set, by a block or row kernel or by an earlier call; if it is
-        finite, it is counted and returned next, without the memo, the sort
-        or the id check, and without checking that ``i`` is an integer
-        (the callers that serve pass a loop index).  Any other call raises
-        ``TypeError`` unless ``i`` is an integer.  While a memo scope is
-        open, a set already evaluated in it returns the stored value without
-        calling f_i; a non-finite value raises and is never stored.  Ids
-        that are not a tuple are made one first, so that a generator
-        outlives the sort for the id check.  The memo's keys are sorted and
-        were checked when stored, so a tuple found there as given is a
-        canonical repeat: it is counted and served without being sorted.
-        The sets that are found so are ``_Sets.add``'s new T_i, which its
-        probe evaluated, and the probe sets of sorted arrivals
-        (``pseudo_streaming``), whose candidate comes last.  Any other set
-        is sorted and looked up again, such as the frozensets of
-        ``evaluate_solution`` that ``ThresholdManager.all_solutions``
-        evaluates once per instance of a run; one not found has its ids
-        checked (``_check_ids``) before it is counted.
+        set, by a block or row kernel or by an earlier call (see the eval
+        contract above); if it is finite, it is counted and returned next,
+        without the sort or the id check, and without checking that ``i``
+        is an integer (the callers that serve pass a loop index).  Any other
+        call raises ``TypeError`` unless ``i`` is an integer, sorts the ids
+        and checks them (``_check_ids``) before it is counted, and calls f_i
+        on the sorted tuple; a non-finite value raises.  Ids that are not a
+        tuple are made one first, so that a generator outlives the sort for
+        the id check.
         """
         try:
             if not 0 <= i < self._m:
@@ -232,51 +214,20 @@ class ObjectiveFamily:
         except TypeError:
             raise TypeError(
                 f"function index must be an integer, got {i!r}") from None
-        memo = self._memo
         if type(ids) is not tuple:  # a generator must outlive the sort
             ids = tuple(ids)
-        if memo is not None:
-            try:
-                v = memo[i].get(ids)
-            except TypeError:  # an id that does not hash: a list, a set
-                _check_ids(ids, self._n)
-                raise
-            if v is not None:
-                self.evals += 1
-                return v
         try:
             key = tuple(sorted(ids))
         except TypeError:  # an id that does not sort: None, a string
             _check_ids(ids, self._n)
             raise
-        if memo is not None:
-            v = memo[i].get(key)
-            if v is not None:
-                self.evals += 1
-                return v
         _check_ids(key, self._n)
         self.evals += 1
         v = float(self._functions[i](key)) - self._offsets[i]
         if not isfinite(v):
             raise NonFiniteValueError(
                 f"function {i} evaluated to {v} on the set {key}")
-        if memo is not None:
-            memo[i][key] = v
         return v
-
-    @contextmanager
-    def _memo_scope(self):
-        """Serve repeated evals from a fresh memo until the block exits.
-
-        The memo the block replaces, if any, is restored on exit, also when
-        the block raises.
-        """
-        outer = self._memo
-        self._memo = [{} for _ in range(self._m)]
-        try:
-            yield
-        finally:
-            self._memo = outer
 
     def singleton_average(self, u: int) -> float:
         """(1/m) sum_i f_i({u}); the quantity the streaming threshold tracker maximizes."""
@@ -364,7 +315,8 @@ def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
           x: int, base: float, raw: list | None = None,
           calls: list | None = None) -> tuple:
     """Best single swap of x for some y in the sorted tuple ``key``:
-    ``(y, gain)``; the gain may be negative and ties go to the lowest y.
+    ``(y, gain, v)``, with v the value of the swapped set; the gain may be
+    negative and ties go to the lowest y.
 
     Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
     and must not contain x, ``(bases, key)`` is ``_moves(key, k)`` at
@@ -373,7 +325,7 @@ def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
     ``calls``, if given, gets each ``value`` call's ``(i, ids, v)`` appended.
     """
     best_y = None
-    best_gain = 0.0
+    best_gain = best_v = 0.0
     for j, y in enumerate(key):
         ids = bases[j] + (x,)
         v = value(i, ids) if raw is None else value(i, ids, raw[j])
@@ -381,9 +333,8 @@ def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
             calls.append((i, ids, v))
         gain = v - base
         if best_y is None or gain > best_gain:
-            best_gain = gain
-            best_y = y
-    return best_y, best_gain
+            best_gain, best_y, best_v = gain, y, v
+    return best_y, best_gain, best_v
 
 
 # The floats one block of ``_Sets.probes`` holds at most, k per function
@@ -411,50 +362,72 @@ class _Sets:
         self.kept = None  # greedy's or a lookahead's block, see ``_block_values``
 
     def probe(self, F: ObjectiveFamily, x: int, step: float | None = None,
-              raws: list | None = None, calls: list | None = None) -> tuple:
-        """The moves of x, not in S, as ``(replaced, gains)`` lists by function.
+              raws: list | None = None, calls: list | None = None,
+              seen: list | None = None) -> tuple:
+        """The moves of x, not in S, as ``(replaced, gains, values)`` lists
+        by function; ``values[i]`` is the value of the set that the move
+        would make T_i, which ``add`` is served.
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
         (function, j); without it they come from F's row kernel, less the
         offsets, if F has one, and otherwise every set is evaluated by f_i.
-        x must be a checked id (see ``_check_ids``).  ``calls``, given
-        only by ``ThresholdManager.process``, gets the ``(i, ids, v)`` of
+        x must be a checked id (see ``_check_ids``).
+
+        ``calls`` and ``seen`` are given, together, only by
+        ``ThresholdManager.process``.  ``calls`` gets the ``(i, ids, v)`` of
         each counted ``value`` call appended, in eval order: ``ids`` is the
         tuple passed and ``v`` the value returned, so that ``value(i, ids,
-        v)`` makes the same counted eval again as a served one.
+        v)`` makes the same counted eval again as a served one.  ``seen`` is
+        the element's probe dict, one dict per function: ``seen[i]`` maps
+        a T_i to the raw ``(replaced, gain, value)`` of x against it and
+        its calls.  A function found there makes those calls again and
+        reuses the move, with no f_i or kernel call; any other is probed
+        and stored there.
         """
         value = F.value
-        base = self.base
-        replaced = []
-        gains = []
-        if raws is None and F._row is not None:
-            raws = F._row(x, self.moves)
-            if any(F._offsets):  # v - 0.0 is v, so skip the copy
-                raws = [[v - off for v in row]
-                        for row, off in zip(raws, F._offsets)]
+        T, base = self.T, self.base
+        replaced, gains, values = [], [], []
+        row = F._row if raws is None else None
         for i, (bases, key) in enumerate(self.moves):
             b = base[i]
-            raw = raws and raws[i]
-            if key is not None:
-                r, g = _move(value, i, bases, key, x, b, raw, calls)
+            got = seen and seen[i].get(T[i])
+            if got:
+                r, g, v, made = got
+                for call in made:
+                    value(*call)
+                calls += made
             else:
-                ids = bases[0] + (x,)
-                v = value(i, ids) if raw is None else value(i, ids, raw[0])
-                if calls is not None:
-                    calls.append((i, ids, v))
-                r, g = None, v - b
+                made = None if seen is None else []
+                if row is None:
+                    raw = raws and raws[i]
+                else:
+                    raw = row(i, x, bases)
+                    if F._offsets[i]:  # v - 0.0 is v, so skip the copy
+                        raw = [v - F._offsets[i] for v in raw]
+                if key is not None:
+                    r, g, v = _move(value, i, bases, key, x, b, raw, made)
+                else:
+                    ids = bases[0] + (x,)
+                    v = value(i, ids) if raw is None else value(i, ids, raw[0])
+                    if made is not None:
+                        made.append((i, ids, v))
+                    r, g = None, v - b
+                if seen is not None:
+                    seen[i][T[i]] = r, g, v, made
+                    calls += made
             if not ((r is None or g > 0) and (step is None or g >= step * b)):
                 r, g = None, 0.0
             replaced.append(r)
             gains.append(g)
-        return replaced, gains
+            values.append(v)
+        return replaced, gains, values
 
     def probes(self, F: ObjectiveFamily, xs: Iterable[int]):
-        """Yield ``(x, replaced, gains)``, the ``probe`` of each distinct x
-        of xs not in S, in order of first appearance; the caller changes
-        nothing here until it is done.
+        """Yield ``(x, replaced, gains, values)``, the ``probe`` of each
+        distinct x of xs not in S, in order of first appearance; the caller
+        changes nothing here until it is done.
 
         With F's block kernel, the candidates' values come in blocks
         (``_block_values``), and each probe is served its row.  When they
@@ -504,10 +477,12 @@ class _Sets:
                 entries[i] = entry
         return vals, row_of
 
-    def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list):
+    def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list,
+            values: list):
         """Put x in S, and in each T[i] whose gain is positive, in place
-        of ``replaced[i]``; rebuild those ``moves[i]`` and re-evaluate
-        those ``base[i]``."""
+        of ``replaced[i]``; rebuild those ``moves[i]`` and make those
+        ``base[i]`` evals, each served ``values[i]``, the probe's value of
+        the new T[i] (see ``probe``)."""
         self.S.add(x)
         T = self.T
         for i, gain in enumerate(gains):
@@ -515,7 +490,7 @@ class _Sets:
                 T[i] = key = tuple(sorted([y for y in T[i] if y != replaced[i]]
                                           + [x]))
                 self.moves[i] = _moves(key, self.k)
-                self.base[i] = F.value(i, key)
+                self.base[i] = F.value(i, key, values[i])
 
     def total(self) -> float:
         return sum(self.base) / len(self.base)
@@ -546,7 +521,7 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
     bases, replaced = _moves(key, k)
     if replaced is None:
         return None, F.value(i, key + (x,)) - base
-    return _move(F.value, i, bases, replaced, x, base)
+    return _move(F.value, i, bases, replaced, x, base)[:2]
 
 
 def _key(F: ObjectiveFamily, A: Iterable[int]) -> tuple:

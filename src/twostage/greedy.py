@@ -41,12 +41,12 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     sets = _Sets(F.m, k)
     for _ in range(ell):
         best_total = 0.0
-        best = None  # (x, replaced, gains) of the best candidate so far
-        for x, replaced, gains in sets.probes(F, cands):
-            total = sum(gains)
+        best = None  # (x, replaced, gains, values) of the best so far
+        for move in sets.probes(F, cands):
+            total = sum(move[2])
             if total > best_total:  # strict: ties keep the lowest id
                 best_total = total
-                best = x, replaced, gains
+                best = move
         if best is None:
             break
         sets.add(F, *best)

@@ -356,26 +356,24 @@ class CoverageSpec:
 
 
 def _coverage_row(specs: Sequence[CoverageSpec]):
-    """The row kernel ``_row(x, moves)`` of the coverage functions ``specs``
-    (see ``ObjectiveFamily``): per function, the raw f_i(b + (x,)) of each
-    base b of its probe-table entry, by the same OR and ``bit_count`` as
-    ``CoverageSpec.value``.  OR is exact and order-free, so each value
-    equals f_i's on the sorted set.  Pure Python: at a few ids per base
-    this is cheaper than one numpy call."""
+    """The row kernel ``_row(i, x, bases)`` of the coverage functions
+    ``specs`` (see ``ObjectiveFamily``): the raw f_i(b + (x,)) of each base
+    b, by the same OR and ``bit_count`` as ``CoverageSpec.value``.  OR is
+    exact and order-free, so each value equals f_i's on the sorted set.
+    Pure Python: at a few ids per base this is cheaper than one numpy
+    call."""
     tables = [spec.masks for spec in specs]
 
-    def row(x: int, moves: list) -> list:
-        out = []
-        for masks, (bases, _) in zip(tables, moves):
-            mx = masks[x]
-            vals = []
-            for base in bases:
-                acc = mx
-                for e in base:
-                    acc |= masks[e]
-                vals.append(float(acc.bit_count()))
-            out.append(vals)
-        return out
+    def row(i: int, x: int, bases: list) -> list:
+        masks = tables[i]
+        mx = masks[x]
+        vals = []
+        for base in bases:
+            acc = mx
+            for e in base:
+                acc |= masks[e]
+            vals.append(float(acc.bit_count()))
+        return vals
     return row
 
 

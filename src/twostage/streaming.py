@@ -49,9 +49,9 @@ MAX_INSTANCE_SLOTS = 10 ** 7
 # below the instance count.  In run, each state that reaches the
 # lookahead's price may add a block of up to LOOKAHEAD_FLOATS floats
 # (4 KiB) while a live instance holds it.  The cap also bounds one
-# element's eval memo, which holds the m singletons plus at most m * (k + 2)
-# sets per live instance, and its runs' leaders, each of which records at
-# most m * k calls.  The tests need 5,708 at most.
+# element's probe dict, which holds the m singletons plus at most m entries
+# of k calls each per live instance, and its runs' leaders, each of which
+# records at most m * k calls.  The tests need 5,708 at most.
 MAX_INSTANCES = 10 ** 5
 
 
@@ -118,17 +118,17 @@ class _GroupState(_Sets):
         self.seen_evals = self.seen_probes = 0
 
     def accept(self, F: ObjectiveFamily, x: int, replaced: list,
-               gains: list):
+               gains: list, values: list):
         """Apply x in place: ``_Sets.add``, which makes its counted base
         evals, and x put in the trace sets of the functions it entered,
         each as a new set, so that states may share trace sets."""
-        self.add(F, x, replaced, gains)
+        self.add(F, x, replaced, gains, values)
         if self.trace is not None:
             self.trace = [t | {x} if gain > 0 else t
                           for t, gain in zip(self.trace, gains)]
 
     def accepted(self, F: ObjectiveFamily, x: int, replaced: list,
-                 gains: list) -> "_GroupState":
+                 gains: list, values: list) -> "_GroupState":
         """A new state: this one with x accepted.  This one is left as it
         is, and the new one shares its unchanged T_i, table entries and
         trace sets."""
@@ -138,7 +138,7 @@ class _GroupState(_Sets):
         new.S, new.T = set(self.S), self.T[:]
         new.base, new.moves = self.base[:], self.moves[:]
         new.seen_evals = new.seen_probes = 0
-        new.accept(F, x, replaced, gains)
+        new.accept(F, x, replaced, gains, values)
         return new
 
 
@@ -159,7 +159,8 @@ class StreamState(_GroupState):
 # costs m kernel calls, and an exemplar kernel call at 30 candidates costs
 # as much as about 6 (one base) to 11 (three bases) computed f_i calls (19
 # and 32 us against about 3 us on a 2-core Xeon), but most of a short-lived
-# state's evals are memo hits.  On the distributed-exemplar benchmark, a
+# state's evals repeat an (i, T_i) that another run probed in the same
+# element (the probe dict).  On the distributed-exemplar benchmark, a
 # price of 16 made 2,420 kernel calls to save 5,291 f_i calls, and was
 # slower (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs); at 64 its states
 # never reach it, while on criterion 8's facility instance, whose states
@@ -197,7 +198,7 @@ class _Lookahead:
     def row(self, F: ObjectiveFamily, u: int, state: _GroupState):
         """The kernel values of u, not in S, by (function, set) for
         ``state.probe``, or None if u is to be probed set by set."""
-        if not state.S:  # empty states: singletons, memo-served
+        if not state.S:  # empty states: the singletons, in the probe dict
             return None
         state.seen_probes += 1
         if state.kept is not None:
@@ -252,11 +253,11 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     _check_ids((u,), F.ground.n)
     if u in state.S or len(state.S) >= state.ell:
         return False
-    replaced, gains = state.probe(F, u, state.alpha / state.k)
+    replaced, gains, values = state.probe(F, u, state.alpha / state.k)
     if _average(gains, delta) < state.tau:
         return False
     before = state.total()
-    state.accept(F, u, replaced, gains)
+    state.accept(F, u, replaced, gains, values)
     if state.trace is not None:
         _check_accepted(F, state, before, state.tau)
     return True
@@ -324,14 +325,15 @@ class ThresholdManager:
     first's base evals again as served calls; rejecters keep the old
     state.  Outputs and evals are those of giving every instance its own
     ``StreamState`` and calling ``exchange`` on it.  The element's id is
-    checked by ``F.singleton_average``'s first ``value`` call, before any
+    checked by ``update_thresholds``' first ``value`` call, before any
     eval.
 
-    Each element is processed inside one ``F._memo_scope()``, which serves
-    the (i, set)s that different runs share without calling f_i again.  In
-    ``run``, on a family with a block kernel, the leaders of a long-lived
-    state are served from kernel blocks over the arrivals ahead (see
-    ``_Lookahead``).
+    The leaders of one element share its probe dict (``_Sets.probe``'s
+    ``seen``), seeded with the element's singletons, so each (i, T_i) that
+    several runs hold is probed once per element and made again by the
+    others as served calls.  In ``run``, on a family with a block kernel,
+    the leaders of a long-lived state are served from kernel blocks over
+    the arrivals ahead (see ``_Lookahead``).
 
     The per-element bookkeeping is redone only when something changed.
     The window depends on delta alone, so ``update_thresholds`` moves it
@@ -394,14 +396,17 @@ class ThresholdManager:
                 f"delta={self.delta} outside the float range") from None
         return range(l_lo, l_hi + 1)
 
-    def update_thresholds(self, u: int):
+    def update_thresholds(self, u: int) -> list:
         """Fold u's singleton average into delta and, if delta rose, move
-        the instance window: it depends on delta alone.  A rise whose
-        window is outside the float range raises ``ValueError`` and leaves
-        delta as it was."""
-        average = self.F.singleton_average(u)
+        the instance window: it depends on delta alone.  Returns u's
+        singleton values f_i({u}) by function.  A rise whose window is
+        outside the float range raises ``ValueError`` and leaves delta as
+        it was."""
+        F = self.F
+        singles = [F.value(i, (u,)) for i in range(F.m)]
+        average = sum(singles) / F.m  # as F.singleton_average(u)
         if not average > self.delta:
-            return
+            return singles
         delta, self.delta = self.delta, average
         try:
             active = self._active_range()
@@ -416,41 +421,44 @@ class ThresholdManager:
             raise InvariantViolation(
                 f"{len(self.instances)} live instances exceed the bound "
                 f"{self.instance_bound()}")
+        return singles
 
     def process(self, u: int):
         F, instances, ahead = self.F, self.instances, self._ahead
         value, grid, step = F.value, 1.0 + self.epsilon, self.alpha / self.k
-        with F._memo_scope():
-            self.update_thresholds(u)
-            leader = None
-            for l in sorted(instances):
-                state = instances[l]
-                if state is not leader:  # the first exponent of a run
-                    leader, calls, new = state, None, None
-                    if u in state.S or len(state.S) >= self.ell:
-                        continue
-                    calls = []
-                    raws = None if ahead is None else ahead.row(F, u, state)
-                    replaced, gains = state.probe(F, u, step, raws, calls)
-                    avg = _average(gains, self.delta)
-                elif calls is None:
+        # the empty T_i's move is u's singleton, which update_thresholds made
+        seen = [{(): (None, v, v, [(i, (u,), v)])}
+                for i, v in enumerate(self.update_thresholds(u))]
+        leader = None
+        for l in sorted(instances):
+            state = instances[l]
+            if state is not leader:  # the first exponent of a run
+                leader, calls, new = state, None, None
+                if u in state.S or len(state.S) >= self.ell:
                     continue
-                else:
-                    for i, ids, v in calls:
-                        value(i, ids, v)
-                tau = grid ** l
-                if avg < tau:
-                    continue
-                if new is None:
-                    new = state.accepted(F, u, replaced, gains)
-                else:
-                    for i, gain in enumerate(gains):
-                        if gain > 0:
-                            value(i, new.T[i], new.base[i])
-                instances[l] = new
-                if new.trace is not None:
-                    _check_accepted(F, new, state.total(), tau)
-                self.stored += 1
+                calls = []
+                raws = None if ahead is None else ahead.row(F, u, state)
+                replaced, gains, values = state.probe(F, u, step, raws, calls,
+                                                      seen)
+                avg = _average(gains, self.delta)
+            elif calls is None:
+                continue
+            else:
+                for i, ids, v in calls:
+                    value(i, ids, v)
+            tau = grid ** l
+            if avg < tau:
+                continue
+            if new is None:
+                new = state.accepted(F, u, replaced, gains, values)
+            else:
+                for i, gain in enumerate(gains):
+                    if gain > 0:
+                        value(i, new.T[i], new.base[i])
+            instances[l] = new
+            if new.trace is not None:
+                _check_accepted(F, new, state.total(), tau)
+            self.stored += 1
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(self.peak_stored, self.stored)
 
@@ -486,13 +494,23 @@ class ThresholdManager:
     def all_solutions(self) -> list[tuple[float, TwoStageSolution]]:
         """Every surviving (threshold, solution) pair, ordered by exponent.
 
-        The instances of a run hold the same sets, so their evals are
-        served from one memo scope (see ``ObjectiveFamily.value``)."""
-        grid = 1.0 + self.epsilon
-        with self.F._memo_scope():
-            return [(grid ** l, solution_from_sets(self.F, state.S, state.T,
-                                                   self.ell, self.k))
-                    for l, state in sorted(self.instances.items())]
+        Each solution is checked (``TwoStageSolution.check``) before its
+        evals, and each (i, T_i) that the live states hold is evaluated
+        once: every later eval of it, by another instance of its run or by
+        another state that holds the same T_i, is served that value."""
+        grid, F, known, out = 1.0 + self.epsilon, self.F, {}, []
+        for l, state in sorted(self.instances.items()):
+            sol = TwoStageSolution(frozenset(state.S),
+                                   tuple(map(frozenset, state.T)), 0.0,
+                                   self.ell, self.k)
+            sol.check()
+            values = []
+            for i, t in enumerate(state.T):
+                known[i, t] = v = F.value(i, t, known.get((i, t)))
+                values.append(v)
+            sol.value = sum(values) / F.m  # as evaluate_solution sums
+            out.append((grid ** l, sol))
+        return out
 
 
 def run_streaming(stream: Iterable[int], F: ObjectiveFamily, epsilon: float,

@@ -74,12 +74,15 @@ def recorded_run(mgr, stream):
       window has moved, and ``after``, the map once the element is done;
     * ``probes``: each probe's ``(state, calls, row)``, its recorded
       ``(i, ids, v)`` calls and whether a lookahead row served it;
+    * ``seen``: the element's probe dicts, one per function, as the
+      probes left them;
     * ``builds``: each ``_GroupState.accepted``'s ``(old, new, gains,
       evals)``;
     * ``served``: each ``F.value`` call given a served value outside a
-      probe and a build, as ``(i, ids, v, evals, f_calls, memo)``: the
-      evals and objective calls it made, and the memo's value of its
-      sorted set (None if the memo holds none).
+      probe and a build, as ``(i, ids, v, evals, f_calls, probed)``: the
+      evals and objective calls it made, and the value that a call of the
+      probe dict recorded for the same function and sorted set (None if
+      none did).
     """
     from twostage.core import _Sets
     from twostage.streaming import _GroupState
@@ -95,27 +98,29 @@ def recorded_run(mgr, stream):
         return g
 
     def updated(u):
-        update(u)
+        singles = update(u)
         steps.append({"u": u, "live": dict(mgr.instances), "probes": [],
-                      "builds": [], "served": []})
+                      "seen": [], "builds": [], "served": []})
+        return singles
 
     def processed(u):
         process(u)
         steps[-1]["after"] = dict(mgr.instances)
 
-    def probed(self, F, x, step=None, raws=None, calls=None):
+    def probed(self, F, x, step=None, raws=None, calls=None, seen=None):
         inside[0] += 1
         try:
-            return probe(self, F, x, step, raws, calls)
+            return probe(self, F, x, step, raws, calls, seen)
         finally:
             inside[0] -= 1
             steps[-1]["probes"].append((self, calls, raws is not None))
+            steps[-1]["seen"] = seen
 
-    def built(self, F, x, replaced, gains):
+    def built(self, F, x, replaced, gains, values):
         before = F.evals
         inside[0] += 1
         try:
-            new = accepted(self, F, x, replaced, gains)
+            new = accepted(self, F, x, replaced, gains, values)
         finally:
             inside[0] -= 1
         steps[-1]["builds"].append((self, new, gains, F.evals - before))
@@ -126,10 +131,12 @@ def recorded_run(mgr, stream):
             return value(i, ids, v)
         evals, calls = F.evals, made[0]
         got = value(i, ids, v)
-        memo = None if F._memo is None else F._memo[i].get(
-            tuple(sorted(ids)))
+        key = sorted(ids)
+        probed = next((w for *_, recorded in steps[-1]["seen"][i].values()
+                       for _, set_, w in recorded if sorted(set_) == key),
+                      None)
         steps[-1]["served"].append(
-            (i, ids, got, F.evals - evals, made[0] - calls, memo))
+            (i, ids, got, F.evals - evals, made[0] - calls, probed))
         return got
 
     functions = F._functions

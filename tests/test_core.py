@@ -98,50 +98,42 @@ def counted():
     return kernel_counted(modular_family((1.0, 2.0, 3.0, 4.0)))
 
 
-class TestEvalMemo:
-    def test_no_memo_outside_a_scope(self, counted):
+class TestValue:
+    """``value`` without a served value: every call sorts its ids, checks
+    them, counts one eval and calls f_i on the sorted tuple."""
+
+    def test_every_call_is_counted_and_computed(self, counted):
         F, calls = counted
         before = F.evals
         for _ in range(3):
             assert F.value(0, (2, 1)) == 5.0
-        assert (calls[0], F.evals - before) == (3, 3)
-        assert F._memo is None
-
-    def test_repeats_in_a_scope_are_counted_but_not_recomputed(self, counted):
-        F, calls = counted
-        before = F.evals
-        with F._memo_scope():
-            assert F.value(0, (2, 1)) == 5.0
-            assert F.value(0, [1, 2]) == 5.0
-            assert F.value(0, (3,)) == 4.0
-        assert (calls[0], F.evals - before) == (2, 3)
-        assert F._memo is None
+        assert F.value(0, [1, 2]) == 5.0
+        assert F.value(0, (3,)) == 4.0
+        assert (calls[0], F.evals - before) == (5, 5)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_value_raises_on_every_repeat(self, bad):
         F = poisoned_family(bad)
         before = F.evals
-        with F._memo_scope():
-            for _ in range(2):
-                with pytest.raises(NonFiniteValueError, match="function 1"):
-                    F.value(1, (3,))
-            assert (3,) not in F._memo[1]
+        for _ in range(2):
+            with pytest.raises(NonFiniteValueError, match="function 1"):
+                F.value(1, (3,))
         assert F.evals - before == 2
 
-    def test_out_of_range_ids_raise_in_a_scope(self, counted):
+    def test_out_of_range_ids_raise_before_f(self, counted):
         F, calls = counted
-        with F._memo_scope():
-            F.value(0, (1,))
-            with pytest.raises(ValueError, match="function index"):
-                F.value(1, (1,))
-            with pytest.raises(ValueError, match="element id"):
-                F.value(0, (1, 4))
-            assert F._memo == [{(1,): 2.0}]
+        F.value(0, (1,))
+        with pytest.raises(ValueError, match="function index"):
+            F.value(1, (1,))
+        with pytest.raises(ValueError, match="element id"):
+            F.value(0, (1, 4))
         assert calls[0] == 1
 
-    def test_sorted_repeat_is_counted_but_not_sorted_again(
-            self, counted, monkeypatch):
-        F, calls = counted
+    def test_every_set_is_sorted_and_f_gets_the_sorted_tuple(
+            self, monkeypatch):
+        keys = []
+        F = ObjectiveFamily(GroundSet(4), [lambda key: keys.append(key)
+                                           or float(sum(key))])
         sorts = []
 
         def spy(ids):
@@ -149,28 +141,20 @@ class TestEvalMemo:
             sorts.append(tuple(ids))
             return sorted(ids)
         monkeypatch.setattr(core, "sorted", spy, raising=False)
-        with F._memo_scope():
-            assert F.value(0, (2, 1)) == 5.0
-            before = F.evals
-            for _ in range(3):
-                assert F.value(0, (1, 2)) == 5.0
-            assert (F.evals - before, sorts) == (3, [(2, 1)])
-            assert F.value(0, (2, 1)) == 5.0  # found only once sorted
-        assert F.value(0, (1, 2)) == 5.0  # no memo: sorted and checked
-        assert sorts == [(2, 1), (2, 1), (1, 2)]
-        assert calls[0] == 2
+        keys.clear()
+        for ids in [(2, 1), (1, 2), (1, 2), [3, 0]]:
+            F.value(0, ids)
+        assert sorts == [(2, 1), (1, 2), (1, 2), (3, 0)]
+        assert keys == [(1, 2), (1, 2), (1, 2), (0, 3)]
 
-    def test_bad_function_index_raises_before_the_memo(self, counted):
+    def test_bad_function_index_raises_before_any_eval(self, counted):
         F, calls = counted
-        with F._memo_scope():
-            F.value(0, (1,))
-            before = F.evals
-            # memo[-1] is function 0's memo, which holds (1,)
-            for i in (-1, 1):
-                with pytest.raises(ValueError, match="function index"):
-                    F.value(i, (1,))
-            assert F.evals == before
-        assert calls[0] == 1
+        F.value(0, (1,))
+        before = F.evals
+        for i in (-1, 1):
+            with pytest.raises(ValueError, match="function index"):
+                F.value(i, (1,))
+        assert (F.evals, calls[0]) == (before, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -178,48 +162,23 @@ class TestEvalMemo:
         st.lists(st.integers(-1, 4), max_size=4),
         st.sampled_from([tuple, list, lambda ids: tuple(sorted(ids))])),
         max_size=30))
-    def test_a_scope_changes_no_value_error_or_count(self, calls):
-        """Inside a memo scope, any sequence of ``value`` calls (sets as
-        permuted or sorted tuples or as lists, with repeated and
-        out-of-range ids, and bad function indices) returns what it
-        returns outside one, raises the same errors and counts the same
-        evals; f_i runs once per distinct valid set."""
-        def run(F):
-            out = []
-            for i, ids, form in calls:
-                before = F.evals
-                try:
-                    got = F.value(i, form(ids))
-                except ValueError as e:
-                    got = type(e), str(e)
-                out.append((got, F.evals - before))
-            return out
-
+    def test_any_call_is_f_on_the_sorted_set_or_raises(self, calls):
+        """Any sequence of ``value`` calls (sets as permuted or sorted
+        tuples or as lists, with repeated and out-of-range ids, and bad
+        function indices) returns f_i on the sorted set, counting one eval
+        and one f_i call, or raises ValueError before either."""
         weights = (1.0, 2.0, 3.0, 4.0), (4.0, 3.0, 2.0, 1.0)
-        F, _ = kernel_counted(modular_family(*weights))
-        G, scoped_calls = kernel_counted(modular_family(*weights))
-        outside = run(F)
-        with G._memo_scope():
-            inside = run(G)
-        assert inside == outside
-        valid = {(i, tuple(sorted(ids))) for i, ids, _ in calls
-                 if 0 <= i < 2 and all(0 <= e < 4 for e in ids)}
-        assert scoped_calls[0] == len(valid)
-
-    def test_nested_scope_restores_the_outer_memo(self, counted):
-        F, calls = counted
-        with F._memo_scope():
-            F.value(0, (1,))
-            outer = F._memo
-            with F._memo_scope():
-                assert F._memo == [{}]
-                F.value(0, (1,))
-                F.value(0, (2,))
-            assert F._memo is outer
-            assert outer == [{(1,): 2.0}]
-            F.value(0, (1,))
-        assert calls[0] == 3
-        assert F._memo is None
+        F, made = kernel_counted(modular_family(*weights))
+        for i, ids, form in calls:
+            before, f_calls = F.evals, made[0]
+            if 0 <= i < 2 and all(0 <= e < 4 for e in ids):
+                want = float(sum(weights[i][e] for e in sorted(ids)))
+                assert F.value(i, form(ids)) == want
+                assert (F.evals - before, made[0] - f_calls) == (1, 1)
+            else:
+                with pytest.raises(ValueError):
+                    F.value(i, form(ids))
+                assert (F.evals, made[0]) == (before, f_calls)
 
 
 class TestServedValue:
@@ -380,7 +339,7 @@ BAD_INPUTS = [
     ("ThresholdManager process 0.5",
      lambda F: ThresholdManager(F, 0.5, 5, 2).process(0.5), TypeError,
      "element ids must be integers, got 0.5"),
-    # the memo lookup runs first there, and a list does not hash
+    # a list sorts as one id, and the id check names it
     ("ThresholdManager process [1]",
      lambda F: ThresholdManager(F, 0.5, 5, 2).process([1]), TypeError,
      re.escape("element ids must be integers, got [1]")),
@@ -401,8 +360,8 @@ BAD_INPUTS = [
     ("run --objective foo",
      lambda F: run_experiment(ExperimentConfig(objective="foo"), F),
      ConfigError, "unknown objective 'foo'"),
-    # each element processes in a fresh memo scope, so 2.0 is not served
-    # the value stored for 2
+    # no value of 2 is kept for 2.0 to be served: its singleton is
+    # sorted and checked
     ("ThresholdManager process 2.0 after 2",
      (lambda F: processed(ThresholdManager(F, 0.5, 5, 2), 2),
       lambda mgr: mgr.process(2.0)),

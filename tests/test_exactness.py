@@ -687,7 +687,6 @@ def test_swap_kernel_solvers_match_the_scalar_path(seed, kind, data):
     for solver, args in solves:
         # TwoStageSolution equality is summary, sets, value and budgets
         assert outcome(F, solver, *args) == outcome(G, solver, *args)
-        assert F._memo is None
 
 
 @pytest.mark.parametrize("kind", ["facility", "exemplar"])
@@ -721,8 +720,8 @@ def test_single_element_probes_never_call_the_block_kernel(kind):
 class RefThresholdManager(ThresholdManager):
     """The manager as the paper states it: each live exponent l has its own
     ``StreamState`` at tau = (1+epsilon)**l, which plain ``exchange``
-    processes, with no memo, no shared states and no lookahead, so every
-    eval calls f_i (or F's row kernel)."""
+    processes, with no probe dict, no shared states and no lookahead, so
+    every probe eval calls f_i (or F's row kernel)."""
 
     def update_thresholds(self, u):
         average = self.F.singleton_average(u)
@@ -773,7 +772,7 @@ def stream_family(kind, n, m, seed):
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(["modular", "coverage", "facility", "exemplar"]),
        seed=st.integers(0, 10 ** 6), data=st.data())
-def test_memoised_threshold_manager_matches_reference(kind, seed, data):
+def test_threshold_manager_matches_reference(kind, seed, data):
     n = 10
     m = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(1, 3))
@@ -799,7 +798,6 @@ def test_memoised_threshold_manager_matches_reference(kind, seed, data):
              for l, state in mgr.instances.items()},
             mgr.peak_stored, mgr.max_instances, fam.evals - before))
     assert runs[0] == runs[1]
-    assert F._memo is None
     # an element that creates an instance evaluates each (i, {u}) for the
     # singleton average and again in the new instance's first exchange
     assert calls[0] <= ref_calls[0]
@@ -841,23 +839,40 @@ def grouped_run(F, order):
     return mgr, steps
 
 
-class MemoThresholdManager(RefThresholdManager):
-    """The reference with the per-element memo: every instance that can
-    take an element probes it, and repeated sets are memo-served."""
+class DictThresholdManager(RefThresholdManager):
+    """The reference with the element's probe dict: every instance that can
+    take an element probes it, through one dict per element seeded with
+    the element's singletons, as ``ThresholdManager.process`` seeds it, so
+    each (i, T_i) is probed once per element."""
 
     def process(self, u):
-        with self.F._memo_scope():
-            super().process(u)
+        F, seen, probe = self.F, [], _Sets.probe
+
+        def singleton_average(u):
+            singles = [F.value(i, (u,)) for i in range(F.m)]
+            seen.extend({(): (None, v, v, [(i, (u,), v)])}
+                        for i, v in enumerate(singles))
+            return sum(singles) / F.m
+
+        def probed(state, F, x, step=None, raws=None, calls=None):
+            return probe(state, F, x, step, raws, [], seen)
+
+        F.singleton_average = singleton_average
+        try:
+            with mock.patch.object(_Sets, "probe", probed):
+                super().process(u)
+        finally:
+            del F.singleton_average
 
 
 def test_threshold_manager_probes_once_per_group():
     """Instances holding equal sets probe each element once between them;
     the outputs and counts are the reference's, and f_i is called as often
-    as with the memo and no shared states, so no follower's replay calls
-    it."""
+    as with the probe dict and no shared states, so no follower's replay
+    calls it."""
     F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
     G = make_synthetic("coverage", 40, 3, seed=2)
-    H, memo_calls = kernel_counted(G)
+    H, dict_calls = kernel_counted(G)
     order = list(range(40))
     np.random.default_rng(2).shuffle(order)
     before = F.evals
@@ -870,8 +885,8 @@ def test_threshold_manager_probes_once_per_group():
             mgr.peak_stored, mgr.max_instances) == \
         (ref.best_solution(), ref.all_solutions(), ref_evals,
          ref.peak_stored, ref.max_instances)
-    MemoThresholdManager(H, 0.2, 6, 2).run(order)
-    assert kernel_calls == memo_calls[0]
+    DictThresholdManager(H, 0.2, 6, 2).run(order)
+    assert kernel_calls == dict_calls[0]
     # the first element creates many empty instances, and one probe serves
     assert len(steps[0]["evaluating"]) > 1 and steps[0]["probes"] == 1
     # the stream has no repeats, so equal summaries mean one group
@@ -879,6 +894,25 @@ def test_threshold_manager_probes_once_per_group():
         assert step["probes"] == len(set(step["evaluating"]))
     assert sum(s["probes"] for s in steps) < \
         sum(len(s["evaluating"]) for s in steps) / 2
+
+
+@pytest.mark.parametrize("kind", ["modular", "facility", "exemplar"])
+def test_each_base_is_the_value_of_its_set(kind):
+    """``_Sets.add`` serves each new T_i's eval the probe's value of that
+    very set, which equals f_i on the sorted set (``==``), not base plus
+    gain: every base that greedy and the manager's live states hold is
+    what the same objectives without a kernel compute for its T_i."""
+    F = stream_family(kind, 40, 3, 2)
+    G = scalar_copy(F)
+    stream = np.random.default_rng(2).permutation(40).tolist()
+    mgr = ThresholdManager(F, 0.2, 6, 3).run(stream)
+    sets = _Sets(F.m, 3)
+    for _ in range(6):
+        sets.add(F, *max(sets.probes(F, range(40)),
+                         key=lambda move: sum(move[2])))
+        assert sets.base == [G.value(i, t) for i, t in enumerate(sets.T)]
+    for state in mgr.instances.values():
+        assert state.base == [G.value(i, t) for i, t in enumerate(state.T)]
 
 
 def test_split_groups_never_share_again():
@@ -955,7 +989,7 @@ LOOKAHEAD_FAMILIES = {
 def test_lookahead_run_matches_the_scalar_reference(kind, order):
     """ThresholdManager.run serves long-lived groups from kernel blocks, and
     its outputs, evals, peak_stored and max_instances equal those of the
-    manager without the memo, on the same objectives without a kernel."""
+    reference manager, on the same objectives without a kernel."""
     F = LOOKAHEAD_FAMILIES[kind]()
     stream = list(range(120))
     if order == "shuffled":
@@ -966,7 +1000,6 @@ def test_lookahead_run_matches_the_scalar_reference(kind, order):
     assert kernel and seen["fills"] > 0 and seen["served"] > seen["fills"]
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               0.5, 5, 2)
-    assert F._memo is None
 
 
 @pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
@@ -1084,7 +1117,6 @@ def test_lookahead_at_any_price_matches_the_scalar_reference(kind, seed, data):
         got = manager_run(ThresholdManager, F, stream, epsilon, ell, k, alpha)
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               epsilon, ell, k, alpha)
-    assert F._memo is None
 
 
 def poisoned_pair_family(bad):
@@ -1166,7 +1198,7 @@ def test_coverage_row_kernel_is_bit_identical(seed, data):
                                           k]))
         key = data.draw(st.permutations(others))[:size]
         moves.append(_moves(tuple(sorted(key)), k))
-    rows = F._row(x, moves)
+    rows = [F._row(i, x, bases) for i, (bases, _) in enumerate(moves)]
     assert [[v - F._offsets[i] for v in row] for i, row in enumerate(rows)] \
         == [[F.value(i, base + (x,)) for base in bases]
             for i, (bases, _) in enumerate(moves)]
@@ -1179,8 +1211,7 @@ def offset_coverage(n, m, seed):
     row, consts = F._row, [0.5 + i for i in range(m)]
     G = ObjectiveFamily(F.ground, [lambda ids, f=f, c=c: c + f(ids)
                                    for f, c in zip(F._functions, consts)])
-    G._row = lambda x, moves: [[c + v for v in vals]
-                               for c, vals in zip(consts, row(x, moves))]
+    G._row = lambda i, x, bases: [consts[i] + v for v in row(i, x, bases)]
     assert G._offsets == consts
     return G
 
@@ -1191,7 +1222,7 @@ def offset_coverage(n, m, seed):
 def test_coverage_solvers_match_without_the_row_kernel(seed, kind, data):
     """Greedy, both streaming solvers and distributed_fast on a family with
     a row kernel equal the same objectives without it, outputs and evals;
-    ThresholdManager's reference also has no memo and no groups."""
+    ThresholdManager's reference also has no probe dict and no groups."""
     n = data.draw(st.integers(4, 14))
     m = data.draw(st.integers(1, 3))
     F = (make_synthetic("coverage", n, m, seed) if kind == "coverage"
@@ -1220,7 +1251,7 @@ def test_coverage_solvers_match_without_the_row_kernel(seed, kind, data):
         assert manager_run(ThresholdManager, F, cands, epsilon, ell, k,
                            alpha) == \
             manager_run(RefThresholdManager, G, cands, epsilon, ell, k, alpha)
-    assert rows and F._memo is None
+    assert rows
 
 
 @pytest.mark.parametrize("bad, error", [(2.5, TypeError), (-1, ValueError),
@@ -1245,7 +1276,7 @@ def test_bad_ids_raise_before_any_eval_with_the_row_kernel(bad, error):
                 call()
             assert (F.evals - before, rows) == (0, [])
         exchange(F, 6, state)
-    assert [x for x, _ in rows] == [6]
+    assert [(i, x) for i, x, _ in rows] == [(i, 6) for i in range(F.m)]
 
 
 @pytest.mark.parametrize("bad", [2.5, -1, None, 40])

@@ -95,7 +95,7 @@ def probe_bases(key, k):
     return [key[:j] + key[j + 1:] for j in range(len(key))]
 
 
-class TestSwapProbeMemo:
+class TestSwapProbeKernel:
     def test_at_budget_probes_are_served_by_the_kernel(self):
         for F in (make_synthetic("facility", 12, 3, seed=2),
                   exemplar_family(float_features(12, 3, 2), 3)):
@@ -106,9 +106,8 @@ class TestSwapProbeMemo:
                     for fam in (K, G)]
             assert runs[0] == runs[1]
             assert calls[0] < scalar_calls[0]
-            assert K._memo is None
 
-    def test_no_memo_is_left_open_after_the_kernel_raises(self):
+    def test_a_kernel_error_is_raised(self):
         F = make_synthetic("facility", 12, 3, seed=2)
 
         def broken(i, bases, xs):
@@ -116,13 +115,12 @@ class TestSwapProbeMemo:
         F._block = broken
         with pytest.raises(RuntimeError, match="block kernel failed"):
             replacement_greedy(F, range(12), 4, 2)
-        assert F._memo is None
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_no_memo_is_left_open_after_a_probe_raises(self, bad):
+    def test_a_non_finite_value_raises_mid_probe(self, bad):
         # f_1 is modular but non-finite on sets holding both 1 and 3.  Greedy
         # takes 0, then 1; only round 3's swap of 3 for 0 meets {1, 3}, so
-        # the kernel's value is not stored and value() raises mid-probe.
+        # value() is not served the kernel's value and raises mid-probe.
         def f1(ids):
             return bad if {1, 3} <= set(ids) else sum((10.0, 5.0, 0.0, 1.0)[e]
                                                       for e in ids)
@@ -131,7 +129,6 @@ class TestSwapProbeMemo:
         F._block = scalar_block(F)
         with pytest.raises(NonFiniteValueError, match=r"function 1 .*\(1, 3\)"):
             replacement_greedy(F, range(4), ell=3, k=2)
-        assert F._memo is None
 
     def test_kernel_values_are_normalised_by_the_offsets(self):
         # every shifted f_i is 7 on the empty set, so value() subtracts 7;
@@ -155,26 +152,21 @@ class TestSwapProbeMemo:
             np.nan if i == 2 else 1.0)
         got = (replacement_greedy(F, range(12), 4, 2), F.evals)
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
-        assert F._memo is None
 
 
-def test_kernel_probes_open_no_memo_scope():
-    # kernel values reach value() as its served argument, never a memo
+def test_kernel_values_reach_value_as_served():
     for F in (make_synthetic("facility", 12, 3, seed=2),
               exemplar_family(float_features(12, 3, 2), 3)):
         G = ObjectiveFamily(F.ground, F._functions)
         value = ObjectiveFamily.value
-        memos, served = [], []
+        served = []
 
         def spy(self, *args):
-            memos.append(self._memo)
             served.append(len(args) == 3)
             return value(self, *args)
-        with mock.patch.object(ObjectiveFamily, "_memo_scope") as scope, \
-                mock.patch.object(ObjectiveFamily, "value", spy):
+        with mock.patch.object(ObjectiveFamily, "value", spy):
             got = (replacement_greedy(F, range(12), 4, 2), F.evals)
-        assert scope.call_count == 0
-        assert any(served) and all(memo is None for memo in memos)
+        assert any(served)
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
 
 
@@ -278,7 +270,7 @@ class TestKeptBlock:
         assert calls == changed[:fail_at + 1]
         F._block = kernel
         assert list(sets.probes(F, cands)) == list(ref.probes(G, cands))
-        assert F.evals == G.evals and F._memo is None
+        assert F.evals == G.evals
 
     def test_a_round_with_every_candidate_in_s_calls_no_kernel(self):
         F = make_synthetic("coverage", 8, 3, seed=1)

@@ -1,8 +1,8 @@
 import gc
 import inspect
+import itertools
 import re
 import tracemalloc
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage import cli, distributed, oracle, streaming
-from twostage.core import (NonFiniteValueError, evaluate_solution,
-                           solution_from_sets)
+from twostage.core import (GroundSet, NonFiniteValueError, ObjectiveFamily,
+                           evaluate_solution, solution_from_sets)
 from twostage.distributed import distributed_fast, pseudo_streaming
 from twostage.objectives import exemplar_family, make_synthetic
 from twostage.oracle import brute_force_opt
@@ -57,6 +57,17 @@ class TestExchange:
         assert exchange(F, 0, state)
         assert not exchange(F, 0, state)
         assert state.S == {0}
+
+    def test_a_new_base_is_its_sets_value_not_base_plus_gain(self):
+        # base + (v - base) rounds away from v here: (1 + 2**-52) - 2**-53
+        # and 2**-53 + 1 are both ties that round to the even 1.0
+        values = {(): 0.0, (0,): 2.0 ** -53, (1,): 1.0 + 2.0 ** -52,
+                  (0, 1): 1.0 + 2.0 ** -52}
+        F = ObjectiveFamily(GroundSet(2), [values.__getitem__])
+        state = fresh_state(F, ell=2, k=2, tau=0.0)
+        for u in (0, 1):
+            assert exchange(F, u, state)
+        assert (state.T, state.base) == ([(0, 1)], [1.0 + 2.0 ** -52])
 
 
 class TestKnowOpt:
@@ -359,6 +370,19 @@ class TestAdmission:
                              1e-3, 25, 3)
 
 
+    @pytest.mark.parametrize("limit", ["MAX_INSTANCE_SLOTS", "MAX_INSTANCES"])
+    def test_a_grid_at_a_limit_is_accepted_and_one_over_it_refused(
+            self, limit):
+        F = make_synthetic("modular", 2, 3, seed=0)
+        bound = ThresholdManager(F, 0.1, 4, 2).instance_bound()
+        at = bound * 3 * 4 if limit == "MAX_INSTANCE_SLOTS" else bound
+        with mock.patch.object(streaming, limit, at):
+            ThresholdManager(F, 0.1, 4, 2)
+        with mock.patch.object(streaming, limit, at - 1):
+            with pytest.raises(InstanceBudgetError, match=str(at - 1)):
+                ThresholdManager(F, 0.1, 4, 2)
+
+
 class TestRunStreaming:
     def test_guarantee_on_random_instances(self):
         for seed in range(10):
@@ -404,41 +428,32 @@ def test_non_finite_objective_raises(bad):
         run_streaming(range(6), poisoned_family(bad), 0.5, ell=3, k=2)
 
 
-class TestEvalMemo:
-    def test_no_memo_is_left_open_after_a_run(self):
-        F = make_synthetic("coverage", 12, 3, seed=2)
-        mgr = ThresholdManager(F, 0.5, 3, 2).run(range(12))
-        assert len(mgr.instances) >= 2
-        assert F._memo is None
+class TestProbeDict:
+    """``ThresholdManager.process`` gives the leaders of one element one
+    probe dict (``_Sets.probe``'s ``seen``), seeded with its singletons."""
+
+    def test_each_element_has_its_own_seeded_dict(self):
+        F = make_synthetic("modular", 4, 2, seed=0)
+        steps = recorded_run(ThresholdManager(F, 1.0, 2, 1), [0, 1])
+        assert steps[0]["seen"] is not steps[1]["seen"]
+        for step in steps:
+            u = step["u"]
+            singles = [F.value(i, (u,)) for i in range(F.m)]
+            assert [seen[()] for seen in step["seen"]] == \
+                [(None, v, v, [(i, (u,), v)]) for i, v in enumerate(singles)]
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_no_memo_is_left_open_after_an_element_raises(self, bad):
+    def test_an_element_whose_value_is_not_finite_raises(self, bad):
         F = poisoned_family(bad)
         mgr = ThresholdManager(F, 0.5, 3, 2).run([0, 1, 2])
         assert mgr.instances
         with pytest.raises(NonFiniteValueError, match="function 1"):
             mgr.process(3)
-        assert F._memo is None
-
-    def test_memo_is_fresh_for_each_element(self):
-        seen = []
-        F = make_synthetic("modular", 4, 2, seed=0)
-        value = F.value
-
-        def spy(i, ids, served=None):
-            seen.append(F._memo)
-            return value(i, ids, served)
-        F.value = spy
-        mgr = ThresholdManager(F, 1.0, 2, 1)
-        mgr.process(0)
-        mgr.process(0)
-        assert None not in seen
-        assert len({id(memo) for memo in seen}) == 2
 
     def test_all_solutions_evaluates_the_sets_of_a_group_once(self):
         """The instances of a group hold the same sets: ``all_solutions``
         gives the solutions and the evals of evaluating each instance on
-        its own, outside a memo, with fewer objective calls."""
+        its own, with fewer objective calls."""
         F, calls = kernel_counted(make_synthetic("coverage", 40, 3, seed=2))
         mgr = ThresholdManager(F, 0.2, 4, 2).run(range(40))
         live = sorted(mgr.instances.items())
@@ -446,7 +461,6 @@ class TestEvalMemo:
         before, made = F.evals, calls[0]
         got = mgr.all_solutions()
         evals, objective_calls = F.evals - before, calls[0] - made
-        assert F._memo is None
         before, made = F.evals, calls[0]
         want = [((1.0 + mgr.epsilon) ** l,
                  solution_from_sets(F, state.S, state.T, 4, 2))
@@ -455,37 +469,112 @@ class TestEvalMemo:
         assert objective_calls < calls[0] - made
 
 
+STREAM_KINDS = {
+    "modular": lambda: make_synthetic("modular", 40, 3, seed=5),
+    "coverage": lambda: make_synthetic("coverage", 40, 3, seed=5),
+    "facility": lambda: make_synthetic("facility", 40, 3, seed=5),
+    "exemplar": lambda: exemplar_family(float_features(40, 3, 0), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_KINDS))
+def test_each_function_set_reaches_the_objective_once_per_element(kind):
+    """Within one element, each (i, T_i) that the leaders hold reaches f_i
+    or the row kernel in at most one probe, and an empty T_i in none: the
+    other leaders, and the empty sets, are served from the element's probe
+    dict, also when a lookahead row serves them.  A lookahead fill is not a
+    probe: it computes a state's whole block over the arrivals ahead, and
+    the long-lived states on the kernel families here make some.
+    ``_Sets.add`` calls no f_i, and ``all_solutions`` calls f_i at most m
+    times per distinct state."""
+    F = STREAM_KINDS[kind]()
+    where = [("other", None, 0)]  # (phase, state, number of the call)
+    reached, held, f_calls, calls = [], [], {}, itertools.count(1)
+    repeats = [0]  # probes of a non-empty (i, T_i) already probed for u
+
+    def reach(i):
+        phase, state, n = where[-1]
+        f_calls[phase] = f_calls.get(phase, 0) + 1
+        if phase == "probe":
+            reached[-1].append((i, state.T[i], n))
+
+    def counted(i, f):
+        def g(key):
+            reach(i)
+            return f(key)
+        return g
+
+    def in_phase(phase, method):
+        def wrapper(state, *args):
+            where.append((phase, state, next(calls)))
+            if phase == "probe":
+                for i, t in enumerate(state.T):
+                    repeats[0] += bool(t) and (i, t) in held[-1]
+                    held[-1].add((i, t))
+            try:
+                return method(state, *args)
+            finally:
+                where.pop()
+        return wrapper
+
+    def updated(mgr, u):
+        reached.append([])
+        held.append(set())
+        return update(mgr, u)
+
+    F._functions = [counted(i, f) for i, f in enumerate(F._functions)]
+    if F._row is not None:
+        row = F._row
+        F._row = lambda i, x, bases: reach(i) or row(i, x, bases)
+    fills = []
+    if F._block is not None:
+        block = F._block
+        F._block = lambda *args: fills.append(args) or block(*args)
+    update = ThresholdManager.update_thresholds
+    stream = np.random.default_rng(1).permutation(40).tolist()
+    mgr = ThresholdManager(F, 0.2, 6, 3)
+    with mock.patch.object(streaming._Sets, "probe",
+                           in_phase("probe", streaming._Sets.probe)), \
+            mock.patch.object(streaming._Sets, "add",
+                              in_phase("add", streaming._Sets.add)), \
+            mock.patch.object(ThresholdManager, "update_thresholds",
+                              updated):
+        mgr.run(stream)
+    assert bool(fills) == (F._block is not None)
+    assert f_calls.get("add", 0) == 0
+    for step in reached:
+        first = {}
+        for i, t, n in step:
+            assert t != ()
+            assert first.setdefault((i, t), n) == n
+    assert repeats[0] > 0
+    before = f_calls.get("other", 0)
+    states = len({id(s) for s in mgr.instances.values()})
+    assert states < len(mgr.instances)
+    mgr.all_solutions()
+    assert f_calls["other"] - before <= F.m * states
+
+
 @pytest.mark.parametrize("family", [
     lambda: make_synthetic("coverage", 40, 3, seed=5),
     lambda: exemplar_family(float_features(40, 4, 0), 4),
 ], ids=["coverage", "exemplar"])
-def test_memo_keys_and_replayed_sets_are_canonical(family):
-    """The memo only stores sorted tuples of ids in range, which is what
-    lets ``value`` serve a tuple found there as given; and a follower
-    replays its leader's recorded calls, one eval each: every call's set is
-    canonical once sorted, and where the memo holds that set (the leader
-    evaluated it rather than being served from a lookahead block), it holds
-    the value the call recorded."""
+def test_probe_dict_keys_and_replayed_sets_are_canonical(family):
+    """The probe dict's keys are T_i, sorted tuples of ids in range, one
+    dict per function, and a follower replays its leader's recorded calls, one eval
+    each: every call's set is canonical once sorted, and every served call
+    outside a probe and a build, a replay or a taken state's base eval,
+    makes again a call that the element's probe dict recorded, with the
+    same value."""
     F = family()
-    scope = F._memo_scope
-    stored = []
-
-    @contextmanager
-    def checked_scope():
-        with scope():
-            yield
-            for memo in F._memo:
-                for key in memo:
-                    assert type(key) is tuple
-                    assert list(key) == sorted(set(key))
-                    assert all(0 <= e < F.ground.n for e in key)
-            stored.append(sum(map(len, F._memo)))
-    F._memo_scope = checked_scope
-
     stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
     mgr = ThresholdManager(F, 0.2, 4, 2)
-    replayed = 0
+    replayed = stored = 0
     for step in recorded_run(mgr, stream):
+        assert len(step["seen"]) == F.m
+        for key in (key for seen in step["seen"] for key in seen):
+            assert type(key) is tuple and list(key) == sorted(set(key))
+            assert all(0 <= e < F.ground.n for e in key)
         replays = [call for _, _, calls, _ in followers(step)
                    for call in calls]
         for i, ids, v in replays:
@@ -495,10 +584,11 @@ def test_memo_keys_and_replayed_sets_are_canonical(family):
         served = step["served"]
         assert [(i, ids, v) for i, ids, v, *_ in served] == \
             expected_served(step)
-        assert all(evals == 1 and memo in (None, v)
-                   for _, _, v, evals, _, memo in served)
+        assert all(evals == 1 and probed == v
+                   for _, _, v, evals, _, probed in served)
         replayed += len(replays)
-    assert len(stored) == F.ground.n and min(stored) > 0
+        stored += sum(map(len, step["seen"])) > F.m
+    assert stored > 0
     assert replayed > 0 and mgr.best_solution().value > 0
 
 
@@ -612,7 +702,6 @@ def test_each_state_holds_one_run_of_exponents(kind, epsilon, seed, data):
     mgr.process = checked
     with mock.patch.object(streaming, "KERNEL_CALL_EVALS", price):
         mgr.run(stream)
-    assert F._memo is None
 
 
 @pytest.mark.parametrize("family, stream", [

@@ -45,6 +45,16 @@ SHARED_BUILD = ("tests/test_objectives.py::TestExemplarFamily::"
 GOLDEN_STREAM = "tests/test_exactness.py::test_golden_threshold_manager_run"
 SHARED_STATES = ("tests/test_exactness.py::"
                  "test_shared_group_states_match_the_reference")
+ONCE_PER_ELEMENT = ("tests/test_streaming.py::"
+                    "test_each_function_set_reaches_the_objective_once_per_"
+                    "element")
+WINDOW = ("tests/test_streaming.py::TestThresholdManager::"
+          "test_each_window_fix_up_gives_the_brute_force_window")
+# ThresholdManager.process's probe dicts, seeded with the singletons
+SEED = ("        seen = [{(): (None, v, v, [(i, (u,), v)])}\n"
+        "                for i, v in enumerate(self.update_thresholds(u))]\n")
+GRID_LIMITS = ("tests/test_streaming.py::TestAdmission::"
+               "test_a_grid_at_a_limit_is_accepted_and_one_over_it_refused")
 
 
 class Mutant(NamedTuple):
@@ -83,10 +93,6 @@ MUTANTS = (
     Mutant("value without the tuple of its ids", "src/twostage/core.py",
            "            ids = tuple(ids)\n", "            pass\n",
            (BAD_INPUTS,)),
-    Mutant("value's memo lookup without check_ids", "src/twostage/core.py",
-           "a list, a set\n                _check_ids(ids, self._n)\n",
-           "a list, a set\n",
-           (BAD_INPUTS,)),
     Mutant("evaluate_solution without the length check",
            "src/twostage/core.py",
            "    if len(sol.per_function) != F.m:\n"
@@ -110,34 +116,82 @@ MUTANTS = (
            "np.add.reduce(_gather(table, rows[s:s + step], cols), axis=1)",
            "np.add.reduce(_gather(table, rows[s:s + step], None), axis=1)",
            (EXEMPLAR_SINGLETONS,)),
-    Mutant("all_solutions without its memo scope",
+    # all_solutions serves each (i, T_i) after its first eval
+    Mutant("all_solutions without its served values",
            "src/twostage/streaming.py",
-           "        with self.F._memo_scope():\n            return [(grid ** l",
-           "        if True:\n            return [(grid ** l",
-           ("tests/test_streaming.py::TestEvalMemo::"
-            "test_all_solutions_evaluates_the_sets_of_a_group_once",)),
+           "F.value(i, t, known.get((i, t)))", "F.value(i, t)",
+           ("tests/test_streaming.py::TestProbeDict::"
+            "test_all_solutions_evaluates_the_sets_of_a_group_once",
+            ONCE_PER_ELEMENT)),
     Mutant("threshold test at <=", "src/twostage/streaming.py",
-           "                if avg < tau:\n", "                if avg <= tau:\n",
+           "            if avg < tau:\n", "            if avg <= tau:\n",
            ("tests/test_streaming.py::TestThresholdManager::"
             "test_an_average_gain_equal_to_tau_is_accepted",)),
     # the outputs and evals stay the same: only the probes and the
     # sharing show it
     Mutant("every instance its own leader", "src/twostage/streaming.py",
-           "                if state is not leader:", "                if True:",
+           "            if state is not leader:", "            if True:",
            ("tests/test_exactness.py::"
             "test_threshold_manager_probes_once_per_group",
             "tests/test_streaming.py::"
             "test_instances_of_one_group_hold_one_state_between_them")),
     Mutant("followers without the replay", "src/twostage/streaming.py",
-           "                    for i, ids, v in calls:\n"
-           "                        value(i, ids, v)\n",
-           "                    pass\n",
+           "                for i, ids, v in calls:\n"
+           "                    value(i, ids, v)\n",
+           "                pass\n",
            (GOLDEN_STREAM, SHARED_STATES)),
     Mutant("adopters without their served base evals",
            "src/twostage/streaming.py",
-           "                            value(i, new.T[i], new.base[i])\n",
-           "                            pass\n",
+           "                        value(i, new.T[i], new.base[i])\n",
+           "                        pass\n",
            (GOLDEN_STREAM, SHARED_STATES)),
+    # the element's probe dict: each (i, T_i) probed once per element
+    Mutant("probe dict keyed by T_i without i", "src/twostage/streaming.py",
+           SEED, SEED + "        seen = [seen[0]] * len(seen)\n",
+           (GOLDEN_STREAM, SHARED_STATES, ONCE_PER_ELEMENT)),
+    Mutant("a shared probe's replay dropped", "src/twostage/core.py",
+           "                for call in made:\n"
+           "                    value(*call)\n",
+           "                pass\n",
+           (GOLDEN_STREAM, SHARED_STATES)),
+    Mutant("the singleton seed skipped", "src/twostage/streaming.py", SEED,
+           "        self.update_thresholds(u)\n"
+           "        seen = [{} for _ in range(F.m)]\n",
+           (ONCE_PER_ELEMENT,)),
+    # base + (v - base) differs from v only where a rounding ties, so
+    # only a hand-made tie shows it
+    Mutant("add served base[i] + gains[i]", "src/twostage/core.py",
+           "F.value(i, key, values[i])",
+           "F.value(i, key, self.base[i] + gain)",
+           ("tests/test_streaming.py::TestExchange::"
+            "test_a_new_base_is_its_sets_value_not_base_plus_gain",)),
+    # the threshold window's four fix-up loops and the grid's two limits.
+    # Each end's first loop at the other strictness is equivalent: where
+    # it moves one exponent too far, the end's second loop moves it back.
+    # So those two mutants skip their loop instead.
+    Mutant("window's lower fix-up up skipped", "src/twostage/streaming.py",
+           "            while grid ** l_lo < lo:\n",
+           "            while False:\n",
+           (WINDOW,)),
+    Mutant("window's lower fix-up down at >", "src/twostage/streaming.py",
+           "            while grid ** (l_lo - 1) >= lo:\n",
+           "            while grid ** (l_lo - 1) > lo:\n",
+           (WINDOW,)),
+    Mutant("window's upper fix-up down skipped", "src/twostage/streaming.py",
+           "            while grid ** l_hi > self.delta:\n",
+           "            while False:\n",
+           (WINDOW,)),
+    Mutant("window's upper fix-up up at <", "src/twostage/streaming.py",
+           "            while grid ** (l_hi + 1) <= self.delta:\n",
+           "            while grid ** (l_hi + 1) < self.delta:\n",
+           (WINDOW,)),
+    Mutant("slot limit at >=", "src/twostage/streaming.py",
+           "    if slots > MAX_INSTANCE_SLOTS:",
+           "    if slots >= MAX_INSTANCE_SLOTS:",
+           (GRID_LIMITS,)),
+    Mutant("instance limit at >=", "src/twostage/streaming.py",
+           "    if bound > MAX_INSTANCES:", "    if bound >= MAX_INSTANCES:",
+           (GRID_LIMITS,)),
     Mutant("validate without the objective check", "src/twostage/cli.py",
            "        if self.objective not in OBJECTIVES:\n", "        if False:\n",
            (BAD_INPUTS, "tests/test_cli.py::TestMain::test_unknown_objective"
