@@ -48,13 +48,13 @@ calls no f_i and sorts and checks nothing:
   every base plus x for a block of candidates at once, and each probe is
   served its row.  The blocks are greedy's (``_Sets.probes``), and those
   of a long-lived streaming state over the arrivals ahead
-  (``streaming._Lookahead``), whose leaders record their served values
-  like any other.  When a greedy round's candidates fit in one block, the
-  ``_Sets`` keeps that block, and a later round asks the kernel again
-  only for the functions whose table entry changed; every other value is
-  the one computed for the same candidate against the same T_i.  The kept
-  block lives as long as the ``_Sets``, one solver call, and a streaming
-  state's as long as the state.
+  (``streaming.ThresholdManager._lookahead``), whose leaders record
+  their served values like any other.  When a greedy round's candidates
+  fit in one block, the ``_Sets`` keeps that block, and a later round
+  asks the kernel again only for the functions whose table entry
+  changed; every other value is the one computed for the same candidate
+  against the same T_i.  The kept block lives as long as the ``_Sets``,
+  one solver call, and a streaming state's as long as the state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
   ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each,
@@ -503,11 +503,18 @@ def _check_alpha(alpha: float):
 
 
 def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
-           base: float | None) -> tuple:
-    """The raw move of x against ``key`` with x checked (``_check_ids``)
-    and a missing base evaluated: the insertion gain below budget ``k``
-    (exactly 0.0 with no eval when x is already in ``key``), else ``_move``.
-    """
+           base: float | None, step: float | None = None,
+           counted: bool = True) -> tuple:
+    """The move ``(replaced, gain)`` of x against the sorted tuple ``key``
+    at budget k: the insertion gain below budget (exactly 0.0 with no eval
+    when x is already in ``key``), else ``_move``'s best swap.  A missing
+    base is evaluated, but only after every check: ``key`` within the
+    budget, x an id (``_check_ids``), a non-empty ``key`` and x not in it
+    at budget.  If ``counted``, the move is counted by ``_Sets.probe``'s
+    rule: ``lambda_gain``'s if ``step`` is None, else ``nabla``'s with the
+    bar ``step * base``."""
+    if len(key) > k:
+        raise InvariantViolation("per-function solution larger than its budget")
     _check_ids((x,), F.ground.n)
     if len(key) < k:
         if x in key:
@@ -520,8 +527,13 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
         base = F.value(i, key)
     bases, replaced = _moves(key, k)
     if replaced is None:
-        return None, F.value(i, key + (x,)) - base
-    return _move(F.value, i, bases, replaced, x, base)[:2]
+        r, g = None, F.value(i, key + (x,)) - base
+    else:
+        r, g = _move(F.value, i, bases, replaced, x, base)[:2]
+    if not counted or ((r is None or g > 0)
+                       and (step is None or g >= step * base)):
+        return r, g
+    return None, 0.0
 
 
 def _key(F: ObjectiveFamily, A: Iterable[int]) -> tuple:
@@ -544,7 +556,7 @@ def marginal(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     """
     key = _key(F, A)
     # a budget above |A| always takes the insertion path
-    return _probe(F, i, x, key, len(key) + 1, base)[1]
+    return _probe(F, i, x, key, len(key) + 1, base, counted=False)[1]
 
 
 def rep(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -553,8 +565,9 @@ def rep(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
 
     The gain may be negative.  Ties break toward the lowest replaced id.
     """
-    # budget 0 always takes the swap path
-    return SwapOutcome(*_probe(F, i, x, _key(F, A), 0, base))
+    key = _key(F, A)
+    # a budget of |A| always takes the swap path
+    return SwapOutcome(*_probe(F, i, x, key, len(key), base, counted=False))
 
 
 def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -567,7 +580,7 @@ def nabla(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     always >= 0; ``replaced`` is set only for an accepted swap.
     """
     _check_alpha(alpha)
-    return _counted(F, i, x, A, k, base, alpha / k)
+    return SwapOutcome(*_probe(F, i, x, _key(F, A), k, base, alpha / k))
 
 
 def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
@@ -578,22 +591,7 @@ def lambda_gain(F: ObjectiveFamily, i: int, x: int, A: Iterable[int],
     at 0.  A zero-gain swap is reported with ``replaced`` unset so callers
     treat it as a no-op.
     """
-    return _counted(F, i, x, A, k, base, None)
-
-
-def _counted(F: ObjectiveFamily, i: int, x: int, A: Iterable[int], k: int,
-             base: float | None, step: float | None) -> SwapOutcome:
-    """The move of x against A, counted by ``_Sets.probe``'s rule."""
-    key = _key(F, A)
-    if len(key) > k:
-        raise InvariantViolation("per-function solution larger than its budget")
-    if base is None:
-        _check_ids((x,), F.ground.n)  # as _probe does, before any eval
-        base = F.value(i, key)
-    replaced, gain = _probe(F, i, x, key, k, base)
-    if (replaced is None or gain > 0) and (step is None or gain >= step * base):
-        return SwapOutcome(replaced, gain)
-    return SwapOutcome(None, 0.0)
+    return SwapOutcome(*_probe(F, i, x, _key(F, A), k, base))
 
 
 def evaluate_solution(F: ObjectiveFamily, sol: TwoStageSolution) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -142,7 +141,7 @@ _DIST_BLOCK_FLOATS = 1 << 18
 
 def _clipped_distances(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """The distances among the rows of ``points``, column c clipped at
-    ``anchor[c]``.
+    ``anchor[c]``, and one more row, the last, that is ``anchor`` itself.
 
     The distances from a block of rows to all of ``points`` are computed at
     once, with the difference temporary under ``_DIST_BLOCK_FLOATS`` floats
@@ -150,12 +149,15 @@ def _clipped_distances(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     block.
     """
     width, columns = points.shape
-    table = np.empty((width, width))
+    table = np.empty((width + 1, width))
+    dist = table[:width]
     step = max(1, _DIST_BLOCK_FLOATS // (width * columns))
     for start in range(0, width, step):
-        table[start:start + step] = np.linalg.norm(
+        dist[start:start + step] = np.linalg.norm(
             points[start:start + step, None, :] - points[None, :, :], axis=2)
-    return np.minimum(table, anchor, out=table)
+    np.minimum(dist, anchor, out=dist)
+    table[width] = anchor
+    return table
 
 
 def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
@@ -164,10 +166,12 @@ def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
     Element e belongs to class i when ``vectors[e, i] > 0``.  Entry (r, c)
     of a table is the distance from the element of row r, as an exemplar,
     to the element of column c, clipped at the latter's distance to the
-    zero anchor.  Class i's own (|omega_i|, |omega_i|) table is
-    ``table[rows][:, cols]``, or ``table[rows]`` when ``cols`` is None
-    because the table's columns are class i's members already: its row j
-    and column j belong to ``omega[j]``.
+    zero anchor, and a table's last row holds those anchor distances, so
+    a table has one row more than it has columns (``_clipped_distances``).
+    Class i's own (|omega_i|, |omega_i|) table is ``table[rows][:, cols]``,
+    or ``table[rows]`` when ``cols`` is None because the table's columns
+    are class i's members already: its row j and column j belong to
+    ``omega[j]``.
 
     When the classes overlap enough that |U|^2 <= sum_i |omega_i|^2, with U
     the elements in at least one class, all classes share one table over
@@ -217,19 +221,23 @@ def _gather(table: np.ndarray, rix, cols) -> np.ndarray:
     return rows if cols is None else rows.take(cols, axis=1)
 
 
-def _class_minima(views: list, pos: dict, cols, ids) -> np.ndarray | None:
-    """The elementwise minima of the table rows ``views[pos[e]]`` of the
-    ids e in the class (``pos``), by a pairwise ``np.minimum`` chain in id
-    order, restricted to the columns ``cols`` unless that is None, or None
-    when no id is in the class.  A single row of a class-only table is
-    returned as it is, never written."""
+def _class_minima(views: list, index: list, cols, ids) -> np.ndarray:
+    """The elementwise minima of the table rows ``views[index[e]]`` of the
+    ids e in the class, by a pairwise ``np.minimum`` chain in id order,
+    restricted to the columns ``cols`` unless that is None.  An id outside
+    the class maps to the anchor row, ``views[-1]``, which the chain skips,
+    and which is the result when no id is in the class.  A single row of a
+    class-only table is returned as it is, never written."""
+    anchor = len(views) - 1
     best = None
     for e in ids:
-        r = pos.get(e)
-        if r is not None:
+        r = index[e]
+        if r != anchor:
             row = views[r]
             best = row if best is None else np.minimum(best, row)
-    return best if best is None or cols is None else best.take(cols)
+    if best is None:
+        best = views[anchor]
+    return best if cols is None else best.take(cols)
 
 
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
@@ -243,29 +251,35 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     Distances are stored once, already clipped at each column element's
     distance to the zero anchor (``_exemplar_tables``): in one table over
     the elements in any class when the classes overlap enough, else in one
-    table per class.  Class i reads the table rows of its members (``pos``
-    maps a member to its row) and, in the shared table, only its members'
+    table per class.  Each table's last row holds its columns' anchor
+    distances, and every clipped entry is at most its column's anchor, so
+    a minimum with that row changes nothing.  Each class keeps a row index
+    over all n ids: a member maps to its table row, any other id to the
+    anchor row.  In the shared table a class reads only its members'
     columns (``cols``).  Each class also keeps its n singleton values,
-    computed at build time by one row sum per member block, which f_i
-    returns for a one-element set.  Memory is min(|U|^2, sum_i
-    |omega_i|^2) + n*m floats, with U the elements in any class, plus a
-    view per table row and a row map per class; the build holds a few
-    blocks of bounded size besides them.  Because ``min`` is exact,
-    clipping once at build time gives the same numbers as clipping on
-    every evaluation, and every sum is a last-axis ``np.add.reduce`` of
-    the class's columns in ascending order in a C-contiguous array, so the
-    values do not depend on the layout.
+    computed at build time by one row sum per table row, which f_i returns
+    for a one-element set.  Memory is min(|U|^2, sum_i |omega_i|^2) + n*m
+    floats, with U the elements in any class, n*m row indices, and an
+    anchor row and a view per row of each table; the build holds a few
+    blocks of bounded size besides them.  Because ``min`` is exact, clipping once at build
+    time gives the same numbers as clipping on every evaluation, and every
+    sum is a last-axis ``np.add.reduce`` of the class's columns in
+    ascending order in a C-contiguous array, so the values do not depend
+    on the layout.  ``anchor_mean`` is that same sum of the anchor row
+    over the width, so a set with no member of the class is worth exactly
+    0.0.
 
-    The block kernel ``_block`` (see ``_moves``) gathers the class rows
-    and columns of the candidates in the class once, and per base takes
-    f_i's chain of minima over the base's rows, one ``np.minimum`` with
-    every gathered row and one last-axis ``np.add.reduce`` of the
-    C-contiguous result, so each value equals f_i's bit for bit.  A
-    candidate outside the class gets the base's own value, exactly 0.0 for
-    a base with no class member.  The kernel keeps nothing between calls
-    and holds at most two (hits, width) arrays besides its output, or, while
-    it gathers from a shared table, one (hits, |U|) and one (hits, width);
-    its cost is a few numpy calls per base.
+    The block kernel ``_block`` (see ``_moves``) gathers the class rows and
+    columns of its candidates once, the anchor row standing for every
+    candidate outside the class, and per base takes f_i's chain of minima
+    over the base's rows (the anchor row for a base with no member), one
+    ``np.minimum`` with every gathered row and one last-axis
+    ``np.add.reduce`` of the C-contiguous result, so each value equals
+    f_i's bit for bit.  Each candidate then takes its row's column.  The
+    kernel keeps nothing between calls and holds at most two (rows, width)
+    arrays besides its output, or, while it gathers from a shared table,
+    one (rows, |U|) and one (rows, width); its cost is a few numpy calls
+    per base.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
@@ -280,59 +294,42 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
         if id(table) not in views:
             views[id(table)] = list(table)
         width, anchor_mean = omega.size, anchor.mean()
+        index = [len(table) - 1] * n  # one shared int for the anchor row
+        for e, r in zip(omega.tolist(), rows.tolist()):
+            index[e] = r
         step = max(1, _DIST_BLOCK_FLOATS // table.shape[1])
+        blocks = (table[s:s + step] for s in range(0, len(table), step))
         sums = np.concatenate([
-            np.add.reduce(_gather(table, rows[s:s + step], cols), axis=1)
-            for s in range(0, width, step)])
-        singles = np.zeros(n)
-        singles[omega] = anchor_mean - sums / width
-        classes.append((table, views[id(table)],
-                        dict(zip(omega.tolist(), rows.tolist())), cols,
-                        anchor_mean, width, singles))
+            np.add.reduce(b if cols is None else b.take(cols, axis=1), axis=1)
+            for b in blocks])
+        singles = (anchor_mean - sums / width).take(index)
+        classes.append((table, views[id(table)], index, cols, anchor_mean,
+                        width, singles))
 
-    def make(table, views, pos, cols, anchor_mean, width, singles):
+    def make(table, views, index, cols, anchor_mean, width, singles):
         def f(ids: tuple) -> float:
             if len(ids) == 1:  # numpy floats; value makes them floats
                 return singles[ids[0]]
             # the chain's minima on the class columns, then the ufunc sum
             # that ndarray.mean runs: bit-identical to np.minimum(anchor,
             # dist[chosen].min(axis=0)).mean() on the unclipped distances
-            best = _class_minima(views, pos, cols, ids)
-            if best is None:
-                return 0.0
+            best = _class_minima(views, index, cols, ids)
             return anchor_mean - np.add.reduce(best) / width
         return f
 
     def block(i: int, bases: list, xs: list) -> np.ndarray:
-        table, views, pos, cols, anchor_mean, width, _ = classes[i]
-        rix = [pos[x] for x in xs if x in pos]
-        h = len(rix)
-        miss = h < len(xs)
-        # row j: base j's sum with each hit, then its own sum if a candidate
-        # is outside the class, which adds nothing to the base
-        sums = np.zeros((len(bases), h + miss))
-        rows = _gather(table, rix, cols)
-        # the only (hits, width) arrays; a single base overwrites rows
+        table, views, index, cols, anchor_mean, width, _ = classes[i]
+        at = {}  # each gathered row's column, in order of first candidate
+        col = [at.setdefault(index[x], len(at)) for x in xs]
+        rows = _gather(table, list(at), cols)
+        sums = np.empty((len(bases), len(at)))
+        # the only (rows, width) arrays; a single base overwrites rows
         spare = rows if len(bases) == 1 else np.empty_like(rows)
-        empty = []
         for j, base in enumerate(bases):
-            best = _class_minima(views, pos, cols, base)
-            if best is None:
-                empty.append(j)
-                np.add.reduce(rows, axis=1, out=sums[j, :h])
-                continue
+            best = _class_minima(views, index, cols, base)
             np.add.reduce(np.minimum(best, rows, out=spare), axis=1,
-                          out=sums[j, :h])
-            if miss:
-                sums[j, h] = np.add.reduce(best)
-        out = anchor_mean - sums / width
-        if not miss:
-            return out.T
-        for j in empty:  # f_i is exactly 0.0 on a set with no class member
-            out[j, h] = 0.0
-        col = count()
-        return out.take([next(col) if x in pos else h for x in xs],
-                        axis=1).T
+                          out=sums[j])
+        return (anchor_mean - sums / width).take(col, axis=1).T
 
     F = ObjectiveFamily(GroundSet(n, vectors), [make(*c) for c in classes])
     F._block = block

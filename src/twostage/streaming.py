@@ -101,9 +101,10 @@ class _GroupState(_Sets):
     and accepted the same elements.
 
     ``seen_evals`` and ``seen_probes`` are what its leaders have probed,
-    for ``_Lookahead``: the evals made set by set (counted up to the
-    price) and the elements.  ``kept`` is the lookahead's block of kernel
-    values, if any, which stays valid while the state lives."""
+    for ``ThresholdManager._lookahead``: the evals made set by set
+    (counted up to the price) and the elements.  ``kept`` is the
+    lookahead's block of kernel values, if any, which stays valid while
+    the state lives."""
 
     __slots__ = ("ell", "alpha", "trace", "seen_evals", "seen_probes")
 
@@ -144,27 +145,32 @@ class _GroupState(_Sets):
 
 class StreamState(_GroupState):
     """One exchange instance on its own: a ``_GroupState`` and its
-    threshold ``tau``, which ``exchange`` changes in place."""
+    threshold ``tau``, which ``exchange`` changes in place.  Raises
+    ValueError unless 0 <= tau < inf: tau 0.0 accepts every gain, and a
+    NaN tau would too."""
 
     __slots__ = ("tau",)
 
     def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
                  instrument: bool = False):
+        if not 0 <= tau < math.inf:
+            raise ValueError(f"tau must be non-negative and finite, got {tau}")
         super().__init__(m, ell, k, alpha, instrument)
         self.tau = tau
 
 
 # A state's leaders probe set by set until they have made this many evals
-# per function; only then may ``_Lookahead`` fill a block for it.  A block
-# costs m kernel calls, and an exemplar kernel call at 30 candidates costs
-# as much as about 6 (one base) to 11 (three bases) computed f_i calls (19
-# and 32 us against about 3 us on a 2-core Xeon), but most of a short-lived
-# state's evals repeat an (i, T_i) that another run probed in the same
-# element (the probe dict).  On the distributed-exemplar benchmark, a
-# price of 16 made 2,420 kernel calls to save 5,291 f_i calls, and was
-# slower (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs); at 64 its states
-# never reach it, while on criterion 8's facility instance, whose states
-# live for up to 1,345 probes, 35 states reach it, after 17 to 65 probes.
+# per function; only then may ``ThresholdManager._lookahead`` fill a block
+# for it.  A block costs m kernel calls, and an exemplar kernel call at 30
+# candidates costs as much as about 6 (one base) to 11 (three bases)
+# computed f_i calls (19 and 32 us against about 3 us on a 2-core Xeon),
+# but most of a short-lived state's evals repeat an (i, T_i) that another
+# run probed in the same element (the probe dict).  On the
+# distributed-exemplar benchmark, a price of 16 made 2,420 kernel calls to
+# save 5,291 f_i calls, and was slower (0.72-0.73 s against 0.69-0.71 s at
+# 64, 3 pairs); at 64 its states never reach it, while on criterion 8's
+# facility instance, whose states live for up to 1,345 probes, 35 states
+# reach it, after 17 to 65 probes.
 KERNEL_CALL_EVALS = 64
 
 # The floats one lookahead block holds at most, k per function and arrival.
@@ -173,54 +179,6 @@ KERNEL_CALL_EVALS = 64
 # 48 KiB with this, and at 74 KiB with BLOCK_FLOATS (22 KiB with no
 # lookahead); on criterion 8, halving it again cost fast about 25%.
 LOOKAHEAD_FLOATS = BLOCK_FLOATS // 2
-
-
-class _Lookahead:
-    """``ThresholdManager.run``'s buffered stream and the position ``t`` of
-    the element in process.  What the leaders of a state have probed is
-    kept on the state (``_GroupState.seen_evals``, ``seen_probes`` and
-    ``kept``), so it goes with the state.
-
-    A state's leaders probe set by set until they have made
-    ``KERNEL_CALL_EVALS`` evals per function.  Then a leader that finds no
-    row for its element fills the state's block (``_Sets._block_values``)
-    over the element and the arrivals after it: as many as the state's
-    leaders have probed, in at most ``LOOKAHEAD_FLOATS`` floats, and keeps
-    it in ``kept``.  Arrivals that are not integer ids in range, are in S
-    or repeat are left out, so they raise or are skipped where the scalar
-    path does.  A row holds one element's values against the state's
-    frozen sets, so it serves the element's later arrivals too."""
-
-    def __init__(self, stream: list):
-        self.stream = stream
-        self.t = 0
-
-    def row(self, F: ObjectiveFamily, u: int, state: _GroupState):
-        """The kernel values of u, not in S, by (function, set) for
-        ``state.probe``, or None if u is to be probed set by set."""
-        if not state.S:  # empty states: the singletons, in the probe dict
-            return None
-        state.seen_probes += 1
-        if state.kept is not None:
-            row_of, vals, _ = state.kept
-            r = row_of.get(u)
-            if r is not None:
-                return vals[r].tolist()
-            state.kept = None  # past the block: its values go first
-        if state.seen_evals < KERNEL_CALL_EVALS * F.m:
-            state.seen_evals += sum(len(bases) for bases, _ in state.moves)
-            return None
-        rows = min(state.seen_probes,
-                   max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
-        xs = {}
-        for x in self.stream[self.t:self.t + rows]:
-            try:
-                if 0 <= index(x) < F.ground.n and x not in state.S:
-                    xs[x] = None
-            except TypeError:
-                pass
-        vals, row_of = state._block_values(F, list(xs), True)
-        return vals[row_of[u]].tolist()
 
 
 def _average(gains: list, delta: float | None) -> float:
@@ -333,7 +291,7 @@ class ThresholdManager:
     several runs hold is probed once per element and made again by the
     others as served calls.  In ``run``, on a family with a block kernel,
     the leaders of a long-lived state are served from kernel blocks over
-    the arrivals ahead (see ``_Lookahead``).
+    the arrivals ahead (see ``_lookahead``).
 
     The per-element bookkeeping is redone only when something changed.
     The window depends on delta alone, so ``update_thresholds`` moves it
@@ -347,7 +305,9 @@ class ThresholdManager:
     ``MAX_INSTANCES``.
     """
 
-    _ahead = None  # run's lookahead while it runs, if F has a block kernel
+    # run's buffered stream while it runs, if F has a block kernel, and the
+    # position in it of the element in process
+    _stream, _t = None, 0
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
                  alpha: float = 1.0, instrument: bool = False):
@@ -423,8 +383,48 @@ class ThresholdManager:
                 f"{self.instance_bound()}")
         return singles
 
+    def _lookahead(self, u: int, state: _GroupState):
+        """The kernel values of u, not in S, by (function, set) for
+        ``state.probe``, or None if u is to be probed set by set; ``run``
+        asks, over its buffered stream.  A state's leaders probe set by
+        set until they have made ``KERNEL_CALL_EVALS`` evals per function
+        (counted on the state, see ``_GroupState``).  Then a leader that
+        finds no row for its element fills the state's block
+        (``_Sets._block_values``) over the element and the arrivals after
+        it: as many as the state's leaders have probed, in at most
+        ``LOOKAHEAD_FLOATS`` floats, and keeps it in ``kept``.  Arrivals
+        that are not integer ids in range, are in S or repeat are left out,
+        so they raise or are skipped where the scalar path does.  A row
+        holds one element's values against the state's frozen sets, so it
+        serves the element's later arrivals too."""
+        if not state.S:  # empty states: the singletons, in the probe dict
+            return None
+        F = self.F
+        state.seen_probes += 1
+        if state.kept is not None:
+            row_of, vals, _ = state.kept
+            r = row_of.get(u)
+            if r is not None:
+                return vals[r].tolist()
+            state.kept = None  # past the block: its values go first
+        if state.seen_evals < KERNEL_CALL_EVALS * F.m:
+            state.seen_evals += sum(len(bases) for bases, _ in state.moves)
+            return None
+        rows = min(state.seen_probes,
+                   max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
+        xs = {}
+        for x in self._stream[self._t:self._t + rows]:
+            try:
+                if 0 <= index(x) < F.ground.n and x not in state.S:
+                    xs[x] = None
+            except TypeError:
+                pass
+        vals, row_of = state._block_values(F, list(xs), True)
+        return vals[row_of[u]].tolist()
+
     def process(self, u: int):
-        F, instances, ahead = self.F, self.instances, self._ahead
+        F, instances = self.F, self.instances
+        ahead = self._stream is not None
         value, grid, step = F.value, 1.0 + self.epsilon, self.alpha / self.k
         # the empty T_i's move is u's singleton, which update_thresholds made
         seen = [{(): (None, v, v, [(i, (u,), v)])}
@@ -437,7 +437,7 @@ class ThresholdManager:
                 if u in state.S or len(state.S) >= self.ell:
                     continue
                 calls = []
-                raws = None if ahead is None else ahead.row(F, u, state)
+                raws = self._lookahead(u, state) if ahead else None
                 replaced, gains, values = state.probe(F, u, step, raws, calls,
                                                       seen)
                 avg = _average(gains, self.delta)
@@ -465,20 +465,19 @@ class ThresholdManager:
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
         """``process`` each element in turn.  With F's block kernel the
         stream is buffered, so that long-lived states' leaders can be
-        served from blocks over the arrivals ahead (see ``_Lookahead``).  A
+        served from blocks over the arrivals ahead (see ``_lookahead``).  A
         block goes with its state, when no live instance holds it, and the
         live states' blocks go when the run ends."""
         if self.F._block is None:
             for u in stream:
                 self.process(u)
             return self
-        self._ahead = ahead = _Lookahead(list(stream))
+        self._stream = list(stream)
         try:
-            for t, u in enumerate(ahead.stream):
-                ahead.t = t
+            for self._t, u in enumerate(self._stream):
                 self.process(u)
         finally:
-            del self._ahead
+            self._stream = None
             for state in self.instances.values():
                 state.kept = None
         return self

@@ -336,6 +336,22 @@ BAD_INPUTS = [
     ("lambda_gain set {0, None} with base",
      lambda F: lambda_gain(F, 0, 1, {0, None}, 2, base=1.0), TypeError,
      "element ids must be integers, got None"),
+    # a candidate already in a set at budget: refused before the base eval
+    ("nabla candidate in its full set",
+     lambda F: nabla(F, 0, 1, {0, 1}, 1.0, 2), ValueError,
+     "candidate already in the set"),
+    ("lambda_gain candidate in its full set",
+     lambda F: lambda_gain(F, 0, 1, {0, 1}, 2), ValueError,
+     "candidate already in the set"),
+    # a NaN tau, like a negative one, would accept every element
+    ("StreamState tau nan",
+     lambda F: StreamState(F.m, 3, 2, 1.0, float("nan")), ValueError,
+     "tau must be non-negative and finite, got nan"),
+    ("StreamState tau -1.0", lambda F: StreamState(F.m, 3, 2, 1.0, -1.0),
+     ValueError, "tau must be non-negative and finite, got -1.0"),
+    ("StreamState tau inf",
+     lambda F: StreamState(F.m, 3, 2, 1.0, float("inf")), ValueError,
+     "tau must be non-negative and finite, got inf"),
     ("ThresholdManager process 0.5",
      lambda F: ThresholdManager(F, 0.5, 5, 2).process(0.5), TypeError,
      "element ids must be integers, got 0.5"),
@@ -601,6 +617,28 @@ class TestLambdaGain:
         out = lambda_gain(F, 0, 2, {0, 1}, k=2)
         assert out.gain == 1.0
         assert out.replaced == 0
+
+
+class TestSetsProbe:
+    """``_Sets.probe`` counts a move by lambda_gain's rule, or by nabla's
+    bar when given ``step``."""
+
+    @staticmethod
+    def sets_holding(F, k, x):
+        sets = core._Sets(F.m, k)
+        sets.add(F, x, *sets.probe(F, x))
+        return sets
+
+    def test_a_zero_gain_swap_is_no_move(self):
+        F = modular_family((1.0, 1.0))
+        sets = self.sets_holding(F, 1, 0)
+        assert sets.probe(F, 1) == ([None], [0.0], [1.0])
+
+    def test_a_gain_at_the_bar_counts(self):
+        # f(T) = 2 and step 0.5: the bar is 1.0, exactly the insertion gain
+        F = modular_family((2.0, 1.0))
+        sets = self.sets_holding(F, 2, 0)
+        assert sets.probe(F, 1, 0.5) == ([None], [1.0], [3.0])
 
 
 class TestEvaluateSolution:

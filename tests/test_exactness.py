@@ -220,18 +220,21 @@ def test_exemplar_tables_match_per_class_build(seed, integral, shape):
     got = _exemplar_tables(vectors, class_count)
     want = ref_exemplar_tables(vectors, class_count)
     assert len(got) == len(want) == class_count
-    # the shared layout is one (|U|, |U|) table, the other one per class
+    # the shared layout is one (|U| + 1, |U|) table, the other one per
+    # class; a table's last row is its columns' anchors
     tables = {id(table): table.shape for _, table, _, _, _ in got}
     if shared:
-        assert list(tables.values()) == [(used, used)]
+        assert list(tables.values()) == [(used + 1, used)]
     else:
-        assert sorted(tables.values()) == sorted((w, w) for w in widths)
+        assert sorted(tables.values()) == sorted((w + 1, w) for w in widths)
     for (omega, table, rows, cols, anchor), (r_omega, r_table, r_anchor) in \
             zip(got, want):
         assert np.array_equal(omega, r_omega)
-        assert (cols is None) == (len(table) == len(omega))
+        assert (cols is None) == (table.shape[1] == len(omega))
         clipped = table[rows] if cols is None else table[np.ix_(rows, cols)]
         assert np.array_equal(clipped, r_table)
+        last = table[-1] if cols is None else table[-1, cols]
+        assert np.array_equal(last, r_anchor)
         assert np.array_equal(anchor, r_anchor)
         assert anchor.mean() == r_anchor.mean()
 
@@ -311,12 +314,22 @@ def ref_rep(F, i, x, A, base=None):
     return SwapOutcome(best_y, best_gain)
 
 
+def ref_in_set(A, k):
+    """nabla's and lambda_gain's outcome for a candidate already in A, with
+    no eval: refused at budget, and no gain below it."""
+    if len(A) == k:
+        raise ValueError("candidate already in the set")
+    return SwapOutcome(None, 0.0)
+
+
 def ref_nabla(F, i, x, A, alpha, k, base=None):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     A = set(A)
     if len(A) > k:
         raise InvariantViolation("per-function solution larger than its budget")
+    if x in A:
+        return ref_in_set(A, k)
     if base is None:
         base = F.value(i, A)
     threshold = (alpha / k) * base
@@ -335,6 +348,8 @@ def ref_lambda_gain(F, i, x, A, k, base=None):
     A = set(A)
     if len(A) > k:
         raise InvariantViolation("per-function solution larger than its budget")
+    if x in A:
+        return ref_in_set(A, k)
     if base is None:
         base = F.value(i, A)
     if len(A) < k:
@@ -564,17 +579,47 @@ def test_exemplar_block_kernel_is_bit_identical(seed, data):
     assert_block_is_exact(wide_exemplar(seed, n, 2, data), n, data)
 
 
+def disjoint_exemplar(seed, n, m, data):
+    """An exemplar family of m disjoint classes, each REGION_WIDTHS wide
+    up to n // m, over n elements with one more feature than classes.
+    Disjoint classes always get a table each, and most ids are outside
+    any one class."""
+    rng = np.random.default_rng(seed)
+    vectors = np.zeros((n, m + 1))
+    vectors[:, m] = rng.uniform(-1.0, 1.0, n)
+    order = rng.permutation(n)
+    for c in range(m):
+        width = data.draw(st.sampled_from(
+            [w for w in REGION_WIDTHS if w <= n // m]))
+        members = order[c * (n // m):c * (n // m) + width]
+        vectors[members, c] = rng.uniform(0.05, 2.0, width)
+    return exemplar_family(vectors, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_exemplar_block_kernel_is_bit_identical_on_disjoint_classes(seed,
+                                                                    data):
+    # n = 300 over two classes lets one be 129 wide
+    n = 300
+    assert_block_is_exact(disjoint_exemplar(seed, n, 2, data), n, data)
+
+
 WIDE, SOLO, OUTSIDE = 200, 3, (225, 226, 227, 228, 229)
 
 
-def kernel_shapes_family():
+def kernel_shapes_family(shared=True):
     """An exemplar family over 230 elements: class 0 holds the first WIDE
-    of them, class 1 only SOLO, and OUTSIDE are in neither."""
+    of them, class 1 only SOLO, and OUTSIDE are in neither.  Unless
+    ``shared``, SOLO leaves class 0, so the classes are disjoint and each
+    gets its own table."""
     rng = np.random.default_rng(7)
     vectors = np.zeros((230, 3))
     vectors[:, 2] = rng.uniform(-1.0, 1.0, 230)
     vectors[:WIDE, 0] = rng.uniform(0.05, 2.0, WIDE)
     vectors[SOLO, 1] = 1.5
+    if not shared:
+        vectors[SOLO, 0] = 0.0
     return exemplar_family(vectors, 2)
 
 
@@ -602,16 +647,25 @@ KERNEL_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("i, key, k, xs", [row[1:] for row in KERNEL_SHAPES],
-                         ids=[row[0] for row in KERNEL_SHAPES])
-def test_exemplar_block_kernel_shapes(i, key, k, xs):
-    F = kernel_shapes_family()
+def assert_block_shape(F, i, key, k, xs):
     f = F._functions[i]
     bases = _moves(key, k)[0]
     got = F._block(i, bases, xs)
     assert got.shape == (len(xs), len(bases))
     assert got.tolist() == [[f(tuple(sorted(b + (x,)))) for b in bases]
                             for x in xs]
+
+
+@pytest.mark.parametrize("i, key, k, xs", [row[1:] for row in KERNEL_SHAPES],
+                         ids=[row[0] for row in KERNEL_SHAPES])
+def test_exemplar_block_kernel_shapes(i, key, k, xs):
+    assert_block_shape(kernel_shapes_family(), i, key, k, xs)
+
+
+@pytest.mark.parametrize("i, key, k, xs", [row[1:] for row in KERNEL_SHAPES],
+                         ids=[row[0] for row in KERNEL_SHAPES])
+def test_exemplar_block_kernel_shapes_on_per_class_tables(i, key, k, xs):
+    assert_block_shape(kernel_shapes_family(shared=False), i, key, k, xs)
 
 
 def test_exemplar_block_kernel_gives_a_memberless_set_zero():
@@ -945,20 +999,21 @@ def scalar_copy(F):
 
 @contextmanager
 def lookahead_spy():
-    """Count the kernel blocks ``_Lookahead`` fills and the leader probes
-    it serves: yields {"fills": n, "served": n}."""
+    """Count the kernel blocks ``ThresholdManager._lookahead`` fills and
+    the leader probes it serves: yields {"fills": n, "served": n}."""
     counts = {"fills": 0, "served": 0}
-    row = streaming._Lookahead.row
+    lookahead = streaming.ThresholdManager._lookahead
 
-    def counted_row(self, F, u, state):
+    def counted_lookahead(self, u, state):
         block = state.kept
-        raws = row(self, F, u, state)
+        raws = lookahead(self, u, state)
         if raws is not None:
             counts["served"] += 1
             counts["fills"] += state.kept is not block
         return raws
 
-    with mock.patch.object(streaming._Lookahead, "row", counted_row):
+    with mock.patch.object(streaming.ThresholdManager, "_lookahead",
+                           counted_lookahead):
         yield counts
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -195,13 +196,13 @@ class TestExemplarFamily:
         assert peak - start <= bound
 
     def test_shared_build_memory_is_one_table_plus_blocks(self):
-        # the overlapping input's classes share one |U| x |U| table; each
-        # class adds its n singleton values and its own (small) row map.
+        # the overlapping input's classes share one (|U| + 1) x |U| table;
+        # each class adds its n singleton values and its n row indices.
         # Per-class tables would hold about 25 MiB
         vectors = self.build_input(True)
         n, m = vectors.shape
         used = int((vectors > 0).any(axis=1).sum())
-        bound = (used ** 2 + n * m + 4 * _DIST_BLOCK_FLOATS) * 8
+        bound = ((used + 1) * used + 2 * n * m + 4 * _DIST_BLOCK_FLOATS) * 8
         assert sum(int(w) ** 2 for w in (vectors > 0).sum(axis=0)) * 8 > \
             2 * bound
         tracemalloc.start()
@@ -213,6 +214,27 @@ class TestExemplarFamily:
             tracemalloc.stop()
         assert F.m == m
         assert peak - start <= bound
+
+    def test_benchmark_shape_family_keeps_under_330_kib(self):
+        # the distributed-exemplar benchmark's shape: counts 0-2 in each of
+        # 20 classes over 160 elements, so one shared (161, 160) table of
+        # 201 KiB.  Each class adds 160 singleton values and 160 row
+        # indices, 25 KiB each over the classes, and the table's row views
+        # about 18 KiB.  A dict per class from member to row held 64 KiB
+        # where the row indices hold 25
+        vectors = np.random.default_rng(4242).integers(
+            0, 3, (160, 20)).astype(float)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            F = exemplar_family(vectors, 20)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert F.m == 20
+        assert kept - start < 330 * 1024
 
     @pytest.mark.parametrize("overlap", [True, False])
     def test_build_work_is_the_smaller_pass(self, overlap, monkeypatch):

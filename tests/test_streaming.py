@@ -51,6 +51,20 @@ class TestExchange:
         assert not exchange(F, 0, state)
         assert state.S == set() and state.T == [(), ()]
 
+    def test_an_average_gain_equal_to_tau_is_accepted(self, worked_instance):
+        F = worked_instance
+        state = fresh_state(F, ell=2, k=1, tau=2.0)
+        assert exchange(F, 0, state)  # singleton gains (3, 1), avg 2
+
+    def test_a_full_summary_rejects_without_any_eval(self, worked_instance):
+        # at tau 0.0 any element the summary has room for is accepted
+        F = worked_instance
+        state = fresh_state(F, ell=1, k=1, tau=0.0)
+        assert exchange(F, 0, state)
+        before = F.evals
+        assert not exchange(F, 1, state)
+        assert (state.S, F.evals) == ({0}, before)
+
     def test_duplicate_arrival_is_rejected(self, worked_instance):
         F = worked_instance
         state = fresh_state(F, ell=3, k=1, tau=0.25)

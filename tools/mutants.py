@@ -40,6 +40,11 @@ EXEMPLAR_BLOCK = ("tests/test_exactness.py::"
                   "test_exemplar_block_kernel_is_bit_identical")
 EXEMPLAR_SINGLETONS = ("tests/test_exactness.py::"
                        "test_exemplar_singletons_equal_exemplar_value")
+EXEMPLAR_PER_CLASS_SHAPES = ("tests/test_exactness.py::"
+                             "test_exemplar_block_kernel_shapes_on_per_class_"
+                             "tables")
+PROBE_RULE = "tests/test_core.py::TestSetsProbe"
+EXCHANGE = "tests/test_streaming.py::TestExchange"
 SHARED_BUILD = ("tests/test_objectives.py::TestExemplarFamily::"
                 "test_shared_build_memory_is_one_table_plus_blocks")
 GOLDEN_STREAM = "tests/test_exactness.py::test_golden_threshold_manager_run"
@@ -84,9 +89,6 @@ MUTANTS = (
            "    _check_ids((x,), F.ground.n)\n    if len(key) < k:",
            "    if len(key) < k:",
            (BAD_INPUTS,)),
-    Mutant("_counted without check_ids", "src/twostage/core.py",
-           "        _check_ids((x,), F.ground.n)  # as _probe does", "        #",
-           (BAD_INPUTS,)),
     Mutant("value without check_ids", "src/twostage/core.py",
            "        _check_ids(key, self._n)\n", "",
            (BAD_INPUTS,)),
@@ -98,23 +100,26 @@ MUTANTS = (
            "    if len(sol.per_function) != F.m:\n"
            "        raise ValueError(", "    if False:\n        raise ValueError(",
            (BAD_INPUTS, "tests/test_core.py::TestEvaluateSolution")),
-    Mutant("exemplar kernel's all-hit block not transposed",
+    Mutant("exemplar kernel's block not transposed",
            "src/twostage/objectives.py",
-           "        if not miss:\n            return out.T\n",
-           "        if not miss:\n            return out\n",
+           ".take(col, axis=1).T\n", ".take(col, axis=1)\n",
            (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
-    Mutant("exemplar kernel without the memberless base's 0.0",
+    # a minimum with the anchor row changes nothing only if it holds the
+    # anchors, and a set with no member is 0.0 only through it
+    Mutant("exemplar tables' anchor row left zero",
            "src/twostage/objectives.py",
-           "            out[j, h] = 0.0\n",
-           "            out[j, h] = anchor_mean - sums[j, h] / width\n",
-           (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
+           "    table[width] = anchor\n", "    table[width] = 0.0\n",
+           (EXEMPLAR_SHAPES, EXEMPLAR_PER_CLASS_SHAPES, EXEMPLAR_SINGLETONS)),
+    Mutant("exemplar non-member mapped to row 0",
+           "src/twostage/objectives.py",
+           "        index = [len(table) - 1] * n", "        index = [0] * n",
+           (EXEMPLAR_SHAPES, EXEMPLAR_PER_CLASS_SHAPES, EXEMPLAR_SINGLETONS)),
     Mutant("exemplar layout choice inverted", "src/twostage/objectives.py",
            "if used.size ** 2 <= sum(", "if used.size ** 2 > sum(",
            (SHARED_BUILD, EXEMPLAR_SINGLETONS)),
     Mutant("exemplar singletons summed over the full shared row",
            "src/twostage/objectives.py",
-           "np.add.reduce(_gather(table, rows[s:s + step], cols), axis=1)",
-           "np.add.reduce(_gather(table, rows[s:s + step], None), axis=1)",
+           "b if cols is None else b.take(cols, axis=1)", "b",
            (EXEMPLAR_SINGLETONS,)),
     # all_solutions serves each (i, T_i) after its first eval
     Mutant("all_solutions without its served values",
@@ -123,6 +128,39 @@ MUTANTS = (
            ("tests/test_streaming.py::TestProbeDict::"
             "test_all_solutions_evaluates_the_sets_of_a_group_once",
             ONCE_PER_ELEMENT)),
+    # the rule that counts a probed move, and exchange's two tests
+    Mutant("probe's swap rule at g >= 0", "src/twostage/core.py",
+           "            if not ((r is None or g > 0) and (step is None or "
+           "g >= step * b)):",
+           "            if not ((r is None or g >= 0) and (step is None or "
+           "g >= step * b)):",
+           (PROBE_RULE,)),
+    Mutant("probe's bar at >", "src/twostage/core.py",
+           "            if not ((r is None or g > 0) and (step is None or "
+           "g >= step * b)):",
+           "            if not ((r is None or g > 0) and (step is None or "
+           "g > step * b)):",
+           (PROBE_RULE,)),
+    Mutant("exchange's full summary at >", "src/twostage/streaming.py",
+           "len(state.S) >= state.ell:", "len(state.S) > state.ell:",
+           (EXCHANGE,)),
+    Mutant("exchange's threshold test at <=", "src/twostage/streaming.py",
+           "    if _average(gains, delta) < state.tau:",
+           "    if _average(gains, delta) <= state.tau:",
+           (EXCHANGE,)),
+    # tau 0.0 takes every element; a NaN, negative or infinite one is refused
+    Mutant("StreamState without the tau check", "src/twostage/streaming.py",
+           "        if not 0 <= tau < math.inf:\n", "        if False:\n",
+           (BAD_INPUTS,)),
+    Mutant("tau check at 0 <", "src/twostage/streaming.py",
+           "        if not 0 <= tau < math.inf:\n",
+           "        if not 0 < tau < math.inf:\n",
+           ("tests/test_streaming.py::TestExchange::"
+            "test_a_new_base_is_its_sets_value_not_base_plus_gain",)),
+    Mutant("tau check at <= inf", "src/twostage/streaming.py",
+           "        if not 0 <= tau < math.inf:\n",
+           "        if not 0 <= tau <= math.inf:\n",
+           (BAD_INPUTS,)),
     Mutant("threshold test at <=", "src/twostage/streaming.py",
            "            if avg < tau:\n", "            if avg <= tau:\n",
            ("tests/test_streaming.py::TestThresholdManager::"
