@@ -506,18 +506,18 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
            base: float | None, step: float | None = None,
            counted: bool = True) -> tuple:
     """The move ``(replaced, gain)`` of x against the sorted tuple ``key``
-    at budget k: the insertion gain below budget (exactly 0.0 with no eval
-    when x is already in ``key``), else ``_move``'s best swap.  A missing
-    base is evaluated, but only after every check: ``key`` within the
-    budget, x an id (``_check_ids``), a non-empty ``key`` and x not in it
-    at budget.  If ``counted``, the move is counted by ``_Sets.probe``'s
-    rule: ``lambda_gain``'s if ``step`` is None, else ``nabla``'s with the
-    bar ``step * base``."""
+    at budget k, with every check before the first eval: the insertion
+    gain below budget (0.0 if x is in ``key``), else ``_move``'s best
+    swap.  If ``counted`` (``nabla``, ``lambda_gain``), a missing base is
+    evaluated even then, and the move is counted by ``_Sets.probe``'s
+    rule, with the bar ``step * base`` unless ``step`` is None."""
     if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     _check_ids((x,), F.ground.n)
     if len(key) < k:
         if x in key:
+            if counted and base is None:
+                F.value(i, key)
             return None, 0.0
     elif not key:
         raise ValueError("rep requires a non-empty set; use the insertion path")

@@ -12,6 +12,7 @@ Three families matter in practice:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -221,7 +222,7 @@ def _gather(table: np.ndarray, rix, cols) -> np.ndarray:
     return rows if cols is None else rows.take(cols, axis=1)
 
 
-def _class_minima(views: list, index: list, cols, ids) -> np.ndarray:
+def _class_minima(views: list, index: array, cols, ids) -> np.ndarray:
     """The elementwise minima of the table rows ``views[index[e]]`` of the
     ids e in the class, by a pairwise ``np.minimum`` chain in id order,
     restricted to the columns ``cols`` unless that is None.  An id outside
@@ -257,11 +258,14 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     over all n ids: a member maps to its table row, any other id to the
     anchor row.  In the shared table a class reads only its members'
     columns (``cols``).  Each class also keeps its n singleton values,
-    computed at build time by one row sum per table row, which f_i returns
-    for a one-element set.  Memory is min(|U|^2, sum_i |omega_i|^2) + n*m
-    floats, with U the elements in any class, n*m row indices, and an
-    anchor row and a view per row of each table; the build holds a few
-    blocks of bounded size besides them.  Because ``min`` is exact, clipping once at build
+    computed at build time from its member rows and the anchor row, which
+    f_i returns for a one-element set.  Memory is min(|U|^2, sum_i
+    |omega_i|^2) + n*m floats, with U the elements in any class, n*m
+    4-byte row indices (``array("i")``; where most ids are in no class
+    they cost more than a dict over the members, 6.7 MB in place of 5.2 MB
+    for 20 disjoint classes of 100 over n = 20,000), and an anchor row and
+    a view per row of each table; the build holds a few blocks of bounded
+    size besides them.  Because ``min`` is exact, clipping once at build
     time gives the same numbers as clipping on every evaluation, and every
     sum is a last-axis ``np.add.reduce`` of the class's columns in
     ascending order in a C-contiguous array, so the values do not depend
@@ -294,14 +298,15 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
         if id(table) not in views:
             views[id(table)] = list(table)
         width, anchor_mean = omega.size, anchor.mean()
-        index = [len(table) - 1] * n  # one shared int for the anchor row
+        reduced = np.append(rows, len(table) - 1)  # the anchor row last
+        index = array("i", reduced[-1:]) * n
         for e, r in zip(omega.tolist(), rows.tolist()):
             index[e] = r
         step = max(1, _DIST_BLOCK_FLOATS // table.shape[1])
-        blocks = (table[s:s + step] for s in range(0, len(table), step))
-        sums = np.concatenate([
-            np.add.reduce(b if cols is None else b.take(cols, axis=1), axis=1)
-            for b in blocks])
+        sums = np.zeros(len(table))  # read only at the reduced rows
+        for s in range(0, width + 1, step):
+            rix = reduced[s:s + step]
+            sums[rix] = np.add.reduce(_gather(table, rix, cols), axis=1)
         singles = (anchor_mean - sums / width).take(index)
         classes.append((table, views[id(table)], index, cols, anchor_mean,
                         width, singles))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from twostage import core
 from twostage.cli import ConfigError, ExperimentConfig, run_experiment
 from twostage.core import (GroundSet, InvariantViolation, NonFiniteValueError,
-                           ObjectiveFamily, TwoStageSolution, empty_solution,
-                           evaluate_solution, lambda_gain, marginal, nabla,
-                           rep, solution_from_sets)
+                           ObjectiveFamily, SwapOutcome, TwoStageSolution,
+                           empty_solution, evaluate_solution, lambda_gain,
+                           marginal, nabla, rep, solution_from_sets)
 from twostage.distributed import (distributed_fast, partition,
                                   recommend_machine_count,
                                   replacement_distributed)
@@ -617,6 +617,23 @@ class TestLambdaGain:
         out = lambda_gain(F, 0, 2, {0, 1}, k=2)
         assert out.gain == 1.0
         assert out.replaced == 0
+
+
+@pytest.mark.parametrize("call, want, evals", [
+    (lambda F: marginal(F, 0, 0, {0}), 0.0, 0),
+    (lambda F: nabla(F, 0, 0, {0}, 1.0, 2), SwapOutcome(None, 0.0), 1),
+    (lambda F: lambda_gain(F, 0, 0, {0}, 2), SwapOutcome(None, 0.0), 1),
+    (lambda F: lambda_gain(F, 0, 0, {0}, 2, base=3.0),
+     SwapOutcome(None, 0.0), 0),
+], ids=["marginal", "nabla", "lambda_gain", "lambda_gain with base"])
+def test_a_candidate_in_its_set_below_budget_gains_nothing(call, want,
+                                                           evals):
+    # marginal spends no eval on it; nabla and lambda_gain evaluate a
+    # missing base, as for any other candidate
+    F = modular_family((3.0, 2.0))
+    before = F.evals
+    assert call(F) == want
+    assert F.evals - before == evals
 
 
 class TestSetsProbe:

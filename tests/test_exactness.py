@@ -314,22 +314,14 @@ def ref_rep(F, i, x, A, base=None):
     return SwapOutcome(best_y, best_gain)
 
 
-def ref_in_set(A, k):
-    """nabla's and lambda_gain's outcome for a candidate already in A, with
-    no eval: refused at budget, and no gain below it."""
-    if len(A) == k:
-        raise ValueError("candidate already in the set")
-    return SwapOutcome(None, 0.0)
-
-
 def ref_nabla(F, i, x, A, alpha, k, base=None):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     A = set(A)
     if len(A) > k:
         raise InvariantViolation("per-function solution larger than its budget")
-    if x in A:
-        return ref_in_set(A, k)
+    if x in A and len(A) == k:  # refused before the base eval
+        raise ValueError("candidate already in the set")
     if base is None:
         base = F.value(i, A)
     threshold = (alpha / k) * base
@@ -348,8 +340,8 @@ def ref_lambda_gain(F, i, x, A, k, base=None):
     A = set(A)
     if len(A) > k:
         raise InvariantViolation("per-function solution larger than its budget")
-    if x in A:
-        return ref_in_set(A, k)
+    if x in A and len(A) == k:  # refused before the base eval
+        raise ValueError("candidate already in the set")
     if base is None:
         base = F.value(i, A)
     if len(A) < k:

@@ -196,13 +196,14 @@ class TestExemplarFamily:
         assert peak - start <= bound
 
     def test_shared_build_memory_is_one_table_plus_blocks(self):
-        # the overlapping input's classes share one (|U| + 1) x |U| table;
-        # each class adds its n singleton values and its n row indices.
-        # Per-class tables would hold about 25 MiB
+        # the overlapping input's classes share one |U| x |U| table and
+        # its anchor row; each class adds its n singleton values and its n
+        # 4-byte row indices, which, with the anchor row, fit in the block
+        # allowance.  Per-class tables would hold about 25 MiB
         vectors = self.build_input(True)
         n, m = vectors.shape
         used = int((vectors > 0).any(axis=1).sum())
-        bound = ((used + 1) * used + 2 * n * m + 4 * _DIST_BLOCK_FLOATS) * 8
+        bound = (used ** 2 + n * m + 4 * _DIST_BLOCK_FLOATS) * 8
         assert sum(int(w) ** 2 for w in (vectors > 0).sum(axis=0)) * 8 > \
             2 * bound
         tracemalloc.start()
@@ -218,10 +219,10 @@ class TestExemplarFamily:
     def test_benchmark_shape_family_keeps_under_330_kib(self):
         # the distributed-exemplar benchmark's shape: counts 0-2 in each of
         # 20 classes over 160 elements, so one shared (161, 160) table of
-        # 201 KiB.  Each class adds 160 singleton values and 160 row
-        # indices, 25 KiB each over the classes, and the table's row views
-        # about 18 KiB.  A dict per class from member to row held 64 KiB
-        # where the row indices hold 25
+        # 201 KiB.  Each class adds 160 singleton values and 160 4-byte
+        # row indices, 25 and 13 KiB over the classes, and the table's row
+        # views about 18 KiB.  A dict per class from member to row held
+        # 64 KiB where the row indices hold 13
         vectors = np.random.default_rng(4242).integers(
             0, 3, (160, 20)).astype(float)
         gc.collect()

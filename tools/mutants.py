@@ -35,6 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 BAD_INPUTS = ("tests/test_core.py::"
               "test_bad_input_raises_its_typed_error_before_any_eval")
+IN_SET = ("tests/test_core.py::"
+          "test_a_candidate_in_its_set_below_budget_gains_nothing")
 EXEMPLAR_SHAPES = "tests/test_exactness.py::test_exemplar_block_kernel_shapes"
 EXEMPLAR_BLOCK = ("tests/test_exactness.py::"
                   "test_exemplar_block_kernel_is_bit_identical")
@@ -89,6 +91,18 @@ MUTANTS = (
            "    _check_ids((x,), F.ground.n)\n    if len(key) < k:",
            "    if len(key) < k:",
            (BAD_INPUTS,)),
+    # a candidate already in its set below budget: no eval for marginal,
+    # the missing base's eval for nabla and lambda_gain
+    Mutant("in-set candidate without the counted base eval",
+           "src/twostage/core.py",
+           "            if counted and base is None:\n"
+           "                F.value(i, key)\n", "",
+           (IN_SET,)),
+    Mutant("in-set candidate's base eval for marginal too",
+           "src/twostage/core.py",
+           "            if counted and base is None:\n",
+           "            if base is None:\n",
+           (IN_SET,)),
     Mutant("value without check_ids", "src/twostage/core.py",
            "        _check_ids(key, self._n)\n", "",
            (BAD_INPUTS,)),
@@ -112,14 +126,15 @@ MUTANTS = (
            (EXEMPLAR_SHAPES, EXEMPLAR_PER_CLASS_SHAPES, EXEMPLAR_SINGLETONS)),
     Mutant("exemplar non-member mapped to row 0",
            "src/twostage/objectives.py",
-           "        index = [len(table) - 1] * n", "        index = [0] * n",
+           'array("i", reduced[-1:]) * n', 'array("i", [0]) * n',
            (EXEMPLAR_SHAPES, EXEMPLAR_PER_CLASS_SHAPES, EXEMPLAR_SINGLETONS)),
     Mutant("exemplar layout choice inverted", "src/twostage/objectives.py",
            "if used.size ** 2 <= sum(", "if used.size ** 2 > sum(",
            (SHARED_BUILD, EXEMPLAR_SINGLETONS)),
     Mutant("exemplar singletons summed over the full shared row",
            "src/twostage/objectives.py",
-           "b if cols is None else b.take(cols, axis=1)", "b",
+           "np.add.reduce(_gather(table, rix, cols), axis=1)",
+           "np.add.reduce(_gather(table, rix, None), axis=1)",
            (EXEMPLAR_SINGLETONS,)),
     # all_solutions serves each (i, T_i) after its first eval
     Mutant("all_solutions without its served values",
