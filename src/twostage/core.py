@@ -15,10 +15,10 @@ The four public primitives are the checked form: they take any iterable,
 validate the candidate and the set, and evaluate a missing base.  All of
 them run the same swap loop, ``_move``, which trusts its caller.  The
 greedy and streaming drivers keep their solution in a ``_Sets``, whose
-``probes`` picks the kernel, whose ``probe`` counts a candidate's moves by
-the clamp or the threshold, and whose ``add`` applies them.  Every probe
-adds x to the sets of one probe table, ``_Sets.moves``, one entry per
-function, which ``add`` rebuilds only where it changes T_i.
+``probe`` counts a candidate's moves by the clamp or the threshold, whose
+``best`` finds greedy's move of a round, and whose ``add`` applies them.
+Every probe adds x to the sets of one probe table, ``_Sets.moves``, one
+entry per function, which ``add`` rebuilds only where it changes T_i.
 
 The eval contract: every counted evaluation is exactly one call to
 ``ObjectiveFamily.value``, looked up on the class at call time, and each call
@@ -45,16 +45,20 @@ calls no f_i and sorts and checks nothing:
   (i, T_i) of its states once and serves every later eval of it.
 * the values of F's block kernel.  ``_Sets._block_values`` hands each
   function's table entry's bases to ``F._block(i, bases, xs)`` and gets
-  every base plus x for a block of candidates at once, and each probe is
-  served its row.  The blocks are greedy's (``_Sets.probes``), and those
-  of a long-lived streaming state over the arrivals ahead
-  (``streaming.ThresholdManager._lookahead``), whose leaders record
-  their served values like any other.  When a greedy round's candidates
-  fit in one block, the ``_Sets`` keeps that block, and a later round
-  asks the kernel again only for the functions whose table entry
-  changed; every other value is the one computed for the same candidate
-  against the same T_i.  The kept block lives as long as the ``_Sets``,
-  one solver call, and a streaming state's as long as the state.
+  every base plus x for a block of candidates at once.  The blocks are
+  greedy's (``_Sets.best``) and those of a long-lived streaming state over
+  the arrivals ahead (``streaming.ThresholdManager._lookahead``).  A
+  streaming leader's probe is served its row, and records its served
+  values like any other.  A greedy candidate's evals are ``value`` calls
+  served its row, in the order that its probe would make them; only the
+  candidate of each block that ``_Sets._first_best`` finds in numpy is
+  probed, or every candidate of a block that holds a value that is not
+  finite.  When a greedy round's candidates fit in one block, the
+  ``_Sets`` keeps that block, and a later round asks the kernel again
+  only for the functions whose table entry changed; every other value is
+  the one computed for the same candidate against the same T_i.  The kept
+  block lives as long as the ``_Sets``, one solver call, and a streaming
+  state's as long as the state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
   ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each,
@@ -153,7 +157,7 @@ class ObjectiveFamily:
     ``_moves``), with shape (len(xs), len(bases)).
     ``_table_floats`` is the logical number of floats in the tables the
     kernel reads, as if each function kept its own, whatever the family
-    stores (0 without a kernel); it sizes the blocks of ``_Sets.probes``.
+    stores (0 without a kernel); it sizes greedy's blocks (``_Sets.best``).
     ``_row`` is None or the family's row kernel ``_row(i, x, bases)``: for
     one function's probe-table bases (``_Sets.moves[i][0]``) and an x in
     none of them, the list of the raw f_i(b + (x,)) for each base b.  It
@@ -337,10 +341,10 @@ def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
     return best_y, best_gain, best_v
 
 
-# The floats one block of ``_Sets.probes`` holds at most, k per function
-# and candidate: this, or an eighth of F's kernel tables
+# The floats one block of greedy's (``_Sets.best``) holds at most, k per
+# function and candidate: this, or an eighth of F's kernel tables
 # (``F._table_floats``) when that is more, so that a family whose tables
-# are large probes every candidate of a round in one block, which the
+# are large resolves every candidate of a round in one block, which the
 # ``_Sets`` keeps for the next round.
 BLOCK_FLOATS = 1024
 
@@ -426,23 +430,86 @@ class _Sets:
 
     def probes(self, F: ObjectiveFamily, xs: Iterable[int]):
         """Yield ``(x, replaced, gains, values)``, the ``probe`` of each
-        distinct x of xs not in S, in order of first appearance; the caller
-        changes nothing here until it is done.
+        distinct x of xs not in S, in order of first appearance, made with
+        F's row kernel or set by set; the caller changes nothing here until
+        it is done."""
+        for x in dict.fromkeys(x for x in xs if x not in self.S):
+            yield (x, *self.probe(F, x))
 
-        With F's block kernel, the candidates' values come in blocks
-        (``_block_values``), and each probe is served its row.  When they
-        fit in one block, that block is kept for the next call."""
-        xs = list(dict.fromkeys(x for x in xs if x not in self.S))
+    def best(self, F: ObjectiveFamily, xs: Iterable[int]):
+        """Greedy's round: the ``(x, replaced, gains, values)`` of the
+        distinct x of xs not in S whose gains, ``lambda_gain``'s, have the
+        largest ``sum``, the first such x on a tie; None unless a sum is
+        positive.
+
+        Without F's block kernel, every x is probed (``probes``).  With it,
+        the candidates' values come in blocks (``_block_values``), and only
+        the x that ``_first_best`` finds in each block is probed, served its
+        row; every other x makes its evals as ``value`` calls served the
+        block's values, in the order that its probe would.  So the evals,
+        and each value call, are the same on both paths.  When the
+        candidates fit in one block, that block is kept for the next
+        call."""
         if F._block is None:
-            yield from ((x, *self.probe(F, x)) for x in xs)
-            return
+            moves = self.probes(F, xs)
+        else:
+            moves = self._block_moves(F, xs)
+        top, best = 0.0, None
+        for move in moves:
+            total = sum(move[2])
+            if total > top:  # strict: ties keep the first x
+                top, best = total, move
+        return best
+
+    def _block_moves(self, F: ObjectiveFamily, xs: Iterable[int]):
+        """``best``'s moves with F's block kernel: per block, the probe of
+        the x that ``_first_best`` finds, or of every x if it finds none,
+        so that ``value`` evaluates each set whose value is not finite."""
+        xs = list(dict.fromkeys(x for x in xs if x not in self.S))
         size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * self.k))
+        value = F.value
+        bases_of = [bases for bases, _ in self.moves]
         for start in range(0, len(xs), size):
             part = xs[start:start + size]
             vals = None  # the last block's values go before the next's come
             vals, row_of = self._block_values(F, part, len(xs) <= size)
-            for x in part:
-                yield (x, *self.probe(F, x, None, vals[row_of[x]].tolist()))
+            rows = [row_of[x] for x in part]
+            first = self._first_best(vals, rows)
+            for s, (x, r) in enumerate(zip(part, rows)):
+                raw = vals[r].tolist()
+                if first is None or s == first:
+                    yield (x, *self.probe(F, x, None, raw))
+                    continue
+                x = (x,)
+                for i, bases in enumerate(bases_of):
+                    for b, v in zip(bases, raw[i]):
+                        value(i, b + x, v)
+
+    def _first_best(self, vals: np.ndarray, rows: list) -> int | None:
+        """The index in ``rows`` of the first row of the block ``vals``
+        whose gains, ``probe``'s without a step, have the largest total,
+        or None if a value in the block, in any row, is not finite.
+
+        A function's gain is its value less its base: the insertion's below
+        budget, and at it the largest swap's, clamped at 0.  The largest
+        values are taken one base at a time over every row and function, so
+        that no temporary holds more than one float per row and function.
+        A total adds the gains in function order, as ``sum`` does before
+        Python 3.12, so the row found has the largest ``sum`` there."""
+        if not (isfinite(vals.max()) and isfinite(vals.min())):
+            return None
+        gains = vals[:, :, 0].copy()
+        for j in range(1, self.k):
+            np.maximum(gains, vals[:, :, j], out=gains)
+        floor = []
+        for i, (_, key) in enumerate(self.moves):
+            if key is None:  # one base: the max over j took unused columns
+                gains[:, i] = vals[:, i, 0]
+            floor.append(-inf if key is None else 0.0)
+        gains -= self.base
+        np.maximum(gains, floor, out=gains)
+        np.add.accumulate(gains, axis=1, out=gains)
+        return int(gains[rows, -1].argmax())
 
     def _block_values(self, F: ObjectiveFamily, xs: list, keep: bool) -> tuple:
         """The values of the probe sets of xs, distinct and none in S, from

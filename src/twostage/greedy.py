@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .core import (ObjectiveFamily, TwoStageSolution, _check_ids, _Sets,
                    check_budgets, solution_from_sets)
-# replacement_greedy counts lambda_gain's clamp in _Sets.probe; the name
+# replacement_greedy counts lambda_gain's clamp in _Sets.best; the name
 # stays bound here because perfbench/tracer.py wraps greedy.lambda_gain, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
 from .core import lambda_gain  # noqa: F401
@@ -27,9 +27,11 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     such elements could never change any per-function solution.
 
     The per-function gain is ``lambda_gain``'s: the insertion gain below
-    budget, the best-swap gain clamped at 0 at budget.  Each candidate is
-    probed with ``_Sets.probes`` and the best one applied with ``_Sets.add``.
-    The candidates' ids are checked (``_check_ids``) before any eval.
+    budget, the best-swap gain clamped at 0 at budget.  Each round's best
+    candidate, the lowest id on a tie, is found by ``_Sets.best`` (in numpy
+    block by block where F has a block kernel, with every eval still one
+    counted ``value`` call) and applied with ``_Sets.add``.  The
+    candidates' ids are checked (``_check_ids``) before any eval.
     """
     cands = set(candidates)
     if not cands:
@@ -40,13 +42,7 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
 
     sets = _Sets(F.m, k)
     for _ in range(ell):
-        best_total = 0.0
-        best = None  # (x, replaced, gains, values) of the best so far
-        for move in sets.probes(F, cands):
-            total = sum(move[2])
-            if total > best_total:  # strict: ties keep the lowest id
-                best_total = total
-                best = move
+        best = sets.best(F, cands)
         if best is None:
             break
         sets.add(F, *best)

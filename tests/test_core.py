@@ -199,7 +199,7 @@ class TestServedValue:
 
     @pytest.mark.parametrize("bad", [-1, 12])
     def test_out_of_range_candidate_raises_at_the_block_boundary(self, bad):
-        """A served value's ids are not checked by ``value``: ``probes``
+        """A served value's ids are not checked by ``value``: ``best``
         range-checks each block's candidates before any kernel call, so a
         bad candidate raises before any kernel call or eval."""
         F = make_synthetic("facility", 12, 2, 0)
@@ -213,7 +213,7 @@ class TestServedValue:
         F._block = counted
         before = F.evals
         with pytest.raises(ValueError, match="element id"):
-            next(core._Sets(F.m, 2).probes(F, [3, bad, 5]))
+            core._Sets(F.m, 2).best(F, [3, bad, 5])
         assert (calls, F.evals - before) == ([], 0)
 
     @pytest.mark.parametrize("served", NON_FINITE)

@@ -954,8 +954,7 @@ def test_each_base_is_the_value_of_its_set(kind):
     mgr = ThresholdManager(F, 0.2, 6, 3).run(stream)
     sets = _Sets(F.m, 3)
     for _ in range(6):
-        sets.add(F, *max(sets.probes(F, range(40)),
-                         key=lambda move: sum(move[2])))
+        sets.add(F, *sets.best(F, range(40)))
         assert sets.base == [G.value(i, t) for i, t in enumerate(sets.T)]
     for state in mgr.instances.values():
         assert state.base == [G.value(i, t) for i, t in enumerate(state.T)]

@@ -1,12 +1,17 @@
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twostage import core
 from twostage.core import (BLOCK_FLOATS, NonFiniteValueError, ObjectiveFamily,
                            _Sets, marginal)
 from twostage.greedy import replacement_greedy
-from twostage.objectives import exemplar_family, make_synthetic
+from twostage.objectives import (Point, Region, exemplar_family,
+                                 facility_family, make_synthetic)
 from twostage.oracle import brute_force_opt
 
 from conftest import (NON_FINITE, float_features, kernel_counted,
@@ -170,6 +175,22 @@ def test_kernel_values_reach_value_as_served():
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
 
 
+@contextmanager
+def value_calls():
+    """Record every ``ObjectiveFamily.value`` call as ``(i, ids, v)``: ids
+    as passed (sorted, if not a tuple) and v as returned."""
+    value = ObjectiveFamily.value
+    calls = []
+
+    def spy(self, i, ids, served=None):
+        v = value(self, i, ids, served)
+        calls.append((i, ids if type(ids) is tuple else tuple(sorted(ids)), v))
+        return v
+
+    with mock.patch.object(ObjectiveFamily, "value", spy):
+        yield calls
+
+
 def block_spy(F):
     """Record each ``F._block(i, bases, xs)`` call as (i, bases, xs)."""
     kernel = F._block
@@ -187,13 +208,13 @@ def greedy_rounds(F, cands, ell, k):
     round, and per round the S and T it started from."""
     calls = block_spy(F)
     starts = []
-    probes = _Sets.probes
+    best = _Sets.best
 
     def spy(self, F, xs):
         starts.append((len(calls), set(self.S), list(self.T)))
-        return probes(self, F, xs)
+        return best(self, F, xs)
 
-    with mock.patch.object(_Sets, "probes", spy):
+    with mock.patch.object(_Sets, "best", spy):
         sol = replacement_greedy(F, cands, ell, k)
     ends = [start for start, *_ in starts[1:]] + [len(calls)]
     return sol, [(calls[start:end], S, T)
@@ -252,8 +273,7 @@ class TestKeptBlock:
         cands, k = list(range(14)), 2
         sets, ref = _Sets(F.m, k), _Sets(G.m, k)
         for s, fam in ((sets, F), (ref, G)):
-            moves = list(s.probes(fam, cands))
-            s.add(fam, *max(moves, key=lambda move: sum(move[2])))
+            s.add(fam, *s.best(fam, cands))
         changed = [i for i in range(F.m) if sets.T[i]]
         assert len(changed) >= 2 and sets.T == ref.T
         kernel = F._block
@@ -266,11 +286,15 @@ class TestKeptBlock:
             return kernel(i, bases, xs)
         F._block = failing
         with pytest.raises(RuntimeError, match="block kernel failed"):
-            list(sets.probes(F, cands))
+            sets.best(F, cands)
         assert calls == changed[:fail_at + 1]
         F._block = kernel
-        assert list(sets.probes(F, cands)) == list(ref.probes(G, cands))
-        assert F.evals == G.evals
+        # every value the block serves is the one computed without it
+        with value_calls() as got:
+            move = sets.best(F, cands)
+        with value_calls() as want:
+            assert move == ref.best(G, cands)
+        assert got == want and F.evals == G.evals
 
     def test_a_round_with_every_candidate_in_s_calls_no_kernel(self):
         F = make_synthetic("coverage", 8, 3, seed=1)
@@ -278,22 +302,23 @@ class TestKeptBlock:
         calls = block_spy(F)
         sets = _Sets(F.m, 2)
         for x in (0, 5):
-            sets.add(F, *next(sets.probes(F, [x])))
+            sets.add(F, *sets.best(F, [x]))
         calls.clear()
-        assert list(sets.probes(F, [5, 0, 5])) == []
+        assert sets.best(F, [5, 0, 5]) is None
         assert calls == []
 
     def test_a_probe_of_one_element_leaves_the_kept_block(self):
         F = exemplar_family(float_features(14, 4, 3), 4)
         calls = block_spy(F)
         sets = _Sets(F.m, 2)
-        moves = list(sets.probes(F, range(10)))
+        move = sets.best(F, range(10))
         kept = sets.kept
+        assert kept is not None
         calls.clear()
         for x in range(10, 14):
             sets.probe(F, x)
         assert sets.kept is kept and calls == []
-        assert list(sets.probes(F, range(10))) == moves and calls == []
+        assert sets.best(F, range(10)) == move and calls == []
 
 
 def test_repeated_candidates_are_probed_once_on_both_paths():
@@ -302,13 +327,17 @@ def test_repeated_candidates_are_probed_once_on_both_paths():
     assert F._block is not None and G._block is None
     runs = []
     for fam in (F, G):
-        sets, probes = _Sets(fam.m, 1), []
+        sets, rounds = _Sets(fam.m, 1), []
         for first in (5, 9):  # empty sets, then every T_i at budget
-            probes.append(list(sets.probes(fam, [3, 1, 3])))
+            with value_calls() as calls:
+                rounds.append((sets.best(fam, [3, 1, 3]), calls))
             sets.add(fam, *next(sets.probes(fam, [first])))
-        runs.append((probes, fam.evals))
+        runs.append((rounds, fam.evals))
     assert runs[0] == runs[1]
-    assert [[x for x, *_ in moves] for moves in runs[0][0]] == [[3, 1]] * 2
+    # k = 1: one set per function and candidate, each x once
+    assert [[ids[-1] for _, ids, _ in calls] for _, calls in runs[0][0]] \
+        == [[3, 3, 3, 1, 1, 1]] * 2
+    assert [x for x, *_ in _Sets(G.m, 1).probes(G, [3, 1, 3])] == [3, 1]
 
 
 def id_families():
@@ -336,3 +365,125 @@ class TestElementIds:
             before = F.evals
             runs.append((replacement_greedy(F, ids, 3, 2), F.evals - before))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def tie_family(regions, places=4):
+    """Facility location on ``places`` positions 10 apart, two points at
+    each: ids 2a and 2a + 1 sit at position a.  Every convenience is
+    exactly 1.0 or 0.0, so f_i(T) counts the members of region i (given as
+    positions, repeats allowed) at a position of T, and duplicates tie."""
+    spots = [Point(10.0 * a, 0.0) for a in range(places)]
+    return facility_family([p for p in spots for _ in range(2)],
+                           [Region(tuple(spots[a] for a in region))
+                            for region in regions])
+
+
+KERNEL_FAMILIES = {
+    "facility": lambda n, m, seed: make_synthetic("facility", n, m, seed),
+    "exemplar": lambda n, m, seed: exemplar_family(
+        float_features(n, m, seed), m),
+    "ties": lambda n, m, seed: tie_family(
+        np.random.default_rng(seed).integers(0, -(-n // 2), (m, 5)).tolist(),
+        -(-n // 2)),
+}
+
+
+def greedy_run(F, cands, ell, k):
+    """(solution or exception type, evals, served ``(i, ids, v)`` calls) of
+    replacement_greedy on F."""
+    before = F.evals
+    with value_calls() as calls:
+        try:
+            result = replacement_greedy(F, cands, ell, k)
+        except NonFiniteValueError:
+            result = NonFiniteValueError
+    return result, F.evals - before, calls
+
+
+class TestBlockResolver:
+    """``_Sets.best`` on a family with a block kernel finds each block's
+    best candidate in numpy and serves every eval from the block: its
+    solutions, evals and served calls equal those of the same objectives
+    with no kernel, probed one candidate at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(KERNEL_FAMILIES)),
+           seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_kernel_path_is_bit_identical_to_the_scalar_path(self, kind,
+                                                            seed, data):
+        n = data.draw(st.integers(2, 24))
+        m = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 4))
+        ell = data.draw(st.integers(k, k + 4))
+        cands = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=2 * n))
+        F = KERNEL_FAMILIES[kind](n, m, seed)
+        G = ObjectiveFamily(F.ground, F._functions)
+        assert F._block is not None and G._block is None
+        # one row per block, a few, or every candidate in one kept block
+        F._table_floats = 0
+        floats = data.draw(st.sampled_from([1, 3 * F.m * k, BLOCK_FLOATS]))
+        with mock.patch.object(core, "BLOCK_FLOATS", floats):
+            got = greedy_run(F, cands, ell, k)
+        assert got == greedy_run(G, cands, ell, k)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_FAMILIES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_greedy_runs_equal_the_scalar_path(self, kind, seed):
+        F = KERNEL_FAMILIES[kind](40, 5, seed)
+        G = ObjectiveFamily(F.ground, F._functions)
+        got = greedy_run(F, range(40), 8, 3)
+        assert got == greedy_run(G, range(40), 8, 3)
+        assert got[1] == len(got[2]) > 0
+
+    def test_ties_go_to_the_lowest_replaced_y_and_candidate(self):
+        # T_0 = {0, 2} covers positions 0 and 1; 4 and 5 at position 2
+        # cover two members, so swapping either of 0 and 2 for either of
+        # 4 and 5 gains 1.0: the move is 4 for 0
+        F = tie_family([[0, 1, 2, 2]])
+        G = ObjectiveFamily(F.ground, F._functions)
+        moves = []
+        for fam in (F, G):
+            sets = _Sets(1, 2)
+            for x in (0, 2):
+                sets.add(fam, *next(sets.probes(fam, [x])))
+            with value_calls() as calls:
+                moves.append((sets.best(fam, [1, 3, 4, 5, 6]), calls))
+        assert moves[0] == moves[1]
+        assert moves[0][0] == (4, [0], [1.0], [3.0])
+        # 4 first (two members), then 0 (one), and no swap gains
+        sol = replacement_greedy(F, range(8), 3, 2)
+        assert sol.per_function == (frozenset({0, 4}),)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_a_non_finite_value_mid_block_raises_at_the_scalar_eval(self,
+                                                                     bad):
+        # f_p and its kernel are non-finite on sets holding both a, greedy's
+        # first pick, and b; round 2's one block meets {a, b} at b's row,
+        # after the rows before it
+        E = make_synthetic("facility", 20, 3, seed=5)
+        first = replacement_greedy(E, range(20), 1, 1)
+        (a,) = first.summary
+        p = next(i for i, t in enumerate(first.per_function) if a in t)
+        b = 17 if a != 17 else 18
+        kernel = E._block
+
+        def poisoned(ids, f=E._functions[p]):
+            return bad if {a, b} <= set(ids) else f(ids)
+
+        def block(i, bases, xs):
+            vals = kernel(i, bases, xs)
+            for r, x in enumerate(xs):
+                for j, base in enumerate(bases):
+                    if i == p and {a, b} <= set(base + (x,)):
+                        vals[r, j] = bad
+            return vals
+
+        functions = list(E._functions)
+        functions[p] = poisoned
+        F = ObjectiveFamily(E.ground, functions)
+        F._block, F._table_floats = block, E._table_floats
+        G = ObjectiveFamily(E.ground, functions)
+        got = greedy_run(F, range(20), 4, 2)
+        assert got[0] is NonFiniteValueError
+        assert got == greedy_run(G, range(20), 4, 2)

@@ -60,6 +60,7 @@ WINDOW = ("tests/test_streaming.py::TestThresholdManager::"
 # ThresholdManager.process's probe dicts, seeded with the singletons
 SEED = ("        seen = [{(): (None, v, v, [(i, (u,), v)])}\n"
         "                for i, v in enumerate(self.update_thresholds(u))]\n")
+RESOLVER = "tests/test_greedy.py::TestBlockResolver"
 GRID_LIMITS = ("tests/test_streaming.py::TestAdmission::"
                "test_a_grid_at_a_limit_is_accepted_and_one_over_it_refused")
 
@@ -218,6 +219,23 @@ MUTANTS = (
            "F.value(i, key, self.base[i] + gain)",
            ("tests/test_streaming.py::TestExchange::"
             "test_a_new_base_is_its_sets_value_not_base_plus_gain",)),
+    # greedy's block resolver: the first best row, the swap clamp, and the
+    # probe of every row of a block holding a value that is not finite.  A
+    # clamp at >= 0 would be no mutant: max(g, 0) is the same either way,
+    # and the replaced y comes from the probe of the row found
+    Mutant("resolver's argmax taken last", "src/twostage/core.py",
+           "return int(gains[rows, -1].argmax())",
+           "return len(rows) - 1 - int(gains[rows, -1][::-1].argmax())",
+           (RESOLVER + "::test_ties_go_to_the_lowest_replaced_y_and_"
+            "candidate",)),
+    Mutant("resolver without the swap clamp", "src/twostage/core.py",
+           "        np.maximum(gains, floor, out=gains)\n", "",
+           (RESOLVER + "::test_greedy_runs_equal_the_scalar_path",)),
+    Mutant("resolver's non-finite fallback skipped", "src/twostage/core.py",
+           "        if not (isfinite(vals.max()) and isfinite(vals.min())):\n"
+           "            return None\n", "",
+           ("tests/test_greedy.py::TestSwapProbeKernel::"
+            "test_non_finite_kernel_values_are_evaluated_again",)),
     # the threshold window's four fix-up loops and the grid's two limits.
     # Each end's first loop at the other strictness is equivalent: where
     # it moves one exponent too far, the end's second loop moves it back.
