@@ -50,10 +50,12 @@ calls no f_i and sorts and checks nothing:
   the arrivals ahead (``streaming.ThresholdManager._lookahead``).  A
   streaming leader's probe is served its row, and records its served
   values like any other.  A greedy candidate's evals are ``value`` calls
-  served its row, in the order that its probe would make them; only the
-  candidate of each block that ``_Sets._first_best`` finds in numpy is
-  probed, or every candidate of a block that holds a value that is not
-  finite.  When a greedy round's candidates fit in one block, the
+  served its row, in the order that its probe would make them, by the
+  round's served plan: each probe set's (i, base) in that order, and the
+  set's column in the row flattened to m * k floats.  Only the candidate
+  of each block that ``_Sets._first_best`` finds in numpy is probed, or
+  every candidate of a block that holds a value that is not finite in a
+  candidate's row.  When a greedy round's candidates fit in one block, the
   ``_Sets`` keeps that block, and a later round asks the kernel again
   only for the functions whose table entry changed; every other value is
   the one computed for the same candidate against the same T_i.  The kept
@@ -61,10 +63,13 @@ calls no f_i and sorts and checks nothing:
   state's as long as the state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
-  ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each,
-  in plain Python (the coverage family ORs its bitmasks); each value,
-  less the offset, is served to its ``value`` call.  So every coverage
-  probe is served: streaming leaders, greedy and ``run_know_opt``.
+  ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each
+  (the coverage family ORs its bitmasks, the exemplar family takes each
+  base's chain of minima with x's row); each value, less the offset, is
+  served to its ``value`` call.  So every coverage probe is served:
+  streaming leaders, greedy and ``run_know_opt``; and so is every
+  exemplar probe that no block serves: streaming leaders set by set, a
+  bare ``exchange`` and ``run_know_opt``.
 
 Nothing is memoised.  No served value's ids are checked again; see
 ``_check_ids`` for where they were.
@@ -160,10 +165,12 @@ class ObjectiveFamily:
     stores (0 without a kernel); it sizes greedy's blocks (``_Sets.best``).
     ``_row`` is None or the family's row kernel ``_row(i, x, bases)``: for
     one function's probe-table bases (``_Sets.moves[i][0]``) and an x in
-    none of them, the list of the raw f_i(b + (x,)) for each base b.  It
-    suits a family whose sets cost less to evaluate than
-    one numpy call, and it serves every ``_Sets.probe`` that is given no
-    kernel values (see the eval contract above).
+    none of them, the list of the raw f_i(b + (x,)) for each base b, as
+    floats.  It suits a family that can give one candidate's few sets for
+    less than ``value``'s sort, id check and f_i call on each: coverage's
+    bitmask ORs, exemplar's chains of minima.  It serves every
+    ``_Sets.probe`` that is given no kernel values (see the eval contract
+    above).
     """
 
     def __init__(self, ground: GroundSet,
@@ -464,31 +471,40 @@ class _Sets:
     def _block_moves(self, F: ObjectiveFamily, xs: Iterable[int]):
         """``best``'s moves with F's block kernel: per block, the probe of
         the x that ``_first_best`` finds, or of every x if it finds none,
-        so that ``value`` evaluates each set whose value is not finite."""
+        so that ``value`` evaluates each set whose value is not finite.
+        Every other x makes its evals by the round's served plan: one
+        ``value`` call per (i, base), served the value at the plan's column
+        of x's row flattened, one ``tolist`` per row."""
         xs = list(dict.fromkeys(x for x in xs if x not in self.S))
         size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * self.k))
-        value = F.value
-        bases_of = [bases for bases, _ in self.moves]
+        value, k = F.value, self.k
+        # the round's served plan: each probe set's (i, base), in probe
+        # order, and its column in a row of the block flattened to m * k
+        plan = [(i, b) for i, (bases, _) in enumerate(self.moves)
+                for b in bases]
+        pos = np.array([i * k + j for i, (bases, _) in enumerate(self.moves)
+                        for j in range(len(bases))])
         for start in range(0, len(xs), size):
             part = xs[start:start + size]
-            vals = None  # the last block's values go before the next's come
+            # the last block's values, and its view, go before the next's come
+            vals = flat = None
             vals, row_of = self._block_values(F, part, len(xs) <= size)
+            flat = vals.reshape(len(vals), -1)
             rows = [row_of[x] for x in part]
             first = self._first_best(vals, rows)
             for s, (x, r) in enumerate(zip(part, rows)):
-                raw = vals[r].tolist()
                 if first is None or s == first:
-                    yield (x, *self.probe(F, x, None, raw))
+                    yield (x, *self.probe(F, x, None, vals[r].tolist()))
                     continue
                 x = (x,)
-                for i, bases in enumerate(bases_of):
-                    for b, v in zip(bases, raw[i]):
-                        value(i, b + x, v)
+                for (i, b), v in zip(plan, flat[r].take(pos).tolist()):
+                    value(i, b + x, v)
 
     def _first_best(self, vals: np.ndarray, rows: list) -> int | None:
         """The index in ``rows`` of the first row of the block ``vals``
         whose gains, ``probe``'s without a step, have the largest total,
-        or None if a value in the block, in any row, is not finite.
+        or None if a value in the block is not finite.  The rows of a kept
+        block whose candidates are in S hold zeros (``_block_values``).
 
         A function's gain is its value less its base: the insertion's below
         budget, and at it the largest swap's, clamped at 0.  The largest
@@ -519,7 +535,8 @@ class _Sets:
         The block is new, unless ``keep`` and the kept block has a row for
         every x: then a function's column is reused if ``moves[i]`` is still
         the entry it was filled for, and refilled for the rows not in S if
-        not.  A new block is kept if ``keep``.  A column counts as filled
+        not, and the rows of the block's candidates that are in S are
+        zeroed.  A new block is kept if ``keep``.  A column counts as filled
         only once ``F._block`` has returned; a value that is not finite
         stays in the block, and ``value`` does not serve it.  The ids of xs
         are checked (``_check_ids``) before any kernel call."""
@@ -532,9 +549,13 @@ class _Sets:
                 self.kept = kept
         row_of, vals, entries = kept
         live = [x for x in row_of if x not in self.S]
-        # a slice writes a whole new block faster than a row list
-        rows = (slice(None) if len(live) == len(row_of)
-                else [row_of[x] for x in live])
+        if len(live) == len(row_of):
+            rows = slice(None)  # writes a whole new block faster than a list
+        else:
+            rows = [row_of[x] for x in live]
+            # the rows of candidates in S are never refilled or served
+            # again; zeroed, none holds a stale value that is not finite
+            vals[[row_of[x] for x in self.S if x in row_of]] = 0.0
         for i, entry in enumerate(self.moves):
             if entries[i] is not entry:
                 bases = entry[0]

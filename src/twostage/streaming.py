@@ -162,15 +162,18 @@ class StreamState(_GroupState):
 # A state's leaders probe set by set until they have made this many evals
 # per function; only then may ``ThresholdManager._lookahead`` fill a block
 # for it.  A block costs m kernel calls, and an exemplar kernel call at 30
-# candidates costs as much as about 6 (one base) to 11 (three bases)
-# computed f_i calls (19 and 32 us against about 3 us on a 2-core Xeon),
-# but most of a short-lived state's evals repeat an (i, T_i) that another
-# run probed in the same element (the probe dict).  On the
-# distributed-exemplar benchmark, a price of 16 made 2,420 kernel calls to
-# save 5,291 f_i calls, and was slower (0.72-0.73 s against 0.69-0.71 s at
-# 64, 3 pairs); at 64 its states never reach it, while on criterion 8's
-# facility instance, whose states live for up to 1,345 probes, 35 states
-# reach it, after 17 to 65 probes.
+# candidates costs as much as about 6 (one base) to 12 (three bases) sets
+# probed set by set, which the exemplar row kernel serves (19 and 33 us
+# against about 3 us a set on a 2-core Xeon, where ``value`` computing the
+# set costs about 4 us), but most of a short-lived state's evals repeat an
+# (i, T_i) that another run probed in the same element (the probe dict).
+# On the distributed-exemplar benchmark, before the row kernel, a price of
+# 16 made 2,420 kernel calls to save 5,291 f_i calls, and was slower
+# (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs), and the row kernel
+# has made the set-by-set probes that a block saves cheaper since.  At 64
+# its states never reach it, while on criterion 8's facility instance,
+# whose states live for up to 1,345 probes, 35 states reach it, after 17
+# to 65 probes.
 KERNEL_CALL_EVALS = 64
 
 # The floats one lookahead block holds at most, k per function and arrival.

@@ -1273,6 +1273,14 @@ def test_coverage_solvers_match_without_the_row_kernel(seed, kind, data):
     m = data.draw(st.integers(1, 3))
     F = (make_synthetic("coverage", n, m, seed) if kind == "coverage"
          else offset_coverage(n, m, seed))
+    assert_row_kernel_solvers_match(F, seed, data)
+
+
+def assert_row_kernel_solvers_match(F, seed, data):
+    """Greedy, both streaming solvers and distributed_fast on F, which has
+    a row kernel, equal them on F's objectives with no kernel, outputs and
+    evals, for drawn budgets and candidates; the row kernel is called."""
+    n = F.ground.n
     G = scalar_copy(F)
     assert G._row is None
     k = data.draw(st.integers(1, 4))
@@ -1298,6 +1306,65 @@ def test_coverage_solvers_match_without_the_row_kernel(seed, kind, data):
                            alpha) == \
             manager_run(RefThresholdManager, G, cands, epsilon, ell, k, alpha)
     assert rows
+
+
+# ---------------------------------------------------------------------------
+# the exemplar row kernel: set-by-set exemplar probes served from the tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), disjoint=st.booleans(), data=st.data())
+def test_exemplar_row_kernel_is_bit_identical(seed, disjoint, data):
+    """``F._row`` equals ``F.value`` set by set (``==``) on probe tables
+    whose sets are empty, below budget or at budget, for candidates in and
+    outside each class, on overlapping classes and on disjoint ones, which
+    get a table each; its values are floats."""
+    n = 300 if disjoint else 210
+    F = (disjoint_exemplar if disjoint else wide_exemplar)(seed, n, 2, data)
+    assert F._offsets == [0.0, 0.0]
+    k = data.draw(st.integers(1, 4))
+    x = data.draw(st.integers(0, n - 1))
+    others = [e for e in range(n) if e != x]
+    moves = []
+    for _ in range(F.m):
+        size = data.draw(st.sampled_from([0, data.draw(st.integers(0, k - 1)),
+                                          k]))
+        key = data.draw(st.permutations(others))[:size]
+        moves.append(_moves(tuple(sorted(key)), k))
+    rows = [F._row(i, x, bases) for i, (bases, _) in enumerate(moves)]
+    assert rows == [[F.value(i, base + (x,)) for base in bases]
+                    for i, (bases, _) in enumerate(moves)]
+    assert all(type(v) is float for row in rows for v in row)
+
+
+@pytest.mark.parametrize("shared", [True, False],
+                         ids=["shared table", "per-class tables"])
+@pytest.mark.parametrize("i, key, k, xs", [row[1:] for row in KERNEL_SHAPES],
+                         ids=[row[0] for row in KERNEL_SHAPES])
+def test_exemplar_row_kernel_shapes(i, key, k, xs, shared):
+    """The block kernel's rare shapes, one candidate at a time: memberless
+    bases, candidates outside the class, the empty base and a class of
+    width 1, on both table layouts."""
+    F = kernel_shapes_family(shared)
+    f = F._functions[i]
+    bases = _moves(key, k)[0]
+    assert [F._row(i, x, bases) for x in xs] == \
+        [[f(tuple(sorted(b + (x,)))) for b in bases] for x in xs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), blocks=st.booleans(), data=st.data())
+def test_exemplar_solvers_match_without_the_row_kernel(seed, blocks, data):
+    """Greedy, both streaming solvers, distributed_fast and
+    ThresholdManager on an exemplar family equal the same objectives with
+    no kernel, outputs and evals: with the family's block kernel, and
+    without it, so that greedy's probes take the row kernel too."""
+    n = data.draw(st.integers(4, 14))
+    m = data.draw(st.integers(1, 3))
+    F = exemplar_family(float_features(n, m, seed), m)
+    if not blocks:
+        F._block = None
+    assert_row_kernel_solvers_match(F, seed, data)
 
 
 @pytest.mark.parametrize("bad, error", [(2.5, TypeError), (-1, ValueError),

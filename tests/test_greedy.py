@@ -487,3 +487,65 @@ class TestBlockResolver:
         got = greedy_run(F, range(20), 4, 2)
         assert got[0] is NonFiniteValueError
         assert got == greedy_run(G, range(20), 4, 2)
+
+    @pytest.mark.parametrize("floats", [1, 3 * 4 * 3, BLOCK_FLOATS])
+    def test_served_plan_mixes_insertions_and_swaps(self, floats):
+        # in two rounds some T_i are below budget (one base each) and some
+        # at it (k bases), so the flattened block's columns in a round's
+        # served plan do not all follow from one base count
+        F = exemplar_family(float_features(24, 4, 0), 4)
+        G = ObjectiveFamily(F.ground, F._functions)
+        k, sizes = 3, []
+        best = _Sets.best
+
+        def spy(self, F, xs):
+            sizes.append({len(t) for t in self.T})
+            return best(self, F, xs)
+
+        # one row per block, a few, or every candidate in one kept block
+        F._table_floats = 0
+        with mock.patch.object(core, "BLOCK_FLOATS", floats), \
+                mock.patch.object(_Sets, "best", spy):
+            got = greedy_run(F, range(24), 8, k)
+        assert sum(k in s and len(s) > 1 for s in sizes) == 2
+        assert got == greedy_run(G, range(24), 8, k)
+        assert got[1] == len(got[2]) > 0
+
+    def test_a_stale_non_finite_row_is_not_read_in_later_rounds(self):
+        # the kernel's first call gives one NaN, in the row of a, the
+        # candidate greedy takes in round 1.  Round 1 probes every
+        # candidate; the later rounds keep the block and a's stale row, but
+        # probe one candidate each
+        E = make_synthetic("facility", 20, 3, seed=5)
+        (a,) = replacement_greedy(E, range(20), 1, 1).summary
+        kernel = E._block
+        poisoned = []
+
+        def block(i, bases, xs):
+            vals = kernel(i, bases, xs)
+            if not poisoned:
+                poisoned.append(i)
+                vals[xs.index(a), 0] = np.nan
+            return vals
+
+        F = ObjectiveFamily(E.ground, E._functions)
+        F._block, F._table_floats = block, E._table_floats
+        G = ObjectiveFamily(E.ground, E._functions)
+        rounds = []
+        best, probe = _Sets.best, _Sets.probe
+
+        def spy_best(self, F, xs):
+            rounds.append([])
+            return best(self, F, xs)
+
+        def spy_probe(self, F, x, *args):
+            rounds[-1].append(x)
+            return probe(self, F, x, *args)
+
+        with mock.patch.object(_Sets, "best", spy_best), \
+                mock.patch.object(_Sets, "probe", spy_probe):
+            got = greedy_run(F, range(20), 4, 2)
+        assert poisoned and len(rounds) == 4
+        assert [len(xs) for xs in rounds] == [20, 1, 1, 1]
+        assert a in got[0].summary
+        assert got == greedy_run(G, range(20), 4, 2)

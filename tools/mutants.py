@@ -45,6 +45,10 @@ EXEMPLAR_SINGLETONS = ("tests/test_exactness.py::"
 EXEMPLAR_PER_CLASS_SHAPES = ("tests/test_exactness.py::"
                              "test_exemplar_block_kernel_shapes_on_per_class_"
                              "tables")
+EXEMPLAR_ROW = ("tests/test_exactness.py::"
+                "test_exemplar_row_kernel_is_bit_identical")
+EXEMPLAR_ROW_SHAPES = ("tests/test_exactness.py::"
+                       "test_exemplar_row_kernel_shapes")
 PROBE_RULE = "tests/test_core.py::TestSetsProbe"
 EXCHANGE = "tests/test_streaming.py::TestExchange"
 SHARED_BUILD = ("tests/test_objectives.py::TestExemplarFamily::"
@@ -236,6 +240,35 @@ MUTANTS = (
            "            return None\n", "",
            ("tests/test_greedy.py::TestSwapProbeKernel::"
             "test_non_finite_kernel_values_are_evaluated_again",)),
+    # the outputs and evals stay the same: only the probes per round show
+    # a stale row of a candidate in S read again
+    Mutant("kept block's rows of candidates in S not zeroed",
+           "src/twostage/core.py",
+           "            vals[[row_of[x] for x in self.S if x in row_of]] = "
+           "0.0\n", "",
+           (RESOLVER + "::test_a_stale_non_finite_row_is_not_read_in_later_"
+            "rounds",)),
+    Mutant("served plan's column one to the right", "src/twostage/core.py",
+           "pos = np.array([i * k + j for",
+           "pos = np.array([i * k + j + 1 for",
+           (RESOLVER + "::test_served_plan_mixes_insertions_and_swaps",)),
+    # the exemplar row kernel: x's own row in each chain, and the empty
+    # base's singleton
+    Mutant("exemplar row kernel without x's row", "src/twostage/objectives.py",
+           "        own = None if own == anchor else views[own]\n",
+           "        own = None\n",
+           (EXEMPLAR_ROW, EXEMPLAR_ROW_SHAPES)),
+    Mutant("facility singleton sums the previous row",
+           "src/twostage/objectives.py",
+           "np.add.reduce(mat[ids[0]])", "np.add.reduce(mat[ids[0] - 1])",
+           ("tests/test_exactness.py::test_facility_kernel_is_bit_identical",
+            "tests/test_exactness.py::"
+            "test_facility_swap_kernel_is_bit_identical")),
+    Mutant("exemplar row kernel's empty base reads the wrong singleton",
+           "src/twostage/objectives.py",
+           "vals.append(float(singles[x]))",
+           "vals.append(float(singles[x - 1]))",
+           (EXEMPLAR_ROW_SHAPES,)),
     # the threshold window's four fix-up loops and the grid's two limits.
     # Each end's first loop at the other strictness is equivalent: where
     # it moves one exponent too far, the end's second loop moves it back.
