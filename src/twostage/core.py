@@ -64,12 +64,12 @@ calls no f_i and sorts and checks nothing:
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
   ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each
-  (the coverage family ORs its bitmasks, the exemplar family takes each
-  base's chain of minima with x's row); each value, less the offset, is
-  served to its ``value`` call.  So every coverage probe is served:
-  streaming leaders, greedy and ``run_know_opt``; and so is every
-  exemplar probe that no block serves: streaming leaders set by set, a
-  bare ``exchange`` and ``run_know_opt``.
+  (the coverage family ORs its bitmasks, the exemplar family sums each
+  base's chain of maxima with x's row of its similarity table); each
+  value, less the offset, is served to its ``value`` call.  So every
+  coverage probe is served: streaming leaders, greedy and
+  ``run_know_opt``; and so is every exemplar probe that no block serves:
+  streaming leaders set by set, a bare ``exchange`` and ``run_know_opt``.
 
 Nothing is memoised.  No served value's ids are checked again; see
 ``_check_ids`` for where they were.
@@ -168,9 +168,9 @@ class ObjectiveFamily:
     none of them, the list of the raw f_i(b + (x,)) for each base b, as
     floats.  It suits a family that can give one candidate's few sets for
     less than ``value``'s sort, id check and f_i call on each: coverage's
-    bitmask ORs, exemplar's chains of minima.  It serves every
-    ``_Sets.probe`` that is given no kernel values (see the eval contract
-    above).
+    bitmask ORs, exemplar's chains of maxima over similarity rows.  It
+    serves every ``_Sets.probe`` that is given no kernel values (see the
+    eval contract above).
     """
 
     def __init__(self, ground: GroundSet,

@@ -60,19 +60,62 @@ def facility_value(region: Region, candidates: Iterable[Point]) -> float:
                for a in region.members)
 
 
+def _gather(table: np.ndarray, rix, cols) -> np.ndarray:
+    """The rows ``rix`` of ``table``, restricted to the columns ``cols``
+    unless that is None: a new C-contiguous array, by two ``take``s (a
+    third of the time of ``np.ix_`` on exemplar-sized blocks)."""
+    rows = table.take(rix, axis=0)
+    return rows if cols is None else rows.take(cols, axis=1)
+
+
+def _max_sum(table: np.ndarray, rows, cols=None):
+    """f_i of both kernel families, before exemplar's division by its
+    width, as a numpy float: the sum over the columns ``cols`` (all of
+    them when None) of max(0.0, the largest entry of ``table``'s rows
+    ``rows`` in the column).  Every entry of a family's table is at least
+    0.0, so the 0.0 matters only where ``rows`` is empty.  The sum is a
+    last-axis ``np.add.reduce`` of a C-contiguous array, as in
+    ``_max_sum_block``."""
+    best = np.maximum.reduce(table.take(rows, axis=0), axis=0, initial=0.0)
+    return np.add.reduce(best if cols is None else best[cols])  # beats take
+
+
+def _max_sum_block(table: np.ndarray, bases: list, rows, cols=None):
+    """``_max_sum(table, base + [r], cols)`` for each of the equally long
+    row lists ``bases`` and each row r of ``rows``, as a (len(bases),
+    len(rows)) array.  Each base's maximum is taken once, then one
+    ``np.maximum`` with the gathered rows and one last-axis
+    ``np.add.reduce`` of the C-contiguous result per base, so each sum
+    equals ``_max_sum``'s bit for bit: max is exact and order-free.  Holds
+    at most two arrays of the gathered rows' shape besides its output, or
+    while it gathers from more columns than ``cols``, one (len(rows),
+    table width) array and one of the gathered shape."""
+    kept = np.maximum.reduce(table.take(bases, axis=0), axis=1, initial=0.0)
+    cand = _gather(table, rows, cols)
+    if cols is not None:
+        kept = kept.take(cols, axis=1)
+    sums = np.empty((len(kept), len(cand)))
+    spare = cand if len(kept) == 1 else np.empty_like(cand)  # one base: cand
+    for best, out in zip(kept, sums):
+        np.add.reduce(np.maximum(best, cand, out=spare), axis=1, out=out)
+    return sums
+
+
 def facility_family(points: Sequence[Point],
                     regions: Sequence[Region]) -> ObjectiveFamily:
     """Build one facility-location function per region over the given points.
 
     Convenience scores between every ground element and every region member
-    are precomputed, one row per element, so a set evaluation gathers the
-    set's rows and takes a tiny max-then-sum; a one-element set, such as
-    the singletons that every streamed element's first evals compute, sums
-    its row in place, the same numbers with two numpy calls fewer.
+    are precomputed, one table per region with one row per element, so
+    f_i is ``_max_sum`` of the table with the set's ids as its rows; a
+    one-element set, such as the singletons that every streamed element's
+    first evals compute, sums its row in place, the same numbers with two
+    numpy calls fewer.  Every score is at least 0.0, so ``_max_sum``'s
+    floor at 0.0 changes nothing.
 
-    The family's block kernel ``_block`` (see ``_moves``) takes the column
-    maxima of every probed set and reduces them by the same last-axis
-    ``np.add.reduce`` as f_i, so each value equals f_i's bit for bit.
+    The family's block kernel ``_block`` (see ``_moves``) is
+    ``_max_sum_block`` with the bases and candidates as rows, so each
+    value equals f_i's bit for bit.
 
     Raises ``ValueError`` before any matrix is built when a point or a
     region member has a non-finite coordinate.
@@ -95,23 +138,14 @@ def facility_family(points: Sequence[Point],
     def make(mat):
         def f(ids: tuple) -> float:
             if len(ids) == 1:  # the maximum of one row is the row itself
-                return float(np.add.reduce(mat[ids[0]]))
-            if not ids:
+                return np.add.reduce(mat[ids[0]])
+            if not ids:  # without a numpy call
                 return 0.0
-            # a row gather and ufunc reductions: the same numbers as
-            # mat.T[:, list(ids)].max(axis=1).sum(), with less overhead
-            return float(np.add.reduce(
-                np.maximum.reduce(mat.take(ids, axis=0), axis=0)))
+            return _max_sum(mat, ids)
         return f
 
     def block(i: int, bases: list, xs: list) -> np.ndarray:
-        mat = matrices[i]
-        # -inf, the identity of max, for an empty base
-        kept = np.maximum.reduce(mat.take(bases, axis=0), axis=1,
-                                 initial=-np.inf)
-        cand = mat.take(xs, axis=0)  # one kept row at a time, for memory
-        return np.array([np.add.reduce(np.maximum(row, cand), axis=1)
-                         for row in kept]).T
+        return _max_sum_block(matrices[i], bases, xs).T
 
     F = ObjectiveFamily(ground, [make(mat) for mat in matrices])
     F._block = block
@@ -124,7 +158,9 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
 
     ``members`` holds the feature vectors of one class (rows); ``selected``
     the vectors chosen as exemplars for that class.  The phantom all-zero
-    exemplar is always available, so an empty selection scores 0.
+    exemplar is always available, so an empty selection scores 0.  The
+    value is the mean of the members' reductions, the order of operations
+    of ``exemplar_family``'s tables.
     """
     members = np.asarray(members, dtype=float)
     if members.ndim != 2 or members.shape[0] == 0:
@@ -135,7 +171,7 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
     selected = np.asarray(selected, dtype=float)
     dists = np.linalg.norm(members[:, None, :] - selected[None, :, :], axis=2)
     best = np.minimum(anchor, dists.min(axis=1))
-    return float(anchor.mean() - best.mean())
+    return float((anchor - best).mean())
 
 
 # Upper bound, in floats, on the (rows, width, columns) difference block that
@@ -144,9 +180,11 @@ def exemplar_value(members: np.ndarray, selected: np.ndarray) -> float:
 _DIST_BLOCK_FLOATS = 1 << 18
 
 
-def _clipped_distances(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """The distances among the rows of ``points``, column c clipped at
-    ``anchor[c]``, and one more row, the last, that is ``anchor`` itself.
+def _similarities(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """The similarities among the rows of ``points``: entry (r, c) is
+    ``anchor[c]`` less the distance between rows r and c, clipped at 0.0,
+    the distance that row r saves column c as an exemplar in place of the
+    zero anchor.  One more row, the last, is zeros.
 
     The distances from a block of rows to all of ``points`` are computed at
     once, with the difference temporary under ``_DIST_BLOCK_FLOATS`` floats
@@ -155,24 +193,25 @@ def _clipped_distances(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """
     width, columns = points.shape
     table = np.empty((width + 1, width))
-    dist = table[:width]
+    sim = table[:width]
     step = max(1, _DIST_BLOCK_FLOATS // (width * columns))
     for start in range(0, width, step):
-        dist[start:start + step] = np.linalg.norm(
+        sim[start:start + step] = np.linalg.norm(
             points[start:start + step, None, :] - points[None, :, :], axis=2)
-    np.minimum(dist, anchor, out=dist)
-    table[width] = anchor
+    np.subtract(anchor, sim, out=sim)
+    np.maximum(sim, 0.0, out=sim)
+    table[width] = 0.0
     return table
 
 
 def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
-    """Per class i: (member ids omega, table, rows, cols, anchor distances).
+    """Per class i: (member ids omega, table, rows, cols).
 
     Element e belongs to class i when ``vectors[e, i] > 0``.  Entry (r, c)
-    of a table is the distance from the element of row r, as an exemplar,
-    to the element of column c, clipped at the latter's distance to the
-    zero anchor, and a table's last row holds those anchor distances, so
-    a table has one row more than it has columns (``_clipped_distances``).
+    of a table is the similarity of the element of row r, as an exemplar,
+    to the element of column c (``_similarities``): the latter's distance
+    to the zero anchor less their distance, clipped at 0.0.  A table's
+    last row is zeros, so a table has one row more than it has columns.
     Class i's own (|omega_i|, |omega_i|) table is ``table[rows][:, cols]``,
     or ``table[rows]`` when ``cols`` is None because the table's columns
     are class i's members already: its row j and column j belong to
@@ -207,42 +246,15 @@ def _exemplar_tables(vectors: np.ndarray, class_count: int) -> list:
     anchors = np.linalg.norm(vectors, axis=1)
     used = np.flatnonzero(member.any(axis=1))
     if used.size ** 2 <= sum(omega.size ** 2 for omega in omegas):
-        table = _clipped_distances(vectors[used], anchors[used])
+        table = _similarities(vectors[used], anchors[used])
         out = []
         for omega in omegas:
             rows = np.searchsorted(used, omega)
             cols = None if omega.size == used.size else rows
-            out.append((omega, table, rows, cols, anchors[omega]))
+            out.append((omega, table, rows, cols))
         return out
-    return [(omega, _clipped_distances(vectors[omega], anchors[omega]),
-             np.arange(omega.size), None, anchors[omega]) for omega in omegas]
-
-
-def _gather(table: np.ndarray, rix, cols) -> np.ndarray:
-    """The rows ``rix`` of ``table``, restricted to the columns ``cols``
-    unless that is None: a new C-contiguous array, by two ``take``s (a
-    third of the time of ``np.ix_`` on exemplar-sized blocks)."""
-    rows = table.take(rix, axis=0)
-    return rows if cols is None else rows.take(cols, axis=1)
-
-
-def _class_minima(views: list, index: array, cols, ids) -> np.ndarray:
-    """The elementwise minima of the table rows ``views[index[e]]`` of the
-    ids e in the class, by a pairwise ``np.minimum`` chain in id order,
-    restricted to the columns ``cols`` unless that is None.  An id outside
-    the class maps to the anchor row, ``views[-1]``, which the chain skips,
-    and which is the result when no id is in the class.  A single row of a
-    class-only table is returned as it is, never written."""
-    anchor = len(views) - 1
-    best = None
-    for e in ids:
-        r = index[e]
-        if r != anchor:
-            row = views[r]
-            best = row if best is None else np.minimum(best, row)
-    if best is None:
-        best = views[anchor]
-    return best if cols is None else best[cols]  # faster than take here
+    return [(omega, _similarities(vectors[omega], anchors[omega]),
+             np.arange(omega.size), None) for omega in omegas]
 
 
 def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
@@ -250,52 +262,46 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
 
     Element e belongs to class i when ``vectors[e, i] > 0``.  The function
     for class i only "sees" selected elements that themselves belong to
-    class i; everything else is screened out before the distance minimum,
-    which keeps the function normalized and total.
+    class i; everything else is screened out, which keeps the function
+    normalized and total.
 
-    Distances are stored once, already clipped at each column element's
-    distance to the zero anchor (``_exemplar_tables``): in one table over
+    The family is facility location over similarities: f_i(T) is the mean
+    over class i's members c of max(0, max over e in T of anchor_c -
+    d(e, c)), with anchor_c the distance from c to the zero anchor, which
+    is the mean reduction in distance to the nearest exemplar.  The
+    similarities are stored once (``_exemplar_tables``): in one table over
     the elements in any class when the classes overlap enough, else in one
-    table per class.  Each table's last row holds its columns' anchor
-    distances, and every clipped entry is at most its column's anchor, so
-    a minimum with that row changes nothing.  Each class keeps a row index
-    over all n ids: a member maps to its table row, any other id to the
-    anchor row.  In the shared table a class reads only its members'
-    columns (``cols``).  Each class also keeps its n singleton values,
-    computed at build time from its member rows and the anchor row, which
-    f_i returns for a one-element set.  Memory is min(|U|^2, sum_i
-    |omega_i|^2) + n*m floats, with U the elements in any class, n*m
-    4-byte row indices (``array("i")``; where most ids are in no class
-    they cost more than a dict over the members, 6.7 MB in place of 5.2 MB
-    for 20 disjoint classes of 100 over n = 20,000), and an anchor row and
-    a view per row of each table; the build holds a few blocks of bounded
-    size besides them.  Because ``min`` is exact, clipping once at build
-    time gives the same numbers as clipping on every evaluation, and every
-    sum is a last-axis ``np.add.reduce`` of the class's columns in
-    ascending order in a C-contiguous array, so the values do not depend
-    on the layout.  ``anchor_mean`` is that same sum of the anchor row
-    over the width, so a set with no member of the class is worth exactly
-    0.0.
+    table per class, and each table's last row is zeros.  Each class keeps
+    a row index over all n ids: a member maps to its table row, any other
+    id to the zero row, which changes no maximum.  In the shared table a
+    class reads only its members' columns (``cols``).  So f_i of a set is
+    ``_max_sum`` of its ids' rows over the class columns, divided by the
+    class width; a set with no member of the class is worth exactly 0.0.
+    Each class also keeps its n singleton values, computed at build time
+    from its member rows, which f_i returns for a one-element set.  Memory
+    is min(|U|^2, sum_i |omega_i|^2) + n*m floats, with U the elements in
+    any class, n*m 4-byte row indices (``array("i")``; where most ids are
+    in no class they cost more than a dict over the members), and a zero
+    row and a view per row of each table; the build holds a few blocks of
+    bounded size besides them.  Every sum is a last-axis ``np.add.reduce``
+    of the class's columns in ascending order in a C-contiguous array, so
+    the values do not depend on the layout, and each equals ``(anchor -
+    best).mean()`` over the class, with best the clipped distance to the
+    nearest exemplar, bit for bit.
 
-    The block kernel ``_block`` (see ``_moves``) gathers the class rows and
-    columns of its candidates once, the anchor row standing for every
-    candidate outside the class, and per base takes f_i's chain of minima
-    over the base's rows (the anchor row for a base with no member), one
-    ``np.minimum`` with every gathered row and one last-axis
-    ``np.add.reduce`` of the C-contiguous result, so each value equals
-    f_i's bit for bit.  Each candidate then takes its row's column.  The
-    kernel keeps nothing between calls and holds at most two (rows, width)
-    arrays besides its output, or, while it gathers from a shared table,
-    one (rows, |U|) and one (rows, width); its cost is a few numpy calls
-    per base.
+    The block kernel ``_block`` (see ``_moves``) is ``_max_sum_block`` over
+    the bases' rows and the rows of the candidates, each distinct row
+    gathered once, so every candidate outside the class shares the zero
+    row; each candidate then takes its row's column, divided by the width
+    as f_i's, so each value equals f_i's bit for bit.
 
     The row kernel ``_row`` (see ``ObjectiveFamily``) serves the probes of
-    one candidate x, which the set-by-set streaming probes make: it looks
-    up x's row once, and per base takes f_i's chain of minima over the
-    base's member rows and x's row, if x is in the class, then the column
-    take and the same ``np.add.reduce``; the empty base gives x's
-    singleton.  Because ``min`` is exact and order-free, each value equals
-    f_i's bit for bit.  It keeps nothing between calls.
+    one candidate x, which the set-by-set streaming probes make: per base
+    it takes a chain of maxima over x's row and the base's member rows,
+    the zero row standing for none, then the column take and the same
+    ``np.add.reduce``; the empty base gives x's singleton.  Because max is
+    exact and order-free, each value equals f_i's bit for bit.  Neither
+    kernel keeps anything between calls.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
@@ -305,74 +311,57 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     n = len(vectors)
     views = {}  # id of a table: its row views, shared by the classes on it
     classes = []
-    for omega, table, rows, cols, anchor in _exemplar_tables(vectors,
-                                                             class_count):
+    for omega, table, rows, cols in _exemplar_tables(vectors, class_count):
         if id(table) not in views:
             views[id(table)] = list(table)
-        # a float: the row kernel's arithmetic is then Python's, which
-        # rounds as numpy's does
-        width, anchor_mean = omega.size, float(anchor.mean())
-        reduced = np.append(rows, len(table) - 1)  # the anchor row last
-        index = array("i", reduced[-1:]) * n
+        width = omega.size
+        index = array("i", [len(table) - 1]) * n  # the zero row
         for e, r in zip(omega.tolist(), rows.tolist()):
             index[e] = r
         step = max(1, _DIST_BLOCK_FLOATS // table.shape[1])
-        sums = np.zeros(len(table))  # read only at the reduced rows
-        for s in range(0, width + 1, step):
-            rix = reduced[s:s + step]
+        sums = np.zeros(len(table))  # read at the rows and the zero row
+        for s in range(0, width, step):
+            rix = rows[s:s + step]
             sums[rix] = np.add.reduce(_gather(table, rix, cols), axis=1)
-        singles = (anchor_mean - sums / width).take(index)
-        classes.append((table, views[id(table)], index, cols, anchor_mean,
-                        width, singles))
+        classes.append((table, views[id(table)], index, cols, width,
+                        (sums / width).take(index)))
 
-    def make(table, views, index, cols, anchor_mean, width, singles):
+    def make(table, views, index, cols, width, singles):
         def f(ids: tuple) -> float:
             if len(ids) == 1:  # numpy floats; value makes them floats
                 return singles[ids[0]]
-            # the chain's minima on the class columns, then the ufunc sum
-            # that ndarray.mean runs: bit-identical to np.minimum(anchor,
-            # dist[chosen].min(axis=0)).mean() on the unclipped distances
-            best = _class_minima(views, index, cols, ids)
-            return anchor_mean - np.add.reduce(best) / width
+            return _max_sum(table, [index[e] for e in ids], cols) / width
         return f
 
     def block(i: int, bases: list, xs: list) -> np.ndarray:
-        table, views, index, cols, anchor_mean, width, _ = classes[i]
+        table, _, index, cols, width, _ = classes[i]
         at = {}  # each gathered row's column, in order of first candidate
         col = [at.setdefault(index[x], len(at)) for x in xs]
-        rows = _gather(table, list(at), cols)
-        sums = np.empty((len(bases), len(at)))
-        # the only (rows, width) arrays; a single base overwrites rows
-        spare = rows if len(bases) == 1 else np.empty_like(rows)
-        for j, base in enumerate(bases):
-            best = _class_minima(views, index, cols, base)
-            np.add.reduce(np.minimum(best, rows, out=spare), axis=1,
-                          out=sums[j])
-        return (anchor_mean - sums / width).take(col, axis=1).T
+        sums = _max_sum_block(table, [[index[e] for e in b] for b in bases],
+                              list(at), cols)
+        return (sums / width).take(col, axis=1).T
 
     def row(i: int, x: int, bases: list) -> list:
-        _, views, index, cols, anchor_mean, width, singles = classes[i]
-        anchor = len(views) - 1
-        own = index[x]  # x's row starts each base's chain, if x is a member
-        own = None if own == anchor else views[own]
+        _, views, index, cols, width, singles = classes[i]
+        zero = views[-1]
+        own = views[index[x]]  # each chain starts at x's row
         vals = []
         for base in bases:
             if not base:
                 vals.append(float(singles[x]))
                 continue
-            # _class_minima's chain, inlined: a call per base costs more
-            # than the chain at these sizes
+            # _max_sum as a chain of maxima that skips the zero row: at
+            # these sizes a take and a reduce per base cost more
             best = own
             for e in base:
-                r = index[e]
-                if r != anchor:
-                    best = views[r] if best is None else np.minimum(best,
-                                                                    views[r])
-            if best is None:
-                best = views[anchor]
+                r = views[index[e]]
+                if r is not zero:
+                    best = r if best is zero else np.maximum(best, r)
             if cols is not None:
                 best = best[cols]
-            vals.append(anchor_mean - float(np.add.reduce(best)) / width)
+            # a float: the arithmetic is then Python's, which rounds as
+            # numpy's does
+            vals.append(float(np.add.reduce(best)) / width)
         return vals
 
     F = ObjectiveFamily(GroundSet(n, vectors), [make(*c) for c in classes])

@@ -8,6 +8,7 @@ over 30 seeds per instance, never per run.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -186,17 +187,25 @@ def test_criterion_8_scaling_smoke():
         assert 0.75 * n_ratio <= ratio <= 1.25 * n_ratio, \
             f"eval growth {ratio:.2f} vs n growth {n_ratio:.2f}"
 
+    # three timings of each solver, alternating, so that a burst of load
+    # on a shared host lands on one read, not on one solver's only read
     F = families[4000]
-    start = time.perf_counter()
-    greedy_sol = replacement_greedy(F, range(4000), ell, k)
-    greedy_secs = time.perf_counter() - start
-
     M = recommend_machine_count(4000, ell, "fast")
-    start = time.perf_counter()
-    fast_sol = distributed_fast(F, M, eps, ell, k, seed=17)
-    fast_secs = time.perf_counter() - start
+    reads = {"greedy": [], "fast": []}
+    for _ in range(3):
+        start = time.perf_counter()
+        greedy_sol = replacement_greedy(F, range(4000), ell, k)
+        reads["greedy"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        fast_sol = distributed_fast(F, M, eps, ell, k, seed=17)
+        reads["fast"].append(time.perf_counter() - start)
+    print("\ncriterion 8 reads: " + "; ".join(
+        name + " " + " ".join(f"{t:.3f}s" for t in times)
+        for name, times in reads.items()))
+    greedy_secs = statistics.median(reads["greedy"])
+    fast_secs = statistics.median(reads["fast"])
 
     assert fast_secs < greedy_secs
     assert fast_sol.value <= greedy_sol.value + 1e-6  # sanity, not a bound
-    _report(8, f"(streaming evals {counts}; fast {fast_secs:.1f}s < "
+    _report(8, f"(streaming evals {counts}; median fast {fast_secs:.1f}s < "
                f"greedy {greedy_secs:.1f}s at M={M})")

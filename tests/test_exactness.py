@@ -71,21 +71,54 @@ def ref_exemplar_functions(vectors, class_count):
             if not chosen:
                 return 0.0
             best = np.minimum(anchor, dmat[:, chosen].min(axis=1))
+            return float((anchor - best).mean())
+        functions.append(f)
+    return functions
+
+
+def ref_min_form_exemplar_functions(vectors, class_count):
+    """The same functions as ``ref_exemplar_functions`` in exact arithmetic,
+    computed as the anchors' mean less the mean of the nearest distances,
+    which rounds differently in the last bits."""
+    functions = []
+    for i in range(class_count):
+        omega = np.flatnonzero(vectors[:, i] > 0)
+        members = vectors[omega]
+        anchor = np.linalg.norm(members, axis=1)
+        dmat = np.linalg.norm(members[:, None, :] - vectors[None, :, :], axis=2)
+        in_class = set(int(e) for e in omega)
+
+        def f(ids, anchor=anchor, dmat=dmat, in_class=in_class):
+            chosen = [e for e in ids if e in in_class]
+            if not chosen:
+                return 0.0
+            best = np.minimum(anchor, dmat[:, chosen].min(axis=1))
             return float(anchor.mean() - best.mean())
         functions.append(f)
     return functions
 
 
+def assert_min_form(F, vectors, class_count, sets):
+    """F's values on ``sets`` equal the min-form reference to rel 1e-12, so
+    the max-sum reference that they equal bit for bit is the same
+    objective."""
+    refs = ref_min_form_exemplar_functions(vectors, class_count)
+    for ids in sets:
+        for i, ref in enumerate(refs):
+            assert F.value(i, ids) == pytest.approx(ref(ids), rel=1e-12,
+                                                    abs=0.0)
+
+
 def ref_exemplar_tables(vectors, class_count):
-    """The per-class build of exemplar_family's clipped distance tables."""
+    """The per-class build of exemplar_family's similarity tables, without
+    their zero row."""
     out = []
     for i in range(class_count):
         omega = np.flatnonzero(vectors[:, i] > 0)
         members = vectors[omega]
         anchor = np.linalg.norm(members, axis=1)
-        table = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
-        np.minimum(table, anchor, out=table)
-        out.append((omega, table, anchor))
+        dist = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
+        out.append((omega, anchor - np.minimum(dist, anchor)))
     return out
 
 
@@ -141,6 +174,7 @@ def test_exemplar_kernel_is_bit_identical(seed, data):
     ids = tuple(sorted(data.draw(id_sets(n))))
     for i, ref in enumerate(refs):
         assert F.value(i, ids) == ref(ids)
+    assert_min_form(F, vectors, classes, [ids])
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,14 +193,13 @@ def test_exemplar_kernel_is_bit_identical_on_real_features(seed, n, data):
     assert (vectors[:, 0] > 0).sum() == n
     F = exemplar_family(vectors, classes)
     refs = ref_exemplar_functions(vectors, classes)
-    for _ in range(4):
-        ids = tuple(sorted(data.draw(
-            st.lists(st.integers(0, n - 1), max_size=6, unique=True))))
+    sets = [tuple(sorted(data.draw(
+        st.lists(st.integers(0, n - 1), max_size=6, unique=True))))
+        for _ in range(4)] + [tuple(range(n))]
+    for ids in sets:
         for i, ref in enumerate(refs):
             assert F.value(i, ids) == ref(ids)
-    everything = tuple(range(n))
-    for i, ref in enumerate(refs):
-        assert F.value(i, everything) == ref(everything)
+    assert_min_form(F, vectors, classes, sets)
 
 
 def table_features(rng, n, columns, class_count, integral, one_label):
@@ -203,8 +236,9 @@ def test_exemplar_tables_match_per_class_build(seed, integral, shape):
     # three row blocks; at n=800 they do not, and each class's own pass
     # runs in at least three
     n, columns, class_count, one_label = shape
-    vectors = table_features(np.random.default_rng(seed), n, columns,
-                             class_count, integral, one_label)
+    rng = np.random.default_rng(seed)
+    vectors = table_features(rng, n, columns, class_count, integral,
+                             one_label)
     member = vectors[:, :class_count] > 0
     used = int(member.any(axis=1).sum())
     widths = member.sum(axis=0)
@@ -221,22 +255,25 @@ def test_exemplar_tables_match_per_class_build(seed, integral, shape):
     want = ref_exemplar_tables(vectors, class_count)
     assert len(got) == len(want) == class_count
     # the shared layout is one (|U| + 1, |U|) table, the other one per
-    # class; a table's last row is its columns' anchors
-    tables = {id(table): table.shape for _, table, _, _, _ in got}
+    # class; a table's last row is zeros
+    tables = {id(table): table for _, table, _, _ in got}
     if shared:
-        assert list(tables.values()) == [(used + 1, used)]
+        assert [t.shape for t in tables.values()] == [(used + 1, used)]
     else:
-        assert sorted(tables.values()) == sorted((w + 1, w) for w in widths)
-    for (omega, table, rows, cols, anchor), (r_omega, r_table, r_anchor) in \
-            zip(got, want):
+        assert sorted(t.shape for t in tables.values()) == \
+            sorted((w + 1, w) for w in widths)
+    assert all(not table[-1].any() for table in tables.values())
+    for (omega, table, rows, cols), (r_omega, r_table) in zip(got, want):
         assert np.array_equal(omega, r_omega)
         assert (cols is None) == (table.shape[1] == len(omega))
-        clipped = table[rows] if cols is None else table[np.ix_(rows, cols)]
-        assert np.array_equal(clipped, r_table)
-        last = table[-1] if cols is None else table[-1, cols]
-        assert np.array_equal(last, r_anchor)
-        assert np.array_equal(anchor, r_anchor)
-        assert anchor.mean() == r_anchor.mean()
+        own = table[rows] if cols is None else table[np.ix_(rows, cols)]
+        assert np.array_equal(own, r_table)
+    # the family on these tables is the min-form objective, on sets in
+    # and across the classes
+    F = exemplar_family(vectors, class_count)
+    sets = [tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            for size in (1, min(n, 3), min(n, 8))]
+    assert_min_form(F, vectors, class_count, sets)
 
 
 @pytest.mark.parametrize("one_label", [False, True],
@@ -248,11 +285,11 @@ def test_exemplar_singletons_equal_exemplar_value(one_label):
     vectors = table_features(np.random.default_rng(3), 90, 6, 4, False,
                              one_label)
     tables = _exemplar_tables(vectors, 4)
-    assert (len({id(table) for _, table, _, _, _ in tables}) == 1) != one_label
-    assert any(cols is not None for _, _, _, cols, _ in tables) != one_label
+    assert (len({id(table) for _, table, _, _ in tables}) == 1) != one_label
+    assert any(cols is not None for _, _, _, cols in tables) != one_label
     F = exemplar_family(vectors, 4)
     none = vectors[:0]
-    for i, (omega, _, _, _, _) in enumerate(tables):
+    for i, (omega, _, _, _) in enumerate(tables):
         members = vectors[omega]
         for e in range(len(vectors)):
             selected = vectors[[e]] if e in omega else none
@@ -660,9 +697,25 @@ def test_exemplar_block_kernel_shapes_on_per_class_tables(i, key, k, xs):
     assert_block_shape(kernel_shapes_family(shared=False), i, key, k, xs)
 
 
+# the cases that do not turn on class membership: no candidates, an empty
+# key, one base and swaps
+FACILITY_SHAPES = [row for row in KERNEL_SHAPES if row[0] in (
+    "no candidates", "no candidates, swaps", "empty key, mixed candidates",
+    "memberless key, mixed candidates", "memberless base among others")]
+
+
+@pytest.mark.parametrize("i, key, k, xs", [row[1:] for row in FACILITY_SHAPES],
+                         ids=[row[0] for row in FACILITY_SHAPES])
+def test_facility_block_kernel_shapes(i, key, k, xs):
+    """Facility's block kernel, the max-sum core over its ids as rows, on
+    the shapes of the exemplar cases, ids and all."""
+    assert_block_shape(make_synthetic("facility", 230, 2, seed=7), i, key, k,
+                       xs)
+
+
 def test_exemplar_block_kernel_gives_a_memberless_set_zero():
     """A candidate outside the class against a base with no class member:
-    f_i of a set with no member is exactly 0.0, not anchor_mean - 0."""
+    f_i of a set with no member is exactly 0.0, its zero rows' sum."""
     F = kernel_shapes_family()
     got = F._block(0, _moves((1, 225), 2)[0], [226, 10, 227])
     assert got[0, 0] == got[2, 0] == 0.0  # against (225,)

@@ -197,8 +197,8 @@ class TestExemplarFamily:
 
     def test_shared_build_memory_is_one_table_plus_blocks(self):
         # the overlapping input's classes share one |U| x |U| table and
-        # its anchor row; each class adds its n singleton values and its n
-        # 4-byte row indices, which, with the anchor row, fit in the block
+        # its zero row; each class adds its n singleton values and its n
+        # 4-byte row indices, which, with the zero row, fit in the block
         # allowance.  Per-class tables would hold about 25 MiB
         vectors = self.build_input(True)
         n, m = vectors.shape

@@ -40,6 +40,10 @@ IN_SET = ("tests/test_core.py::"
 EXEMPLAR_SHAPES = "tests/test_exactness.py::test_exemplar_block_kernel_shapes"
 EXEMPLAR_BLOCK = ("tests/test_exactness.py::"
                   "test_exemplar_block_kernel_is_bit_identical")
+EXEMPLAR_KERNEL = ("tests/test_exactness.py::"
+                   "test_exemplar_kernel_is_bit_identical")
+EXEMPLAR_MEMBERLESS = ("tests/test_exactness.py::"
+                       "test_exemplar_block_kernel_gives_a_memberless_set_zero")
 EXEMPLAR_SINGLETONS = ("tests/test_exactness.py::"
                        "test_exemplar_singletons_equal_exemplar_value")
 EXEMPLAR_PER_CLASS_SHAPES = ("tests/test_exactness.py::"
@@ -123,16 +127,34 @@ MUTANTS = (
            "src/twostage/objectives.py",
            ".take(col, axis=1).T\n", ".take(col, axis=1)\n",
            (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
-    # a minimum with the anchor row changes nothing only if it holds the
-    # anchors, and a set with no member is 0.0 only through it
-    Mutant("exemplar tables' anchor row left zero",
+    # the similarity tables: each column's anchor less the distance,
+    # clipped at 0.0, over a last row of zeros, which changes no maximum
+    # and is all that a set with no member reads.  f_i and the kernels
+    # read the same tables, so a wrong entry shows against the references
+    # and the build-time singletons, and an unclipped one also where the
+    # row kernel's chain, which has no floor at 0.0, leaves f_i's
+    Mutant("exemplar similarities from each row's anchor, not each column's",
            "src/twostage/objectives.py",
-           "    table[width] = anchor\n", "    table[width] = 0.0\n",
-           (EXEMPLAR_SHAPES, EXEMPLAR_PER_CLASS_SHAPES, EXEMPLAR_SINGLETONS)),
+           "np.subtract(anchor, sim, out=sim)",
+           "np.subtract(anchor[:, None], sim, out=sim)",
+           (EXEMPLAR_SINGLETONS, EXEMPLAR_KERNEL)),
+    Mutant("exemplar similarities not clipped at 0",
+           "src/twostage/objectives.py",
+           "    np.maximum(sim, 0.0, out=sim)\n", "",
+           (EXEMPLAR_SINGLETONS, EXEMPLAR_ROW)),
+    Mutant("exemplar tables' last row the anchors, not zeros",
+           "src/twostage/objectives.py",
+           "    table[width] = 0.0\n", "    table[width] = anchor\n",
+           (EXEMPLAR_SHAPES, EXEMPLAR_MEMBERLESS)),
     Mutant("exemplar non-member mapped to row 0",
            "src/twostage/objectives.py",
-           'array("i", reduced[-1:]) * n', 'array("i", [0]) * n',
+           'array("i", [len(table) - 1]) * n', 'array("i", [0]) * n',
            (EXEMPLAR_SHAPES, EXEMPLAR_PER_CLASS_SHAPES, EXEMPLAR_SINGLETONS)),
+    Mutant("exemplar f_i without its division by the width",
+           "src/twostage/objectives.py",
+           "return _max_sum(table, [index[e] for e in ids], cols) / width",
+           "return _max_sum(table, [index[e] for e in ids], cols)",
+           (EXEMPLAR_KERNEL, EXEMPLAR_BLOCK)),
     Mutant("exemplar layout choice inverted", "src/twostage/objectives.py",
            "if used.size ** 2 <= sum(", "if used.size ** 2 > sum(",
            (SHARED_BUILD, EXEMPLAR_SINGLETONS)),
@@ -253,11 +275,10 @@ MUTANTS = (
            "pos = np.array([i * k + j + 1 for",
            (RESOLVER + "::test_served_plan_mixes_insertions_and_swaps",)),
     # the exemplar row kernel: x's own row in each chain, and the empty
-    # base's singleton
+    # base's singleton; facility's in-place singleton sum
     Mutant("exemplar row kernel without x's row", "src/twostage/objectives.py",
-           "        own = None if own == anchor else views[own]\n",
-           "        own = None\n",
-           (EXEMPLAR_ROW, EXEMPLAR_ROW_SHAPES)),
+           "own = views[index[x]]", "own = zero",
+           (EXEMPLAR_ROW_SHAPES, EXEMPLAR_ROW)),
     Mutant("facility singleton sums the previous row",
            "src/twostage/objectives.py",
            "np.add.reduce(mat[ids[0]])", "np.add.reduce(mat[ids[0] - 1])",
