@@ -12,11 +12,12 @@ candidate element ``x`` against a partial solution ``A``:
   at budget).
 
 The four public primitives are the checked form: they take any iterable,
-validate the candidate and the set, and evaluate a missing base.  All of
-them run the same swap loop, ``_move``, which trusts its caller.  The
-greedy and streaming drivers keep their solution in a ``_Sets``, whose
-``probe`` counts a candidate's moves by the clamp or the threshold, whose
-``best`` finds greedy's move of a round, and whose ``add`` applies them.
+validate the candidate and the set, and evaluate a missing base.  Each
+move is ``_move``'s, the insertion below budget or the best swap at it,
+which trusts its caller.  The greedy and streaming drivers keep their
+solution in a ``_Sets``, whose ``probe`` counts a candidate's moves by
+the clamp or the threshold, whose ``best`` finds greedy's move of a
+round, and whose ``add`` applies them.
 Every probe adds x to the sets of one probe table, ``_Sets.moves``, one
 entry per function, which ``add`` rebuilds only where it changes T_i.
 
@@ -322,19 +323,26 @@ def _moves(key: tuple, k: int) -> tuple:
 _EMPTY_MOVES = _moves((), 1)
 
 
-def _move(value: Callable[..., float], i: int, bases: list, key: tuple,
-          x: int, base: float, raw: list | None = None,
+def _move(value: Callable[..., float], i: int, bases: list,
+          key: tuple | None, x: int, base: float, raw: list | None = None,
           calls: list | None = None) -> tuple:
-    """Best single swap of x for some y in the sorted tuple ``key``:
-    ``(y, gain, v)``, with v the value of the swapped set; the gain may be
-    negative and ties go to the lowest y.
+    """The move of x against the probe-table entry ``(bases, key)``, as
+    ``(y, gain, v)`` with v the value of the set it makes: below budget
+    (``key`` None) the insertion, y None; at it the best swap of x for a
+    y in ``key``, whose gain may be negative, ties going to the lowest y.
 
-    Unchecked: ``value`` is the bound ``F.value``, ``key`` must be non-empty
-    and must not contain x, ``(bases, key)`` is ``_moves(key, k)`` at
-    budget, and ``base`` is f_i(key).  ``raw``, if given, has the swap sets'
-    kernel values by j, each passed to its ``value`` call as ``served``.
-    ``calls``, if given, gets each ``value`` call's ``(i, ids, v)`` appended.
+    Unchecked: ``value`` is the bound ``F.value``, ``(bases, key)`` is
+    ``_moves(T_i, k)`` for a T_i without x, and ``base`` is f_i(T_i).
+    ``raw``, if given, has the probe sets' kernel values by j, each passed
+    to its ``value`` call as ``served``.  ``calls``, if given, gets each
+    ``value`` call's ``(i, ids, v)`` appended.
     """
+    if key is None:
+        ids = bases[0] + (x,)
+        v = value(i, ids) if raw is None else value(i, ids, raw[0])
+        if calls is not None:
+            calls.append((i, ids, v))
+        return None, v - base, v
     best_y = None
     best_gain = best_v = 0.0
     for j, y in enumerate(key):
@@ -376,8 +384,8 @@ class _Sets:
               raws: list | None = None, calls: list | None = None,
               seen: list | None = None) -> tuple:
         """The moves of x, not in S, as ``(replaced, gains, values)`` lists
-        by function; ``values[i]`` is the value of the set that the move
-        would make T_i, which ``add`` is served.
+        by function, ``_move``'s; ``values[i]`` is the value of the set
+        that the move would make T_i, which ``add`` is served.
 
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
@@ -417,14 +425,7 @@ class _Sets:
                     raw = row(i, x, bases)
                     if F._offsets[i]:  # v - 0.0 is v, so skip the copy
                         raw = [v - F._offsets[i] for v in raw]
-                if key is not None:
-                    r, g, v = _move(value, i, bases, key, x, b, raw, made)
-                else:
-                    ids = bases[0] + (x,)
-                    v = value(i, ids) if raw is None else value(i, ids, raw[0])
-                    if made is not None:
-                        made.append((i, ids, v))
-                    r, g = None, v - b
+                r, g, v = _move(value, i, bases, key, x, b, raw, made)
                 if seen is not None:
                     seen[i][T[i]] = r, g, v, made
                     calls += made
@@ -594,11 +595,11 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
            base: float | None, step: float | None = None,
            counted: bool = True) -> tuple:
     """The move ``(replaced, gain)`` of x against the sorted tuple ``key``
-    at budget k, with every check before the first eval: the insertion
-    gain below budget (0.0 if x is in ``key``), else ``_move``'s best
-    swap.  If ``counted`` (``nabla``, ``lambda_gain``), a missing base is
-    evaluated even then, and the move is counted by ``_Sets.probe``'s
-    rule, with the bar ``step * base`` unless ``step`` is None."""
+    at budget k, with every check before the first eval: ``_move``'s, or
+    (None, 0.0) if x is in ``key`` below budget.  If ``counted``
+    (``nabla``, ``lambda_gain``), a missing base is evaluated even then,
+    and the move is counted by ``_Sets.probe``'s rule, with the bar
+    ``step * base`` unless ``step`` is None."""
     if len(key) > k:
         raise InvariantViolation("per-function solution larger than its budget")
     _check_ids((x,), F.ground.n)
@@ -613,11 +614,7 @@ def _probe(F: ObjectiveFamily, i: int, x: int, key: tuple, k: int,
         raise ValueError("candidate already in the set")
     if base is None:
         base = F.value(i, key)
-    bases, replaced = _moves(key, k)
-    if replaced is None:
-        r, g = None, F.value(i, key + (x,)) - base
-    else:
-        r, g = _move(F.value, i, bases, replaced, x, base)[:2]
+    r, g, _ = _move(F.value, i, *_moves(key, k), x, base)
     if not counted or ((r is None or g > 0)
                        and (step is None or g >= step * base)):
         return r, g

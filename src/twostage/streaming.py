@@ -40,7 +40,7 @@ MAX_INSTANCE_SLOTS = 10 ** 7
 # manager's new instances share one empty state, so a live instance costs
 # about 70 bytes of its own, its exponent and slot in the instance dict
 # (150 with a handle and tau each, 760 when each had its own state), and
-# this many about 7 MB.  Each distinct state costs about 540 bytes plus 24
+# this many about 7 MB.  Each distinct state costs about 515 bytes plus 24
 # per function when empty, and filled to budget about 4.4 KB at m=5,
 # k=ell=5 or 66 KB at m=10, k=ell=25, mostly the probe table's k bases per
 # function (tracemalloc, CPython 3.11).  A manager holds far fewer
@@ -98,25 +98,19 @@ class _GroupState(_Sets):
     ``ThresholdManager`` holds the state, and ``trace``, the ever-in-T_i
     sets on instrumented runs, else None.  So the state itself is the
     run's token: two exponents share it exactly when they started together
-    and accepted the same elements.
+    and accepted the same elements.  Its ell and alpha are its manager's
+    (a ``StreamState`` keeps its own).
 
-    ``seen_evals`` and ``seen_probes`` are what its leaders have probed,
-    for ``ThresholdManager._lookahead``: the evals made set by set
-    (counted up to the price) and the elements.  ``kept`` is the
-    lookahead's block of kernel values, if any, which stays valid while
-    the state lives."""
+    ``seen_probes`` counts the elements that its leaders have probed, for
+    ``ThresholdManager._lookahead``.  ``kept`` is the lookahead's block of
+    kernel values, if any, which stays valid while the state lives."""
 
-    __slots__ = ("ell", "alpha", "trace", "seen_evals", "seen_probes")
+    __slots__ = ("trace", "seen_probes")
 
-    def __init__(self, m: int, ell: int, k: int, alpha: float,
-                 instrument: bool = False):
-        check_budgets(ell, k)
-        _check_alpha(alpha)
+    def __init__(self, m: int, k: int, instrument: bool = False):
         super().__init__(m, k)
-        self.ell = ell
-        self.alpha = alpha
         self.trace = [set() for _ in range(m)] if instrument else None
-        self.seen_evals = self.seen_probes = 0
+        self.seen_probes = 0
 
     def accept(self, F: ObjectiveFamily, x: int, replaced: list,
                gains: list, values: list):
@@ -134,41 +128,44 @@ class _GroupState(_Sets):
         is, and the new one shares its unchanged T_i, table entries and
         trace sets."""
         new = object.__new__(_GroupState)
-        new.k, new.ell, new.alpha = self.k, self.ell, self.alpha
-        new.kept, new.trace = None, self.trace
+        new.k, new.kept, new.trace = self.k, None, self.trace
         new.S, new.T = set(self.S), self.T[:]
         new.base, new.moves = self.base[:], self.moves[:]
-        new.seen_evals = new.seen_probes = 0
+        new.seen_probes = 0
         new.accept(F, x, replaced, gains, values)
         return new
 
 
 class StreamState(_GroupState):
-    """One exchange instance on its own: a ``_GroupState`` and its
-    threshold ``tau``, which ``exchange`` changes in place.  Raises
-    ValueError unless 0 <= tau < inf: tau 0.0 accepts every gain, and a
-    NaN tau would too."""
+    """One exchange instance on its own: a ``_GroupState`` that ``exchange``
+    changes in place, with its own ``ell``, ``alpha`` and threshold ``tau``.
+    Checks tau (ValueError unless 0 <= tau < inf: tau 0.0 accepts every
+    gain, and a NaN tau would too), then ell and k, then alpha."""
 
-    __slots__ = ("tau",)
+    __slots__ = ("ell", "alpha", "tau")
 
     def __init__(self, m: int, ell: int, k: int, alpha: float, tau: float,
                  instrument: bool = False):
         if not 0 <= tau < math.inf:
             raise ValueError(f"tau must be non-negative and finite, got {tau}")
-        super().__init__(m, ell, k, alpha, instrument)
-        self.tau = tau
+        check_budgets(ell, k)
+        _check_alpha(alpha)
+        super().__init__(m, k, instrument)
+        self.ell, self.alpha, self.tau = ell, alpha, tau
 
 
 # A state's leaders probe set by set until they have made this many evals
-# per function; only then may ``ThresholdManager._lookahead`` fill a block
-# for it.  A block costs m kernel calls, and an exemplar kernel call at 30
-# candidates costs as much as about 6 (one base) to 12 (three bases) sets
-# probed set by set, which the exemplar row kernel serves (19 and 33 us
-# against about 3 us a set on a 2-core Xeon, where ``value`` computing the
-# set costs about 4 us), but most of a short-lived state's evals repeat an
-# (i, T_i) that another run probed in the same element (the probe dict).
-# On the distributed-exemplar benchmark, before the row kernel, a price of
-# 16 made 2,420 kernel calls to save 5,291 f_i calls, and was slower
+# per function, which a held state, as it never changes, reaches after
+# ceil(KERNEL_CALL_EVALS * m / E) probes of E = sum(len(bases)) evals each;
+# only then may ``ThresholdManager._lookahead`` fill a block for it.  A
+# block costs m kernel calls, and an exemplar kernel call at 30 candidates
+# costs as much as about 6 (one base) to 12 (three bases) sets probed set
+# by set, which the exemplar row kernel serves (19 and 33 us against about
+# 3 us a set on a 2-core Xeon, where ``value`` computing the set costs
+# about 4 us), but most of a short-lived state's evals repeat an (i, T_i)
+# that another run probed in the same element (the probe dict).  On the
+# distributed-exemplar benchmark, before the row kernel, a price of 16
+# made 2,420 kernel calls to save 5,291 f_i calls, and was slower
 # (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs), and the row kernel
 # has made the set-by-set probes that a block saves cheaper since.  At 64
 # its states never reach it, while on criterion 8's facility instance,
@@ -220,17 +217,17 @@ def exchange(F: ObjectiveFamily, u: int, state: StreamState,
     before = state.total()
     state.accept(F, u, replaced, gains, values)
     if state.trace is not None:
-        _check_accepted(F, state, before, state.tau)
+        _check_accepted(F, state, before, state.tau, state.alpha)
     return True
 
 
 def _check_accepted(F: ObjectiveFamily, state: _GroupState, before: float,
-                    tau: float):
+                    tau: float, alpha: float):
     """The lemmas an acceptance at threshold tau keeps, checked on
     instrumented states: f_i(T_i) stays within a factor alpha/(alpha+1) of
     f_i over everything ever kept, and the total rose from ``before`` by at
     least tau."""
-    ratio = state.alpha / (state.alpha + 1.0)
+    ratio = alpha / (alpha + 1.0)
     for i in range(F.m):
         allowed = ratio * F.value(i, state.trace[i])
         if state.base[i] < allowed - TOL:
@@ -328,7 +325,7 @@ class ThresholdManager:
         self.delta = 0.0
         self.instances: dict[int, _GroupState] = {}  # exponent -> state
         # the state of the new exponents
-        self._empty = _GroupState(F.m, ell, k, alpha, instrument)
+        self._empty = _GroupState(F.m, k, instrument)
         self.stored = 0  # sum of len(state.S) over the live instances
         self.peak_stored = 0
         self.max_instances = 0
@@ -390,11 +387,11 @@ class ThresholdManager:
         """The kernel values of u, not in S, by (function, set) for
         ``state.probe``, or None if u is to be probed set by set; ``run``
         asks, over its buffered stream.  A state's leaders probe set by
-        set until they have made ``KERNEL_CALL_EVALS`` evals per function
-        (counted on the state, see ``_GroupState``).  Then a leader that
-        finds no row for its element fills the state's block
-        (``_Sets._block_values``) over the element and the arrivals after
-        it: as many as the state's leaders have probed, in at most
+        set until they have made ``KERNEL_CALL_EVALS`` evals per function,
+        a number of probes (``seen_probes``; see ``KERNEL_CALL_EVALS``).
+        Then a leader that finds no row for its element fills the state's
+        block (``_Sets._block_values``) over the element and the arrivals
+        after it: as many as the state's leaders have probed, in at most
         ``LOOKAHEAD_FLOATS`` floats, and keeps it in ``kept``.  Arrivals
         that are not integer ids in range, are in S or repeat are left out,
         so they raise or are skipped where the scalar path does.  A row
@@ -410,8 +407,8 @@ class ThresholdManager:
             if r is not None:
                 return vals[r].tolist()
             state.kept = None  # past the block: its values go first
-        if state.seen_evals < KERNEL_CALL_EVALS * F.m:
-            state.seen_evals += sum(len(bases) for bases, _ in state.moves)
+        evals = sum(len(bases) for bases, _ in state.moves)
+        if (state.seen_probes - 1) * evals < KERNEL_CALL_EVALS * F.m:
             return None
         rows = min(state.seen_probes,
                    max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
@@ -460,7 +457,7 @@ class ThresholdManager:
                         value(i, new.T[i], new.base[i])
             instances[l] = new
             if new.trace is not None:
-                _check_accepted(F, new, state.total(), tau)
+                _check_accepted(F, new, state.total(), tau, self.alpha)
             self.stored += 1
         self.max_instances = max(self.max_instances, len(self.instances))
         self.peak_stored = max(self.peak_stored, self.stored)

@@ -458,7 +458,7 @@ def ref_exchange(F, u, state, delta=None):
             if state.trace is not None:
                 state.trace[i].add(u)
     if state.trace is not None:
-        _check_accepted(F, state, before, state.tau)
+        _check_accepted(F, state, before, state.tau, state.alpha)
     return True
 
 
@@ -928,7 +928,7 @@ def grouped_run(F, order):
         states = list(after.values())
         steps.append({
             "evaluating": [frozenset(s.S) for s in live.values()
-                           if step["u"] not in s.S and len(s.S) < s.ell],
+                           if step["u"] not in s.S and len(s.S) < mgr.ell],
             "probes": len(step["probes"]),
             "exchanges": [(live[l], after[l] is not live[l]) for l in live],
             "tokens_match_sets": all(

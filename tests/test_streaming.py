@@ -718,6 +718,34 @@ def test_each_state_holds_one_run_of_exponents(kind, epsilon, seed, data):
         mgr.run(stream)
 
 
+def test_a_state_fills_its_first_block_at_the_lookaheads_price():
+    """A state that a manager holds never changes, so each of its leaders'
+    set-by-set probes makes E = sum(len(bases)) evals over its probe
+    table, and its first block is filled at the first probe that follows
+    KERNEL_CALL_EVALS * m such evals: probe ceil(KERNEL_CALL_EVALS * m /
+    E) + 1.  The states are kept as keys, so no id is reused."""
+    F = make_synthetic("facility", 200, 5, 3)
+    order = list(range(200))
+    np.random.default_rng(0).shuffle(order)
+    mgr = ThresholdManager(F, 0.5, 10, 3)
+    lookahead, first = mgr._lookahead, {}
+
+    def recorded(u, state):
+        kept = state.kept
+        raws = lookahead(u, state)
+        if state.kept is not None and state.kept is not kept:
+            evals = sum(len(bases) for bases, _ in state.moves)
+            first.setdefault(state, (state.seen_probes, evals))
+        return raws
+
+    mgr._lookahead = recorded
+    mgr.run(order)
+    price = streaming.KERNEL_CALL_EVALS * F.m
+    assert first
+    assert all(probes == -(-price // evals) + 1
+               for probes, evals in first.values())
+
+
 @pytest.mark.parametrize("family, stream", [
     (lambda: make_synthetic("coverage", 40, 3, seed=2),
      np.random.default_rng(2).permutation(40).tolist() * 2),

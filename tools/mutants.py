@@ -203,6 +203,10 @@ MUTANTS = (
            "        if not 0 <= tau < math.inf:\n",
            "        if not 0 <= tau <= math.inf:\n",
            (BAD_INPUTS,)),
+    Mutant("lookahead's price one probe early", "src/twostage/streaming.py",
+           "(state.seen_probes - 1) * evals", "state.seen_probes * evals",
+           ("tests/test_streaming.py::"
+            "test_a_state_fills_its_first_block_at_the_lookaheads_price",)),
     Mutant("threshold test at <=", "src/twostage/streaming.py",
            "            if avg < tau:\n", "            if avg <= tau:\n",
            ("tests/test_streaming.py::TestThresholdManager::"
@@ -238,6 +242,18 @@ MUTANTS = (
            "        self.update_thresholds(u)\n"
            "        seen = [{} for _ in range(F.m)]\n",
            (ONCE_PER_ELEMENT,)),
+    # _move's insertion: its recorded call, which a later leader and every
+    # follower make again, and its gain against the base
+    Mutant("insertion without its recorded call", "src/twostage/core.py",
+           "        if calls is not None:\n"
+           "            calls.append((i, ids, v))\n"
+           "        return None, v - base, v\n",
+           "        return None, v - base, v\n",
+           ("tests/test_exactness.py::"
+            "test_threshold_manager_matches_reference",)),
+    Mutant("insertion gain without its base", "src/twostage/core.py",
+           "return None, v - base, v", "return None, v, v",
+           (PROBE_RULE,)),
     # base + (v - base) differs from v only where a rounding ties, so
     # only a hand-made tie shows it
     Mutant("add served base[i] + gains[i]", "src/twostage/core.py",
