@@ -44,9 +44,11 @@ calls no f_i and sorts and checks nothing:
   first makes the first's ``add`` evals again, served the new state's
   ``base[i]``.  ``ThresholdManager.all_solutions`` evaluates each
   (i, T_i) of its states once and serves every later eval of it.
-* the values of F's block kernel.  ``_Sets._block_values`` hands each
-  function's table entry's bases to ``F._block(i, bases, xs)`` and gets
-  every base plus x for a block of candidates at once.  The blocks are
+* the values of F's block kernel, in two steps.  ``_Sets._block_values``
+  hands each function's table entry's bases to ``F._block(i, bases)``,
+  which reduces them once and returns the entry's fill; the fill gives
+  every base plus x for a block of candidates at once, written into the
+  block.  The blocks are
   greedy's (``_Sets.best``) and those of a long-lived streaming state over
   the arrivals ahead (``streaming.ThresholdManager._lookahead``).  A
   streaming leader's probe is served its row, and records its served
@@ -56,12 +58,15 @@ calls no f_i and sorts and checks nothing:
   set's column in the row flattened to m * k floats.  Only the candidate
   of each block that ``_Sets._first_best`` finds in numpy is probed, or
   every candidate of a block that holds a value that is not finite in a
-  candidate's row.  When a greedy round's candidates fit in one block, the
-  ``_Sets`` keeps that block, and a later round asks the kernel again
-  only for the functions whose table entry changed; every other value is
-  the one computed for the same candidate against the same T_i.  The kept
-  block lives as long as the ``_Sets``, one solver call, and a streaming
-  state's as long as the state.
+  candidate's row.  When a greedy round's candidates take more than one
+  block, the round keeps each function's fill until it ends, so each
+  function's bases are reduced once per round.  When they fit in one
+  block, the ``_Sets`` keeps that block, and a later round asks the
+  kernel again only for the functions whose table entry changed; every
+  other value is the one computed for the same candidate against the
+  same T_i.  That round, and a lookahead, make each fill for one block
+  and keep none.  The kept block lives as long as the ``_Sets``, one
+  solver call, and a streaming state's as long as the state.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
   ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each
@@ -158,9 +163,12 @@ class ObjectiveFamily:
     to exactly 0 on the empty set.  Every set evaluation increments ``evals``;
     the complexity regression tests depend on that count being deterministic
     for a fixed code path.  ``_block`` is None or the family's block
-    kernel ``_block(i, bases, xs)``: the raw f_i(b + (x,)) for each x of
-    ``xs`` and each b of ``bases``, one probe-table entry's (see
-    ``_moves``), with shape (len(xs), len(bases)).
+    kernel, in two steps: ``_block(i, bases)`` reduces the bases of one
+    probe-table entry (see ``_moves``) once and returns the entry's fill,
+    and ``fill(xs, out=None)`` gives the raw f_i(b + (x,)) for each x of
+    ``xs`` and each b of ``bases``, with shape (len(xs), len(bases)),
+    written into ``out`` (an array of that shape, such as a view of a
+    block) if given, and returned.  A fill serves any number of blocks.
     ``_table_floats`` is the logical number of floats in the tables the
     kernel reads, as if each function kept its own, whatever the family
     stores (0 without a kernel); it sizes greedy's blocks (``_Sets.best``).
@@ -308,10 +316,10 @@ def _moves(key: tuple, k: int) -> tuple:
     may replace.  Below budget that is ``([key], None)``, an insertion; at
     it, ``key`` without ``key[j]`` for each j, and ``key``, a swap.
 
-    A block kernel ``F._block(i, bases, xs)`` (see ``ObjectiveFamily``)
-    takes ``bases`` as given here, with no x of ``xs`` in a base.  It
-    reduces each base's rows once and combines the result with every
-    candidate's row at once.
+    A block kernel (see ``ObjectiveFamily``) takes ``bases`` as given here:
+    ``F._block(i, bases)`` reduces each base's rows once, and its fill
+    combines the result with every candidate's row of a block ``xs`` at
+    once, with no x of ``xs`` in a base.
     """
     if len(key) < k:
         return [key], None
@@ -475,21 +483,25 @@ class _Sets:
         so that ``value`` evaluates each set whose value is not finite.
         Every other x makes its evals by the round's served plan: one
         ``value`` call per (i, base), served the value at the plan's column
-        of x's row flattened, one ``tolist`` per row."""
+        of x's row flattened, one ``tolist`` per row.  A round of more
+        than one block keeps each function's fill (``F._block(i, bases)``)
+        until the round ends, so each function's bases are reduced once
+        per round."""
         xs = list(dict.fromkeys(x for x in xs if x not in self.S))
         size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * self.k))
-        value, k = F.value, self.k
-        # the round's served plan: each probe set's (i, base), in probe
+        value, k, one = F.value, self.k, len(xs) <= size
+        fills = None if one else [None] * F.m
+        # the round's served plan: each probe set's i and base, in probe
         # order, and its column in a row of the block flattened to m * k
-        plan = [(i, b) for i, (bases, _) in enumerate(self.moves)
-                for b in bases]
+        plan_i = [i for i, (bases, _) in enumerate(self.moves) for _ in bases]
+        plan_b = [b for bases, _ in self.moves for b in bases]
         pos = np.array([i * k + j for i, (bases, _) in enumerate(self.moves)
                         for j in range(len(bases))])
         for start in range(0, len(xs), size):
             part = xs[start:start + size]
             # the last block's values, and its view, go before the next's come
-            vals = flat = None
-            vals, row_of = self._block_values(F, part, len(xs) <= size)
+            vals = flat = row_of = rows = None
+            vals, row_of = self._block_values(F, part, one, fills)
             flat = vals.reshape(len(vals), -1)
             rows = [row_of[x] for x in part]
             first = self._first_best(vals, rows)
@@ -498,7 +510,7 @@ class _Sets:
                     yield (x, *self.probe(F, x, None, vals[r].tolist()))
                     continue
                 x = (x,)
-                for (i, b), v in zip(plan, flat[r].take(pos).tolist()):
+                for i, b, v in zip(plan_i, plan_b, flat[r].take(pos).tolist()):
                     value(i, b + x, v)
 
     def _first_best(self, vals: np.ndarray, rows: list) -> int | None:
@@ -528,7 +540,8 @@ class _Sets:
         np.add.accumulate(gains, axis=1, out=gains)
         return int(gains[rows, -1].argmax())
 
-    def _block_values(self, F: ObjectiveFamily, xs: list, keep: bool) -> tuple:
+    def _block_values(self, F: ObjectiveFamily, xs: list, keep: bool,
+                      fills: list | None = None) -> tuple:
         """The values of the probe sets of xs, distinct and none in S, from
         F's kernel less the offsets, by (row, function, j), and the row of
         each x.
@@ -537,10 +550,13 @@ class _Sets:
         every x: then a function's column is reused if ``moves[i]`` is still
         the entry it was filled for, and refilled for the rows not in S if
         not, and the rows of the block's candidates that are in S are
-        zeroed.  A new block is kept if ``keep``.  A column counts as filled
-        only once ``F._block`` has returned; a value that is not finite
-        stays in the block, and ``value`` does not serve it.  The ids of xs
-        are checked (``_check_ids``) before any kernel call."""
+        zeroed.  A new block is kept if ``keep``.  A column is filled by the
+        fill of ``F._block(i, bases)``, taken from ``fills[i]`` if the
+        caller holds one there, else made and put there if ``fills`` is
+        given, else made for this block alone.  A column counts as filled
+        only once the fill has returned; a value that is not finite stays
+        in the block, and ``value`` does not serve it.  The ids of xs are
+        checked (``_check_ids``) before any kernel call."""
         _check_ids(xs, F.ground.n)
         kept = self.kept if keep else None
         if kept is None or any(x not in kept[0] for x in xs):
@@ -551,7 +567,7 @@ class _Sets:
         row_of, vals, entries = kept
         live = [x for x in row_of if x not in self.S]
         if len(live) == len(row_of):
-            rows = slice(None)  # writes a whole new block faster than a list
+            rows = slice(None)  # a view of the block: each fill writes there
         else:
             rows = [row_of[x] for x in live]
             # the rows of candidates in S are never refilled or served
@@ -560,7 +576,15 @@ class _Sets:
         for i, entry in enumerate(self.moves):
             if entries[i] is not entry:
                 bases = entry[0]
-                vals[rows, i, :len(bases)] = F._block(i, bases, live)
+                fill = None if fills is None else fills[i]
+                if fill is None:
+                    fill = F._block(i, bases)
+                    if fills is not None:
+                        fills[i] = fill
+                if type(rows) is slice:
+                    fill(live, vals[rows, i, :len(bases)])
+                else:
+                    vals[rows, i, :len(bases)] = fill(live)
                 if F._offsets[i]:  # v - 0.0 is v, so skip the pass
                     vals[rows, i, :len(bases)] -= F._offsets[i]
                 entries[i] = entry

@@ -33,12 +33,12 @@ def replacement_greedy(F: ObjectiveFamily, candidates: Iterable[int],
     counted ``value`` call) and applied with ``_Sets.add``.  The
     candidates' ids are checked (``_check_ids``) before any eval.
     """
-    cands = set(candidates)
+    cands = list(candidates)  # a list: an unhashable id gets the id check
     if not cands:
         raise ValueError("candidate set must be non-empty")
     check_budgets(ell, k)
     _check_ids(cands, F.ground.n)
-    cands = sorted(cands)
+    cands = sorted(set(cands))
 
     sets = _Sets(F.m, k)
     for _ in range(ell):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,30 +76,40 @@ def _max_sum(table: np.ndarray, rows, cols=None):
     ``rows`` in the column).  Every entry of a family's table is at least
     0.0, so the 0.0 matters only where ``rows`` is empty.  The sum is a
     last-axis ``np.add.reduce`` of a C-contiguous array, as in
-    ``_max_sum_block``."""
+    ``_max_sum_rows``."""
     best = np.maximum.reduce(table.take(rows, axis=0), axis=0, initial=0.0)
     return np.add.reduce(best if cols is None else best[cols])  # beats take
 
 
-def _max_sum_block(table: np.ndarray, bases: list, rows, cols=None):
-    """``_max_sum(table, base + [r], cols)`` for each of the equally long
-    row lists ``bases`` and each row r of ``rows``, as a (len(bases),
-    len(rows)) array.  Each base's maximum is taken once, then one
+def _max_sum_bases(table: np.ndarray, bases: list, cols=None) -> np.ndarray:
+    """The bases half of the max-sum block: for each of the equally long
+    row lists ``bases``, the maximum of its rows of ``table``, floored at
+    0.0, over the columns ``cols`` (all of them when None), as a
+    (len(bases), columns) array for ``_max_sum_rows``."""
+    kept = np.maximum.reduce(table.take(bases, axis=0), axis=1, initial=0.0)
+    return kept if cols is None else kept.take(cols, axis=1)
+
+
+def _max_sum_rows(kept: np.ndarray, table: np.ndarray, cols, rows,
+                  out=None) -> np.ndarray:
+    """The rows half: ``_max_sum(table, base + [r], cols)`` for each row r
+    of ``rows`` and each base whose maxima ``kept`` holds
+    (``_max_sum_bases``), as a (len(rows), len(kept)) array, written into
+    ``out`` if given (any array of that shape, such as a strided view of
+    a block: the sums do not depend on where they go).  Per base, one
     ``np.maximum`` with the gathered rows and one last-axis
-    ``np.add.reduce`` of the C-contiguous result per base, so each sum
-    equals ``_max_sum``'s bit for bit: max is exact and order-free.  Holds
-    at most two arrays of the gathered rows' shape besides its output, or
+    ``np.add.reduce`` of the C-contiguous result, so each sum equals
+    ``_max_sum``'s bit for bit: max is exact and order-free.  Holds at
+    most two arrays of the gathered rows' shape besides its output, or
     while it gathers from more columns than ``cols``, one (len(rows),
     table width) array and one of the gathered shape."""
-    kept = np.maximum.reduce(table.take(bases, axis=0), axis=1, initial=0.0)
     cand = _gather(table, rows, cols)
-    if cols is not None:
-        kept = kept.take(cols, axis=1)
-    sums = np.empty((len(kept), len(cand)))
+    if out is None:
+        out = np.empty((len(cand), len(kept)))
     spare = cand if len(kept) == 1 else np.empty_like(cand)  # one base: cand
-    for best, out in zip(kept, sums):
-        np.add.reduce(np.maximum(best, cand, out=spare), axis=1, out=out)
-    return sums
+    for j, best in enumerate(kept):
+        np.add.reduce(np.maximum(best, cand, out=spare), axis=1, out=out[:, j])
+    return out
 
 
 def facility_family(points: Sequence[Point],
@@ -113,9 +124,11 @@ def facility_family(points: Sequence[Point],
     numpy calls fewer.  Every score is at least 0.0, so ``_max_sum``'s
     floor at 0.0 changes nothing.
 
-    The family's block kernel ``_block`` (see ``_moves``) is
-    ``_max_sum_block`` with the bases and candidates as rows, so each
-    value equals f_i's bit for bit.
+    The family's block kernel ``_block(i, bases)`` (see
+    ``ObjectiveFamily``) takes the bases' maxima once
+    (``_max_sum_bases``) and returns them bound into ``_max_sum_rows``,
+    the fill, which takes a block's candidates as rows and writes into its
+    ``out`` if given; so each value equals f_i's bit for bit.
 
     Raises ``ValueError`` before any matrix is built when a point or a
     region member has a non-finite coordinate.
@@ -144,8 +157,10 @@ def facility_family(points: Sequence[Point],
             return _max_sum(mat, ids)
         return f
 
-    def block(i: int, bases: list, xs: list) -> np.ndarray:
-        return _max_sum_block(matrices[i], bases, xs).T
+    def block(i: int, bases: list):
+        mat = matrices[i]
+        # a partial holds less than a closure: greedy holds m fills a round
+        return partial(_max_sum_rows, _max_sum_bases(mat, bases), mat, None)
 
     F = ObjectiveFamily(ground, [make(mat) for mat in matrices])
     F._block = block
@@ -289,19 +304,22 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
     best).mean()`` over the class, with best the clipped distance to the
     nearest exemplar, bit for bit.
 
-    The block kernel ``_block`` (see ``_moves``) is ``_max_sum_block`` over
-    the bases' rows and the rows of the candidates, each distinct row
-    gathered once, so every candidate outside the class shares the zero
-    row; each candidate then takes its row's column, divided by the width
-    as f_i's, so each value equals f_i's bit for bit.
+    The block kernel ``_block(i, bases)`` (see ``ObjectiveFamily``) takes
+    the maxima of the bases' rows over the class columns once
+    (``_max_sum_bases``); its fill is ``_max_sum_rows`` over the rows of a
+    block's candidates, each distinct row gathered once, so every
+    candidate outside the class shares the zero row, divided by the width
+    as f_i's, and then each candidate takes its row's sums, written into
+    the fill's ``out`` if given; so each value equals f_i's bit for bit.
 
     The row kernel ``_row`` (see ``ObjectiveFamily``) serves the probes of
     one candidate x, which the set-by-set streaming probes make: per base
     it takes a chain of maxima over x's row and the base's member rows,
     the zero row standing for none, then the column take and the same
     ``np.add.reduce``; the empty base gives x's singleton.  Because max is
-    exact and order-free, each value equals f_i's bit for bit.  Neither
-    kernel keeps anything between calls.
+    exact and order-free, each value equals f_i's bit for bit.  The row
+    kernel keeps nothing between calls, and a fill only its bases'
+    maxima.
 
     Raises ``ValueError`` before any distance is computed when ``vectors``
     is not 2-D, ``class_count`` is outside [1, columns], a feature is not
@@ -333,13 +351,18 @@ def exemplar_family(vectors: np.ndarray, class_count: int) -> ObjectiveFamily:
             return _max_sum(table, [index[e] for e in ids], cols) / width
         return f
 
-    def block(i: int, bases: list, xs: list) -> np.ndarray:
+    def block(i: int, bases: list):
         table, _, index, cols, width, _ = classes[i]
-        at = {}  # each gathered row's column, in order of first candidate
-        col = [at.setdefault(index[x], len(at)) for x in xs]
-        sums = _max_sum_block(table, [[index[e] for e in b] for b in bases],
-                              list(at), cols)
-        return (sums / width).take(col, axis=1).T
+        kept = _max_sum_bases(table, [[index[e] for e in b] for b in bases],
+                              cols)
+
+        def fill(xs: list, out: np.ndarray | None = None) -> np.ndarray:
+            at = {}  # each gathered row's position, in order of first candidate
+            pos = [at.setdefault(index[x], len(at)) for x in xs]
+            sums = _max_sum_rows(kept, table, cols, list(at))
+            sums /= width
+            return sums.take(pos, axis=0, out=out)
+        return fill
 
     def row(i: int, x: int, bases: list) -> list:
         _, views, index, cols, width, singles = classes[i]

@@ -57,6 +57,57 @@ def kernel_counted(F):
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
+def scalar_block(F):
+    """A two-step block kernel for F computed set by set from its own
+    objectives: ``F._block(i, bases)(xs, out=None)``."""
+    def block(i, bases):
+        f = F._functions[i]
+
+        def fill(xs, out=None):
+            vals = np.array([[f(tuple(sorted(b + (x,)))) for b in bases]
+                             for x in xs])
+            if out is None:
+                return vals
+            out[...] = vals
+            return out
+        return fill
+    return block
+
+
+def edited_kernel(kernel, edit):
+    """The two-step block kernel whose fills are ``kernel``'s, each result
+    then passed to ``edit(i, bases, xs, vals)``, which may change it in
+    place."""
+    def block(i, bases):
+        fill = kernel(i, bases)
+
+        def edited(xs, out=None):
+            vals = fill(xs, out)
+            edit(i, bases, xs, vals)
+            return vals
+        return edited
+    return block
+
+
+def block_spy(F):
+    """Record F's block kernel calls: each ``F._block(i, bases)`` as (i,
+    bases) in the first list returned, each call of its fill as (i, bases,
+    xs) in the second."""
+    kernel = F._block
+    reductions, fills = [], []
+
+    def block(i, bases):
+        reductions.append((i, bases))
+        fill = kernel(i, bases)
+
+        def spied(xs, out=None):
+            fills.append((i, bases, list(xs)))
+            return fill(xs, out)
+        return spied
+    F._block = block
+    return reductions, fills
+
+
 def float_features(n, classes, seed):
     """Real-valued features in [0, 2); each entry is zero with probability 0.4."""
     rng = np.random.default_rng(seed)

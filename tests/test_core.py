@@ -206,9 +206,9 @@ class TestServedValue:
         kernel = F._block
         calls = []
 
-        def counted(i, bases, xs):
+        def counted(i, bases):
             calls.append(i)
-            return kernel(i, bases, xs)
+            return kernel(i, bases)
 
         F._block = counted
         before = F.evals
@@ -313,6 +313,10 @@ BAD_INPUTS = [
     ("replacement_greedy candidate 2.5",
      lambda F: replacement_greedy(F, [0, 2.5, 3], 2, 1), TypeError,
      "element ids must be integers, got 2.5"),
+    # an unhashable id is checked before the candidates become a set
+    ("replacement_greedy candidate [1]",
+     lambda F: replacement_greedy(F, [[1], 2], 3, 2), TypeError,
+     re.escape("element ids must be integers, got [1]")),
     ("replacement_greedy candidate np.float64",
      lambda F: replacement_greedy(F, [0, np.float64(3.0)], 2, 1), TypeError,
      "element ids must be integers"),

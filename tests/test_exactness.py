@@ -33,7 +33,7 @@ from twostage.streaming import (TOL, StreamState, ThresholdManager,
                                 _check_accepted, exchange, run_know_opt)
 
 from conftest import (expected_served, float_features, followers,
-                      kernel_counted, recorded_run)
+                      kernel_counted, recorded_run, scalar_block)
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -575,8 +575,9 @@ def wide_exemplar(seed, n, m, data):
 
 
 def assert_block_is_exact(F, n, data):
-    """F._block equals f_i set by set, ``==``, for drawn keys and blocks of
-    candidates: insertions for every key, swaps for non-empty ones."""
+    """F._block's fills equal f_i set by set, ``==``, for drawn keys and
+    blocks of candidates: insertions for every key, swaps for non-empty
+    ones."""
     for _ in range(4):  # several calls: the kernels must keep no state
         i = data.draw(st.integers(0, F.m - 1))
         key = tuple(sorted(data.draw(st.lists(
@@ -584,11 +585,11 @@ def assert_block_is_exact(F, n, data):
         xs = data.draw(st.lists(st.integers(0, n - 1).filter(
             lambda e: e not in key), min_size=1, max_size=40))
         f = F._functions[i]
-        assert F._block(i, [key], xs).tolist() == [
+        assert F._block(i, [key])(xs).tolist() == [
             [f(tuple(sorted(key + (x,))))] for x in xs]
         if key:
             swaps = [key[:j] + key[j + 1:] for j in range(len(key))]
-            assert F._block(i, swaps, xs).tolist() == [
+            assert F._block(i, swaps)(xs).tolist() == [
                 [f(tuple(sorted(base + (x,)))) for base in swaps] for x in xs]
 
 
@@ -632,6 +633,49 @@ def test_exemplar_block_kernel_is_bit_identical_on_disjoint_classes(seed,
     # n = 300 over two classes lets one be 129 wide
     n = 300
     assert_block_is_exact(disjoint_exemplar(seed, n, 2, data), n, data)
+
+
+def assert_one_fill_serves_every_block(F, n, data):
+    """One probe-table entry's fill (``F._block(i, bases)``), used on
+    several blocks of candidates, equals f_i set by set, ``==``, on each:
+    returned, and written into a strided view of a (rows, m, k) block, as
+    ``_Sets._block_values`` has it write.  Budgets of 1 and empty keys make
+    the empty base; candidates repeat, and on exemplar most are outside a
+    narrow class, so they share its zero row."""
+    i = data.draw(st.integers(0, F.m - 1))
+    k = data.draw(st.integers(1, 4))
+    key = tuple(sorted(data.draw(st.lists(
+        st.integers(0, n - 1), max_size=k, unique=True))))
+    bases = _moves(key, k)[0]
+    fill = F._block(i, bases)
+    f = F._functions[i]
+    others = [e for e in range(n) if e not in key]
+    for _ in range(3):
+        xs = data.draw(st.lists(st.sampled_from(others), max_size=30))
+        want = [[f(tuple(sorted(b + (x,)))) for b in bases] for x in xs]
+        assert fill(xs).tolist() == want
+        block = np.full((len(xs), 2, k + 1), np.nan)
+        view = block[:, 1, :len(bases)]
+        assert fill(xs, view) is view
+        assert view.tolist() == want
+        assert np.isnan(block[:, 0]).all() and np.isnan(
+            block[:, 1, len(bases):]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_facility_fill_serves_several_blocks_bit_identically(seed, data):
+    n = 40
+    assert_one_fill_serves_every_block(wide_facility(seed, n, 2, data), n,
+                                       data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_exemplar_fill_serves_several_blocks_bit_identically(seed, data):
+    n = 210
+    assert_one_fill_serves_every_block(wide_exemplar(seed, n, 2, data), n,
+                                       data)
 
 
 WIDE, SOLO, OUTSIDE = 200, 3, (225, 226, 227, 228, 229)
@@ -679,7 +723,7 @@ KERNEL_SHAPES = [
 def assert_block_shape(F, i, key, k, xs):
     f = F._functions[i]
     bases = _moves(key, k)[0]
-    got = F._block(i, bases, xs)
+    got = F._block(i, bases)(xs)
     assert got.shape == (len(xs), len(bases))
     assert got.tolist() == [[f(tuple(sorted(b + (x,)))) for b in bases]
                             for x in xs]
@@ -717,7 +761,7 @@ def test_exemplar_block_kernel_gives_a_memberless_set_zero():
     """A candidate outside the class against a base with no class member:
     f_i of a set with no member is exactly 0.0, its zero rows' sum."""
     F = kernel_shapes_family()
-    got = F._block(0, _moves((1, 225), 2)[0], [226, 10, 227])
+    got = F._block(0, _moves((1, 225), 2)[0])([226, 10, 227])
     assert got[0, 0] == got[2, 0] == 0.0  # against (225,)
     assert got[0, 1] == got[2, 1] == F._functions[0]((1,)) > 0.0
 
@@ -731,13 +775,13 @@ def test_exemplar_block_kernel_holds_two_candidate_arrays():
     F = kernel_shapes_family()
     xs = list(range(100, 160))
     bases = _moves((1, 2, 3), 3)[0]
-    F._block(0, bases, xs)  # warm up
+    F._block(0, bases)(xs)  # warm up
     gc.collect()
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = F._block(0, bases, xs)
+        out = F._block(0, bases)(xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -798,9 +842,9 @@ def test_single_element_probes_never_call_the_block_kernel(kind):
     kernel = F._block
     calls = []
 
-    def counted(i, bases, xs):
-        calls.append((i, bases, list(xs)))
-        return kernel(i, bases, xs)
+    def counted(i, bases):
+        calls.append((i, bases))
+        return kernel(i, bases)
 
     F._block = counted
     # a low alpha lets swaps through, so at-budget probes are made too
@@ -1231,9 +1275,7 @@ def poisoned_pair_family(bad):
             sum(weights[1][e] for e in ids))
 
     F = ObjectiveFamily(make_synthetic("modular", 12, 2, 0).ground, [f0, f1])
-    F._block = lambda i, bases, xs: np.array(
-        [[F._functions[i](tuple(sorted(b + (x,)))) for b in bases]
-         for x in xs])
+    F._block = scalar_block(F)
     return F
 
 

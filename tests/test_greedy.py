@@ -14,8 +14,9 @@ from twostage.objectives import (Point, Region, exemplar_family,
                                  facility_family, make_synthetic)
 from twostage.oracle import brute_force_opt
 
-from conftest import (NON_FINITE, float_features, kernel_counted,
-                      modular_family, poisoned_family)
+from conftest import (NON_FINITE, block_spy, edited_kernel, float_features,
+                      kernel_counted, modular_family, poisoned_family,
+                      scalar_block)
 
 GREEDY_RATIO = 0.5 * (1.0 - np.exp(-2.0))  # about 0.4323
 
@@ -83,15 +84,6 @@ def test_non_finite_objective_raises(bad):
         replacement_greedy(poisoned_family(bad), range(6), ell=3, k=2)
 
 
-def scalar_block(F):
-    """A block kernel for F computed set by set from its own objectives."""
-    def block(i, bases, xs):
-        f = F._functions[i]
-        return np.array([[f(tuple(sorted(b + (x,)))) for b in bases]
-                         for x in xs])
-    return block
-
-
 def probe_bases(key, k):
     """The sets a probe against the sorted ``key`` at budget k adds its
     candidate to: ``key`` below budget, ``key`` less each member at it."""
@@ -115,7 +107,7 @@ class TestSwapProbeKernel:
     def test_a_kernel_error_is_raised(self):
         F = make_synthetic("facility", 12, 3, seed=2)
 
-        def broken(i, bases, xs):
+        def broken(i, bases):
             raise RuntimeError("block kernel failed")
         F._block = broken
         with pytest.raises(RuntimeError, match="block kernel failed"):
@@ -152,9 +144,11 @@ class TestSwapProbeKernel:
         # f_i, so the run still equals the scalar one
         F = make_synthetic("facility", 12, 3, seed=4)
         G = ObjectiveFamily(F.ground, F._functions)
-        block = F._block
-        F._block = lambda i, bases, xs: block(i, bases, xs) * (
-            np.nan if i == 2 else 1.0)
+
+        def poison(i, bases, xs, vals):
+            if i == 2:
+                vals *= np.nan
+        F._block = edited_kernel(F._block, poison)
         got = (replacement_greedy(F, range(12), 4, 2), F.evals)
         assert got == (replacement_greedy(G, range(12), 4, 2), G.evals)
 
@@ -191,34 +185,25 @@ def value_calls():
         yield calls
 
 
-def block_spy(F):
-    """Record each ``F._block(i, bases, xs)`` call as (i, bases, xs)."""
-    kernel = F._block
-    calls = []
-
-    def spy(i, bases, xs):
-        calls.append((i, bases, list(xs)))
-        return kernel(i, bases, xs)
-    F._block = spy
-    return calls
-
-
 def greedy_rounds(F, cands, ell, k):
-    """replacement_greedy(F, cands, ell, k) with the kernel calls of each
-    round, and per round the S and T it started from."""
-    calls = block_spy(F)
+    """replacement_greedy(F, cands, ell, k) with, per round, the kernel's
+    base reductions ``(i, bases)`` and fills ``(i, bases, xs)``
+    (``block_spy``), and the S and T it started from."""
+    reductions, fills = block_spy(F)
     starts = []
     best = _Sets.best
 
     def spy(self, F, xs):
-        starts.append((len(calls), set(self.S), list(self.T)))
+        starts.append((len(reductions), len(fills), set(self.S),
+                       list(self.T)))
         return best(self, F, xs)
 
     with mock.patch.object(_Sets, "best", spy):
         sol = replacement_greedy(F, cands, ell, k)
-    ends = [start for start, *_ in starts[1:]] + [len(calls)]
-    return sol, [(calls[start:end], S, T)
-                 for (start, S, T), end in zip(starts, ends)]
+    ends = [start[:2] for start in starts[1:]] + [(len(reductions),
+                                                   len(fills))]
+    return sol, [(reductions[r:r_end], fills[f:f_end], S, T)
+                 for (r, f, S, T), (r_end, f_end) in zip(starts, ends)]
 
 
 class TestKeptBlock:
@@ -238,15 +223,17 @@ class TestKeptBlock:
         assert calls[0] < scalar_calls[0]
         assert len(rounds) >= 3
         previous = [None] * F.m  # no column is filled before round 1
-        for calls, S, T in rounds:
+        for reductions, fills, S, T in rounds:
             live = [x for x in range(14) if x not in S]
             changed = [i for i in range(F.m) if T[i] != previous[i]]
-            assert calls == [(i, probe_bases(T[i], k), live)
+            # one block: each base reduction's fill is made at once
+            assert reductions == [(i, probe_bases(T[i], k)) for i in changed]
+            assert fills == [(i, probe_bases(T[i], k), live)
                              for i in changed]
             previous = T
         # round 1 fills every function; later rounds refill fewer
-        assert len(rounds[0][0]) == F.m
-        assert sum(len(calls) for calls, *_ in rounds[1:]) < \
+        assert len(rounds[0][1]) == F.m
+        assert sum(len(fills) for _, fills, *_ in rounds[1:]) < \
             F.m * (len(rounds) - 1)
 
     def test_several_blocks_per_round_are_all_filled_every_round(self):
@@ -258,11 +245,15 @@ class TestKeptBlock:
         sol, rounds = greedy_rounds(F, range(100), 6, k)
         assert (sol, F.evals) == (replacement_greedy(G, range(100), 6, k),
                                   G.evals)
-        for calls, S, T in rounds:
+        for reductions, fills, S, T in rounds:
             live = [x for x in range(100) if x not in S]
             blocks = [live[s:s + size] for s in range(0, len(live), size)]
             assert len(blocks) > 1
-            assert calls == [(i, probe_bases(T[i], k), xs) for xs in blocks
+            # each function's bases are reduced once per round, at the
+            # first block, and that fill serves every block of the round
+            assert reductions == [(i, probe_bases(T[i], k))
+                                  for i in range(F.m)]
+            assert fills == [(i, probe_bases(T[i], k), xs) for xs in blocks
                              for i in range(F.m)]
 
     @pytest.mark.parametrize("fail_at", [0, 1])
@@ -279,11 +270,17 @@ class TestKeptBlock:
         kernel = F._block
         calls = []
 
-        def failing(i, bases, xs):
+        def failing(i, bases):
             calls.append(i)
-            if len(calls) > fail_at:
+            if len(calls) <= fail_at:
+                return kernel(i, bases)
+
+            def fill(xs, out=None):
+                # a fill that writes part of its column, then raises
+                if out is not None:
+                    out[:1] = 1e9
                 raise RuntimeError("block kernel failed")
-            return kernel(i, bases, xs)
+            return fill
         F._block = failing
         with pytest.raises(RuntimeError, match="block kernel failed"):
             sets.best(F, cands)
@@ -299,26 +296,29 @@ class TestKeptBlock:
     def test_a_round_with_every_candidate_in_s_calls_no_kernel(self):
         F = make_synthetic("coverage", 8, 3, seed=1)
         F._block = scalar_block(F)
-        calls = block_spy(F)
+        reductions, fills = block_spy(F)
         sets = _Sets(F.m, 2)
         for x in (0, 5):
             sets.add(F, *sets.best(F, [x]))
-        calls.clear()
+        reductions.clear()
+        fills.clear()
         assert sets.best(F, [5, 0, 5]) is None
-        assert calls == []
+        assert reductions == fills == []
 
     def test_a_probe_of_one_element_leaves_the_kept_block(self):
         F = exemplar_family(float_features(14, 4, 3), 4)
-        calls = block_spy(F)
+        reductions, fills = block_spy(F)
         sets = _Sets(F.m, 2)
         move = sets.best(F, range(10))
         kept = sets.kept
         assert kept is not None
-        calls.clear()
+        reductions.clear()
+        fills.clear()
         for x in range(10, 14):
             sets.probe(F, x)
-        assert sets.kept is kept and calls == []
-        assert sets.best(F, range(10)) == move and calls == []
+        assert sets.kept is kept and reductions == fills == []
+        assert sets.best(F, range(10)) == move
+        assert reductions == fills == []
 
 
 def test_repeated_candidates_are_probed_once_on_both_paths():
@@ -466,23 +466,21 @@ class TestBlockResolver:
         (a,) = first.summary
         p = next(i for i, t in enumerate(first.per_function) if a in t)
         b = 17 if a != 17 else 18
-        kernel = E._block
 
         def poisoned(ids, f=E._functions[p]):
             return bad if {a, b} <= set(ids) else f(ids)
 
-        def block(i, bases, xs):
-            vals = kernel(i, bases, xs)
+        def poison(i, bases, xs, vals):
             for r, x in enumerate(xs):
                 for j, base in enumerate(bases):
                     if i == p and {a, b} <= set(base + (x,)):
                         vals[r, j] = bad
-            return vals
 
         functions = list(E._functions)
         functions[p] = poisoned
         F = ObjectiveFamily(E.ground, functions)
-        F._block, F._table_floats = block, E._table_floats
+        F._block = edited_kernel(E._block, poison)
+        F._table_floats = E._table_floats
         G = ObjectiveFamily(E.ground, functions)
         got = greedy_run(F, range(20), 4, 2)
         assert got[0] is NonFiniteValueError
@@ -518,18 +516,16 @@ class TestBlockResolver:
         # probe one candidate each
         E = make_synthetic("facility", 20, 3, seed=5)
         (a,) = replacement_greedy(E, range(20), 1, 1).summary
-        kernel = E._block
         poisoned = []
 
-        def block(i, bases, xs):
-            vals = kernel(i, bases, xs)
+        def poison(i, bases, xs, vals):
             if not poisoned:
                 poisoned.append(i)
                 vals[xs.index(a), 0] = np.nan
-            return vals
 
         F = ObjectiveFamily(E.ground, E._functions)
-        F._block, F._table_floats = block, E._table_floats
+        F._block = edited_kernel(E._block, poison)
+        F._table_floats = E._table_floats
         G = ObjectiveFamily(E.ground, E._functions)
         rounds = []
         best, probe = _Sets.best, _Sets.probe

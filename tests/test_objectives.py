@@ -102,10 +102,10 @@ class TestFacilityFamily:
         F = make_synthetic("facility", 8, 3, seed=1)
         swaps, xs = [(4, 6), (1, 6), (1, 4)], [2, 0]
         for i in range(F.m):
-            assert F._block(i, swaps, xs).tolist() == [
+            assert F._block(i, swaps)(xs).tolist() == [
                 [F.value(i, s) for s in ((2, 4, 6), (1, 2, 6), (1, 2, 4))],
                 [F.value(i, s) for s in ((0, 4, 6), (0, 1, 6), (0, 1, 4))]]
-            assert F._block(i, [(1, 4, 6)], xs).tolist() == [
+            assert F._block(i, [(1, 4, 6)])(xs).tolist() == [
                 [F.value(i, (1, 2, 4, 6))], [F.value(i, (0, 1, 4, 6))]]
 
     def test_plain_families_have_no_swap_kernel(self):

@@ -49,6 +49,9 @@ EXEMPLAR_SINGLETONS = ("tests/test_exactness.py::"
 EXEMPLAR_PER_CLASS_SHAPES = ("tests/test_exactness.py::"
                              "test_exemplar_block_kernel_shapes_on_per_class_"
                              "tables")
+FACILITY_SHAPES = "tests/test_exactness.py::test_facility_block_kernel_shapes"
+FACILITY_FILLS = ("tests/test_exactness.py::"
+                  "test_facility_fill_serves_several_blocks_bit_identically")
 EXEMPLAR_ROW = ("tests/test_exactness.py::"
                 "test_exemplar_row_kernel_is_bit_identical")
 EXEMPLAR_ROW_SHAPES = ("tests/test_exactness.py::"
@@ -123,10 +126,24 @@ MUTANTS = (
            "    if len(sol.per_function) != F.m:\n"
            "        raise ValueError(", "    if False:\n        raise ValueError(",
            (BAD_INPUTS, "tests/test_core.py::TestEvaluateSolution")),
-    Mutant("exemplar kernel's block not transposed",
+    Mutant("exemplar fill's block returned transposed",
            "src/twostage/objectives.py",
-           ".take(col, axis=1).T\n", ".take(col, axis=1)\n",
+           "return sums.take(pos, axis=0, out=out)\n",
+           "return sums.take(pos, axis=0, out=out).T\n",
            (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
+    # the block kernel's two steps: a fill made of every base of its
+    # entry, and kept no longer than the greedy round it was made in
+    Mutant("bases half drops the last base", "src/twostage/objectives.py",
+           "np.maximum.reduce(table.take(bases, axis=0), axis=1",
+           "np.maximum.reduce(table.take(bases[:-1], axis=0), axis=1",
+           (FACILITY_SHAPES, FACILITY_FILLS)),
+    Mutant("a round's fills outlive the round", "src/twostage/core.py",
+           "fills = None if one else [None] * F.m",
+           "fills = None if one else F.__dict__.setdefault("
+           "\"fills\", [None] * F.m)",
+           ("tests/test_greedy.py::TestKeptBlock::"
+            "test_several_blocks_per_round_are_all_filled_every_round",
+            RESOLVER + "::test_served_plan_mixes_insertions_and_swaps")),
     # the similarity tables: each column's anchor less the distance,
     # clipped at 0.0, over a last row of zeros, which changes no maximum
     # and is all that a set with no member reads.  f_i and the kernels
