@@ -44,18 +44,15 @@ calls no f_i and sorts and checks nothing:
   first makes the first's ``add`` evals again, served the new state's
   ``base[i]``.  ``ThresholdManager.all_solutions`` evaluates each
   (i, T_i) of its states once and serves every later eval of it.
-* the values of F's block kernel, in two steps.  ``_Sets._block_values``
-  hands each function's table entry's bases to ``F._block(i, bases)``,
-  which reduces them once and returns the entry's fill; the fill gives
-  every base plus x for a block of candidates at once, written into the
-  block.  The blocks are
-  greedy's (``_Sets.best``) and those of a long-lived streaming state over
-  the arrivals ahead (``streaming.ThresholdManager._lookahead``).  A
-  streaming leader's probe is served its row, and records its served
-  values like any other.  A greedy candidate's evals are ``value`` calls
-  served its row, in the order that its probe would make them, by the
-  round's served plan: each probe set's (i, base) in that order, and the
-  set's column in the row flattened to m * k floats.  Only the candidate
+* the values of F's block kernel, in two steps.  ``F._block(i, bases)``
+  reduces one table entry's bases once and returns the entry's fill,
+  which gives every base plus x for any candidates x at once.
+  ``_Sets._block_values`` writes each function's fill of a block of
+  greedy's candidates (``_Sets.best``) into the block.  A greedy
+  candidate's evals are ``value`` calls served its row, in the order
+  that its probe would make them, by the round's served plan: each
+  probe set's (i, base) in that order, and the set's column in the row
+  flattened to m * k floats.  Only the candidate
   of each block that ``_Sets._first_best`` finds in numpy is probed, or
   every candidate of a block that holds a value that is not finite in a
   candidate's row.  When a greedy round's candidates take more than one
@@ -64,9 +61,13 @@ calls no f_i and sorts and checks nothing:
   block, the ``_Sets`` keeps that block, and a later round asks the
   kernel again only for the functions whose table entry changed; every
   other value is the one computed for the same candidate against the
-  same T_i.  That round, and a lookahead, make each fill for one block
-  and keep none.  The kept block lives as long as the ``_Sets``, one
-  solver call, and a streaming state's as long as the state.
+  same T_i.  That round makes each fill for one block and keeps none.
+  The kept block lives as long as the ``_Sets``, one solver call.  A
+  streaming leader that misses the probe dict, on a family without a row
+  kernel, reads x's one row from its state's fill of the entry
+  (``_Sets.fills``), which the first such leader makes and the state
+  keeps until ``add`` rebuilds the entry, and records its served values
+  like any other.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
   ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each
@@ -74,8 +75,8 @@ calls no f_i and sorts and checks nothing:
   base's chain of maxima with x's row of its similarity table); each
   value, less the offset, is served to its ``value`` call.  So every
   coverage probe is served: streaming leaders, greedy and
-  ``run_know_opt``; and so is every exemplar probe that no block serves:
-  streaming leaders set by set, a bare ``exchange`` and ``run_know_opt``.
+  ``run_know_opt``; and so is every exemplar probe that no greedy block
+  serves: streaming leaders, a bare ``exchange`` and ``run_know_opt``.
 
 Nothing is memoised.  No served value's ids are checked again; see
 ``_check_ids`` for where they were.
@@ -168,7 +169,8 @@ class ObjectiveFamily:
     and ``fill(xs, out=None)`` gives the raw f_i(b + (x,)) for each x of
     ``xs`` and each b of ``bases``, with shape (len(xs), len(bases)),
     written into ``out`` (an array of that shape, such as a view of a
-    block) if given, and returned.  A fill serves any number of blocks.
+    block) if given, and returned.  A fill serves any number of blocks,
+    and of a streaming leader's single rows (``_Sets.probe``).
     ``_table_floats`` is the logical number of floats in the tables the
     kernel reads, as if each function kept its own, whatever the family
     stores (0 without a kernel); it sizes greedy's blocks (``_Sets.best``).
@@ -375,10 +377,11 @@ BLOCK_FLOATS = 1024
 class _Sets:
     """A two-stage solution under construction at budget k: the summary
     ``S``, one sorted tuple ``T[i]`` per function, its cached value
-    ``base[i]`` and its probe-table entry ``moves[i]``, which is
-    ``_moves(T[i], k)``."""
+    ``base[i]``, its probe-table entry ``moves[i]``, which is
+    ``_moves(T[i], k)``, and ``fills[i]``, the entry's fill once a
+    streaming leader made it (see ``probe``), or None."""
 
-    __slots__ = ("k", "S", "T", "base", "moves", "kept")
+    __slots__ = ("k", "S", "T", "base", "moves", "fills", "kept")
 
     def __init__(self, m: int, k: int):
         self.k = k
@@ -386,7 +389,8 @@ class _Sets:
         self.T = [()] * m
         self.base = [0.0] * m
         self.moves = [_EMPTY_MOVES] * m
-        self.kept = None  # greedy's or a lookahead's block, see ``_block_values``
+        self.fills = [None] * m
+        self.kept = None  # greedy's block, see ``_block_values``
 
     def probe(self, F: ObjectiveFamily, x: int, step: float | None = None,
               raws: list | None = None, calls: list | None = None,
@@ -398,9 +402,12 @@ class _Sets:
         A gain counts as ``lambda_gain``'s if ``step`` is None, else as
         ``nabla``'s with the bar ``step * base[i]``; one that does not count
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
-        (function, j); without it they come from F's row kernel, less the
-        offsets, if F has one, and otherwise every set is evaluated by f_i.
-        x must be a checked id (see ``_check_ids``).
+        (function, j); without it they come from F's row kernel if F has
+        one, else, for a leader (``seen`` given) on a family with a block
+        kernel, from the one row x of the entry's fill, made at the first
+        such probe and kept in ``fills``; both less the offsets.  Otherwise
+        every set is evaluated by f_i.  x must be a checked id (see
+        ``_check_ids``).
 
         ``calls`` and ``seen`` are given, together, only by
         ``ThresholdManager.process``.  ``calls`` gets the ``(i, ids, v)`` of
@@ -413,10 +420,13 @@ class _Sets:
         reuses the move, with no f_i or kernel call; any other is probed
         and stored there.
         """
-        value = F.value
-        T, base = self.T, self.base
+        value, offsets = F.value, F._offsets
+        T, base, fills = self.T, self.base, self.fills
         replaced, gains, values = [], [], []
         row = F._row if raws is None else None
+        # without a row kernel, a leader's miss reads its entry's fill
+        block = None if raws or row or seen is None else F._block
+        xs = [x]  # the one row a fill gives
         for i, (bases, key) in enumerate(self.moves):
             b = base[i]
             got = seen and seen[i].get(T[i])
@@ -427,12 +437,17 @@ class _Sets:
                 calls += made
             else:
                 made = None if seen is None else []
-                if row is None:
-                    raw = raws and raws[i]
-                else:
+                if block is not None:
+                    fill = fills[i]
+                    if fill is None:
+                        fills[i] = fill = block(i, bases)
+                    raw = fill(xs).tolist()[0]
+                elif row is not None:
                     raw = row(i, x, bases)
-                    if F._offsets[i]:  # v - 0.0 is v, so skip the copy
-                        raw = [v - F._offsets[i] for v in raw]
+                else:
+                    raw = raws and raws[i]
+                if offsets[i] and raws is None and raw:  # a kernel's values
+                    raw = [v - offsets[i] for v in raw]  # v - 0.0 is v
                 r, g, v = _move(value, i, bases, key, x, b, raw, made)
                 if seen is not None:
                     seen[i][T[i]] = r, g, v, made
@@ -593,9 +608,9 @@ class _Sets:
     def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list,
             values: list):
         """Put x in S, and in each T[i] whose gain is positive, in place
-        of ``replaced[i]``; rebuild those ``moves[i]`` and make those
-        ``base[i]`` evals, each served ``values[i]``, the probe's value of
-        the new T[i] (see ``probe``)."""
+        of ``replaced[i]``; rebuild those ``moves[i]``, drop those
+        ``fills[i]``, and make those ``base[i]`` evals, each served
+        ``values[i]``, the probe's value of the new T[i] (see ``probe``)."""
         self.S.add(x)
         T = self.T
         for i, gain in enumerate(gains):
@@ -603,6 +618,7 @@ class _Sets:
                 T[i] = key = tuple(sorted([y for y in T[i] if y != replaced[i]]
                                           + [x]))
                 self.moves[i] = _moves(key, self.k)
+                self.fills[i] = None
                 self.base[i] = F.value(i, key, values[i])
 
     def total(self) -> float:

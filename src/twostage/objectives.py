@@ -90,6 +90,10 @@ def _max_sum_bases(table: np.ndarray, bases: list, cols=None) -> np.ndarray:
     return kept if cols is None else kept.take(cols, axis=1)
 
 
+# bound once: a streaming leader's one-row read makes one call of each
+_maximum, _add_reduce = np.maximum, np.add.reduce
+
+
 def _max_sum_rows(kept: np.ndarray, table: np.ndarray, cols, rows,
                   out=None) -> np.ndarray:
     """The rows half: ``_max_sum(table, base + [r], cols)`` for each row r
@@ -102,7 +106,17 @@ def _max_sum_rows(kept: np.ndarray, table: np.ndarray, cols, rows,
     ``_max_sum``'s bit for bit: max is exact and order-free.  Holds at
     most two arrays of the gathered rows' shape besides its output, or
     while it gathers from more columns than ``cols``, one (len(rows),
-    table width) array and one of the gathered shape."""
+    table width) array and one of the gathered shape.
+
+    One row with no ``out``, a streaming leader's read, takes one
+    ``np.maximum`` of every base's maxima with the row, kept as a (1,
+    columns) slice so that one base needs no broadcast, and one last-axis
+    ``np.add.reduce`` of that C-contiguous (len(kept), columns) array,
+    which sums each base's row as the per-base reduce does."""
+    if out is None and len(rows) == 1:
+        r = rows[0]
+        row = table[r:r + 1] if cols is None else _gather(table, rows, cols)
+        return _add_reduce(_maximum(kept, row), 1)[None]
     cand = _gather(table, rows, cols)
     if out is None:
         out = np.empty((len(cand), len(kept)))

@@ -12,12 +12,11 @@ of consecutive exponents (see ``ThresholdManager``).
 from __future__ import annotations
 
 import math
-from operator import index
 from typing import Iterable
 
-from .core import (BLOCK_FLOATS, InvariantViolation, ObjectiveFamily,
-                   TwoStageSolution, _check_alpha, _check_ids, _Sets,
-                   check_budgets, empty_solution, solution_from_sets)
+from .core import (InvariantViolation, ObjectiveFamily, TwoStageSolution,
+                   _check_alpha, _check_ids, _Sets, check_budgets,
+                   empty_solution, solution_from_sets)
 # exchange counts nabla's threshold in _Sets.probe; the name stays bound
 # here because perfbench/tracer.py wraps streaming.nabla, and
 # test_every_traced_binding_is_an_own_attribute checks that it exists.
@@ -46,12 +45,13 @@ MAX_INSTANCE_SLOTS = 10 ** 7
 # function (tracemalloc, CPython 3.11).  A manager holds far fewer
 # distinct states than live instances (207 instances on about 12 states on
 # the stream-coverage shape at epsilon=0.02), but nothing bounds them
-# below the instance count.  In run, each state that reaches the
-# lookahead's price may add a block of up to LOOKAHEAD_FLOATS floats
-# (4 KiB) while a live instance holds it.  The cap also bounds one
-# element's probe dict, which holds the m singletons plus at most m entries
-# of k calls each per live instance, and its runs' leaders, each of which
-# records at most m * k calls.  The tests need 5,708 at most.
+# below the instance count.  On a family with a block kernel and no row
+# kernel, a state's leaders add one fill per function they probe, its
+# bases' maxima: at most m * k * w floats per live state, for tables of
+# width w.  The cap also bounds one element's probe dict, which holds the
+# m singletons plus at most m entries of k calls each per live instance,
+# and its runs' leaders, each of which records at most m * k calls.  The
+# tests need 5,708 at most.
 MAX_INSTANCES = 10 ** 5
 
 
@@ -99,18 +99,15 @@ class _GroupState(_Sets):
     sets on instrumented runs, else None.  So the state itself is the
     run's token: two exponents share it exactly when they started together
     and accepted the same elements.  Its ell and alpha are its manager's
-    (a ``StreamState`` keeps its own).
+    (a ``StreamState`` keeps its own).  ``fills`` holds the fill of each
+    table entry that a leader made (``_Sets.probe``), which stays valid
+    while the entry does."""
 
-    ``seen_probes`` counts the elements that its leaders have probed, for
-    ``ThresholdManager._lookahead``.  ``kept`` is the lookahead's block of
-    kernel values, if any, which stays valid while the state lives."""
-
-    __slots__ = ("trace", "seen_probes")
+    __slots__ = ("trace",)
 
     def __init__(self, m: int, k: int, instrument: bool = False):
         super().__init__(m, k)
         self.trace = [set() for _ in range(m)] if instrument else None
-        self.seen_probes = 0
 
     def accept(self, F: ObjectiveFamily, x: int, replaced: list,
                gains: list, values: list):
@@ -125,13 +122,12 @@ class _GroupState(_Sets):
     def accepted(self, F: ObjectiveFamily, x: int, replaced: list,
                  gains: list, values: list) -> "_GroupState":
         """A new state: this one with x accepted.  This one is left as it
-        is, and the new one shares its unchanged T_i, table entries and
-        trace sets."""
+        is, and the new one shares its unchanged T_i, table entries, their
+        fills and trace sets."""
         new = object.__new__(_GroupState)
         new.k, new.kept, new.trace = self.k, None, self.trace
-        new.S, new.T = set(self.S), self.T[:]
-        new.base, new.moves = self.base[:], self.moves[:]
-        new.seen_probes = 0
+        new.S, new.T, new.base = set(self.S), self.T[:], self.base[:]
+        new.moves, new.fills = self.moves[:], self.fills[:]
         new.accept(F, x, replaced, gains, values)
         return new
 
@@ -152,33 +148,6 @@ class StreamState(_GroupState):
         _check_alpha(alpha)
         super().__init__(m, k, instrument)
         self.ell, self.alpha, self.tau = ell, alpha, tau
-
-
-# A state's leaders probe set by set until they have made this many evals
-# per function, which a held state, as it never changes, reaches after
-# ceil(KERNEL_CALL_EVALS * m / E) probes of E = sum(len(bases)) evals each;
-# only then may ``ThresholdManager._lookahead`` fill a block for it.  A
-# block costs m kernel calls, and an exemplar kernel call at 30 candidates
-# costs as much as about 6 (one base) to 12 (three bases) sets probed set
-# by set, which the exemplar row kernel serves (19 and 33 us against about
-# 3 us a set on a 2-core Xeon, where ``value`` computing the set costs
-# about 4 us), but most of a short-lived state's evals repeat an (i, T_i)
-# that another run probed in the same element (the probe dict).  On the
-# distributed-exemplar benchmark, before the row kernel, a price of 16
-# made 2,420 kernel calls to save 5,291 f_i calls, and was slower
-# (0.72-0.73 s against 0.69-0.71 s at 64, 3 pairs), and the row kernel
-# has made the set-by-set probes that a block saves cheaper since.  At 64
-# its states never reach it, while on criterion 8's facility instance,
-# whose states live for up to 1,345 probes, 35 states reach it, after 17
-# to 65 probes.
-KERNEL_CALL_EVALS = 64
-
-# The floats one lookahead block holds at most, k per function and arrival.
-# A run keeps a block per long-lived state, where greedy keeps one in all.
-# The exemplar run of test_grouped_run_keeps_no_tuple_per_exchange peaks at
-# 48 KiB with this, and at 74 KiB with BLOCK_FLOATS (22 KiB with no
-# lookahead); on criterion 8, halving it again cost fast about 25%.
-LOOKAHEAD_FLOATS = BLOCK_FLOATS // 2
 
 
 def _average(gains: list, delta: float | None) -> float:
@@ -289,9 +258,9 @@ class ThresholdManager:
     The leaders of one element share its probe dict (``_Sets.probe``'s
     ``seen``), seeded with the element's singletons, so each (i, T_i) that
     several runs hold is probed once per element and made again by the
-    others as served calls.  In ``run``, on a family with a block kernel,
-    the leaders of a long-lived state are served from kernel blocks over
-    the arrivals ahead (see ``_lookahead``).
+    others as served calls.  A leader that misses the dict is served by
+    F's row kernel if it has one, else by its state's entry fill on a
+    family with a block kernel (``_Sets.probe``), else by f_i.
 
     The per-element bookkeeping is redone only when something changed.
     The window depends on delta alone, so ``update_thresholds`` moves it
@@ -304,10 +273,6 @@ class ThresholdManager:
     F.m * ell exceeds ``MAX_INSTANCE_SLOTS`` or instance_bound() exceeds
     ``MAX_INSTANCES``.
     """
-
-    # run's buffered stream while it runs, if F has a block kernel, and the
-    # position in it of the element in process
-    _stream, _t = None, 0
 
     def __init__(self, F: ObjectiveFamily, epsilon: float, ell: int, k: int,
                  alpha: float = 1.0, instrument: bool = False):
@@ -383,48 +348,8 @@ class ThresholdManager:
                 f"{self.instance_bound()}")
         return singles
 
-    def _lookahead(self, u: int, state: _GroupState):
-        """The kernel values of u, not in S, by (function, set) for
-        ``state.probe``, or None if u is to be probed set by set; ``run``
-        asks, over its buffered stream.  A state's leaders probe set by
-        set until they have made ``KERNEL_CALL_EVALS`` evals per function,
-        a number of probes (``seen_probes``; see ``KERNEL_CALL_EVALS``).
-        Then a leader that finds no row for its element fills the state's
-        block (``_Sets._block_values``) over the element and the arrivals
-        after it: as many as the state's leaders have probed, in at most
-        ``LOOKAHEAD_FLOATS`` floats, and keeps it in ``kept``.  Arrivals
-        that are not integer ids in range, are in S or repeat are left out,
-        so they raise or are skipped where the scalar path does.  A row
-        holds one element's values against the state's frozen sets, so it
-        serves the element's later arrivals too."""
-        if not state.S:  # empty states: the singletons, in the probe dict
-            return None
-        F = self.F
-        state.seen_probes += 1
-        if state.kept is not None:
-            row_of, vals, _ = state.kept
-            r = row_of.get(u)
-            if r is not None:
-                return vals[r].tolist()
-            state.kept = None  # past the block: its values go first
-        evals = sum(len(bases) for bases, _ in state.moves)
-        if (state.seen_probes - 1) * evals < KERNEL_CALL_EVALS * F.m:
-            return None
-        rows = min(state.seen_probes,
-                   max(1, LOOKAHEAD_FLOATS // (F.m * state.k)))
-        xs = {}
-        for x in self._stream[self._t:self._t + rows]:
-            try:
-                if 0 <= index(x) < F.ground.n and x not in state.S:
-                    xs[x] = None
-            except TypeError:
-                pass
-        vals, row_of = state._block_values(F, list(xs), True)
-        return vals[row_of[u]].tolist()
-
     def process(self, u: int):
         F, instances = self.F, self.instances
-        ahead = self._stream is not None
         value, grid, step = F.value, 1.0 + self.epsilon, self.alpha / self.k
         # the empty T_i's move is u's singleton, which update_thresholds made
         seen = [{(): (None, v, v, [(i, (u,), v)])}
@@ -437,8 +362,7 @@ class ThresholdManager:
                 if u in state.S or len(state.S) >= self.ell:
                     continue
                 calls = []
-                raws = self._lookahead(u, state) if ahead else None
-                replaced, gains, values = state.probe(F, u, step, raws, calls,
+                replaced, gains, values = state.probe(F, u, step, None, calls,
                                                       seen)
                 avg = _average(gains, self.delta)
             elif calls is None:
@@ -463,23 +387,9 @@ class ThresholdManager:
         self.peak_stored = max(self.peak_stored, self.stored)
 
     def run(self, stream: Iterable[int]) -> "ThresholdManager":
-        """``process`` each element in turn.  With F's block kernel the
-        stream is buffered, so that long-lived states' leaders can be
-        served from blocks over the arrivals ahead (see ``_lookahead``).  A
-        block goes with its state, when no live instance holds it, and the
-        live states' blocks go when the run ends."""
-        if self.F._block is None:
-            for u in stream:
-                self.process(u)
-            return self
-        self._stream = list(stream)
-        try:
-            for self._t, u in enumerate(self._stream):
-                self.process(u)
-        finally:
-            self._stream = None
-            for state in self.instances.values():
-                state.kept = None
+        """``process`` each element in turn, reading one arrival at a time."""
+        for u in stream:
+            self.process(u)
         return self
 
     def best_solution(self) -> TwoStageSolution:

@@ -124,7 +124,7 @@ def recorded_run(mgr, stream):
     * ``u``, the element; ``live``, the exponent -> state map once the
       window has moved, and ``after``, the map once the element is done;
     * ``probes``: each probe's ``(state, calls, row)``, its recorded
-      ``(i, ids, v)`` calls and whether a lookahead row served it;
+      ``(i, ids, v)`` calls and whether it read an entry fill's row;
     * ``seen``: the element's probe dicts, one per function, as the
       probes left them;
     * ``builds``: each ``_GroupState.accepted``'s ``(old, new, gains,
@@ -138,9 +138,10 @@ def recorded_run(mgr, stream):
     from twostage.core import _Sets
     from twostage.streaming import _GroupState
 
-    F, steps, inside, made = mgr.F, [], [0], [0]
+    F, steps, inside, made, reads = mgr.F, [], [0], [0], [0]
     update, process = mgr.update_thresholds, mgr.process
     probe, accepted, value = _Sets.probe, _GroupState.accepted, F.value
+    kernel = F._block
 
     def counted(f):
         def g(key):
@@ -158,13 +159,22 @@ def recorded_run(mgr, stream):
         process(u)
         steps[-1]["after"] = dict(mgr.instances)
 
+    def block(i, bases):
+        fill = kernel(i, bases)
+
+        def read(xs, out=None):
+            reads[0] += 1
+            return fill(xs, out)
+        return read
+
     def probed(self, F, x, step=None, raws=None, calls=None, seen=None):
         inside[0] += 1
+        before = reads[0]
         try:
             return probe(self, F, x, step, raws, calls, seen)
         finally:
             inside[0] -= 1
-            steps[-1]["probes"].append((self, calls, raws is not None))
+            steps[-1]["probes"].append((self, calls, reads[0] > before))
             steps[-1]["seen"] = seen
 
     def built(self, F, x, replaced, gains, values):
@@ -193,12 +203,14 @@ def recorded_run(mgr, stream):
     functions = F._functions
     F._functions = [counted(f) for f in functions]
     mgr.update_thresholds, mgr.process, F.value = updated, processed, served
+    if kernel is not None:
+        F._block = block
     try:
         with mock.patch.object(_Sets, "probe", probed), \
                 mock.patch.object(_GroupState, "accepted", built):
             mgr.run(stream)
     finally:
-        F._functions = functions
+        F._functions, F._block = functions, kernel
         del mgr.update_thresholds, mgr.process, F.value
     return steps
 
@@ -206,7 +218,7 @@ def recorded_run(mgr, stream):
 def followers(step):
     """``(l, state, calls, row)`` for each exponent of ``step`` after the
     first of its run, where the run's leader probed the element, with the
-    leader's recorded calls and whether a lookahead row served it."""
+    leader's recorded calls and whether it read an entry fill's row."""
     probed = {id(s): (calls, row) for s, calls, row in step["probes"]}
     seen = set()
     for l, state in sorted(step["live"].items()):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage import streaming
 from twostage.core import (InvariantViolation, NonFiniteValueError,
                            ObjectiveFamily, SwapOutcome,
                            TwoStageSolution, _moves, _Sets, check_budgets,
@@ -30,10 +29,11 @@ from twostage.objectives import (_DIST_BLOCK_FLOATS, Point, Region,
                                  make_synthetic)
 from twostage.oracle import brute_force_opt
 from twostage.streaming import (TOL, StreamState, ThresholdManager,
-                                _check_accepted, exchange, run_know_opt)
+                                _check_accepted, _GroupState, exchange,
+                                run_know_opt)
 
-from conftest import (expected_served, float_features, followers,
-                      kernel_counted, recorded_run, scalar_block)
+from conftest import (edited_kernel, expected_served, float_features,
+                      followers, kernel_counted, recorded_run, scalar_block)
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -678,6 +678,77 @@ def test_exemplar_fill_serves_several_blocks_bit_identically(seed, data):
                                        data)
 
 
+def leader_probe(F, state, x):
+    """``state.probe`` of x as a streaming leader makes it, with a fresh
+    probe dict, after checking that every value it got is f_i's on the
+    sorted set, ``==``: ``(replaced, gains, values)``."""
+    calls = []
+    got = state.probe(F, x, None, None, calls, [{} for _ in range(F.m)])
+    assert [v for *_, v in calls] == [
+        F._functions[i](tuple(sorted(ids))) - F._offsets[i]
+        for i, ids, _ in calls]
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(["insertion", "swap"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_a_leaders_entry_fill_reads_f_i_bit_identically(entry, seed, data):
+    """A leader that misses the probe dict reads x's values from its
+    entry's fill, through ``_max_sum_rows``'s one row, and each equals f_i
+    on the sorted set: facility at every REGION_WIDTHS width, budgets 1
+    to 4, on insertion and swap entries.  Each fill is made once, and the
+    later elements read the same one."""
+    n = 40
+    F = wide_facility(seed, n, 2, data)
+    k = data.draw(st.integers(1, 4))
+    state = _GroupState(F.m, k)
+    for i in range(F.m):
+        size = k if entry == "swap" else data.draw(st.integers(0, k - 1))
+        key = tuple(sorted(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=size, max_size=size,
+            unique=True))))
+        state.T[i], state.moves[i] = key, _moves(key, k)
+        state.base[i] = F.value(i, key)
+        state.S.update(key)
+    xs = data.draw(st.lists(st.sampled_from(
+        [e for e in range(n) if e not in state.S]), min_size=1, max_size=4,
+        unique=True))
+    fills = None
+    for x in xs:
+        leader_probe(F, state, x)
+        assert None not in state.fills
+        assert fills is None or state.fills == fills
+        fills = state.fills[:]
+
+
+def test_add_drops_the_fill_of_each_entry_it_rebuilds():
+    """Accepting x rebuilds the table entries of the functions x enters
+    and drops their fills, so the next leader makes fresh ones and reads
+    f_i's values, not a stale fill's; the other entries keep theirs.  A
+    state built copy-on-write (``accepted``) shares its parent's unchanged
+    fills and leaves the parent's as they were."""
+    F = make_synthetic("facility", 30, 3, 4)
+    state = _GroupState(F.m, 2)
+    for x in (0, 5):
+        state.add(F, x, *leader_probe(F, state, x))
+    replaced, gains, values = leader_probe(F, state, 4)  # enters two of 3
+    assert 0 < sum(g > 0 for g in gains) < F.m
+    before, moves = state.fills[:], state.moves[:]
+    assert None not in before
+    new = state.accepted(F, 4, replaced, gains, values)
+    assert state.fills == before and state.moves == moves
+    for i, gain in enumerate(gains):
+        if gain > 0:
+            assert new.moves[i] is not moves[i] and new.fills[i] is None
+        else:
+            assert new.fills[i] is before[i]
+    leader_probe(F, new, 17)
+    state.add(F, 4, replaced, gains, values)
+    assert [fill is None for fill in state.fills] == [g > 0 for g in gains]
+    leader_probe(F, state, 17)
+
+
 WIDE, SOLO, OUTSIDE = 200, 3, (225, 226, 227, 228, 229)
 
 
@@ -834,10 +905,10 @@ def test_swap_kernel_solvers_match_the_scalar_path(seed, kind, data):
 
 @pytest.mark.parametrize("kind", ["facility", "exemplar"])
 def test_single_element_probes_never_call_the_block_kernel(kind):
-    """Only greedy's candidate blocks and long-lived streaming groups use
-    the kernel: run_know_opt, a bare exchange, and ThresholdManager on a
-    stream too short for any group to reach the lookahead's price probe
-    each element set by set."""
+    """Only greedy's candidate blocks and streaming leaders use the
+    kernel: run_know_opt and a bare exchange probe each element set by set
+    (exemplar's by its row kernel), while ThresholdManager's leaders read
+    their entries' fills where F has no row kernel, so on facility only."""
     F = stream_family(kind, 30, 3, 2)
     kernel = F._block
     calls = []
@@ -854,8 +925,9 @@ def test_single_element_probes_never_call_the_block_kernel(kind):
     for u in range(30):
         exchange(F, u, state)
     assert any(len(T) == 2 for T in state.T)
-    ThresholdManager(F, 0.5, 6, 2).run(range(30))
     assert calls == []
+    ThresholdManager(F, 0.5, 6, 2).run(range(30))
+    assert bool(calls) == (F._row is None)
     replacement_greedy(F, range(30), 6, 2)
     assert calls
 
@@ -863,7 +935,7 @@ def test_single_element_probes_never_call_the_block_kernel(kind):
 class RefThresholdManager(ThresholdManager):
     """The manager as the paper states it: each live exponent l has its own
     ``StreamState`` at tau = (1+epsilon)**l, which plain ``exchange``
-    processes, with no probe dict, no shared states and no lookahead, so
+    processes, with no probe dict, no shared states and no entry fills, so
     every probe eval calls f_i (or F's row kernel)."""
 
     def update_thresholds(self, u):
@@ -1077,7 +1149,7 @@ def test_split_groups_never_share_again():
 
 
 # ---------------------------------------------------------------------------
-# lookahead blocks: long-lived streaming groups served from the kernel
+# entry fills: a streaming leader's miss reads its table entry's fill
 
 
 def scalar_copy(F):
@@ -1086,23 +1158,46 @@ def scalar_copy(F):
 
 
 @contextmanager
-def lookahead_spy():
-    """Count the kernel blocks ``ThresholdManager._lookahead`` fills and
-    the leader probes it serves: yields {"fills": n, "served": n}."""
+def fill_spy(F):
+    """Count the entry fills that leader probes make (``F._block`` inside
+    ``_Sets.probe``) and the rows they read: yields {"fills": n, "served":
+    n}.  Greedy's fills, made outside a probe, are not counted."""
     counts = {"fills": 0, "served": 0}
-    lookahead = streaming.ThresholdManager._lookahead
+    kernel, probe, inside = F._block, _Sets.probe, [False]
 
-    def counted_lookahead(self, u, state):
-        block = state.kept
-        raws = lookahead(self, u, state)
-        if raws is not None:
-            counts["served"] += 1
-            counts["fills"] += state.kept is not block
-        return raws
+    def block(i, bases):
+        fill = kernel(i, bases)
+        if not inside[0]:
+            return fill
+        counts["fills"] += 1
 
-    with mock.patch.object(streaming.ThresholdManager, "_lookahead",
-                           counted_lookahead):
-        yield counts
+        def read(xs, out=None):
+            counts["served"] += inside[0]
+            return fill(xs, out)
+        return read
+
+    def probed(self, *args):
+        inside[0] = True
+        try:
+            return probe(self, *args)
+        finally:
+            inside[0] = False
+
+    F._block = block
+    try:
+        with mock.patch.object(_Sets, "probe", probed):
+            yield counts
+    finally:
+        F._block = kernel
+
+
+def assert_fills_served(F, seen):
+    """Facility's leaders are served by their entries' fills, each read
+    more than once; exemplar's by its row kernel, which comes first."""
+    if F._row is None:
+        assert seen["fills"] > 0 and seen["served"] > seen["fills"]
+    else:
+        assert seen == {"fills": 0, "served": 0}
 
 
 def manager_run(manager, F, stream, epsilon, ell, k, alpha=1.0):
@@ -1119,48 +1214,48 @@ def manager_run(manager, F, stream, epsilon, ell, k, alpha=1.0):
             mgr.peak_stored, mgr.max_instances, F.evals - before)
 
 
-# n=120, m=2, ell=5, k=2, epsilon=0.5: groups live long enough to reach the
-# lookahead's default price on both families, shuffled or sorted
-LOOKAHEAD_FAMILIES = {
+# n=120, m=2, ell=5, k=2, epsilon=0.5: groups live long enough that their
+# leaders read each facility fill many times, shuffled or sorted
+FILL_FAMILIES = {
     "facility": lambda: make_synthetic("facility", 120, 2, 3),
     "exemplar": lambda: exemplar_family(float_features(120, 2, 3), 2),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
+@pytest.mark.parametrize("kind", sorted(FILL_FAMILIES))
 @pytest.mark.parametrize("order", ["shuffled", "sorted"])
 def test_lookahead_run_matches_the_scalar_reference(kind, order):
-    """ThresholdManager.run serves long-lived groups from kernel blocks, and
-    its outputs, evals, peak_stored and max_instances equal those of the
-    reference manager, on the same objectives without a kernel."""
-    F = LOOKAHEAD_FAMILIES[kind]()
+    """ThresholdManager.run serves facility's leaders from their entries'
+    fills, and its outputs, evals, peak_stored and max_instances equal
+    those of the reference manager, on the same objectives without a
+    kernel."""
+    F = FILL_FAMILIES[kind]()
     stream = list(range(120))
     if order == "shuffled":
         np.random.default_rng(1).shuffle(stream)
-    kernel = []
-    with lookahead_spy() as seen, spy(F, "_block", kernel.append):
+    with fill_spy(F) as seen:
         got = manager_run(ThresholdManager, F, stream, 0.5, 5, 2)
-    assert kernel and seen["fills"] > 0 and seen["served"] > seen["fills"]
+    assert_fills_served(F, seen)
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               0.5, 5, 2)
 
 
-@pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
+@pytest.mark.parametrize("kind", sorted(FILL_FAMILIES))
 def test_lookahead_distributed_fast_matches_the_scalar_path(kind):
-    F = LOOKAHEAD_FAMILIES[kind]()
+    F = FILL_FAMILIES[kind]()
     G = scalar_copy(F)
-    with lookahead_spy() as seen:
+    with fill_spy(F) as seen:
         got = outcome(F, distributed_fast, 2, 0.5, 5, 2, 0)
-    assert seen["fills"] > 0 and seen["served"] > seen["fills"]
+    assert_fills_served(F, seen)
     assert got == outcome(G, distributed_fast, 2, 0.5, 5, 2, 0)
 
 
-# coverage probes every leader set by set; on the two families with a block
-# kernel, some long-lived groups' leaders are served from lookahead blocks
+# coverage and exemplar serve every leader by their row kernels; facility's
+# leaders that miss the probe dict read their entries' fills
 REPLAY_FAMILIES = {
     "coverage": lambda: make_synthetic("coverage", 40, 3, seed=2),
     "exemplar": lambda: exemplar_family(float_features(40, 3, 2), 3),
-    "facility": LOOKAHEAD_FAMILIES["facility"],
+    "facility": FILL_FAMILIES["facility"],
 }
 
 
@@ -1168,7 +1263,7 @@ REPLAY_FAMILIES = {
 def test_follower_replays_call_no_objective(kind):
     """A follower replays its leader's recorded calls: no f_i call, and
     one eval per recorded call, which is one per set of its probe table,
-    also when the leader was served from a lookahead block."""
+    also when the leader read an entry fill."""
     F = REPLAY_FAMILIES[kind]()
     stream = np.random.default_rng(1).permutation(F.ground.n).tolist()
     steps = recorded_run(ThresholdManager(F, 0.5, 5, 2), stream)
@@ -1185,7 +1280,7 @@ def test_follower_replays_call_no_objective(kind):
     for _, calls, sets in replays:
         assert calls == sets
     served_replays = sum(row for row, *_ in replays)
-    if F._block is None:
+    if F._block is None or F._row is not None:
         assert served_replays == 0
     else:  # both kinds of leader have followers
         assert 0 < served_replays < len(replays)
@@ -1239,13 +1334,27 @@ def test_shared_group_states_match_the_reference(kind, instrument):
     assert accepters > 2 * builds  # most accepters take a built state
 
 
+def offset_facility(n, m, seed):
+    """Facility plus a constant c_i per function, with a set-by-set block
+    kernel and no row kernel: the offsets are the c_i, so a leader's fill
+    rows are served less them."""
+    F = make_synthetic("facility", n, m, seed)
+    consts = [0.5 + i for i in range(m)]
+    G = ObjectiveFamily(F.ground, [lambda ids, f=f, c=c: c + f(ids)
+                                   for f, c in zip(F._functions, consts)])
+    G._block = scalar_block(G)
+    assert G._offsets == consts
+    return G
+
+
 @settings(max_examples=100, deadline=None)
-@given(kind=st.sampled_from(["facility", "exemplar"]),
+@given(kind=st.sampled_from(["facility", "exemplar", "offset facility"]),
        seed=st.integers(0, 10 ** 6), data=st.data())
 def test_lookahead_at_any_price_matches_the_scalar_reference(kind, seed, data):
-    """With the price at 0 every group token's leaders are served from its
-    blocks, and small blocks are refilled often; repeated arrivals, alpha
-    and the grid vary.  The run still equals the scalar reference's."""
+    """Repeated arrivals, alpha and the grid vary, and the leaders of the
+    facility families read their entries' fills from the first element
+    on, less the offsets where f_i is not 0 on the empty set.  The run
+    still equals the scalar reference's."""
     n = 12
     m = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(1, 3))
@@ -1253,11 +1362,9 @@ def test_lookahead_at_any_price_matches_the_scalar_reference(kind, seed, data):
     epsilon = data.draw(st.sampled_from([0.2, 1.0]))
     alpha = data.draw(st.sampled_from([0.5, 1.0]))
     stream = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
-    floats = data.draw(st.sampled_from([1, 16, 512]))
-    F = stream_family(kind, n, m, seed)
-    with mock.patch.object(streaming, "KERNEL_CALL_EVALS", 0), \
-            mock.patch.object(streaming, "LOOKAHEAD_FLOATS", floats):
-        got = manager_run(ThresholdManager, F, stream, epsilon, ell, k, alpha)
+    F = (offset_facility(n, m, seed) if kind == "offset facility"
+         else stream_family(kind, n, m, seed))
+    got = manager_run(ThresholdManager, F, stream, epsilon, ell, k, alpha)
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               epsilon, ell, k, alpha)
 
@@ -1281,38 +1388,32 @@ def poisoned_pair_family(bad):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_block_value_raises_at_the_scalar_eval(bad):
-    """A block filled ahead holds 9's non-finite value; the run raises
+    """A leader's entry fill gives 9's non-finite value; the run raises
     NonFiniteValueError when 9 arrives, at the reference's eval count."""
     stream = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
     F = poisoned_pair_family(bad)
-    blocks = []
-    fill = _Sets._block_values
-
-    def recorded(self, F, xs, keep):
-        vals, row_of = fill(self, F, xs, keep)
-        blocks.append(not np.isfinite(vals).all())
-        return vals, row_of
-
-    with mock.patch.object(streaming, "KERNEL_CALL_EVALS", 0), \
-            mock.patch.object(_Sets, "_block_values", recorded):
+    rows = []
+    F._block = edited_kernel(F._block, lambda i, bases, xs, vals: rows.append(
+        not np.isfinite(vals).all()))
+    with fill_spy(F) as seen:
         got = manager_run(ThresholdManager, F, stream, 0.5, 3, 2, 0.1)
-    assert any(blocks)
+    assert seen["served"] > 0 and any(rows)
     assert got[0] is NonFiniteValueError
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               0.5, 3, 2, 0.1)
 
 
 @pytest.mark.parametrize("bad", [120, -1, 2.5, np.float64(3.0), None])
-@pytest.mark.parametrize("kind", sorted(LOOKAHEAD_FAMILIES))
+@pytest.mark.parametrize("kind", sorted(FILL_FAMILIES))
 def test_bad_arrival_ahead_raises_where_the_scalar_path_does(kind, bad):
-    """A bad id in the stream ahead, just after two repeated arrivals, is
-    left out of every block: the run raises at it, not earlier, after the
-    reference's evals and with the reference's states."""
-    F = LOOKAHEAD_FAMILIES[kind]()
+    """A bad id in the stream, just after two repeated arrivals, reaches
+    no kernel: the run raises at it, not earlier, after the reference's
+    evals and with the reference's states."""
+    F = FILL_FAMILIES[kind]()
     stream = list(range(100)) + [7, 50] + [bad] + list(range(100, 120))
-    with lookahead_spy() as seen:
+    with fill_spy(F) as seen:
         got = manager_run(ThresholdManager, F, stream, 0.5, 5, 2)
-    assert seen["served"] > 0
+    assert_fills_served(F, seen)
     assert got[0] in (ValueError, TypeError)
     assert got == manager_run(RefThresholdManager, scalar_copy(F), stream,
                               0.5, 5, 2)

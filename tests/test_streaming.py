@@ -493,14 +493,13 @@ STREAM_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(STREAM_KINDS))
 def test_each_function_set_reaches_the_objective_once_per_element(kind):
-    """Within one element, each (i, T_i) that the leaders hold reaches f_i
-    or the row kernel in at most one probe, and an empty T_i in none: the
-    other leaders, and the empty sets, are served from the element's probe
-    dict, also when a lookahead row serves them.  A lookahead fill is not a
-    probe: it computes a state's whole block over the arrivals ahead, and
-    the long-lived states on the kernel families here make some.
-    ``_Sets.add`` calls no f_i, and ``all_solutions`` calls f_i at most m
-    times per distinct state."""
+    """Within one element, each (i, T_i) that the leaders hold reaches f_i,
+    the row kernel or an entry fill's row in at most one probe, and an
+    empty T_i in none: the other leaders, and the empty sets, are served
+    from the element's probe dict.  Entry fills are made on facility
+    alone, the kernel family without a row kernel.  ``_Sets.add`` calls no
+    f_i, and ``all_solutions`` calls f_i at most m times per distinct
+    state."""
     F = STREAM_KINDS[kind]()
     where = [("other", None, 0)]  # (phase, state, number of the call)
     reached, held, f_calls, calls = [], [], {}, itertools.count(1)
@@ -543,7 +542,12 @@ def test_each_function_set_reaches_the_objective_once_per_element(kind):
     fills = []
     if F._block is not None:
         block = F._block
-        F._block = lambda *args: fills.append(args) or block(*args)
+
+        def made(i, bases):
+            fills.append((i, bases))
+            fill = block(i, bases)
+            return lambda xs, out=None: reach(i) or fill(xs, out)
+        F._block = made
     update = ThresholdManager.update_thresholds
     stream = np.random.default_rng(1).permutation(40).tolist()
     mgr = ThresholdManager(F, 0.2, 6, 3)
@@ -554,7 +558,7 @@ def test_each_function_set_reaches_the_objective_once_per_element(kind):
             mock.patch.object(ThresholdManager, "update_thresholds",
                               updated):
         mgr.run(stream)
-    assert bool(fills) == (F._block is not None)
+    assert bool(fills) == (F._block is not None and F._row is None)
     assert f_calls.get("add", 0) == 0
     for step in reached:
         first = {}
@@ -611,7 +615,7 @@ def test_grouped_run_keeps_no_tuple_per_exchange():
     nothing per function per exchange.  Keyed by ``tuple(state.T)``
     instead, the m=20 run below peaked near 370 KiB on CPython 3.11, whose
     free list keeps every freed 20-slot tuple and never reuses one; by the
-    state itself, it peaks near 48 KiB, lookahead blocks included."""
+    state itself, it peaks near 26 KiB."""
     F = exemplar_family(float_features(160, 20, 0), 20)
     mgr = ThresholdManager(F, 0.5, 10, 3)
     _, peak, _ = traced_growth(lambda: mgr.run(range(160)))
@@ -686,8 +690,8 @@ def test_instances_of_one_group_hold_one_state_between_them():
        epsilon=st.sampled_from([0.02, 0.2, 1.0]),
        seed=st.integers(0, 10 ** 6), data=st.data())
 def test_each_state_holds_one_run_of_exponents(kind, epsilon, seed, data):
-    """After every element of ``run``, with the lookahead on (at any price)
-    where F has a block kernel, each distinct live state holds one run of
+    """After every element of ``run``, with entry fills where F has a block
+    kernel and no row kernel, each distinct live state holds one run of
     consecutive exponents, and two exponents share a state exactly when
     they hold equal S, T and base."""
     n = 10
@@ -695,7 +699,6 @@ def test_each_state_holds_one_run_of_exponents(kind, epsilon, seed, data):
     k = data.draw(st.integers(1, 3))
     ell = data.draw(st.integers(k, k + 3))
     stream = data.draw(st.lists(st.integers(0, n - 1), max_size=25))
-    price = data.draw(st.sampled_from([0, streaming.KERNEL_CALL_EVALS]))
     F = (exemplar_family(float_features(n, m, seed), m) if kind == "exemplar"
          else make_synthetic(kind, n, m, seed))
     mgr = ThresholdManager(F, epsilon, ell, k)
@@ -714,36 +717,33 @@ def test_each_state_holds_one_run_of_exponents(kind, epsilon, seed, data):
         assert all(a != b for i, a in enumerate(sets) for b in sets[i + 1:])
 
     mgr.process = checked
-    with mock.patch.object(streaming, "KERNEL_CALL_EVALS", price):
-        mgr.run(stream)
+    mgr.run(stream)
 
 
-def test_a_state_fills_its_first_block_at_the_lookaheads_price():
-    """A state that a manager holds never changes, so each of its leaders'
-    set-by-set probes makes E = sum(len(bases)) evals over its probe
-    table, and its first block is filled at the first probe that follows
-    KERNEL_CALL_EVALS * m such evals: probe ceil(KERNEL_CALL_EVALS * m /
-    E) + 1.  The states are kept as keys, so no id is reused."""
-    F = make_synthetic("facility", 200, 5, 3)
-    order = list(range(200))
-    np.random.default_rng(0).shuffle(order)
-    mgr = ThresholdManager(F, 0.5, 10, 3)
-    lookahead, first = mgr._lookahead, {}
+@pytest.mark.parametrize("kind", ["facility", "exemplar"])
+def test_run_reads_one_arrival_at_a_time(kind):
+    """``run`` makes one pass: it handles element t after exactly t + 1
+    arrivals have been read from the stream, on the kernel families too."""
+    F = STREAM_KINDS[kind]()
+    order = np.random.default_rng(1).permutation(40).tolist()
+    yielded, handled = [0], []
 
-    def recorded(u, state):
-        kept = state.kept
-        raws = lookahead(u, state)
-        if state.kept is not None and state.kept is not kept:
-            evals = sum(len(bases) for bases, _ in state.moves)
-            first.setdefault(state, (state.seen_probes, evals))
-        return raws
+    def arrivals():
+        for u in order:
+            yielded[0] += 1
+            yield u
 
-    mgr._lookahead = recorded
-    mgr.run(order)
-    price = streaming.KERNEL_CALL_EVALS * F.m
-    assert first
-    assert all(probes == -(-price // evals) + 1
-               for probes, evals in first.values())
+    mgr = ThresholdManager(F, 0.5, 5, 2)
+    process = mgr.process
+
+    def checked(u):
+        assert yielded[0] == len(handled) + 1
+        handled.append(u)
+        process(u)
+
+    mgr.process = checked
+    mgr.run(arrivals())
+    assert handled == order and mgr.best_solution().value > 0
 
 
 @pytest.mark.parametrize("family, stream", [
@@ -776,9 +776,9 @@ def test_window_moves_only_when_delta_rises(family, stream):
     lambda: exemplar_family(float_features(60, 4, 0), 4),
 ], ids=["coverage", "exemplar"])
 def test_stored_is_a_running_count_of_the_live_summaries(family):
-    """After every element, through run and its lookahead too, ``stored``
-    is the sum of the live instances' |S|, and ``peak_stored`` its largest
-    value; the window drops some instances that hold elements."""
+    """After every element of ``run``, ``stored`` is the sum of the live
+    instances' |S|, and ``peak_stored`` its largest value; the window
+    drops some instances that hold elements."""
     F = family()
     mgr = ThresholdManager(F, 0.2, 4, 2)
     process, totals, dropped = mgr.process, [], []

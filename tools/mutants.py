@@ -52,6 +52,8 @@ EXEMPLAR_PER_CLASS_SHAPES = ("tests/test_exactness.py::"
 FACILITY_SHAPES = "tests/test_exactness.py::test_facility_block_kernel_shapes"
 FACILITY_FILLS = ("tests/test_exactness.py::"
                   "test_facility_fill_serves_several_blocks_bit_identically")
+ENTRY_FILL = ("tests/test_exactness.py::"
+              "test_a_leaders_entry_fill_reads_f_i_bit_identically")
 EXEMPLAR_ROW = ("tests/test_exactness.py::"
                 "test_exemplar_row_kernel_is_bit_identical")
 EXEMPLAR_ROW_SHAPES = ("tests/test_exactness.py::"
@@ -137,6 +139,22 @@ MUTANTS = (
            "np.maximum.reduce(table.take(bases, axis=0), axis=1",
            "np.maximum.reduce(table.take(bases[:-1], axis=0), axis=1",
            (FACILITY_SHAPES, FACILITY_FILLS)),
+    # a streaming leader's entry fill: one row reduced over its columns,
+    # served less the offsets, and dropped where add rebuilds the entry it
+    # was made for
+    Mutant("one-row fill reduced over the bases", "src/twostage/objectives.py",
+           "_add_reduce(_maximum(kept, row), 1)[None]",
+           "_add_reduce(_maximum(kept, row), 0)[None]",
+           (ENTRY_FILL,)),
+    Mutant("a fill's row served without the offsets", "src/twostage/core.py",
+           "if offsets[i] and raws is None and raw:",
+           "if offsets[i] and raws is None and raw and block is None:",
+           ("tests/test_exactness.py::"
+            "test_lookahead_at_any_price_matches_the_scalar_reference",)),
+    Mutant("a fill kept after add rebuilds its entry", "src/twostage/core.py",
+           "                self.fills[i] = None\n", "",
+           ("tests/test_exactness.py::"
+            "test_add_drops_the_fill_of_each_entry_it_rebuilds",)),
     Mutant("a round's fills outlive the round", "src/twostage/core.py",
            "fills = None if one else [None] * F.m",
            "fills = None if one else F.__dict__.setdefault("
@@ -220,10 +238,6 @@ MUTANTS = (
            "        if not 0 <= tau < math.inf:\n",
            "        if not 0 <= tau <= math.inf:\n",
            (BAD_INPUTS,)),
-    Mutant("lookahead's price one probe early", "src/twostage/streaming.py",
-           "(state.seen_probes - 1) * evals", "state.seen_probes * evals",
-           ("tests/test_streaming.py::"
-            "test_a_state_fills_its_first_block_at_the_lookaheads_price",)),
     Mutant("threshold test at <=", "src/twostage/streaming.py",
            "            if avg < tau:\n", "            if avg <= tau:\n",
            ("tests/test_streaming.py::TestThresholdManager::"
