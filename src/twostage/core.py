@@ -46,28 +46,27 @@ calls no f_i and sorts and checks nothing:
   (i, T_i) of its states once and serves every later eval of it.
 * the values of F's block kernel, in two steps.  ``F._block(i, bases)``
   reduces one table entry's bases once and returns the entry's fill,
-  which gives every base plus x for any candidates x at once.
-  ``_Sets._block_values`` writes each function's fill of a block of
-  greedy's candidates (``_Sets.best``) into the block.  A greedy
-  candidate's evals are ``value`` calls served its row, in the order
-  that its probe would make them, by the round's served plan: each
-  probe set's (i, base) in that order, and the set's column in the row
-  flattened to m * k floats.  Only the candidate
-  of each block that ``_Sets._first_best`` finds in numpy is probed, or
+  which gives every base plus x for any candidates x at once.  A fill
+  lives in one place, ``_Sets.fills[i]``, from the first read of it
+  that returns until ``add`` rebuilds the entry: a miss makes the fill
+  and stores it only once a read of it has returned, so a fill that
+  raises is not kept.  Greedy (``_Sets.best``) writes each function's
+  fill into a block of its candidates (``_Sets._block_values``), so
+  it reduces each entry's bases once, however many rounds and blocks
+  read it.  A greedy candidate's evals are ``value`` calls served
+  its row, in the order that its probe would make them, by the round's
+  served plan: each probe set's (i, base) in that order, and the set's
+  column in the row flattened to m * k floats.  Only the candidate of
+  each block that ``_Sets._first_best`` finds in numpy is probed, or
   every candidate of a block that holds a value that is not finite in a
-  candidate's row.  When a greedy round's candidates take more than one
-  block, the round keeps each function's fill until it ends, so each
-  function's bases are reduced once per round.  When they fit in one
-  block, the ``_Sets`` keeps that block, and a later round asks the
-  kernel again only for the functions whose table entry changed; every
+  candidate's row.  When a greedy round's candidates fit in one block,
+  the ``_Sets`` keeps that block for the solver call, and a column stays
+  current while the fill that wrote it is still ``fills[i]``; so a later
+  round writes only the columns of the entries that changed, and every
   other value is the one computed for the same candidate against the
-  same T_i.  That round makes each fill for one block and keeps none.
-  The kept block lives as long as the ``_Sets``, one solver call.  A
-  streaming leader that misses the probe dict, on a family without a row
-  kernel, reads x's one row from its state's fill of the entry
-  (``_Sets.fills``), which the first such leader makes and the state
-  keeps until ``add`` rebuilds the entry, and records its served values
-  like any other.
+  same T_i.  A streaming leader that misses the probe dict, on a family
+  without a row kernel, reads x's one row from its entry's fill and
+  records its served values like any other.
 * the values of F's row kernel.  A ``_Sets.probe`` that is given no
   kernel values hands x and each function's bases that it probes to
   ``F._row(i, x, bases)``, if F has one, and gets f_i(b + (x,)) for each
@@ -170,7 +169,8 @@ class ObjectiveFamily:
     ``xs`` and each b of ``bases``, with shape (len(xs), len(bases)),
     written into ``out`` (an array of that shape, such as a view of a
     block) if given, and returned.  A fill serves any number of blocks,
-    and of a streaming leader's single rows (``_Sets.probe``).
+    and of a streaming leader's single rows, for as long as the eval
+    contract above keeps it.
     ``_table_floats`` is the logical number of floats in the tables the
     kernel reads, as if each function kept its own, whatever the family
     stores (0 without a kernel); it sizes greedy's blocks (``_Sets.best``).
@@ -378,8 +378,8 @@ class _Sets:
     """A two-stage solution under construction at budget k: the summary
     ``S``, one sorted tuple ``T[i]`` per function, its cached value
     ``base[i]``, its probe-table entry ``moves[i]``, which is
-    ``_moves(T[i], k)``, and ``fills[i]``, the entry's fill once a
-    streaming leader made it (see ``probe``), or None."""
+    ``_moves(T[i], k)``, and ``fills[i]``, the entry's fill once a read
+    of it has returned, or None (see the module docstring)."""
 
     __slots__ = ("k", "S", "T", "base", "moves", "fills", "kept")
 
@@ -404,8 +404,8 @@ class _Sets:
         is 0.0 with replaced None.  ``raws`` has x's kernel values by
         (function, j); without it they come from F's row kernel if F has
         one, else, for a leader (``seen`` given) on a family with a block
-        kernel, from the one row x of the entry's fill, made at the first
-        such probe and kept in ``fills``; both less the offsets.  Otherwise
+        kernel, from the one row x of the entry's fill (``fills``); both
+        less the offsets.  Otherwise
         every set is evaluated by f_i.  x must be a checked id (see
         ``_check_ids``).
 
@@ -437,11 +437,10 @@ class _Sets:
                 calls += made
             else:
                 made = None if seen is None else []
-                if block is not None:
-                    fill = fills[i]
-                    if fill is None:
-                        fills[i] = fill = block(i, bases)
+                if block is not None:  # a fill is kept once read
+                    fill = fills[i] or block(i, bases)
                     raw = fill(xs).tolist()[0]
+                    fills[i] = fill
                 elif row is not None:
                     raw = row(i, x, bases)
                 else:
@@ -498,14 +497,11 @@ class _Sets:
         so that ``value`` evaluates each set whose value is not finite.
         Every other x makes its evals by the round's served plan: one
         ``value`` call per (i, base), served the value at the plan's column
-        of x's row flattened, one ``tolist`` per row.  A round of more
-        than one block keeps each function's fill (``F._block(i, bases)``)
-        until the round ends, so each function's bases are reduced once
-        per round."""
+        of x's row flattened, one ``tolist`` per row.  Every block reads
+        the entries' fills (``fills``)."""
         xs = list(dict.fromkeys(x for x in xs if x not in self.S))
         size = max(1, max(BLOCK_FLOATS, F._table_floats // 8) // (F.m * self.k))
         value, k, one = F.value, self.k, len(xs) <= size
-        fills = None if one else [None] * F.m
         # the round's served plan: each probe set's i and base, in probe
         # order, and its column in a row of the block flattened to m * k
         plan_i = [i for i, (bases, _) in enumerate(self.moves) for _ in bases]
@@ -516,7 +512,7 @@ class _Sets:
             part = xs[start:start + size]
             # the last block's values, and its view, go before the next's come
             vals = flat = row_of = rows = None
-            vals, row_of = self._block_values(F, part, one, fills)
+            vals, row_of = self._block_values(F, part, one)
             flat = vals.reshape(len(vals), -1)
             rows = [row_of[x] for x in part]
             first = self._first_best(vals, rows)
@@ -555,23 +551,20 @@ class _Sets:
         np.add.accumulate(gains, axis=1, out=gains)
         return int(gains[rows, -1].argmax())
 
-    def _block_values(self, F: ObjectiveFamily, xs: list, keep: bool,
-                      fills: list | None = None) -> tuple:
+    def _block_values(self, F: ObjectiveFamily, xs: list, keep: bool) -> tuple:
         """The values of the probe sets of xs, distinct and none in S, from
         F's kernel less the offsets, by (row, function, j), and the row of
         each x.
 
         The block is new, unless ``keep`` and the kept block has a row for
-        every x: then a function's column is reused if ``moves[i]`` is still
-        the entry it was filled for, and refilled for the rows not in S if
-        not, and the rows of the block's candidates that are in S are
-        zeroed.  A new block is kept if ``keep``.  A column is filled by the
-        fill of ``F._block(i, bases)``, taken from ``fills[i]`` if the
-        caller holds one there, else made and put there if ``fills`` is
-        given, else made for this block alone.  A column counts as filled
-        only once the fill has returned; a value that is not finite stays
-        in the block, and ``value`` does not serve it.  The ids of xs are
-        checked (``_check_ids``) before any kernel call."""
+        every x: then a function's column is reused while the fill that
+        wrote it is still ``fills[i]``, and refilled for the rows not in S
+        if not, and the rows of the block's candidates that are in S are
+        zeroed.  A new block is kept if ``keep``.  A column is written by
+        the entry's fill (``fills``), and counts as written only once the
+        fill has returned; a value that is not finite stays in the block,
+        and ``value`` does not serve it.  The ids of xs are checked
+        (``_check_ids``) before any kernel call."""
         _check_ids(xs, F.ground.n)
         kept = self.kept if keep else None
         if kept is None or any(x not in kept[0] for x in xs):
@@ -579,7 +572,7 @@ class _Sets:
                     np.zeros((len(xs), F.m, self.k)), [None] * F.m)
             if keep:
                 self.kept = kept
-        row_of, vals, entries = kept
+        row_of, vals, wrote = kept
         live = [x for x in row_of if x not in self.S]
         if len(live) == len(row_of):
             rows = slice(None)  # a view of the block: each fill writes there
@@ -588,21 +581,17 @@ class _Sets:
             # the rows of candidates in S are never refilled or served
             # again; zeroed, none holds a stale value that is not finite
             vals[[row_of[x] for x in self.S if x in row_of]] = 0.0
-        for i, entry in enumerate(self.moves):
-            if entries[i] is not entry:
-                bases = entry[0]
-                fill = None if fills is None else fills[i]
-                if fill is None:
-                    fill = F._block(i, bases)
-                    if fills is not None:
-                        fills[i] = fill
+        for i, (bases, _) in enumerate(self.moves):
+            fill = self.fills[i]
+            if fill is None or wrote[i] is not fill:
+                fill = fill or F._block(i, bases)
                 if type(rows) is slice:
                     fill(live, vals[rows, i, :len(bases)])
                 else:
                     vals[rows, i, :len(bases)] = fill(live)
                 if F._offsets[i]:  # v - 0.0 is v, so skip the pass
                     vals[rows, i, :len(bases)] -= F._offsets[i]
-                entries[i] = entry
+                self.fills[i] = wrote[i] = fill  # a fill is kept once read
         return vals, row_of
 
     def add(self, F: ObjectiveFamily, x: int, replaced: list, gains: list,

@@ -173,7 +173,7 @@ def facility_family(points: Sequence[Point],
 
     def block(i: int, bases: list):
         mat = matrices[i]
-        # a partial holds less than a closure: greedy holds m fills a round
+        # a partial holds less than a closure: a _Sets holds up to m fills
         return partial(_max_sum_rows, _max_sum_bases(mat, bases), mat, None)
 
     F = ObjectiveFamily(ground, [make(mat) for mat in matrices])

@@ -99,9 +99,8 @@ class _GroupState(_Sets):
     sets on instrumented runs, else None.  So the state itself is the
     run's token: two exponents share it exactly when they started together
     and accepted the same elements.  Its ell and alpha are its manager's
-    (a ``StreamState`` keeps its own).  ``fills`` holds the fill of each
-    table entry that a leader made (``_Sets.probe``), which stays valid
-    while the entry does."""
+    (a ``StreamState`` keeps its own).  ``fills`` holds the entries'
+    fills that its leaders read (see ``core``'s docstring)."""
 
     __slots__ = ("trace",)
 

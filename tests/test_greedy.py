@@ -245,16 +245,21 @@ class TestKeptBlock:
         sol, rounds = greedy_rounds(F, range(100), 6, k)
         assert (sol, F.evals) == (replacement_greedy(G, range(100), 6, k),
                                   G.evals)
+        previous = [None] * F.m  # no entry has a fill before round 1
         for reductions, fills, S, T in rounds:
             live = [x for x in range(100) if x not in S]
             blocks = [live[s:s + size] for s in range(0, len(live), size)]
             assert len(blocks) > 1
-            # each function's bases are reduced once per round, at the
-            # first block, and that fill serves every block of the round
-            assert reductions == [(i, probe_bases(T[i], k))
-                                  for i in range(F.m)]
+            # an entry's bases are reduced once, at the first block of the
+            # first round that reads it, and that fill serves every block
+            # of every round until the entry changes
+            changed = [i for i in range(F.m) if T[i] != previous[i]]
+            assert reductions == [(i, probe_bases(T[i], k)) for i in changed]
             assert fills == [(i, probe_bases(T[i], k), xs) for xs in blocks
                              for i in range(F.m)]
+            previous = T
+        # a later round reuses some entry's fill
+        assert sum(len(r) for r, *_ in rounds[1:]) < F.m * (len(rounds) - 1)
 
     @pytest.mark.parametrize("fail_at", [0, 1])
     def test_a_kernel_that_raises_mid_refill_leaves_no_stale_column(

@@ -133,8 +133,7 @@ MUTANTS = (
            "return sums.take(pos, axis=0, out=out)\n",
            "return sums.take(pos, axis=0, out=out).T\n",
            (EXEMPLAR_SHAPES, EXEMPLAR_BLOCK)),
-    # the block kernel's two steps: a fill made of every base of its
-    # entry, and kept no longer than the greedy round it was made in
+    # the block kernel's two steps: a fill made of every base of its entry
     Mutant("bases half drops the last base", "src/twostage/objectives.py",
            "np.maximum.reduce(table.take(bases, axis=0), axis=1",
            "np.maximum.reduce(table.take(bases[:-1], axis=0), axis=1",
@@ -150,18 +149,32 @@ MUTANTS = (
            "if offsets[i] and raws is None and raw:",
            "if offsets[i] and raws is None and raw and block is None:",
            ("tests/test_exactness.py::"
-            "test_lookahead_at_any_price_matches_the_scalar_reference",)),
+            "test_entry_fills_on_drawn_runs_match_the_scalar_reference",)),
     Mutant("a fill kept after add rebuilds its entry", "src/twostage/core.py",
            "                self.fills[i] = None\n", "",
            ("tests/test_exactness.py::"
             "test_add_drops_the_fill_of_each_entry_it_rebuilds",)),
-    Mutant("a round's fills outlive the round", "src/twostage/core.py",
-           "fills = None if one else [None] * F.m",
-           "fills = None if one else F.__dict__.setdefault("
-           "\"fills\", [None] * F.m)",
+    # one store of fills for greedy's blocks and streaming's leaders: a
+    # kept column is current while the fill that wrote it is the entry's,
+    # and a fill is kept only once a read of it has returned
+    Mutant("a kept column reused after add dropped its fill",
+           "src/twostage/core.py",
+           "if fill is None or wrote[i] is not fill:",
+           "if wrote[i] is None or fill is not None and wrote[i] is not fill:",
            ("tests/test_greedy.py::TestKeptBlock::"
-            "test_several_blocks_per_round_are_all_filled_every_round",
-            RESOLVER + "::test_served_plan_mixes_insertions_and_swaps")),
+            "test_later_rounds_refill_only_changed_functions",)),
+    Mutant("a block's fill stored before its first read returned",
+           "src/twostage/core.py",
+           "fill = fill or F._block(i, bases)",
+           "fill = self.fills[i] = fill or F._block(i, bases)",
+           ("tests/test_greedy.py::TestKeptBlock::"
+            "test_a_kernel_that_raises_mid_refill_leaves_no_stale_column",)),
+    Mutant("a leader's fill stored before its first read returned",
+           "src/twostage/core.py",
+           "fill = fills[i] or block(i, bases)",
+           "fill = fills[i] = fills[i] or block(i, bases)",
+           ("tests/test_exactness.py::"
+            "test_a_leaders_fill_that_raises_is_not_kept",)),
     # the similarity tables: each column's anchor less the distance,
     # clipped at 0.0, over a last row of zeros, which changes no maximum
     # and is all that a set with no member reads.  f_i and the kernels
